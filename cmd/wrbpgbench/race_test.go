@@ -1,0 +1,6 @@
+//go:build race
+
+package main
+
+// raceDetector reports a build with the race detector.
+const raceDetector = true
