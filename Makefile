@@ -17,8 +17,10 @@ vet:
 test:
 	$(GO) test ./...
 
+# Every test runs at GOMAXPROCS 1 and 4, so a test gated on core count
+# runs on any host.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,4 ./...
 
 # Race-enabled fault-injection and degradation tests: worker panics,
 # injected faults, cancellation, and fallback paths (docs/ROBUSTNESS.md).

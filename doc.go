@@ -28,7 +28,6 @@
 //   - internal/pipeline  modular schedule composition
 //   - internal/energy    schedule → energy/power estimates
 //   - internal/dse       mixed-precision design-space exploration
-//   - internal/stream    per-window deployment runtime
 //
 // See README.md for a quickstart, DESIGN.md for the full system
 // inventory, docs/MODEL.md for a tutorial and docs/TRACEABILITY.md

@@ -16,10 +16,8 @@ import (
 	"wrbpg/internal/energy"
 	"wrbpg/internal/machine"
 	"wrbpg/internal/memdesign"
-	"wrbpg/internal/stream"
 	"wrbpg/internal/synth"
 	"wrbpg/internal/wavelet"
-	"wrbpg/internal/wcfg"
 )
 
 func TestDeploymentRoundTrip(t *testing.T) {
@@ -108,35 +106,5 @@ func TestDeploymentRoundTrip(t *testing.T) {
 	}
 	if rep.TotalPJ <= 0 || rep.AvgPowerMW <= 0 {
 		t.Fatalf("degenerate energy report %+v", rep)
-	}
-}
-
-// TestStreamingDeployment: the compiled window schedule processes a
-// continuous recording with compulsory-only traffic per window.
-func TestStreamingDeployment(t *testing.T) {
-	r, err := stream.NewDWT(32, 5, wcfg.Equal(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(82))
-	signal := make([]float64, 256)
-	for i := range signal {
-		signal[i] = rng.NormFloat64()
-	}
-	windows, stats, err := r.Process(signal, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Windows != 8 {
-		t.Fatalf("windows = %d", stats.Windows)
-	}
-	perWindow := stats.TrafficBits / 8
-	if perWindow != wrbpg.LowerBound(r.Graph.G) {
-		t.Errorf("per-window traffic %d != LB %d", perWindow, wrbpg.LowerBound(r.Graph.G))
-	}
-	for _, w := range windows {
-		if len(w.Coeffs) != 5 {
-			t.Fatalf("window@%d has %d levels", w.Start, len(w.Coeffs))
-		}
 	}
 }

@@ -89,7 +89,9 @@ type Result struct {
 	// no-recompute search space: the frontier drained, or the incumbent
 	// met the lower bound (in which case it is globally optimal).
 	// Deadline, state-budget, target-cost and worker-crash exits leave
-	// it false.
+	// it false unless the incumbent met the lower bound first: a
+	// schedule at the Proposition 2.4 bound is optimal however the
+	// search ended.
 	Complete bool
 	// Expanded, Pruned and Deduped count search states expanded,
 	// cut by the bound, and suppressed by the visited table.

@@ -14,16 +14,11 @@ import (
 	"wrbpg/internal/wcfg"
 )
 
-// ParMap evaluates f over every input on a bounded worker pool and
-// returns the outputs in input order. The experiment sweeps of
-// Figures 5 and 6 are embarrassingly parallel — every budget or
-// problem size builds its own graphs and schedulers — so the harness
-// fans them out across cores; the first error aborts the sweep (jobs
-// not yet started are skipped) and is returned after all workers
-// drain. It is a thin wrapper over par.Map, kept for compatibility.
-func ParMap[I, O any](workers int, in []I, f func(I) (O, error)) ([]O, error) {
-	return par.Map(workers, in, f)
-}
+// The experiment sweeps of Figures 5 and 6 are embarrassingly
+// parallel — every budget or problem size builds its own graphs and
+// schedulers — so the harness fans them out across cores with
+// par.MapCtx; the first error aborts the sweep (jobs not yet started
+// are skipped) and is returned after all workers drain.
 
 // Fig6DWTParallel is Fig6DWT fanned out across cores; results are
 // identical (the computation is deterministic per problem size).

@@ -1,86 +1,6 @@
 package bench
 
-import (
-	"errors"
-	"sync/atomic"
-	"testing"
-)
-
-func TestParMapOrderAndValues(t *testing.T) {
-	in := make([]int, 100)
-	for i := range in {
-		in[i] = i
-	}
-	out, err := ParMap(8, in, func(x int) (int, error) { return x * x, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-}
-
-func TestParMapErrorPropagation(t *testing.T) {
-	in := []int{1, 2, 3, 4, 5}
-	boom := errors.New("boom")
-	_, err := ParMap(3, in, func(x int) (int, error) {
-		if x == 4 {
-			return 0, boom
-		}
-		return x, nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestParMapEdgeCases(t *testing.T) {
-	out, err := ParMap(4, nil, func(x int) (int, error) { return x, nil })
-	if err != nil || len(out) != 0 {
-		t.Error("empty input")
-	}
-	// workers > len(in), workers == 0, workers == 1 all behave.
-	for _, w := range []int{0, 1, 10} {
-		out, err := ParMap(w, []int{7}, func(x int) (int, error) { return x + 1, nil })
-		if err != nil || out[0] != 8 {
-			t.Errorf("workers=%d: %v %v", w, out, err)
-		}
-	}
-}
-
-func TestParMapActuallyConcurrent(t *testing.T) {
-	var inFlight, peak int32
-	in := make([]int, 32)
-	done := make(chan struct{})
-	_, err := ParMap(4, in, func(int) (int, error) {
-		n := atomic.AddInt32(&inFlight, 1)
-		for {
-			p := atomic.LoadInt32(&peak)
-			if n <= p || atomic.CompareAndSwapInt32(&peak, p, n) {
-				break
-			}
-		}
-		// A tiny synchronization point to let workers overlap.
-		select {
-		case <-done:
-		default:
-		}
-		atomic.AddInt32(&inFlight, -1)
-		return 0, nil
-	})
-	close(done)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With 4 workers over 32 jobs at least two should have
-	// overlapped at some point on any multi-core runner; on a single
-	// core this can legitimately be 1, so only sanity-check bounds.
-	if peak < 1 || peak > 4 {
-		t.Errorf("peak in-flight = %d", peak)
-	}
-}
+import "testing"
 
 // TestParallelSweepsMatchSequential: the parallel Figure 6 harness
 // returns exactly the sequential rows.

@@ -292,17 +292,18 @@ func perfKernels() []perfKernel {
 			}, nil
 		}},
 		{"ServeSweepWarm", func() (func() error, error) {
-			// The full serving sweep core — session-pool hit plus 16 warm
-			// budget queries — measured steady-state: the workspace slices
-			// and shape key are reused exactly as the handler reuses its
-			// pooled workspace, so this kernel must report 0 allocs/op.
+			// The full serving sweep core — a delta-free PatchCosts:
+			// session-pool hit plus 16 warm budget queries — measured
+			// steady-state: the workspace slices and base key are reused
+			// exactly as the handler reuses its pooled workspace, so this
+			// kernel must report 0 allocs/op.
 			srv := serve.New(serve.Options{})
 			in := solve.Instance{Family: solve.FamilyKTree, K: 4, Height: 3, Cfg: Configs()[0]}
 			se, err := solve.NewSession(in)
 			if err != nil {
 				return nil, err
 			}
-			key := in.ShapeKey()
+			key := in.BaseShapeKey()
 			max := se.MinExistence() + 18
 			budgets := make([]cdag.Weight, 0, 16)
 			for b := max; b > max-16; b-- {
@@ -310,13 +311,11 @@ func perfKernels() []perfKernel {
 			}
 			pts := make([]solve.CostPoint, 0, 16)
 			ctx := context.Background()
-			if _, _, err := srv.SweepCosts(ctx, &in, key, budgets, pts[:0]); err != nil {
-				return nil, err
-			}
-			return func() error {
-				_, _, err := srv.SweepCosts(ctx, &in, key, budgets, pts[:0])
+			body := func() error {
+				_, _, err := srv.PatchCosts(ctx, &in, key, budgets, pts[:0])
 				return err
-			}, nil
+			}
+			return body, body()
 		}},
 		// The incremental-engine kernels back the patch acceptance
 		// claims: a single-node weight delta followed by a re-query

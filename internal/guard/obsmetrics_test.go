@@ -62,24 +62,26 @@ func TestNoteNilSafe(t *testing.T) {
 // CountersFor caches per family, and a nil receiver is a no-op.
 func TestFamilyCountersRecord(t *testing.T) {
 	// A family name private to this test keeps the process-global
-	// counters free of crosstalk with other tests.
+	// counters free of crosstalk with other tests; the checks read
+	// deltas, so the test also passes when run again (go test -cpu 1,4).
 	fc := CountersFor("testfam_record")
 	if CountersFor("testfam_record") != fc {
 		t.Fatal("CountersFor did not cache the family set")
 	}
+	queries, hits, splits, entries := fc.queries.Value(), fc.hits.Value(), fc.splits.Value(), fc.entries.Value()
 	fc.Record(Counts{MemoHits: 7, IntervalSplits: 2})
 	fc.Record(Counts{}) // all-warm flush: only the query counter moves
-	if got := fc.queries.Value(); got != 2 {
-		t.Errorf("queries = %d, want 2", got)
+	if got := fc.queries.Value() - queries; got != 2 {
+		t.Errorf("queries += %d, want 2", got)
 	}
-	if got := fc.hits.Value(); got != 7 {
-		t.Errorf("hits = %d, want 7", got)
+	if got := fc.hits.Value() - hits; got != 7 {
+		t.Errorf("hits += %d, want 7", got)
 	}
-	if got := fc.splits.Value(); got != 2 {
-		t.Errorf("splits = %d, want 2", got)
+	if got := fc.splits.Value() - splits; got != 2 {
+		t.Errorf("splits += %d, want 2", got)
 	}
-	if got := fc.entries.Value(); got != 0 {
-		t.Errorf("entries = %d, want 0", got)
+	if got := fc.entries.Value() - entries; got != 0 {
+		t.Errorf("entries += %d, want 0", got)
 	}
 	var nilFC *FamilyCounters
 	nilFC.Record(Counts{MemoHits: 1}) // must not panic

@@ -3,6 +3,7 @@ package par
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -77,6 +78,37 @@ func TestMapEarlyAbort(t *testing.T) {
 	// everything else must have been skipped.
 	if c := calls.Load(); c > 8 {
 		t.Fatalf("%d jobs evaluated after early error, want ≤ 8", c)
+	}
+}
+
+// TestMapActuallyConcurrent: a four-worker pool runs jobs at the same
+// time, even on one CPU — every job blocks until a second one is in
+// flight, so a serial pool times out — and never more than four.
+func TestMapActuallyConcurrent(t *testing.T) {
+	const workers = 4
+	var inFlight, peak atomic.Int32
+	overlap := make(chan struct{})
+	var once sync.Once
+	_, err := Map(workers, make([]int, 32), func(int) (int, error) {
+		n := inFlight.Add(1)
+		defer inFlight.Add(-1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		if n >= 2 {
+			once.Do(func() { close(overlap) })
+		}
+		select {
+		case <-overlap:
+			return 0, nil
+		case <-time.After(5 * time.Second):
+			return 0, errors.New("no second job started within 5s: the pool ran serially")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p < 2 || p > workers {
+		t.Errorf("peak in-flight = %d, want 2..%d", p, workers)
 	}
 }
 

@@ -22,8 +22,8 @@
 //
 //	POST /v1/schedule        solve one instance (cache-backed)
 //	POST /v1/schedule/batch  fan out independent solves, partial failure
-//	POST /v1/schedule/sweep  many budgets, one warm solver session
-//	POST /v1/schedule/patch  weight deltas + budgets, incremental re-solve
+//	POST /v1/schedule/sweep  a budget list, one warm solver session
+//	POST /v1/schedule/patch  the same, named a patch (deltas expected)
 //	GET  /v1/lowerbound      Proposition 2.3/2.4 bounds, no solve
 //	GET  /v1/trace/{id}      span tree of a traced request
 //	GET  /healthz            liveness
@@ -39,20 +39,10 @@
 // Perfetto trace_event array). Untraced requests pay one context
 // lookup per phase and zero tracing allocations.
 //
-// The sweep path keeps a pool of warm solver sessions keyed by the
-// instance's budget-free ShapeKey: the DP memos share sub-budget cells
-// across budget queries, so answering k budgets costs roughly one cold
-// solve, and answering them again is pure memo hits. Per-request
-// workspaces recycle through a sync.Pool, so steady-state sweep
-// traffic performs zero allocations per warm query (see
-// docs/PERFORMANCE.md, "The sweep engine").
-//
-// The patch path shares that pool, keyed by the delta-free
-// BaseShapeKey: POST /v1/schedule/patch applies per-node weight deltas
-// to the pooled base session with dependency-tracked memo invalidation
-// and answers its budget list from the surviving cells — an
-// incremental re-solve instead of a cold one (see docs/PERFORMANCE.md,
-// "The incremental engine").
+// Sweeps and patches are one budget-list path (budgets.go) over a pool
+// of warm solver sessions keyed by the delta-free BaseShapeKey: a sweep
+// is a patch with no deltas, k budgets cost roughly one cold solve, and
+// a weight change re-solves incrementally (docs/PERFORMANCE.md).
 package serve
 
 import (
@@ -133,7 +123,7 @@ type Options struct {
 	// request (default 128). SweepSessions caps the warm-session pool
 	// backing POST /v1/schedule/sweep and /v1/schedule/patch (default
 	// 32, LRU-evicted). MaxPatchDeltas bounds the delta list of one
-	// patch request (default 256).
+	// sweep or patch request (default 256).
 	MaxSweepBudgets int
 	SweepSessions   int
 	MaxPatchDeltas  int
@@ -231,11 +221,11 @@ type Server struct {
 	opts  Options
 	cache *schedcache.Cache[*wire.ScheduleResult]
 	// sessions is the warm solver-session pool keyed by the instance
-	// ShapeKey (budget-free identity); one LRU shard keeps the live
-	// count exactly at SweepSessions.
+	// BaseShapeKey (budget- and delta-free identity); one LRU shard
+	// keeps the live count exactly at SweepSessions.
 	sessions *schedcache.Cache[*sessionEntry]
-	// wsPool recycles sweep workspaces (budget/cost/item buffers), so
-	// steady-state sweep traffic allocates nothing per warm query.
+	// wsPool recycles budget-list workspaces (cost and item buffers), so
+	// steady-state sweep and patch traffic allocates nothing per query.
 	wsPool sync.Pool
 	// adm is the deadline-aware admission queue in front of the solver
 	// slots; brk is the fallback-storm breaker (nil when disabled).
@@ -296,8 +286,8 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/schedule", s.handleSchedule)
 	mux.HandleFunc("/v1/schedule/batch", s.handleBatch)
-	mux.HandleFunc("/v1/schedule/sweep", s.handleSweep)
-	mux.HandleFunc("/v1/schedule/patch", s.handlePatch)
+	mux.HandleFunc("/v1/schedule/sweep", s.handleBudgets)
+	mux.HandleFunc("/v1/schedule/patch", s.handleBudgets)
 	mux.HandleFunc(cluster.PeerPath, s.handlePeerSchedule)
 	mux.HandleFunc("/v1/lowerbound", s.handleLowerBound)
 	mux.HandleFunc("/v1/trace/", s.handleTrace)
@@ -462,20 +452,14 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// schedule is the shared single-request path (also used per batch
+// scheduleAs is the shared single-request path (also used per batch
 // item): validate, canonicalize, cache-or-solve, stamp per-request
-// fields.
-func (s *Server) schedule(ctx context.Context, req *wire.ScheduleRequest) (*wire.ScheduleResult, *wire.Error) {
-	return s.scheduleAs(ctx, req, false, "")
-}
-
-// scheduleAs is schedule with cluster semantics: peerCall marks a
-// replica-to-replica request (never forward again, shed with 429
-// instead of degrading on queue saturation), and wantKey, when
-// non-empty, is the forwarder's content-addressed key — a mismatch
-// against the locally computed key is a 400, so canonicalization skew
-// between replicas fails loudly instead of silently splitting the
-// fleet's cache.
+// fields. peerCall marks a replica-to-replica request (never forward
+// again, shed with 429 instead of degrading on queue saturation), and
+// wantKey, when non-empty, is the forwarder's content-addressed key — a
+// mismatch against the locally computed key is a 400, so
+// canonicalization skew between replicas fails loudly instead of
+// silently splitting the fleet's cache.
 func (s *Server) scheduleAs(ctx context.Context, req *wire.ScheduleRequest, peerCall bool, wantKey string) (*wire.ScheduleResult, *wire.Error) {
 	start := time.Now()
 	if req.BudgetBits < 1 {
@@ -577,14 +561,7 @@ func (s *Server) solveCold(ctx context.Context, req *wire.ScheduleRequest, inst 
 			"budget %d below existence bound %d (Proposition 2.3): no schedule exists", budget, min)
 	}
 
-	// Map the request deadline onto the solve budget: the requested
-	// (or default) timeout, clamped by the server maximum and by the
-	// transport context's own deadline.
-	want := s.opts.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		want = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	deadline := guard.ClampDeadline(ctx, want, s.opts.MaxTimeout)
+	deadline := s.requestDeadline(ctx, req.TimeoutMS)
 
 	if !peerCall && s.cluster != nil {
 		if owner, local := s.cluster.Route(key); !local {
@@ -665,6 +642,17 @@ func (s *Server) solveCold(ctx context.Context, req *wire.ScheduleRequest, inst 
 	res := wire.NewScheduleResult(inst.Label(), out, core.LowerBound(g), true)
 	res.Cost = costMeta(wire.TierSolve, tk.waited, out.Elapsed, guard.SinkFrom(ctx))
 	return res, cacheableSource(res), nil
+}
+
+// requestDeadline maps a request's timeout_ms onto its deadline
+// budget: the requested (or default) timeout, clamped by the server
+// maximum and by the transport context's own deadline.
+func (s *Server) requestDeadline(ctx context.Context, timeoutMS int64) time.Duration {
+	want := s.opts.DefaultTimeout
+	if timeoutMS > 0 {
+		want = time.Duration(timeoutMS) * time.Millisecond
+	}
+	return guard.ClampDeadline(ctx, want, s.opts.MaxTimeout)
 }
 
 // costMeta assembles the cost block for a fresh (uncached) answer from
@@ -751,7 +739,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// width only bounds decode/validate parallelism.
 	items, perr := par.MapCtx(ctx, s.opts.MaxInflight, idx, func(i int) (wire.BatchItem, error) {
 		s.m.reqSchedule.Inc()
-		res, werr := s.schedule(ctx, &req.Requests[i])
+		res, werr := s.scheduleAs(ctx, &req.Requests[i], false, "")
 		if werr != nil {
 			return wire.BatchItem{Index: i, Error: werr}, nil
 		}
@@ -785,7 +773,14 @@ func (s *Server) handleLowerBound(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.Method == http.MethodPost || r.URL.Query().Get("family") == solve.FamilyCDAG {
-		s.lowerBoundFromBody(w, r)
+		// Body-borne: the way to submit family:"cdag" graphs, which don't
+		// fit in a query string. Bounds are budget-free.
+		var req wire.ScheduleRequest
+		if err := decodeStrict(w, r, s.opts.MaxBodyBytes, &req); err != nil {
+			s.writeErr(w, asWireErr(err))
+			return
+		}
+		s.writeLowerBound(w, &req)
 		return
 	}
 	q := r.URL.Query()
@@ -814,18 +809,6 @@ func (s *Server) handleLowerBound(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		*f.dst = v
-	}
-	s.writeLowerBound(w, &req)
-}
-
-// lowerBoundFromBody answers bounds for a body-borne request — the
-// way to submit family:"cdag" graphs, which don't fit in a query
-// string. BudgetBits is not required: bounds are budget-free.
-func (s *Server) lowerBoundFromBody(w http.ResponseWriter, r *http.Request) {
-	var req wire.ScheduleRequest
-	if err := decodeStrict(w, r, s.opts.MaxBodyBytes, &req); err != nil {
-		s.writeErr(w, asWireErr(err))
-		return
 	}
 	s.writeLowerBound(w, &req)
 }

@@ -56,9 +56,10 @@ type metrics struct {
 	sessionMisses *obs.Counter
 	wsAllocs      *obs.Counter
 
-	// Incremental-engine counters: budgets answered after a patch,
+	// Incremental-engine counters: budgets answered on the patch route,
+	// then — over every request that carries deltas, on either route —
 	// deltas received, node weights actually written (the diff against
-	// the session's current state), and patches whose diff was empty.
+	// the session's current state), and requests whose diff was empty.
 	patchBudgets *obs.Counter
 	patchDeltas  *obs.Counter
 	patchChanged *obs.Counter
@@ -160,19 +161,19 @@ func newMetrics(reg *obs.Registry) *metrics {
 		sweepBudgets: reg.Counter("wrbpg_sweep_budgets_total",
 			"Budgets answered across all sweep requests."),
 		sessionHits: reg.Counter("wrbpg_sweep_session_hits_total",
-			"Sweeps answered from an existing warm session."),
+			"Sweep and patch requests answered from an existing warm session."),
 		sessionMisses: reg.Counter("wrbpg_sweep_session_misses_total",
-			"Sweeps that built (or joined building) a session."),
+			"Sweep and patch requests that built (or joined building) a session."),
 		wsAllocs: reg.Counter("wrbpg_sweep_workspace_allocs_total",
 			"Sweep workspaces allocated (sync.Pool misses)."),
 		patchBudgets: reg.Counter("wrbpg_patch_budgets_total",
 			"Budgets answered across all patch requests."),
 		patchDeltas: reg.Counter("wrbpg_patch_deltas_total",
-			"Canonical weight deltas received by patch requests."),
+			"Canonical weight deltas received by sweep and patch requests."),
 		patchChanged: reg.Counter("wrbpg_patch_changed_nodes_total",
-			"Node weights actually written by patches (the diff against the session's current state)."),
+			"Node weights actually written by requests carrying deltas (the diff against the session's current state)."),
 		patchNoops: reg.Counter("wrbpg_patch_noop_total",
-			"Patches whose diff was empty (the session was already at the target state)."),
+			"Requests carrying deltas whose diff was empty (the session was already at the target state)."),
 		shedVec: shedVec,
 		shedBy:  shedBy,
 		queueDepth: reg.Gauge("wrbpg_admission_queue_depth",

@@ -171,6 +171,11 @@ func FuzzPatchRequest(f *testing.F) {
 	f.Add([]byte(`{"family":"dwt","n":16,"d":2,"deltas":[],"budgets_bits":[]}`))
 	f.Add([]byte(`{"family":"dwt","n":16,"d":2,"deltas":[{"node":-1,"weight_bits":-9223372036854775808}],"budgets_bits":[0]}`))
 	f.Add([]byte(`{}`))
+	// Sweep-shaped bodies: the same request type with no deltas.
+	f.Add([]byte(`{"family":"ktree","k":3,"height":3,"budgets_bits":[4096,2048]}`))
+	f.Add([]byte(`{"family":"mvm","m":96,"n":8,"budgets_bits":[1024,2048],"timeout_ms":500}`))
+	f.Add([]byte(`{"family":"cdag","graph":{"nodes":[{"id":0,"weight_bits":8}]},"budgets_bits":[64]}`))
+	f.Add([]byte(`{"base_key":"sha256:abcdef","budgets_bits":[64,128]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req PatchRequest
@@ -190,22 +195,24 @@ func FuzzPatchRequest(f *testing.F) {
 		if req.BaseKey != "" {
 			return // resolved against the session pool, nothing to build
 		}
-		inst, err := req.BaseInstance()
+		inst, err := req.Instance()
 		if err != nil {
 			return // structured 400
 		}
-		inst.Deltas = ds
-		if err := inst.Validate(); err != nil {
-			return // structured 400
-		}
 		if inst.ShapeKey() == "" || inst.BaseShapeKey() == "" {
-			t.Fatal("validated patch instance produced an empty key")
+			t.Fatal("validated budget-list instance produced an empty key")
 		}
-		// The base key must not depend on the deltas.
-		base := inst.BaseShapeKey()
-		inst.Deltas = nil
-		if inst.BaseShapeKey() != base {
+		// The base key must not depend on the deltas, and a delta-free
+		// request's shape key is its base key.
+		base, err := req.BaseInstance()
+		if err != nil {
+			t.Fatalf("BaseInstance of an accepted request failed: %v", err)
+		}
+		if inst.BaseShapeKey() != base.ShapeKey() {
 			t.Fatal("BaseShapeKey depends on deltas")
+		}
+		if len(inst.Deltas) == 0 && inst.ShapeKey() != inst.BaseShapeKey() {
+			t.Fatal("delta-free shape key differs from its base key")
 		}
 	})
 }

@@ -229,7 +229,7 @@ type CostMeta struct {
 	MemoHits   int64 `json:"memo_hits,omitempty"`
 	MemoMisses int64 `json:"memo_misses,omitempty"`
 	// CellsInvalidated / CellsReused report incremental-engine work
-	// (patch requests).
+	// (sweep and patch requests).
 	CellsInvalidated int64 `json:"cells_invalidated,omitempty"`
 	CellsReused      int64 `json:"cells_reused,omitempty"`
 	// PeerHops counts replica-to-replica forwards taken to answer.
@@ -320,36 +320,49 @@ func (r *ScheduleResult) Clone() *ScheduleResult {
 	return &cp
 }
 
-// SweepRequest asks for the optimal costs of one instance at many
-// budgets, answered from a single warm solver session (POST
-// /v1/schedule/sweep). The instance fields mirror ScheduleRequest;
-// the response carries per-budget costs only — fetch move lists for
-// interesting budgets via /v1/schedule, which shares no state with
-// the sweep path.
-type SweepRequest struct {
-	Family string `json:"family"`
-	N      int    `json:"n,omitempty"`
-	D      int    `json:"d,omitempty"`
-	M      int    `json:"m,omitempty"`
-	K      int    `json:"k,omitempty"`
-	Height int    `json:"height,omitempty"`
-	// Weights selects the node-weight configuration for the parametric
-	// families; ignored for cdag.
-	Weights WeightSpec `json:"weights,omitempty"`
-	// Graph is the explicit CDAG of a family:"cdag" request.
-	Graph *cdag.Graph `json:"graph,omitempty"`
-	// CDAG is the raw node/edge form of a family:"cdag" request.
-	CDAG *GraphSpec `json:"cdag,omitempty"`
+// PatchRequest asks for the optimal costs of one instance at a list of
+// budgets, answered from the warm session pool: the body of both POST
+// /v1/schedule/sweep and POST /v1/schedule/patch (a sweep is a patch
+// with no deltas). The base instance is named either by base_key,
+// resolved against the resident session pool, or inline, which always
+// works and warms the pool for later base_key calls. The response
+// carries per-budget costs only; fetch move lists via /v1/schedule.
+type PatchRequest struct {
+	// BaseKey is the content-addressed identity of the base instance
+	// (solve.Instance.BaseShapeKey). Mutually exclusive with the inline
+	// family fields; 404 when the session is no longer resident.
+	BaseKey string `json:"base_key,omitempty"`
+	// Family through CDAG describe the base instance inline, exactly as
+	// in ScheduleRequest.
+	Family  string      `json:"family,omitempty"`
+	N       int         `json:"n,omitempty"`
+	D       int         `json:"d,omitempty"`
+	M       int         `json:"m,omitempty"`
+	K       int         `json:"k,omitempty"`
+	Height  int         `json:"height,omitempty"`
+	Weights WeightSpec  `json:"weights,omitempty"`
+	Graph   *cdag.Graph `json:"graph,omitempty"`
+	CDAG    *GraphSpec  `json:"cdag,omitempty"`
+	// Deltas are the weight overrides defining the patched instance: the
+	// full target state relative to the *base* weights (duplicate nodes
+	// merge last-wins), so none answers the base. Only dwt and ktree.
+	Deltas []PatchDelta `json:"deltas,omitempty"`
 	// BudgetsBits lists the fast-memory budgets to answer, all
 	// positive; answers come back in the same order.
 	BudgetsBits []int64 `json:"budgets_bits"`
 	// TimeoutMS optionally overrides the server's default deadline for
-	// the whole sweep, clamped to its maximum.
+	// the whole request, clamped to its maximum.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// Instance converts the request to its canonical solve.Instance.
-func (r *SweepRequest) Instance() (solve.Instance, error) {
+// SweepRequest and SweepResponse name the budget-list types by their
+// delta-free use.
+type SweepRequest = PatchRequest
+type SweepResponse = PatchResponse
+
+// Instance converts the inline fields, deltas included, to the
+// canonical solve.Instance.
+func (r *PatchRequest) Instance() (solve.Instance, error) {
 	sr := ScheduleRequest{
 		Family: r.Family,
 		N:      r.N, D: r.D, M: r.M,
@@ -357,8 +370,16 @@ func (r *SweepRequest) Instance() (solve.Instance, error) {
 		Weights: r.Weights,
 		Graph:   r.Graph,
 		CDAG:    r.CDAG,
+		Deltas:  r.Deltas,
 	}
 	return sr.Instance()
+}
+
+// BaseInstance is Instance with the deltas left off.
+func (r *PatchRequest) BaseInstance() (solve.Instance, error) {
+	base := *r
+	base.Deltas = nil
+	return base.Instance()
 }
 
 // SweepItem is one budget's answer. Feasible=false with no Error is a
@@ -372,79 +393,15 @@ type SweepItem struct {
 	Error      *Error `json:"error,omitempty"`
 }
 
-// SweepResponse answers one sweep: per-budget items in request order
-// plus the instance bounds and session-pool disposition.
-type SweepResponse struct {
-	Workload         string      `json:"workload"`
-	LowerBoundBits   int64       `json:"lower_bound_bits"`
-	MinExistenceBits int64       `json:"min_existence_bits"`
-	Items            []SweepItem `json:"items"`
-	Succeeded        int         `json:"succeeded"`
-	Failed           int         `json:"failed"`
-	// Session is "hit" when the sweep was answered from an existing
-	// warm session, "miss" when a session was built, "shared" when a
-	// concurrent request built it.
-	Session   string `json:"session"`
-	ElapsedUS int64  `json:"elapsed_us"`
-	// Cost is the per-request cost accounting block.
-	Cost *CostMeta `json:"cost,omitempty"`
-}
-
-// PatchRequest asks for incremental re-solves: apply weight deltas to
-// a base instance and answer the listed budgets from the warm session
-// pool (POST /v1/schedule/patch). The base is named either by
-// base_key — the base_key of a previous patch response (or the
-// ShapeKey of a delta-free instance), resolved against the resident
-// session pool — or inline by the family fields, which always works
-// and warms the pool for subsequent base_key calls. Only the
-// incremental families (dwt, ktree) accept patches.
-type PatchRequest struct {
-	// BaseKey is the content-addressed identity of the base instance
-	// (solve.Instance.BaseShapeKey). Mutually exclusive with the inline
-	// family fields; 404 when the session is no longer resident.
-	BaseKey string `json:"base_key,omitempty"`
-	// Family, N, D, K, Height and Weights describe the base instance
-	// inline, exactly as in ScheduleRequest (mvm and cdag are not
-	// patchable, so M and Graph have no place here).
-	Family  string     `json:"family,omitempty"`
-	N       int        `json:"n,omitempty"`
-	D       int        `json:"d,omitempty"`
-	K       int        `json:"k,omitempty"`
-	Height  int        `json:"height,omitempty"`
-	Weights WeightSpec `json:"weights,omitempty"`
-	// Deltas are the weight overrides defining the patched instance —
-	// the full target state relative to the *base* weights, not to any
-	// previous patch. Duplicate nodes merge last-wins.
-	Deltas []PatchDelta `json:"deltas"`
-	// BudgetsBits lists the fast-memory budgets to answer after the
-	// patch, all positive; answers come back in the same order.
-	BudgetsBits []int64 `json:"budgets_bits"`
-	// TimeoutMS optionally overrides the server's default deadline for
-	// the whole patch + re-solve, clamped to its maximum.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-}
-
-// BaseInstance converts the inline base fields to their canonical
-// solve.Instance (deltas not yet attached).
-func (r *PatchRequest) BaseInstance() (solve.Instance, error) {
-	sr := ScheduleRequest{
-		Family: r.Family,
-		N:      r.N, D: r.D,
-		K: r.K, Height: r.Height,
-		Weights: r.Weights,
-	}
-	return sr.Instance()
-}
-
-// PatchResponse answers one patch: per-budget items in request order,
-// the patched instance's bounds, the session-pool disposition and the
-// incremental-engine work counters.
+// PatchResponse answers one budget-list request: per-budget items in
+// request order, the patched instance's bounds, the session-pool
+// disposition and the incremental-engine work counters.
 type PatchResponse struct {
 	Workload string `json:"workload"`
 	// BaseKey identifies the base instance's warm session; pass it as
-	// base_key in subsequent patch requests to skip the inline base.
-	// PatchKey is the patched instance's budget-free identity — the
-	// shape key its cold-solve results are cached under.
+	// base_key in later requests to skip the inline base. PatchKey is
+	// the patched instance's budget-free identity — the shape key its
+	// cold-solve results are cached under (BaseKey when no deltas).
 	BaseKey          string      `json:"base_key"`
 	PatchKey         string      `json:"patch_key"`
 	LowerBoundBits   int64       `json:"lower_bound_bits"`
@@ -452,9 +409,9 @@ type PatchResponse struct {
 	Items            []SweepItem `json:"items"`
 	Succeeded        int         `json:"succeeded"`
 	Failed           int         `json:"failed"`
-	// Session is "hit" when the patch was applied to an existing warm
-	// session, "miss" when a base session was built cold, "shared" when
-	// a concurrent request built it.
+	// Session is "hit" when the request was answered from an existing
+	// warm session, "miss" when a base session was built cold, "shared"
+	// when a concurrent request built it.
 	Session string `json:"session"`
 	// DeltasApplied counts the canonical deltas defining the target
 	// state; ChangedNodes counts the node weights actually written (the
