@@ -86,13 +86,15 @@ soak-smoke:
 		-slo-p99 5s -slo-availability 0.9
 
 # Short fuzz pass over the wire request decoders: malformed bodies must
-# surface as structured 400s, never panics. One -fuzz per invocation
-# (a go test restriction).
+# surface as structured 400s, never panics. The last target checks the
+# schedule JSON codec against the reflective encoder and decoder. One
+# -fuzz per invocation (a go test restriction).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzScheduleRequest -fuzztime=10s -run '^$$' ./internal/serve/wire/
 	$(GO) test -fuzz=FuzzCDAGRequest -fuzztime=10s -run '^$$' ./internal/serve/wire/
 	$(GO) test -fuzz=FuzzPatchRequest -fuzztime=10s -run '^$$' ./internal/serve/wire/
 	$(GO) test -fuzz=FuzzPeerRequest -fuzztime=10s -run '^$$' ./internal/serve/wire/
+	$(GO) test -fuzz=FuzzScheduleJSON -fuzztime=10s -run '^$$' ./internal/core/
 
 # Race-enabled general-DAG gate: the full anytime search suite
 # (property bounds, monotone trajectories, fault injection, the

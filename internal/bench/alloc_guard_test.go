@@ -3,7 +3,35 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"wrbpg/internal/core"
 )
+
+// TestScheduleCodecAllocs pins the schedule codec a peer fill runs on
+// both ends: encoding a full mvm(16,32) move list allocates only its
+// output buffer, and decoding the canonical form only the schedule,
+// sized exactly.
+func TestScheduleCodecAllocs(t *testing.T) {
+	res, err := peerFillResult()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := res.Schedule
+	data, err := s.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(20, func() { s.MarshalJSON() }); a != 1 {
+		t.Errorf("Schedule.MarshalJSON: %.1f allocs/op, want 1", a)
+	}
+	var back core.Schedule
+	if a := testing.AllocsPerRun(20, func() { back.UnmarshalJSON(data) }); a != 1 {
+		t.Errorf("Schedule.UnmarshalJSON: %.1f allocs/op, want 1", a)
+	}
+	if len(back) != len(s) || cap(back) != len(s) {
+		t.Errorf("decoded len %d cap %d, want exactly %d", len(back), cap(back), len(s))
+	}
+}
 
 // TestWarmKernelsZeroAlloc is the alloc-regression guard: every perf
 // kernel whose name ends in "Warm" exercises a memo-hit or pooled

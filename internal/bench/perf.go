@@ -18,6 +18,7 @@ import (
 	"wrbpg/internal/mvm"
 	"wrbpg/internal/schedcache"
 	"wrbpg/internal/serve"
+	"wrbpg/internal/serve/wire"
 	"wrbpg/internal/solve"
 )
 
@@ -25,7 +26,9 @@ import (
 // ns/op plus the allocator counters that the DP hot paths are
 // expected to keep at zero on memo hits.
 type PerfResult struct {
-	Name        string  `json:"name"`
+	Name string `json:"name"`
+	// Layer is the request layer the kernel times, when it times one.
+	Layer       string  `json:"layer,omitempty"`
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
@@ -520,6 +523,29 @@ func perfKernels() []perfKernel {
 			}
 			return body, body()
 		}},
+		// A peer fill's serialization: the owner encodes the envelope
+		// carrying a full mvm(16,32) move list, the forwarder decodes it.
+		{"PeerEnvelopeRoundTrip", func() (func() error, error) {
+			res, err := peerFillResult()
+			if err != nil {
+				return nil, err
+			}
+			env := wire.PeerScheduleResponse{Result: res}
+			return func() error {
+				body, err := json.Marshal(env)
+				if err != nil {
+					return err
+				}
+				var back wire.PeerScheduleResponse
+				if err := json.Unmarshal(body, &back); err != nil {
+					return err
+				}
+				if len(back.Result.Schedule) != len(res.Schedule) {
+					return fmt.Errorf("bench: envelope round trip kept %d of %d moves", len(back.Result.Schedule), len(res.Schedule))
+				}
+				return nil
+			}, nil
+		}},
 		{"SchedcacheMissKey", func() (func() error, error) {
 			cfg := Configs()[0]
 			in := solve.Instance{Family: solve.FamilyDWT, N: 64, D: 6, Cfg: cfg}
@@ -536,6 +562,36 @@ func perfKernels() []perfKernel {
 			}, nil
 		}},
 	}
+}
+
+// kernelLayers names the request layer a kernel times, in the per-layer
+// vocabulary of cmd/wrbpgbench's traced run; untagged kernels time
+// solver internals below any one layer.
+var kernelLayers = map[string]string{
+	"SchedcacheHit":         "schedcache.probe",
+	"SchedcacheMissKey":     "schedcache.probe",
+	"ServeSweepWarm":        "session.sweep",
+	"ServePatchWarm":        "session.patch",
+	"PeerEnvelopeRoundTrip": "cluster.peer_fill",
+}
+
+// peerFillResult is the result a peer fill carries in the fleet-3
+// benchmark's largest shape: the optimal mvm(16,32) answer at 1.5× its
+// existence bound, with its full move list.
+func peerFillResult() (*wire.ScheduleResult, error) {
+	in := solve.Instance{Family: solve.FamilyMVM, M: 16, N: 32, Cfg: Configs()[0]}
+	p, g, err := in.Build()
+	if err != nil {
+		return nil, err
+	}
+	out, err := solve.Run(context.Background(), p, core.MinExistenceBudget(g)*3/2, guard.Limits{})
+	if err != nil {
+		return nil, err
+	}
+	if out.Source != solve.SourceOptimal {
+		return nil, fmt.Errorf("bench: mvm(16,32) answered %s, want optimal", out.Source)
+	}
+	return wire.NewScheduleResult(in.Label(), out, core.LowerBound(g), true), nil
 }
 
 // RunPerfSuite measures every kernel with testing.Benchmark and
@@ -568,6 +624,7 @@ func RunPerfSuite() (PerfReport, error) {
 		}
 		rep.Results = append(rep.Results, PerfResult{
 			Name:        k.name,
+			Layer:       kernelLayers[k.name],
 			Iterations:  r.N,
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			AllocsPerOp: r.AllocsPerOp(),
@@ -600,6 +657,7 @@ func RunPerfSuiteQuick() (PerfReport, error) {
 		}
 		rep.Results = append(rep.Results, PerfResult{
 			Name:       k.name,
+			Layer:      kernelLayers[k.name],
 			Iterations: 1,
 			NsPerOp:    float64(time.Since(start).Nanoseconds()),
 		})

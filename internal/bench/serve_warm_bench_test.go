@@ -4,13 +4,12 @@ import (
 	"testing"
 )
 
-// BenchmarkServeSweepWarm runs the ServeSweepWarm perf kernel under
-// the standard benchmark driver so the warm serving path can be A/B
-// compared in isolation (the BENCH_10.json overhead check) without
-// running the whole RunPerfSuite.
-func BenchmarkServeSweepWarm(b *testing.B) {
+// benchKernel runs one perf kernel under the standard benchmark driver,
+// so a single path can be A/B compared in isolation without running the
+// whole RunPerfSuite.
+func benchKernel(b *testing.B, name string) {
 	for _, k := range perfKernels() {
-		if k.name != "ServeSweepWarm" {
+		if k.name != name {
 			continue
 		}
 		body, err := k.setup()
@@ -26,5 +25,12 @@ func BenchmarkServeSweepWarm(b *testing.B) {
 		}
 		return
 	}
-	b.Fatal("ServeSweepWarm kernel not found")
+	b.Fatalf("%s kernel not found", name)
 }
+
+// BenchmarkServeSweepWarm is the warm serving sweep (the BENCH_10.json
+// overhead check).
+func BenchmarkServeSweepWarm(b *testing.B) { benchKernel(b, "ServeSweepWarm") }
+
+// BenchmarkPeerEnvelopeRoundTrip is one peer fill's serialization.
+func BenchmarkPeerEnvelopeRoundTrip(b *testing.B) { benchKernel(b, "PeerEnvelopeRoundTrip") }

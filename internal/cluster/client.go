@@ -72,7 +72,7 @@ func (c *Cluster) Fill(ctx context.Context, owner string, preq *wire.PeerSchedul
 		return nil, nil, nil, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerBody))
+	b, err := readBody(resp)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("cluster: read peer response: %w", err)
 	}
@@ -99,6 +99,18 @@ func (c *Cluster) Fill(ctx context.Context, owner string, preq *wire.PeerSchedul
 		return nil, nil, nil, fmt.Errorf("cluster: peer %s answered %d with unstructured body", owner, resp.StatusCode)
 	}
 	return nil, nil, &we, nil
+}
+
+// readBody reads a peer response whole: into one buffer of the
+// announced length when the owner sent one within maxPeerBody, else
+// growing up to maxPeerBody (chunked bodies, older owners).
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxPeerBody {
+		b := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, b)
+		return b, err
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxPeerBody))
 }
 
 // GetJSON fetches path from peer (GET) and decodes the 200 body into

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"wrbpg/internal/core"
 	"wrbpg/internal/obs"
 	"wrbpg/internal/serve/wire"
 )
@@ -238,6 +240,84 @@ func TestFillDecodesResultAndErrors(t *testing.T) {
 	dead.Close()
 	if _, _, _, ferr = c.Fill(ctx, deadURL, &wire.PeerScheduleRequest{Key: "ok"}); ferr == nil {
 		t.Fatal("fill against a dead peer returned no error")
+	}
+}
+
+// indentedResult is a ScheduleResult as owners before the compact
+// envelope wrote it: two-space indented, one move field per line.
+const indentedResult = `{
+  "workload": "w",
+  "source": "optimal",
+  "budget_bits": 64,
+  "cost_bits": 7,
+  "peak_bits": 64,
+  "lower_bound_bits": 7,
+  "move_count": 3,
+  "move_kinds": {
+    "M1": 1,
+    "M2": 1,
+    "M3": 1,
+    "M4": 0
+  },
+  "schedule": [
+    {
+      "kind": "M1",
+      "node": 0
+    },
+    {
+      "kind": "M3",
+      "node": 2
+    },
+    {
+      "kind": "M2",
+      "node": 2
+    }
+  ],
+  "elapsed_us": 41,
+  "cost": {
+    "source_tier": "solve",
+    "solve_wall_us": 40
+  }
+}`
+
+// TestFillAcceptsIndentedBodies is the rolling-upgrade check: an owner
+// still writing indented bodies — the envelope, or a bare result from
+// before the envelope, sent chunked without a Content-Length — keeps
+// filling.
+func TestFillAcceptsIndentedBodies(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc(PeerPath, func(w http.ResponseWriter, r *http.Request) {
+		var preq wire.PeerScheduleRequest
+		if err := json.NewDecoder(r.Body).Decode(&preq); err != nil {
+			t.Errorf("decode: %v", err)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		switch preq.Key {
+		case "envelope":
+			fmt.Fprintf(w, "{\n  \"result\": %s\n}\n", strings.ReplaceAll(indentedResult, "\n", "\n  "))
+		case "bare":
+			half := len(indentedResult) / 2
+			fmt.Fprint(w, indentedResult[:half])
+			w.(http.Flusher).Flush()
+			fmt.Fprintln(w, indentedResult[half:])
+		}
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	c, err := New(Config{Self: "http://self:1", Peers: []string{ts.URL}, Client: ts.Client()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.Schedule{{Kind: core.M1, Node: 0}, {Kind: core.M3, Node: 2}, {Kind: core.M2, Node: 2}}
+	for _, key := range []string{"envelope", "bare"} {
+		res, _, apiErr, ferr := c.Fill(context.Background(), ts.URL, &wire.PeerScheduleRequest{Key: key})
+		if ferr != nil || apiErr != nil || res == nil {
+			t.Fatalf("%s: res=%+v apiErr=%v err=%v", key, res, apiErr, ferr)
+		}
+		if !reflect.DeepEqual(res.Schedule, want) || res.CostBits != 7 || res.MoveKinds["M3"] != 1 ||
+			res.Cost == nil || res.Cost.SolveWallUS != 40 {
+			t.Fatalf("%s: decoded %+v, want the indented body's fields", key, res)
+		}
 	}
 }
 

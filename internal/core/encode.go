@@ -2,9 +2,11 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -21,11 +23,30 @@ import (
 
 // MarshalText renders the schedule one move per line: "<kind> <node>".
 func (s Schedule) MarshalText() ([]byte, error) {
-	var b strings.Builder
+	n := 0
 	for _, m := range s {
-		fmt.Fprintf(&b, "%s %d\n", m.Kind, m.Node)
+		n += len(m.Kind.String()) + decimalLen(m.Node) + 2
 	}
-	return []byte(b.String()), nil
+	b := make([]byte, 0, n)
+	for _, m := range s {
+		b = append(b, m.Kind.String()...)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(m.Node), 10)
+		b = append(b, '\n')
+	}
+	return b, nil
+}
+
+// decimalLen is the length of v's base-10 form, sign included.
+func decimalLen(v cdag.NodeID) int {
+	n, u := 1, int64(v)
+	if u < 0 {
+		n, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
 }
 
 // UnmarshalText parses the line-oriented format produced by
@@ -85,17 +106,51 @@ type moveJSON struct {
 	Node cdag.NodeID `json:"node"`
 }
 
-// MarshalJSON encodes the schedule as an array of {kind, node}.
+// The canonical JSON form of a move, split around its two values.
+const (
+	moveJSONKind = `{"kind":"`
+	moveJSONNode = `","node":`
+)
+
+// MarshalJSON encodes the schedule as an array of {kind, node}: the
+// bytes json.Marshal gives for a []moveJSON, built in one exactly
+// sized buffer.
 func (s Schedule) MarshalJSON() ([]byte, error) {
-	out := make([]moveJSON, len(s))
-	for i, m := range s {
-		out[i] = moveJSON{Kind: m.Kind.String(), Node: m.Node}
+	n := max(2, 1+2*len(s)) // brackets, closing braces and commas
+	for _, m := range s {
+		n += len(moveJSONKind) + len(m.Kind.String()) + len(moveJSONNode) + decimalLen(m.Node)
 	}
-	return json.Marshal(out)
+	b := make([]byte, 0, n)
+	b = append(b, '[')
+	for i, m := range s {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, moveJSONKind...)
+		b = append(b, m.Kind.String()...)
+		b = append(b, moveJSONNode...)
+		b = strconv.AppendInt(b, int64(m.Node), 10)
+		b = append(b, '}')
+	}
+	return append(b, ']'), nil
 }
 
-// UnmarshalJSON decodes the array form.
+// UnmarshalJSON decodes the array form. The canonical form MarshalJSON
+// writes, with any whitespace between tokens, is scanned directly into
+// a schedule of exactly its length; every other input goes through the
+// reflective decoder, so what is accepted and every error message are
+// the same either way.
 func (s *Schedule) UnmarshalJSON(data []byte) error {
+	if out, ok := scanScheduleJSON(data); ok {
+		*s = out
+		return nil
+	}
+	return s.unmarshalJSONReflect(data)
+}
+
+// unmarshalJSONReflect is the general decoder: any JSON that
+// encoding/json can read into a []moveJSON.
+func (s *Schedule) unmarshalJSONReflect(data []byte) error {
 	var raw []moveJSON
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return err
@@ -117,6 +172,120 @@ func (s *Schedule) UnmarshalJSON(data []byte) error {
 	}
 	*s = out
 	return nil
+}
+
+// minMoveJSON is the length of the shortest canonical move.
+const minMoveJSON = len(`{"kind":"M1","node":0}`)
+
+// scanScheduleJSON reads the canonical form: an array of
+// {"kind":"M1".."M4","node":<int32>} objects with the keys spelled
+// exactly and in that order, whitespace allowed between tokens. ok is
+// false for any other input. Every '{' of an accepted input opens one
+// move, so counting them sizes the result once.
+func scanScheduleJSON(data []byte) (Schedule, bool) {
+	n := bytes.Count(data, []byte{'{'})
+	if n*minMoveJSON > len(data) {
+		return nil, false
+	}
+	sc := moveScanner{data: data}
+	if !sc.token("[") {
+		return nil, false
+	}
+	out := make(Schedule, 0, n)
+	if !sc.token("]") {
+		for {
+			m, ok := sc.move()
+			if !ok {
+				return nil, false
+			}
+			out = append(out, m)
+			if sc.token("]") {
+				break
+			}
+			if !sc.token(",") {
+				return nil, false
+			}
+		}
+	}
+	sc.ws()
+	return out, sc.pos == len(data)
+}
+
+// moveScanner is a cursor over canonical schedule JSON.
+type moveScanner struct {
+	data []byte
+	pos  int
+}
+
+// ws skips JSON whitespace.
+func (sc *moveScanner) ws() {
+	for sc.pos < len(sc.data) {
+		switch sc.data[sc.pos] {
+		case ' ', '\t', '\n', '\r':
+			sc.pos++
+		default:
+			return
+		}
+	}
+}
+
+// token skips whitespace and consumes lit if it comes next.
+func (sc *moveScanner) token(lit string) bool {
+	sc.ws()
+	end := sc.pos + len(lit)
+	if end > len(sc.data) || string(sc.data[sc.pos:end]) != lit {
+		return false
+	}
+	sc.pos = end
+	return true
+}
+
+// move reads one {"kind":"Mk","node":n} object.
+func (sc *moveScanner) move() (Move, bool) {
+	if !sc.token("{") || !sc.token(`"kind"`) || !sc.token(":") || !sc.token(`"M`) {
+		return Move{}, false
+	}
+	if sc.pos+2 > len(sc.data) || sc.data[sc.pos] < '1' || sc.data[sc.pos] > '4' || sc.data[sc.pos+1] != '"' {
+		return Move{}, false
+	}
+	kind := MoveKind(sc.data[sc.pos] - '0') // M1..M4 are 1..4
+	sc.pos += 2
+	if !sc.token(",") || !sc.token(`"node"`) || !sc.token(":") {
+		return Move{}, false
+	}
+	node, ok := sc.node()
+	if !ok || !sc.token("}") {
+		return Move{}, false
+	}
+	return Move{Kind: kind, Node: node}, true
+}
+
+// node reads a JSON integer that fits a NodeID.
+func (sc *moveScanner) node() (cdag.NodeID, bool) {
+	sc.ws()
+	neg := sc.pos < len(sc.data) && sc.data[sc.pos] == '-'
+	if neg {
+		sc.pos++
+	}
+	start := sc.pos
+	var v int64
+	for ; sc.pos < len(sc.data) && sc.data[sc.pos] >= '0' && sc.data[sc.pos] <= '9'; sc.pos++ {
+		if sc.pos-start == 10 { // more digits than any int32 has
+			return 0, false
+		}
+		v = v*10 + int64(sc.data[sc.pos]-'0')
+	}
+	digits := sc.pos - start
+	if digits == 0 || (digits > 1 && sc.data[start] == '0') {
+		return 0, false
+	}
+	if neg {
+		v = -v
+	}
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		return 0, false
+	}
+	return cdag.NodeID(v), true
 }
 
 // Manifest binds a schedule to the budget and expected metrics it was

@@ -89,6 +89,72 @@ func TestJSONUnmarshalErrors(t *testing.T) {
 	}
 }
 
+// TestScheduleJSONScanner pins which inputs the canonical scanner takes
+// itself; FuzzScheduleJSON checks that the rest decode as before.
+func TestScheduleJSONScanner(t *testing.T) {
+	canonical := map[string]Schedule{
+		scheduleJSONSeeds[0]:        {{M1, 0}, {M3, 2}, {M2, 2}},
+		scheduleJSONSeeds[1]:        {{M1, 0}, {M4, 12}},
+		scheduleJSONSeeds[2]:        {},
+		scheduleJSONSeeds[3]:        {},
+		scheduleJSONSeeds[4]:        {{M2, -7}},
+		scheduleJSONSeeds[5]:        {{M4, -2147483648}, {M4, 2147483647}},
+		`[{"kind":"M1","node":1}]`:  {{M1, 1}},
+		`[{"kind":"M1","node":-0}]`: {{M1, 0}},
+	}
+	for _, in := range scheduleJSONSeeds {
+		got, ok := scanScheduleJSON([]byte(in))
+		want, canon := canonical[in]
+		if ok != canon {
+			t.Errorf("%q: scanned=%v, want %v", in, ok, canon)
+			continue
+		}
+		if ok && (len(got) != len(want) || cap(got) != len(want)) {
+			t.Errorf("%q: len %d cap %d, want exactly %d", in, len(got), cap(got), len(want))
+			continue
+		}
+		for i := range want {
+			if ok && got[i] != want[i] {
+				t.Errorf("%q: move %d = %v, want %v", in, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// BenchmarkScheduleJSON compares the codec with the reflective encoder
+// and decoder it replaces, on a 4,080-move schedule (the length of the
+// optimal mvm(16,32) answer a peer fill carries) in compact form.
+func BenchmarkScheduleJSON(b *testing.B) {
+	s := make(Schedule, 4080)
+	for i := range s {
+		s[i] = Move{Kind: MoveKind(i%4 + 1), Node: cdag.NodeID(i * 7 % 1100)}
+	}
+	data, err := s.MarshalJSON()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var back Schedule
+	for _, bm := range []struct {
+		name string
+		fn   func() error
+	}{
+		{"MarshalJSON", func() error { _, err := s.MarshalJSON(); return err }},
+		{"MarshalReflect", func() error { _, err := referenceMarshalJSON(s); return err }},
+		{"UnmarshalJSON", func() error { return back.UnmarshalJSON(data) }},
+		{"UnmarshalReflect", func() error { return back.unmarshalJSONReflect(data) }},
+	} {
+		b.Run(bm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				if err := bm.fn(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func TestRoundTripQuick(t *testing.T) {
 	f := func(kinds []uint8, nodes []uint8) bool {
 		n := len(kinds)

@@ -11,6 +11,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"log/slog"
 	"net/http"
@@ -97,8 +98,20 @@ func (s *Server) handlePeerSchedule(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, werr)
 		return
 	}
+	// The envelope goes out compact, with its length: no person reads
+	// replica-to-replica bodies, and the forwarder reads this one into a
+	// single buffer of exactly that size.
+	body, err := json.Marshal(wire.PeerScheduleResponse{Result: res, Trace: tex})
+	if err != nil {
+		s.logPeerServe(tr, preq.Origin, http.StatusInternalServerError)
+		s.writeErr(w, asWireErr(err))
+		return
+	}
 	s.logPeerServe(tr, preq.Origin, http.StatusOK)
-	writeJSON(w, http.StatusOK, wire.PeerScheduleResponse{Result: res, Trace: tex})
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(body) //nolint:errcheck // nothing useful to do mid-response
 }
 
 // logPeerServe emits the owner-side structured line for one served

@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	"wrbpg/internal/cluster"
+	"wrbpg/internal/core"
+	"wrbpg/internal/obs"
 	"wrbpg/internal/serve/wire"
 	"wrbpg/internal/solve"
 )
@@ -196,6 +198,90 @@ func TestClusterPeerFillOwnerSolvesOnce(t *testing.T) {
 	getJSON(t, f.urls[fwd]+"/readyz", &ready)
 	if ready.Peers == nil || ready.Peers.Total != 3 || ready.Peers.Healthy != 3 {
 		t.Fatalf("readyz peers=%+v, want 3/3 healthy", ready.Peers)
+	}
+}
+
+// TestClusterPeerFillSkipsBuild: a forwarder offers its miss to the
+// owner before building the graph, so a filled answer's trace has a
+// peer.fill span and no build span of its own — the only build is the
+// owner's, grafted under peer.fill.
+func TestClusterPeerFillSkipsBuild(t *testing.T) {
+	f := newTestFleet(t, 2, Options{})
+	req := f.reqOwnedBy(t, func(owner string) bool { return owner != f.urls[0] })
+
+	resp, body := postTraced(t, f.urls[0]+"/v1/schedule", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var ex obs.TraceExport
+	getJSON(t, f.urls[0]+"/v1/trace/"+resp.Header.Get(TraceIDHeader), &ex)
+	local, owner := map[string]*obs.SpanNode{}, map[string]*obs.SpanNode{}
+	var walk func([]*obs.SpanNode)
+	walk = func(nodes []*obs.SpanNode) {
+		for _, n := range nodes {
+			local[n.Name] = n
+			if n.Name == "peer.fill" {
+				spanNames(n.Children, owner)
+				continue
+			}
+			walk(n.Children)
+		}
+	}
+	walk(ex.Spans)
+	if local["peer.fill"] == nil {
+		t.Fatalf("forwarder trace has no peer.fill span: %v", local)
+	}
+	if local["build"] != nil {
+		t.Fatal("forwarder built the graph for a request the owner filled")
+	}
+	if owner["build"] == nil {
+		t.Fatalf("grafted owner subtree has no build span: %v", owner)
+	}
+	if st := f.servers[0].Stats(); st.PeerFill["filled"] != 1 || st.Solves != 0 {
+		t.Fatalf("forwarder peer_fill=%v solves=%d, want filled=1 and no solve", st.PeerFill, st.Solves)
+	}
+}
+
+// TestClusterInvalidBudgetSameError: a budget below the existence bound
+// sent to a non-owner costs one hop — the owner answers 400, the
+// forwarder falls through to its own Build — and the client gets the
+// same 400 body a single node sends.
+func TestClusterInvalidBudgetSameError(t *testing.T) {
+	f := newTestFleet(t, 2, Options{})
+	req := dwtRequest(16 * 16)
+	inst, err := req.Instance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, g, err := inst.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := int64(1); ; b++ {
+		if b >= int64(core.MinExistenceBudget(g)) {
+			t.Fatal("no below-existence budget owned by the other replica")
+		}
+		req = dwtRequest(b)
+		if f.ownerOf(t, req) != 0 {
+			break
+		}
+	}
+
+	single := httptest.NewServer(New(Options{}).Handler())
+	defer single.Close()
+	wantResp, want := postJSON(t, single.URL+"/v1/schedule", req)
+	gotResp, got := postJSON(t, f.urls[0]+"/v1/schedule", req)
+	if wantResp.StatusCode != http.StatusBadRequest || gotResp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status single=%d fleet=%d, want 400 from both", wantResp.StatusCode, gotResp.StatusCode)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("fleet body %s, single-node body %s", got, want)
+	}
+	if st := f.servers[0].Stats(); st.PeerFill["error"] != 1 {
+		t.Fatalf("forwarder peer_fill=%v, want the one wasted hop counted as error=1", st.PeerFill)
+	}
+	if st := f.servers[1].Stats(); st.PeerRequests != 1 {
+		t.Fatalf("owner peer_requests=%d, want 1", st.PeerRequests)
 	}
 }
 

@@ -533,8 +533,9 @@ const minDegradeBudget = 5 * time.Millisecond
 // ladder. Tier −1 (cluster mode): if the consistent-hash ring assigns
 // the key to another replica, offer the miss to that owner first
 // (bounded by the peer-timeout slice of the deadline) — a filled
-// answer costs this replica no solver slot at all; on peer error or
-// shed, continue down the local ladder. Tier 0: the fallback-storm
+// answer costs this replica no solver slot and no graph build at all;
+// on peer error or shed, build the graph, check that a schedule exists,
+// and continue down the local ladder. Tier 0: the fallback-storm
 // breaker — while it is open the optimal tier is presumed thrashing
 // and the request goes straight to the baseline. Tier 1:
 // deadline-aware admission — the queue wait is estimated from the live
@@ -550,6 +551,19 @@ const minDegradeBudget = 5 * time.Millisecond
 // 429 instead — the forwarder holds the request's real deadline budget
 // and decides between its own baseline and propagating the shed.
 func (s *Server) solveCold(ctx context.Context, req *wire.ScheduleRequest, inst *solve.Instance, key string, budget int64, peerCall bool) (*wire.ScheduleResult, bool, error) {
+	deadline := s.requestDeadline(ctx, req.TimeoutMS)
+
+	// The peer hop comes before Build: a filled answer needs no local
+	// graph. An invalid request costs the hop — the owner answers 4xx,
+	// and the Build below returns the same 400 a single node would.
+	if !peerCall && s.cluster != nil {
+		if owner, local := s.cluster.Route(key); !local {
+			if res, cacheable, err, handled := s.peerFill(ctx, owner, key, req, deadline); handled {
+				return res, cacheable, err
+			}
+		}
+	}
+
 	_, bsp := obs.StartSpan(ctx, "build")
 	p, g, err := inst.Build()
 	bsp.End()
@@ -559,16 +573,6 @@ func (s *Server) solveCold(ctx context.Context, req *wire.ScheduleRequest, inst 
 	if min := core.MinExistenceBudget(g); budget < min {
 		return nil, false, wire.Errorf(http.StatusBadRequest,
 			"budget %d below existence bound %d (Proposition 2.3): no schedule exists", budget, min)
-	}
-
-	deadline := s.requestDeadline(ctx, req.TimeoutMS)
-
-	if !peerCall && s.cluster != nil {
-		if owner, local := s.cluster.Route(key); !local {
-			if res, cacheable, err, handled := s.peerFill(ctx, owner, key, req, deadline); handled {
-				return res, cacheable, err
-			}
-		}
 	}
 
 	if !s.brk.Allow() {
