@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-fault bench-smoke bench-json bench-json-quick serve-check obs-check metrics-lint patch-check cluster-check cdag-check soak-smoke fuzz-smoke bench-overload bench-cluster bench-anytime staticcheck check
+.PHONY: all build vet test race race-fault bench-smoke bench-e2e-smoke bench-json bench-json-quick serve-check obs-check metrics-lint patch-check cluster-check cdag-check soak-smoke fuzz-smoke bench-overload bench-cluster bench-anytime staticcheck check
 
 all: check
 
@@ -29,6 +29,14 @@ race-fault:
 
 bench-smoke:
 	$(GO) test -short -bench=. -benchtime=1x -run '^$$' ./...
+
+# The end-to-end benchmark is a Go module of its own, which root
+# `go test ./...` never reaches: run its tests, then every workload for
+# one second (docs/PERFORMANCE.md).
+bench-e2e-smoke:
+	cd cmd/wrbpgbench && $(GO) test -short ./...
+	out="$$(mktemp -d)"; bash cmd/wrbpgbench/run.sh --workload all --quick --out "$$out/r.json"; \
+		rc=$$?; rm -rf "$$out"; exit $$rc
 
 # Writes the perf-regression report (see docs/PERFORMANCE.md).
 bench-json:

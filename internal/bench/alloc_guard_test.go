@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"runtime/debug"
 	"strings"
 	"testing"
 
 	"wrbpg/internal/core"
+	"wrbpg/internal/solve"
 )
 
 // TestScheduleCodecAllocs pins the schedule codec a peer fill runs on
@@ -30,6 +32,35 @@ func TestScheduleCodecAllocs(t *testing.T) {
 	}
 	if len(back) != len(s) || cap(back) != len(s) {
 		t.Errorf("decoded len %d cap %d, want exactly %d", len(back), cap(back), len(s))
+	}
+}
+
+// TestBuildAllocsConstant pins graph construction at a constant number
+// of allocations: Instance.Build of a family's larger shape allocates
+// no more than its smaller one, so nothing is allocated per node, per
+// edge or per layer.
+func TestBuildAllocsConstant(t *testing.T) {
+	// Collections off: the runtime's own post-collection work allocates
+	// too, and a larger shape triggers more collections.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cfg := Configs()[0]
+	for _, pair := range [][2]solve.Instance{
+		{{Family: solve.FamilyDWT, N: 64, D: 6}, {Family: solve.FamilyDWT, N: 1024, D: 7}},
+		{{Family: solve.FamilyKTree, K: 2, Height: 8}, {Family: solve.FamilyKTree, K: 2, Height: 10}},
+		{{Family: solve.FamilyMVM, M: 16, N: 32}, {Family: solve.FamilyMVM, M: 32, N: 64}},
+	} {
+		var allocs [2]float64
+		for i := range pair {
+			pair[i].Cfg = cfg
+			in := pair[i]
+			if _, _, err := in.Build(); err != nil {
+				t.Fatal(err)
+			}
+			allocs[i] = testing.AllocsPerRun(5, func() { in.Build() })
+		}
+		if allocs[1] > allocs[0] {
+			t.Errorf("%s: %.0f allocs/op, more than %s's %.0f", pair[1].Label(), allocs[1], pair[0].Label(), allocs[0])
+		}
 	}
 }
 

@@ -205,6 +205,19 @@ func perfKernels() []perfKernel {
 				return err
 			}, nil
 		}},
+		// The cold-build kernels time Instance.Build for the largest
+		// shape of each family in wrbpgbench's cold-solve workload, every
+		// check included; ColdSolveMVM adds the optimal tile search and
+		// the Simulate validation that complete a cold answer.
+		{"ColdBuildDWT", coldBuild(solve.Instance{Family: solve.FamilyDWT, N: 128, D: 7, Cfg: Configs()[0]})},
+		{"ColdBuildKTree", coldBuild(solve.Instance{Family: solve.FamilyKTree, K: 2, Height: 8, Cfg: Configs()[0]})},
+		{"ColdBuildMVM", coldBuild(solve.Instance{Family: solve.FamilyMVM, M: 16, N: 32, Cfg: Configs()[0]})},
+		{"ColdSolveMVM", func() (func() error, error) {
+			return func() error {
+				_, _, _, err := coldMVM()
+				return err
+			}, nil
+		}},
 		// The schedcache pair measures the serving layer's cache around
 		// a realistic key population: a hit must stay allocation-light
 		// (one LRU bump under a shard lock), and a keyed miss that finds
@@ -568,6 +581,10 @@ func perfKernels() []perfKernel {
 // vocabulary of cmd/wrbpgbench's traced run; untagged kernels time
 // solver internals below any one layer.
 var kernelLayers = map[string]string{
+	"ColdBuildDWT":          "solve.build",
+	"ColdBuildKTree":        "solve.build",
+	"ColdBuildMVM":          "solve.build",
+	"ColdSolveMVM":          "solve.optimal",
 	"SchedcacheHit":         "schedcache.probe",
 	"SchedcacheMissKey":     "schedcache.probe",
 	"ServeSweepWarm":        "session.sweep",
@@ -575,21 +592,42 @@ var kernelLayers = map[string]string{
 	"PeerEnvelopeRoundTrip": "cluster.peer_fill",
 }
 
-// peerFillResult is the result a peer fill carries in the fleet-3
-// benchmark's largest shape: the optimal mvm(16,32) answer at 1.5× its
-// existence bound, with its full move list.
-func peerFillResult() (*wire.ScheduleResult, error) {
+// coldBuild returns the setup of a kernel that builds in from
+// scratch on every iteration.
+func coldBuild(in solve.Instance) func() (func() error, error) {
+	return func() (func() error, error) {
+		return func() error {
+			_, _, err := in.Build()
+			return err
+		}, nil
+	}
+}
+
+// coldMVM is a cold answer for the largest shape of wrbpgbench's
+// cold-solve and fleet-3 workloads: mvm(16,32) built from scratch and
+// solved optimally at 1.5× its existence bound, Simulate included.
+func coldMVM() (solve.Instance, solve.Outcome, *cdag.Graph, error) {
 	in := solve.Instance{Family: solve.FamilyMVM, M: 16, N: 32, Cfg: Configs()[0]}
 	p, g, err := in.Build()
 	if err != nil {
-		return nil, err
+		return in, solve.Outcome{}, nil, err
 	}
 	out, err := solve.Run(context.Background(), p, core.MinExistenceBudget(g)*3/2, guard.Limits{})
 	if err != nil {
-		return nil, err
+		return in, out, g, err
 	}
 	if out.Source != solve.SourceOptimal {
-		return nil, fmt.Errorf("bench: mvm(16,32) answered %s, want optimal", out.Source)
+		return in, out, g, fmt.Errorf("bench: mvm(16,32) answered %s, want optimal", out.Source)
+	}
+	return in, out, g, nil
+}
+
+// peerFillResult is the result a peer fill carries in the fleet-3
+// benchmark's largest shape: coldMVM's answer with its full move list.
+func peerFillResult() (*wire.ScheduleResult, error) {
+	in, out, g, err := coldMVM()
+	if err != nil {
+		return nil, err
 	}
 	return wire.NewScheduleResult(in.Label(), out, core.LowerBound(g), true), nil
 }

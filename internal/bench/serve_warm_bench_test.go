@@ -34,3 +34,11 @@ func BenchmarkServeSweepWarm(b *testing.B) { benchKernel(b, "ServeSweepWarm") }
 
 // BenchmarkPeerEnvelopeRoundTrip is one peer fill's serialization.
 func BenchmarkPeerEnvelopeRoundTrip(b *testing.B) { benchKernel(b, "PeerEnvelopeRoundTrip") }
+
+// BenchmarkColdBuild times Instance.Build for each family's largest
+// cold-solve shape, and one whole cold mvm(16,32) answer.
+func BenchmarkColdBuild(b *testing.B) {
+	for _, name := range []string{"ColdBuildDWT", "ColdBuildKTree", "ColdBuildMVM", "ColdSolveMVM"} {
+		b.Run(name, func(b *testing.B) { benchKernel(b, name) })
+	}
+}

@@ -8,7 +8,10 @@
 
 package cdag
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // canonMix is a 64-bit avalanche step shared by the refinement rounds
 // (same constants as the memstate memo-key hash).
@@ -99,13 +102,15 @@ func Canonical(g *Graph) (*Graph, []NodeID) {
 		perm[v] = NodeID(rank)
 	}
 	out := &Graph{}
+	out.Reserve(n, g.EdgeCount())
+	var ps []NodeID
 	for _, v := range order {
-		ps := make([]NodeID, len(g.parents[v]))
-		for i, p := range g.parents[v] {
-			ps[i] = perm[p]
+		ps = ps[:0]
+		for _, p := range g.parents[v] {
+			ps = append(ps, perm[p])
 		}
-		sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-		out.AddNode(g.weights[v], g.names[v], ps...)
+		slices.Sort(ps)
+		out.AddNode(g.weights[v], g.Name(v), ps...)
 	}
 	return out, perm
 }

@@ -13,6 +13,7 @@ package cdag
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -29,12 +30,72 @@ type Weight = int64
 
 // Graph is a node-weighted CDAG. The zero value is an empty graph
 // ready for AddNode calls.
+//
+// Adjacency lives in two per-graph slabs, so that building a graph
+// whose size was given to Reserve costs a constant number of
+// allocations. parents[v] is a window into pslab holding exactly v's
+// parents; children[v] starts as a window of two inline slots in
+// cslab. Every window is private to its node, capped with a full slice
+// expression (slab[o:e:e]) and never re-sliced upward, so an append
+// past its capacity reallocates instead of overwriting a neighbour. A
+// node that gains more children than its window holds moves them to a
+// fresh window of twice the capacity, cut from cslab; a slab that
+// fills up is replaced by a larger one. Neither copies the slab:
+// windows already cut keep pointing into the old array, where they
+// stay valid.
 type Graph struct {
 	weights  []Weight
 	parents  [][]NodeID
 	children [][]NodeID
 	names    []string
+	pslab    []NodeID
+	cslab    []NodeID
+	// namer, when set, derives every display name from the node ID in
+	// place of the stored names (see SetNamer).
+	namer func(NodeID) string
 }
+
+// childSlots is the number of inline child slots each node gets in
+// the children slab; most dataflow nodes feed one or two consumers.
+const childSlots = 2
+
+// Reserve sizes the graph's storage for the given number of further
+// nodes and edges, so that adding them allocates nothing more unless a
+// node gains more than two children: its larger windows then come from
+// a fresh children slab, twice the size of the last. Too small a
+// reservation is safe: storage grows as it does without one.
+func (g *Graph) Reserve(nodes, edges int) {
+	g.weights = slices.Grow(g.weights, nodes)
+	g.parents = slices.Grow(g.parents, nodes)
+	g.children = slices.Grow(g.children, nodes)
+	g.names = slices.Grow(g.names, nodes)
+	if cap(g.pslab)-len(g.pslab) < edges {
+		g.pslab = make([]NodeID, 0, edges)
+	}
+	if cap(g.cslab)-len(g.cslab) < childSlots*nodes {
+		g.cslab = make([]NodeID, 0, childSlots*nodes)
+	}
+}
+
+// carve cuts a private window of length n and capacity c ≥ n from the
+// end of *slab, starting a fresh slab when the current one is too
+// small. The old slab is not copied: windows already cut from it keep
+// it alive.
+func carve(slab *[]NodeID, n, c int) []NodeID {
+	s := *slab
+	if cap(s)-len(s) < c {
+		s = make([]NodeID, 0, max(2*cap(s), c, 16))
+	}
+	o := len(s)
+	*slab = s[:o+c]
+	return s[o : o+n : o+c]
+}
+
+// SetNamer makes Name derive display names from node IDs with f
+// instead of reading stored names; nil restores the stored names. A
+// family builder that can recompute every name from its layout sets a
+// namer and adds nodes with empty names, so it stores no strings.
+func (g *Graph) SetNamer(f func(NodeID) string) { g.namer = f }
 
 // ErrCycle is returned by Validate when the edge relation is cyclic.
 var ErrCycle = errors.New("cdag: graph contains a cycle")
@@ -66,13 +127,19 @@ func (g *Graph) TryAddNode(w Weight, name string, parents ...NodeID) (NodeID, er
 		}
 	}
 	g.weights = append(g.weights, w)
-	ps := make([]NodeID, len(parents))
+	ps := carve(&g.pslab, len(parents), len(parents))
 	copy(ps, parents)
 	g.parents = append(g.parents, ps)
-	g.children = append(g.children, nil)
+	g.children = append(g.children, carve(&g.cslab, 0, childSlots))
 	g.names = append(g.names, name)
 	for _, p := range parents {
-		g.children[p] = append(g.children[p], id)
+		cs := g.children[p]
+		if len(cs) == cap(cs) {
+			grown := carve(&g.cslab, len(cs), max(2*cap(cs), childSlots))
+			copy(grown, cs)
+			cs = grown
+		}
+		g.children[p] = append(cs, id)
 	}
 	return id, nil
 }
@@ -105,8 +172,15 @@ func (g *Graph) TrySetWeight(v NodeID, w Weight) error {
 	return nil
 }
 
-// Name returns the display name of node v (may be empty).
-func (g *Graph) Name(v NodeID) string { return g.names[v] }
+// Name returns the display name of node v (may be empty): the namer's
+// name when one is set, the stored name otherwise.
+func (g *Graph) Name(v NodeID) string {
+	if g.namer != nil {
+		_ = g.weights[v] // same out-of-range panic as the stored path
+		return g.namer(v)
+	}
+	return g.names[v]
+}
 
 // Parents returns the immediate predecessors H(v). The slice is owned
 // by the graph and must not be mutated.
@@ -337,28 +411,38 @@ func (g *Graph) Prune(remove map[NodeID]bool) (*Graph, []NodeID, error) {
 			}
 		}
 	}
+	nodes, edges := 0, 0
+	for v := 0; v < g.Len(); v++ {
+		if !remove[NodeID(v)] {
+			nodes++
+			edges += len(g.parents[v])
+		}
+	}
 	out := &Graph{}
+	out.Reserve(nodes, edges)
 	mapping := make([]NodeID, g.Len())
+	var ps []NodeID
 	for v := 0; v < g.Len(); v++ {
 		id := NodeID(v)
 		if remove[id] {
 			mapping[v] = None
 			continue
 		}
-		ps := make([]NodeID, 0, len(g.parents[v]))
+		ps = ps[:0]
 		for _, p := range g.parents[v] {
 			ps = append(ps, mapping[p])
 		}
-		mapping[v] = out.AddNode(g.weights[v], g.names[v], ps...)
+		mapping[v] = out.AddNode(g.weights[v], g.Name(id), ps...)
 	}
 	return out, mapping, nil
 }
 
-// Clone returns a deep copy of g.
+// Clone returns a deep copy of g, with every name stored.
 func (g *Graph) Clone() *Graph {
 	out := &Graph{}
+	out.Reserve(g.Len(), g.EdgeCount())
 	for v := 0; v < g.Len(); v++ {
-		out.AddNode(g.weights[v], g.names[v], g.parents[v]...)
+		out.AddNode(g.weights[v], g.Name(NodeID(v)), g.parents[v]...)
 	}
 	return out
 }
@@ -369,7 +453,7 @@ func (g *Graph) DOT(title string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n  rankdir=LR;\n", title)
 	for v := 0; v < g.Len(); v++ {
-		label := g.names[v]
+		label := g.Name(NodeID(v))
 		if label == "" {
 			label = fmt.Sprintf("v%d", v)
 		}

@@ -40,7 +40,12 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return err
 	}
+	edges := 0
+	for _, n := range raw.Nodes {
+		edges += len(n.Parents)
+	}
 	fresh := Graph{}
+	fresh.Reserve(len(raw.Nodes), edges)
 	for i, n := range raw.Nodes {
 		if n.Weight <= 0 {
 			return fmt.Errorf("cdag: node %d has non-positive weight %d", i, n.Weight)

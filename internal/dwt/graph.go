@@ -13,6 +13,7 @@ package dwt
 
 import (
 	"fmt"
+	"strconv"
 
 	"wrbpg/internal/cdag"
 	"wrbpg/internal/wcfg"
@@ -56,17 +57,27 @@ func Build(n, d int, wf WeightFunc) (*Graph, error) {
 	if n <= 0 || n%p != 0 {
 		return nil, fmt.Errorf("dwt: n=%d must be a positive multiple of 2^d=%d", n, p)
 	}
+	// |S_1| = |S_2| = n, then halving up to S_{d+1}: 3n − n/2^(d−1)
+	// nodes, each non-input with two parents. The layer tables are cut
+	// from one backing array.
+	total := 3*n - n>>uint(d-1)
 	g := &cdag.Graph{}
+	g.Reserve(total, 2*(total-n))
+	flat := make([]cdag.NodeID, total)
 	layers := make([][]cdag.NodeID, d+1)
+	for i, sz := 0, n; i <= d; i++ {
+		layers[i], flat = flat[:sz:sz], flat[sz:]
+		if i > 0 {
+			sz /= 2
+		}
+	}
 
 	// S_1: inputs.
-	layers[0] = make([]cdag.NodeID, n)
 	for j := 1; j <= n; j++ {
-		layers[0][j-1] = g.AddNode(wf(1, j), fmt.Sprintf("x[%d]", j))
+		layers[0][j-1] = g.AddNode(wf(1, j), "")
 	}
 	// S_2: n nodes; v²_j (j odd) = average of inputs (j, j+1),
 	// v²_j (j even) = coefficient of inputs (j−1, j).
-	layers[1] = make([]cdag.NodeID, n)
 	for j := 1; j <= n; j++ {
 		var p1, p2 cdag.NodeID
 		if j%2 == 1 {
@@ -74,14 +85,13 @@ func Build(n, d int, wf WeightFunc) (*Graph, error) {
 		} else {
 			p1, p2 = layers[0][j-2], layers[0][j-1]
 		}
-		layers[1][j-1] = g.AddNode(wf(2, j), nodeName(2, j), p1, p2)
+		layers[1][j-1] = g.AddNode(wf(2, j), "", p1, p2)
 	}
 	// S_{i+1} for 2 ≤ i ≤ d: |S_{i+1}| = |S_i|/2. Parents of v^{i+1}_J:
 	// J odd → {v^i_{2J−1}, v^i_{2J+1}}; J even → {v^i_{2J−3}, v^i_{2J−1}}.
 	// (These are the averages of layer i, which sit at odd indices.)
 	for i := 2; i <= d; i++ {
 		sz := len(layers[i-1]) / 2
-		layers[i] = make([]cdag.NodeID, sz)
 		for J := 1; J <= sz; J++ {
 			var a, b int
 			if J%2 == 1 {
@@ -91,22 +101,30 @@ func Build(n, d int, wf WeightFunc) (*Graph, error) {
 			}
 			p1 := layers[i-1][a-1]
 			p2 := layers[i-1][b-1]
-			layers[i][J-1] = g.AddNode(wf(i+1, J), nodeName(i+1, J), p1, p2)
+			layers[i][J-1] = g.AddNode(wf(i+1, J), "", p1, p2)
 		}
 	}
 	dg := &Graph{G: g, N: n, D: d, Layers: layers}
+	g.SetNamer(dg.name)
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("dwt: internal construction error: %w", err)
 	}
 	return dg, nil
 }
 
-func nodeName(layer, j int) string {
+// name derives a node's display name from its (layer, index): x[j]
+// for inputs, a<level>[j] for averages and c<level>[j] for
+// coefficients.
+func (d *Graph) name(v cdag.NodeID) string {
+	layer, j, _ := d.locate(v)
+	if layer == 1 {
+		return "x[" + strconv.Itoa(j) + "]"
+	}
 	kind := "a"
 	if j%2 == 0 {
 		kind = "c"
 	}
-	return fmt.Sprintf("%s%d[%d]", kind, layer-1, j)
+	return kind + strconv.Itoa(layer-1) + "[" + strconv.Itoa(j) + "]"
 }
 
 // NodeAt returns v^layer_j (1-based layer and index).

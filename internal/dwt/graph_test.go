@@ -1,6 +1,7 @@
 package dwt
 
 import (
+	"fmt"
 	"testing"
 
 	"wrbpg/internal/cdag"
@@ -242,5 +243,45 @@ func TestConfigWeights(t *testing.T) {
 	}
 	if da(2, 1) != 32 {
 		t.Errorf("node weight = %d, want 32", da(2, 1))
+	}
+}
+
+// TestNamesMatchFormulas: the derived names equal the strings Build
+// once stored per node, in insertion order x[j], then a<level>[j] /
+// c<level>[j] layer by layer, and survive Prune.
+func TestNamesMatchFormulas(t *testing.T) {
+	for _, s := range [][2]int{{2, 1}, {8, 1}, {8, 3}, {24, 3}, {64, 6}, {128, 7}} {
+		n, d := s[0], s[1]
+		g := buildOrFatal(t, n, d, equalWeights)
+		var want []string
+		for j := 1; j <= n; j++ {
+			want = append(want, fmt.Sprintf("x[%d]", j))
+		}
+		for layer, size := 2, n; layer <= d+1; layer, size = layer+1, size/2 {
+			for j := 1; j <= size; j++ {
+				kind := "a"
+				if j%2 == 0 {
+					kind = "c"
+				}
+				want = append(want, fmt.Sprintf("%s%d[%d]", kind, layer-1, j))
+			}
+		}
+		if g.G.Len() != len(want) {
+			t.Fatalf("DWT(%d,%d): %d nodes, want %d", n, d, g.G.Len(), len(want))
+		}
+		for v, w := range want {
+			if got := g.G.Name(cdag.NodeID(v)); got != w {
+				t.Fatalf("DWT(%d,%d) node %d: name %q, want %q", n, d, v, got, w)
+			}
+		}
+		pruned, mapping, err := g.Prune()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, nv := range mapping {
+			if nv != cdag.None && pruned.Name(nv) != want[v] {
+				t.Fatalf("DWT(%d,%d) pruned node %d: name %q, want %q", n, d, nv, pruned.Name(nv), want[v])
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"wrbpg/internal/cdag"
 	"wrbpg/internal/core"
@@ -177,10 +178,11 @@ func (s *Scheduler) cell(v cdag.NodeID, b cdag.Weight) *entry {
 	}
 	row := s.memo[v]
 	if bi >= len(row) {
-		grown := make([]entry, bi+1)
-		copy(grown, row)
-		s.memo[v] = grown
-		row = grown
+		// Rows grow geometrically. Slots past len were zeroed when the
+		// row's array was made and are never written before this, so the
+		// extension reads as invalid cells.
+		row = slices.Grow(row, bi+1-len(row))[:bi+1]
+		s.memo[v] = row
 	}
 	return &row[bi]
 }

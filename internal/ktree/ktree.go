@@ -69,24 +69,40 @@ func FullTree(k, height int, wf func(depth, index int) cdag.Weight) (*Tree, erro
 	if height < 1 {
 		return nil, fmt.Errorf("ktree: height must be ≥ 1, got %d", height)
 	}
-	g := &cdag.Graph{}
-	// Build bottom-up: the leaves are at depth == height.
-	prev := []cdag.NodeID{}
-	leaves := 1
+	// Build bottom-up: the leaves are at depth == height. Each level's
+	// IDs are contiguous, so node i of a level consumes the k
+	// consecutive IDs starting at first+i·k of the level below.
+	leaves, total := 1, 1
 	for i := 0; i < height; i++ {
 		leaves *= k
+		total += leaves
 	}
+	g := &cdag.Graph{}
+	g.Reserve(total, total-1)
 	for i := 0; i < leaves; i++ {
-		prev = append(prev, g.AddNode(wf(height, i), "leaf"+strconv.Itoa(i)))
+		g.AddNode(wf(height, i), "")
 	}
-	for depth := height - 1; depth >= 0; depth-- {
-		var cur []cdag.NodeID
-		for i := 0; i < len(prev)/k; i++ {
-			parents := prev[i*k : (i+1)*k]
-			cur = append(cur, g.AddNode(wf(depth, i), "n"+strconv.Itoa(depth)+"_"+strconv.Itoa(i), parents...))
+	var parents [MaxK]cdag.NodeID
+	first := cdag.NodeID(0)
+	for depth, size := height-1, leaves/k; depth >= 0; depth, size = depth-1, size/k {
+		for i := 0; i < size; i++ {
+			for j := range parents[:k] {
+				parents[j] = first + cdag.NodeID(i*k+j)
+			}
+			g.AddNode(wf(depth, i), "", parents[:k]...)
 		}
-		prev = cur
+		first += cdag.NodeID(size * k)
 	}
+	g.SetNamer(func(v cdag.NodeID) string {
+		if int(v) < leaves {
+			return "leaf" + strconv.Itoa(int(v))
+		}
+		start, size, depth := leaves, leaves/k, height-1
+		for int(v) >= start+size {
+			start, size, depth = start+size, size/k, depth-1
+		}
+		return "n" + strconv.Itoa(depth) + "_" + strconv.Itoa(int(v)-start)
+	})
 	return New(g)
 }
 

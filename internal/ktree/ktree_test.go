@@ -2,6 +2,7 @@ package ktree
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -333,5 +334,39 @@ func BenchmarkStrategyEnumerationK4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := NewScheduler(tr)
 		s.MinCost(core.MinExistenceBudget(tr.G) + 2)
+	}
+}
+
+// TestFullTreeNamesMatchFormulas: the derived names equal the strings
+// FullTree once stored per node, in insertion order leafI, then nD_I
+// level by level toward the root.
+func TestFullTreeNamesMatchFormulas(t *testing.T) {
+	for _, s := range [][2]int{{1, 3}, {2, 1}, {2, 8}, {3, 4}, {4, 3}, {5, 2}} {
+		k, h := s[0], s[1]
+		tr, err := FullTree(k, h, unitW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves := 1
+		for i := 0; i < h; i++ {
+			leaves *= k
+		}
+		var want []string
+		for i := 0; i < leaves; i++ {
+			want = append(want, "leaf"+strconv.Itoa(i))
+		}
+		for depth, size := h-1, leaves/k; depth >= 0; depth, size = depth-1, size/k {
+			for i := 0; i < size; i++ {
+				want = append(want, "n"+strconv.Itoa(depth)+"_"+strconv.Itoa(i))
+			}
+		}
+		if tr.G.Len() != len(want) {
+			t.Fatalf("FullTree(%d,%d): %d nodes, want %d", k, h, tr.G.Len(), len(want))
+		}
+		for v, w := range want {
+			if got := tr.G.Name(cdag.NodeID(v)); got != w {
+				t.Fatalf("FullTree(%d,%d) node %d: name %q, want %q", k, h, v, got, w)
+			}
+		}
 	}
 }

@@ -106,13 +106,25 @@ func NewScheduler(t *Tree) *Scheduler {
 		}
 		exist[v] = e
 	}
+	// Each node's interval list starts as a private two-slot window of
+	// one slab, capped so that a third step reallocates that row alone
+	// instead of overwriting its neighbour's slots.
+	memo := make([][]ival, g.Len())
+	slab := make([]ival, rowSlots*g.Len())
+	for v := range memo {
+		memo[v] = slab[rowSlots*v : rowSlots*v : rowSlots*(v+1)]
+	}
 	return &Scheduler{
 		t:     t,
-		memo:  make([][]ival, t.G.Len()),
+		memo:  memo,
 		exist: exist,
-		mark:  make([]uint32, t.G.Len()),
+		mark:  make([]uint32, g.Len()),
 	}
 }
+
+// rowSlots is the number of budget steps each node's memo row holds
+// before it spills to its own heap slice.
+const rowSlots = 2
 
 // SetWeights applies weight deltas to the tree and invalidates exactly
 // the memo rows whose value can change: Pt(v, b) depends only on

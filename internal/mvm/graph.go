@@ -58,53 +58,84 @@ func Build(m, n int, cfg wcfg.Config) (*Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("mvm: n=%d must be ≥ 1", n)
 	}
+	// n inputs x_c, mn matrix entries, mn products with two parents
+	// each and m(n−1) accumulators with two parents each. Each row
+	// table is cut from one backing array.
 	g := &cdag.Graph{}
+	g.Reserve(n+3*m*n-m, 4*m*n-2*m)
 	out := &Graph{G: g, M: m, N: n, Cfg: cfg}
 	wi, wn := cfg.Input(), cfg.Node()
 
 	out.X = make([]cdag.NodeID, n)
-	out.A = make([][]cdag.NodeID, m)
-	out.Prod = make([][]cdag.NodeID, m)
-	for r := 0; r < m; r++ {
-		out.A[r] = make([]cdag.NodeID, n)
-		out.Prod[r] = make([]cdag.NodeID, n)
-	}
+	out.A = rows(m, n)
+	out.Prod = rows(m, n)
 	if n > 1 {
-		out.Acc = make([][]cdag.NodeID, m)
-		for r := 0; r < m; r++ {
-			out.Acc[r] = make([]cdag.NodeID, n-1)
-		}
+		out.Acc = rows(m, n-1)
 	}
 
 	// S_1: for each column c, x_c then a_{1,c} … a_{m,c} — this is
 	// exactly the j = (c−1)(m+1)+1 … c(m+1) indexing of rule (1).
 	for c := 1; c <= n; c++ {
-		out.X[c-1] = g.AddNode(wi, "x["+strconv.Itoa(c)+"]")
+		out.X[c-1] = g.AddNode(wi, "")
 		for r := 1; r <= m; r++ {
-			out.A[r-1][c-1] = g.AddNode(wi, "a["+strconv.Itoa(r)+","+strconv.Itoa(c)+"]")
+			out.A[r-1][c-1] = g.AddNode(wi, "")
 		}
 	}
 	// S_2: products v²_{(c−1)m+r} with parents {x_c, a_{r,c}}.
 	for c := 1; c <= n; c++ {
 		for r := 1; r <= m; r++ {
-			out.Prod[r-1][c-1] = g.AddNode(wn, "p["+strconv.Itoa(r)+","+strconv.Itoa(c)+"]",
-				out.X[c-1], out.A[r-1][c-1])
+			out.Prod[r-1][c-1] = g.AddNode(wn, "", out.X[c-1], out.A[r-1][c-1])
 		}
 	}
 	// S_3 … S_{n+1}: accumulators. Rule (2) supplies the edge from the
 	// previous partial sum, rule (3) the edge from the column product.
 	for c := 2; c <= n; c++ {
 		for r := 1; r <= m; r++ {
-			out.Acc[r-1][c-2] = g.AddNode(wn, "s["+strconv.Itoa(r)+","+strconv.Itoa(c)+"]",
-				out.Head(r, c-1), out.Prod[r-1][c-1])
+			out.Acc[r-1][c-2] = g.AddNode(wn, "", out.Head(r, c-1), out.Prod[r-1][c-1])
 		}
 	}
+	g.SetNamer(out.name)
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("mvm: internal construction error: %w", err)
 	}
 	out.lb = core.LowerBound(g)
 	out.cand = out.candidates()
 	return out, nil
+}
+
+// rows returns an m×n table of node IDs cut from one backing array.
+func rows(m, n int) [][]cdag.NodeID {
+	flat := make([]cdag.NodeID, m*n)
+	out := make([][]cdag.NodeID, m)
+	for r := range out {
+		out[r], flat = flat[:n:n], flat[n:]
+	}
+	return out
+}
+
+// name derives a node's display name from its ID, following Build's
+// insertion order: x[c] and a[r,c] interleaved by column, then the
+// products p[r,c] and the accumulators s[r,c], each column by column.
+func (g *Graph) name(v cdag.NodeID) string {
+	i, m := int(v), g.M
+	rc := func(kind string, r, c int) string {
+		return kind + "[" + strconv.Itoa(r) + "," + strconv.Itoa(c) + "]"
+	}
+	inputs, prods := g.N*(m+1), g.N*m
+	switch {
+	case i < inputs:
+		c, r := i/(m+1)+1, i%(m+1)
+		if r == 0 {
+			return "x[" + strconv.Itoa(c) + "]"
+		}
+		return rc("a", r, c)
+	case i < inputs+prods:
+		i -= inputs
+		return rc("p", i%m+1, i/m+1)
+	default:
+		i -= inputs + prods
+		return rc("s", i%m+1, i/m+2)
+	}
 }
 
 // Head returns the node holding row r's partial sum after column c

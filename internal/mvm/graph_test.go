@@ -1,8 +1,10 @@
 package mvm
 
 import (
+	"fmt"
 	"testing"
 
+	"wrbpg/internal/cdag"
 	"wrbpg/internal/core"
 	"wrbpg/internal/wcfg"
 )
@@ -157,5 +159,40 @@ func TestNodeCountLarge(t *testing.T) {
 	want := 96*120 + 120 + 96*120 + 96*119
 	if g.G.Len() != want {
 		t.Errorf("nodes = %d, want %d", g.G.Len(), want)
+	}
+}
+
+// TestNamesMatchFormulas: the derived names equal the strings Build
+// once stored per node, in insertion order x[c], a[r,c] column by
+// column, then p[r,c] and s[r,c].
+func TestNamesMatchFormulas(t *testing.T) {
+	for _, s := range [][2]int{{2, 1}, {3, 5}, {5, 2}, {12, 16}, {16, 32}} {
+		m, n := s[0], s[1]
+		g := buildOrFatal(t, m, n, wcfg.Equal(16))
+		var want []string
+		for c := 1; c <= n; c++ {
+			want = append(want, fmt.Sprintf("x[%d]", c))
+			for r := 1; r <= m; r++ {
+				want = append(want, fmt.Sprintf("a[%d,%d]", r, c))
+			}
+		}
+		for c := 1; c <= n; c++ {
+			for r := 1; r <= m; r++ {
+				want = append(want, fmt.Sprintf("p[%d,%d]", r, c))
+			}
+		}
+		for c := 2; c <= n; c++ {
+			for r := 1; r <= m; r++ {
+				want = append(want, fmt.Sprintf("s[%d,%d]", r, c))
+			}
+		}
+		if g.G.Len() != len(want) {
+			t.Fatalf("MVM(%d,%d): %d nodes, want %d", m, n, g.G.Len(), len(want))
+		}
+		for v, w := range want {
+			if got := g.G.Name(cdag.NodeID(v)); got != w {
+				t.Fatalf("MVM(%d,%d) node %d: name %q, want %q", m, n, v, got, w)
+			}
+		}
 	}
 }

@@ -181,9 +181,10 @@ func (g *Graph) Candidates() []int {
 
 // candidates enumerates the distinct heights. As q grows the height
 // ⌈m/q⌉ is non-increasing, so duplicates are always adjacent and a
-// single previous-value check replaces the former seen-map.
+// single previous-value check replaces the former seen-map. There are
+// at most 2⌊√m⌋+1 of them, so out never regrows.
 func (g *Graph) candidates() []int {
-	out := make([]int, 0, 2*isqrt(g.M))
+	out := make([]int, 0, 2*isqrt(g.M)+1)
 	prev := -1
 	for q := 1; q <= g.M; q++ {
 		h := (g.M + q - 1) / q
@@ -195,7 +196,7 @@ func (g *Graph) candidates() []int {
 	return out
 }
 
-// isqrt returns ⌊√n⌋; Candidates yields at most ~2√m distinct heights.
+// isqrt returns ⌊√n⌋; Candidates yields at most 2⌊√m⌋+1 distinct heights.
 func isqrt(n int) int {
 	if n <= 0 {
 		return 0

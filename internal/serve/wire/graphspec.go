@@ -77,8 +77,10 @@ func (s *GraphSpec) Graph() (*cdag.Graph, error) {
 	// tiebreak so compilation is deterministic.
 	indeg := make([]int, n)
 	children := make([][]int, n)
+	edges := 0
 	for i, nd := range s.Nodes {
 		indeg[i] = len(nd.Deps)
+		edges += len(nd.Deps)
 		for _, d := range nd.Deps {
 			p := idx[d]
 			children[p] = append(children[p], i)
@@ -106,6 +108,7 @@ func (s *GraphSpec) Graph() (*cdag.Graph, error) {
 	}
 
 	g := &cdag.Graph{}
+	g.Reserve(n, edges)
 	ids := make([]cdag.NodeID, n)
 	var parents []cdag.NodeID
 	for _, i := range order {
