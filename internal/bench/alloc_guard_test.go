@@ -9,10 +9,11 @@ import (
 	"wrbpg/internal/solve"
 )
 
-// TestScheduleCodecAllocs pins the schedule codec a peer fill runs on
-// both ends: encoding a full mvm(16,32) move list allocates only its
-// output buffer, and decoding the canonical form only the schedule,
-// sized exactly.
+// TestScheduleCodecAllocs pins the schedule codecs a peer fill runs on
+// both ends, for a full mvm(16,32) move list. The packed form appends
+// into a sized buffer without allocating; the JSON form allocates only
+// its output buffer. Either decoder allocates only the schedule, sized
+// exactly.
 func TestScheduleCodecAllocs(t *testing.T) {
 	res, err := peerFillResult()
 	if err != nil {
@@ -32,6 +33,22 @@ func TestScheduleCodecAllocs(t *testing.T) {
 	}
 	if len(back) != len(s) || cap(back) != len(s) {
 		t.Errorf("decoded len %d cap %d, want exactly %d", len(back), cap(back), len(s))
+	}
+
+	packed, err := s.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, len(packed))
+	if a := testing.AllocsPerRun(20, func() { s.AppendBinary(buf) }); a != 0 {
+		t.Errorf("Schedule.AppendBinary into a sized buffer: %.1f allocs/op, want 0", a)
+	}
+	back = nil
+	if a := testing.AllocsPerRun(20, func() { back.UnmarshalBinary(packed) }); a != 1 {
+		t.Errorf("Schedule.UnmarshalBinary: %.1f allocs/op, want 1", a)
+	}
+	if len(back) != len(s) || cap(back) != len(s) {
+		t.Errorf("packed decode len %d cap %d, want exactly %d", len(back), cap(back), len(s))
 	}
 }
 

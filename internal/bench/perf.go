@@ -537,28 +537,11 @@ func perfKernels() []perfKernel {
 			return body, body()
 		}},
 		// A peer fill's serialization: the owner encodes the envelope
-		// carrying a full mvm(16,32) move list, the forwarder decodes it.
-		{"PeerEnvelopeRoundTrip", func() (func() error, error) {
-			res, err := peerFillResult()
-			if err != nil {
-				return nil, err
-			}
-			env := wire.PeerScheduleResponse{Result: res}
-			return func() error {
-				body, err := json.Marshal(env)
-				if err != nil {
-					return err
-				}
-				var back wire.PeerScheduleResponse
-				if err := json.Unmarshal(body, &back); err != nil {
-					return err
-				}
-				if len(back.Result.Schedule) != len(res.Schedule) {
-					return fmt.Errorf("bench: envelope round trip kept %d of %d moves", len(back.Result.Schedule), len(res.Schedule))
-				}
-				return nil
-			}, nil
-		}},
+		// carrying a full mvm(16,32) move list, the forwarder decodes it,
+		// as the packed frame new replicas exchange and as the JSON
+		// envelope older forwarders get.
+		{"PeerEnvelopeRoundTrip", peerEnvelopeRoundTrip(wire.EnvelopePacked)},
+		{"PeerEnvelopeRoundTripJSON", peerEnvelopeRoundTrip(wire.EnvelopeJSON)},
 		{"SchedcacheMissKey", func() (func() error, error) {
 			cfg := Configs()[0]
 			in := solve.Instance{Family: solve.FamilyDWT, N: 64, D: 6, Cfg: cfg}
@@ -581,15 +564,16 @@ func perfKernels() []perfKernel {
 // vocabulary of cmd/wrbpgbench's traced run; untagged kernels time
 // solver internals below any one layer.
 var kernelLayers = map[string]string{
-	"ColdBuildDWT":          "solve.build",
-	"ColdBuildKTree":        "solve.build",
-	"ColdBuildMVM":          "solve.build",
-	"ColdSolveMVM":          "solve.optimal",
-	"SchedcacheHit":         "schedcache.probe",
-	"SchedcacheMissKey":     "schedcache.probe",
-	"ServeSweepWarm":        "session.sweep",
-	"ServePatchWarm":        "session.patch",
-	"PeerEnvelopeRoundTrip": "cluster.peer_fill",
+	"ColdBuildDWT":              "solve.build",
+	"ColdBuildKTree":            "solve.build",
+	"ColdBuildMVM":              "solve.build",
+	"ColdSolveMVM":              "solve.optimal",
+	"SchedcacheHit":             "schedcache.probe",
+	"SchedcacheMissKey":         "schedcache.probe",
+	"ServeSweepWarm":            "session.sweep",
+	"ServePatchWarm":            "session.patch",
+	"PeerEnvelopeRoundTrip":     "cluster.peer_fill",
+	"PeerEnvelopeRoundTripJSON": "cluster.peer_fill",
 }
 
 // coldBuild returns the setup of a kernel that builds in from
@@ -630,6 +614,34 @@ func peerFillResult() (*wire.ScheduleResult, error) {
 		return nil, err
 	}
 	return wire.NewScheduleResult(in.Label(), out, core.LowerBound(g), true), nil
+}
+
+// peerEnvelopeRoundTrip is the setup of a kernel that encodes
+// peerFillResult's envelope in the given form, as the owner does, and
+// decodes it, as the forwarder does.
+func peerEnvelopeRoundTrip(form string) func() (func() error, error) {
+	return func() (func() error, error) {
+		res, err := peerFillResult()
+		if err != nil {
+			return nil, err
+		}
+		env := &wire.PeerScheduleResponse{Result: res}
+		ct := wire.PeerContentType(form)
+		return func() error {
+			body, err := wire.AppendPeerResponse(nil, env, form)
+			if err != nil {
+				return err
+			}
+			back, err := wire.DecodePeerResponse(ct, body)
+			if err != nil {
+				return err
+			}
+			if len(back.Result.Schedule) != len(res.Schedule) {
+				return fmt.Errorf("bench: envelope round trip kept %d of %d moves", len(back.Result.Schedule), len(res.Schedule))
+			}
+			return nil
+		}, nil
+	}
 }
 
 // RunPerfSuite measures every kernel with testing.Benchmark and

@@ -32,8 +32,13 @@ func benchKernel(b *testing.B, name string) {
 // overhead check).
 func BenchmarkServeSweepWarm(b *testing.B) { benchKernel(b, "ServeSweepWarm") }
 
-// BenchmarkPeerEnvelopeRoundTrip is one peer fill's serialization.
+// BenchmarkPeerEnvelopeRoundTrip is one peer fill's serialization as
+// the packed frame.
 func BenchmarkPeerEnvelopeRoundTrip(b *testing.B) { benchKernel(b, "PeerEnvelopeRoundTrip") }
+
+// BenchmarkPeerEnvelopeRoundTripJSON is the same fill as the JSON
+// envelope a forwarder that does not ask for the frame gets.
+func BenchmarkPeerEnvelopeRoundTripJSON(b *testing.B) { benchKernel(b, "PeerEnvelopeRoundTripJSON") }
 
 // BenchmarkColdBuild times Instance.Build for each family's largest
 // cold-solve shape, and one whole cold mvm(16,32) answer.

@@ -43,7 +43,10 @@ const maxPeerBody = 32 << 20
 //
 //   - result: the owner answered 200 (it solved, or hit its cache).
 //     When the forwarder propagated trace context (preq.TraceParent),
-//     trace carries the owner's span subtree alongside it;
+//     trace carries the owner's span subtree alongside it. Fill asks
+//     for the packed frame and decodes whichever form the owner sent
+//     (wire.DecodePeerResponse), recording it as the envelope attribute
+//     of the span active in ctx;
 //   - apiErr: the owner answered a structured API error — notably a
 //     429 carrying its Retry-After shed estimate, which cluster-aware
 //     shedding may propagate to the end client;
@@ -62,8 +65,11 @@ func (c *Cluster) Fill(ctx context.Context, owner string, preq *wire.PeerSchedul
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(HopHeader, "1")
+	// The header values are shared read-only slices: http.Header.Set
+	// would allocate one per header per fill.
+	req.Header["Content-Type"] = jsonContentType
+	req.Header["Accept"] = acceptPacked
+	req.Header[HopHeader] = hopMark
 	if preq.TraceParent != "" {
 		req.Header.Set(TraceParentHeader, preq.TraceParent)
 	}
@@ -72,23 +78,16 @@ func (c *Cluster) Fill(ctx context.Context, owner string, preq *wire.PeerSchedul
 		return nil, nil, nil, err
 	}
 	defer resp.Body.Close()
-	b, err := readBody(resp)
+	b, err := readBody(resp, maxPeerBody)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("cluster: read peer response: %w", err)
+		return nil, nil, nil, fmt.Errorf("cluster: read peer %s response: %w", owner, err)
 	}
 	if resp.StatusCode == http.StatusOK {
-		var env wire.PeerScheduleResponse
-		if err := json.Unmarshal(b, &env); err != nil {
-			return nil, nil, nil, fmt.Errorf("cluster: decode peer result: %w", err)
-		}
-		if env.Result == nil {
-			// Pre-envelope owner (version skew): the 200 body is a bare
-			// ScheduleResult.
-			var res wire.ScheduleResult
-			if err := json.Unmarshal(b, &res); err != nil || res.Workload == "" {
-				return nil, nil, nil, fmt.Errorf("cluster: peer %s answered 200 with unrecognized body", owner)
-			}
-			return &res, nil, nil, nil
+		ct := resp.Header.Get("Content-Type")
+		obs.SetSpanAttr(ctx, "envelope", wire.PeerEnvelope(ct))
+		env, err := wire.DecodePeerResponse(ct, b)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("cluster: peer %s answered 200: %w", owner, err)
 		}
 		return env.Result, env.Trace, nil, nil
 	}
@@ -101,16 +100,32 @@ func (c *Cluster) Fill(ctx context.Context, owner string, preq *wire.PeerSchedul
 	return nil, nil, &we, nil
 }
 
+// Fill's request header values.
+var (
+	jsonContentType = []string{"application/json"}
+	acceptPacked    = []string{wire.PeerMediaType}
+	hopMark         = []string{"1"}
+)
+
 // readBody reads a peer response whole: into one buffer of the
-// announced length when the owner sent one within maxPeerBody, else
-// growing up to maxPeerBody (chunked bodies, older owners).
-func readBody(resp *http.Response) ([]byte, error) {
-	if n := resp.ContentLength; n >= 0 && n <= maxPeerBody {
+// announced length, else growing (chunked bodies, older owners). A
+// body longer than limit is an error, refused before reading when its
+// length was announced.
+func readBody(resp *http.Response, limit int64) ([]byte, error) {
+	n := resp.ContentLength
+	if n > limit {
+		return nil, fmt.Errorf("peer body of %d bytes exceeds limit of %d", n, limit)
+	}
+	if n >= 0 {
 		b := make([]byte, n)
 		_, err := io.ReadFull(resp.Body, b)
 		return b, err
 	}
-	return io.ReadAll(io.LimitReader(resp.Body, maxPeerBody))
+	b, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err == nil && int64(len(b)) > limit {
+		return nil, fmt.Errorf("peer body exceeds limit of %d bytes", limit)
+	}
+	return b, err
 }
 
 // GetJSON fetches path from peer (GET) and decodes the 200 body into
@@ -127,7 +142,7 @@ func (c *Cluster) GetJSON(ctx context.Context, peer, path string, v any) error {
 		return err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerBody))
+	b, err := readBody(resp, maxPeerBody)
 	if err != nil {
 		return fmt.Errorf("cluster: read %s%s: %w", peer, path, err)
 	}

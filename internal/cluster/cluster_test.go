@@ -3,16 +3,18 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
-	"wrbpg/internal/core"
 	"wrbpg/internal/obs"
 	"wrbpg/internal/serve/wire"
 )
@@ -243,81 +245,42 @@ func TestFillDecodesResultAndErrors(t *testing.T) {
 	}
 }
 
-// indentedResult is a ScheduleResult as owners before the compact
-// envelope wrote it: two-space indented, one move field per line.
-const indentedResult = `{
-  "workload": "w",
-  "source": "optimal",
-  "budget_bits": 64,
-  "cost_bits": 7,
-  "peak_bits": 64,
-  "lower_bound_bits": 7,
-  "move_count": 3,
-  "move_kinds": {
-    "M1": 1,
-    "M2": 1,
-    "M3": 1,
-    "M4": 0
-  },
-  "schedule": [
-    {
-      "kind": "M1",
-      "node": 0
-    },
-    {
-      "kind": "M3",
-      "node": 2
-    },
-    {
-      "kind": "M2",
-      "node": 2
-    }
-  ],
-  "elapsed_us": 41,
-  "cost": {
-    "source_tier": "solve",
-    "solve_wall_us": 40
-  }
-}`
+// TestReadBodyLimit: a peer body longer than the limit is an error
+// that says so. An announced length over the limit is refused before a
+// byte is read; a chunked body is cut one byte past the limit.
+func TestReadBodyLimit(t *testing.T) {
+	const limit = 8
+	read := func(n int64, body string) ([]byte, error) {
+		return readBody(&http.Response{ContentLength: n, Body: io.NopCloser(strings.NewReader(body))}, limit)
+	}
+	if b, err := read(limit, "12345678"); err != nil || string(b) != "12345678" {
+		t.Fatalf("announced body at the limit: %q, %v", b, err)
+	}
+	if b, err := read(-1, "12345678"); err != nil || string(b) != "12345678" {
+		t.Fatalf("chunked body at the limit: %q, %v", b, err)
+	}
+	refused := &http.Response{ContentLength: limit + 1, Body: io.NopCloser(iotest.ErrReader(errors.New("body read")))}
+	if _, err := readBody(refused, limit); err == nil || !strings.Contains(err.Error(), "peer body of 9 bytes exceeds limit") {
+		t.Fatalf("announced body over the limit: err=%v", err)
+	}
+	if _, err := read(-1, "123456789"); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("chunked body over the limit: err=%v", err)
+	}
 
-// TestFillAcceptsIndentedBodies is the rolling-upgrade check: an owner
-// still writing indented bodies — the envelope, or a bare result from
-// before the envelope, sent chunked without a Content-Length — keeps
-// filling.
-func TestFillAcceptsIndentedBodies(t *testing.T) {
-	mux := http.NewServeMux()
-	mux.HandleFunc(PeerPath, func(w http.ResponseWriter, r *http.Request) {
-		var preq wire.PeerScheduleRequest
-		if err := json.NewDecoder(r.Body).Decode(&preq); err != nil {
-			t.Errorf("decode: %v", err)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		switch preq.Key {
-		case "envelope":
-			fmt.Fprintf(w, "{\n  \"result\": %s\n}\n", strings.ReplaceAll(indentedResult, "\n", "\n  "))
-		case "bare":
-			half := len(indentedResult) / 2
-			fmt.Fprint(w, indentedResult[:half])
-			w.(http.Flusher).Flush()
-			fmt.Fprintln(w, indentedResult[half:])
-		}
-	})
-	ts := httptest.NewServer(mux)
+	// Through Fill: an owner announcing more than maxPeerBody is a
+	// transport-class error naming the size, not a decode error.
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(maxPeerBody+1))
+		w.WriteHeader(http.StatusOK)
+	}))
 	defer ts.Close()
 	c, err := New(Config{Self: "http://self:1", Peers: []string{ts.URL}, Client: ts.Client()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.Schedule{{Kind: core.M1, Node: 0}, {Kind: core.M3, Node: 2}, {Kind: core.M2, Node: 2}}
-	for _, key := range []string{"envelope", "bare"} {
-		res, _, apiErr, ferr := c.Fill(context.Background(), ts.URL, &wire.PeerScheduleRequest{Key: key})
-		if ferr != nil || apiErr != nil || res == nil {
-			t.Fatalf("%s: res=%+v apiErr=%v err=%v", key, res, apiErr, ferr)
-		}
-		if !reflect.DeepEqual(res.Schedule, want) || res.CostBits != 7 || res.MoveKinds["M3"] != 1 ||
-			res.Cost == nil || res.Cost.SolveWallUS != 40 {
-			t.Fatalf("%s: decoded %+v, want the indented body's fields", key, res)
-		}
+	res, _, apiErr, ferr := c.Fill(context.Background(), ts.URL, &wire.PeerScheduleRequest{Key: "big"})
+	if res != nil || apiErr != nil || ferr == nil || !strings.Contains(ferr.Error(), fmt.Sprintf("peer body of %d bytes exceeds limit", maxPeerBody+1)) {
+		t.Fatalf("oversized fill: res=%v apiErr=%v err=%v", res, apiErr, ferr)
 	}
 }
 

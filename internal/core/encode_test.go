@@ -121,31 +121,106 @@ func TestScheduleJSONScanner(t *testing.T) {
 	}
 }
 
-// BenchmarkScheduleJSON compares the codec with the reflective encoder
-// and decoder it replaces, on a 4,080-move schedule (the length of the
-// optimal mvm(16,32) answer a peer fill carries) in compact form.
-func BenchmarkScheduleJSON(b *testing.B) {
+// TestScheduleBinary pins the packed form byte for byte and the inputs
+// its decoder refuses.
+func TestScheduleBinary(t *testing.T) {
+	s := Schedule{{M1, 0}, {M3, 31}, {M2, 32}, {M4, 2147483647}}
+	want := []byte{4, 0x00, 0x7e, 0x81, 0x01, 0xff, 0xff, 0xff, 0xff, 0x1f}
+	got, err := s.AppendBinary([]byte{0xaa})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, append([]byte{0xaa}, want...)) {
+		t.Fatalf("AppendBinary = %x, want aa%x", got, want)
+	}
+	var back Schedule
+	if err := back.UnmarshalBinary(want); err != nil || len(back) != len(s) {
+		t.Fatalf("UnmarshalBinary = %v, %v", back, err)
+	}
+	for i := range s {
+		if back[i] != s[i] {
+			t.Fatalf("move %d = %v, want %v", i, back[i], s[i])
+		}
+	}
+	if err := back.UnmarshalBinary([]byte{0}); err != nil || back != nil {
+		t.Fatalf("empty schedule decodes to %#v, %v", back, err)
+	}
+	for name, in := range map[string][]byte{
+		"no count":          {},
+		"truncated count":   {0x80},
+		"count over input":  {3, 0, 0},
+		"truncated move":    {1, 0x80},
+		"node beyond int32": {1, 0x80, 0x80, 0x80, 0x80, 0x20},
+		"trailing bytes":    {1, 0, 0},
+	} {
+		back = s
+		if err := back.UnmarshalBinary(in); err == nil {
+			t.Errorf("%s: %x decoded to %v", name, in, back)
+		} else if len(back) != len(s) {
+			t.Errorf("%s: failed decode replaced the schedule with %v", name, back)
+		}
+	}
+	for _, bad := range []Schedule{{{M1, -1}}, {{0, 1}}, {{M4 + 1, 1}}} {
+		if _, err := bad.AppendBinary(nil); err == nil {
+			t.Errorf("AppendBinary(%v) succeeded", bad)
+		}
+	}
+}
+
+// benchSchedule is a 4,080-move schedule: the length of the optimal
+// mvm(16,32) answer a peer fill carries.
+func benchSchedule() Schedule {
 	s := make(Schedule, 4080)
 	for i := range s {
 		s[i] = Move{Kind: MoveKind(i%4 + 1), Node: cdag.NodeID(i * 7 % 1100)}
 	}
+	return s
+}
+
+// BenchmarkScheduleBinary times the packed form on benchSchedule, into
+// a reused buffer.
+func BenchmarkScheduleBinary(b *testing.B) {
+	s := benchSchedule()
+	data, err := s.AppendBinary(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, 0, len(data))
+	var back Schedule
+	runCodecBenchmarks(b, len(data), []codecBenchmark{
+		{"AppendBinary", func() error { _, err := s.AppendBinary(buf); return err }},
+		{"UnmarshalBinary", func() error { return back.UnmarshalBinary(data) }},
+	})
+}
+
+// BenchmarkScheduleJSON compares the codec with the reflective encoder
+// and decoder it replaces, on benchSchedule in compact form.
+func BenchmarkScheduleJSON(b *testing.B) {
+	s := benchSchedule()
 	data, err := s.MarshalJSON()
 	if err != nil {
 		b.Fatal(err)
 	}
 	var back Schedule
-	for _, bm := range []struct {
-		name string
-		fn   func() error
-	}{
+	runCodecBenchmarks(b, len(data), []codecBenchmark{
 		{"MarshalJSON", func() error { _, err := s.MarshalJSON(); return err }},
 		{"MarshalReflect", func() error { _, err := referenceMarshalJSON(s); return err }},
 		{"UnmarshalJSON", func() error { return back.UnmarshalJSON(data) }},
 		{"UnmarshalReflect", func() error { return back.unmarshalJSONReflect(data) }},
-	} {
+	})
+}
+
+type codecBenchmark struct {
+	name string
+	fn   func() error
+}
+
+// runCodecBenchmarks runs each codec as a sub-benchmark over size bytes.
+func runCodecBenchmarks(b *testing.B, size int, bms []codecBenchmark) {
+	for _, bm := range bms {
 		b.Run(bm.name, func(b *testing.B) {
 			b.ReportAllocs()
-			b.SetBytes(int64(len(data)))
+			b.SetBytes(int64(size))
 			for i := 0; i < b.N; i++ {
 				if err := bm.fn(); err != nil {
 					b.Fatal(err)

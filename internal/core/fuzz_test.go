@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -97,6 +99,60 @@ var scheduleJSONSeeds = []string{
 	`[{}]`,
 	`[{"kind":"M1","node":1}`,
 	``,
+}
+
+// FuzzScheduleBinary: every schedule on nodes ≥ 0 round-trips through
+// the packed form, one with a negative node is refused, and arbitrary
+// bytes decode to an error or to a schedule of at most one move per
+// input byte, sized exactly — never a panic.
+func FuzzScheduleBinary(f *testing.F) {
+	for _, s := range []Schedule{nil, sampleSchedule(), {{M4, 2147483647}, {M1, 63}, {M2, 64}}} {
+		b, err := s.AppendBinary(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte{2, 0x80})
+	f.Add([]byte{1, 0xfc, 0xff, 0xff, 0xff, 0x1f})
+	f.Add([]byte{0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got Schedule
+		if err := got.UnmarshalBinary(data); err == nil {
+			if len(got) > len(data) || cap(got) != len(got) {
+				t.Fatalf("%x: decoded len %d cap %d from %d bytes", data, len(got), cap(got), len(data))
+			}
+			again, err := got.AppendBinary(nil)
+			if err != nil {
+				t.Fatalf("%x: decoded %v does not re-encode: %v", data, got, err)
+			}
+			var back Schedule
+			if err := back.UnmarshalBinary(again); err != nil || !reflect.DeepEqual(back, got) {
+				t.Fatalf("%x: re-encoded %v decodes to %v, %v", data, got, back, err)
+			}
+		}
+		s := scheduleFromBytes(data)
+		_, err := s.AppendBinary(nil)
+		if negative := slices.ContainsFunc(s, func(m Move) bool { return m.Node < 0 }); negative != (err != nil) {
+			t.Fatalf("AppendBinary(%v): error %v", s, err)
+		}
+		for i := range s {
+			s[i].Node &= math.MaxInt32
+		}
+		enc, err := s.AppendBinary(nil)
+		if err != nil {
+			t.Fatalf("AppendBinary(%v): %v", s, err)
+		}
+		var back Schedule
+		if err := back.UnmarshalBinary(enc); err != nil {
+			t.Fatalf("UnmarshalBinary(AppendBinary(%v)): %v", s, err)
+		}
+		if len(back) != len(s) || (len(s) > 0 && !reflect.DeepEqual(back, s)) {
+			t.Fatalf("round trip of %v gave %v", s, back)
+		}
+	})
 }
 
 // FuzzScheduleJSON: UnmarshalJSON (canonical scanner plus reflective

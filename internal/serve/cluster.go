@@ -11,7 +11,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"log/slog"
 	"net/http"
@@ -68,6 +67,9 @@ func (s *Server) handlePeerSchedule(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, asWireErr(err))
 		return
 	}
+	// The answer is a packed frame when the forwarder asked for one, and
+	// the compact JSON envelope otherwise (older forwarders).
+	form := wire.PeerEnvelope(r.Header.Get("Accept"))
 	// Resume the forwarder's trace when it propagated context: the
 	// owner-side phases (cache, admission, solve) record under a
 	// "peer.serve" root carrying the same trace ID, the completed
@@ -84,6 +86,7 @@ func (s *Server) handlePeerSchedule(w http.ResponseWriter, r *http.Request) {
 		ctx, root = obs.StartSpan(obs.WithTrace(ctx, tr), "peer.serve")
 		root.SetAttr("origin", preq.Origin)
 		root.SetAttr("parent_span", strconv.Itoa(pspan))
+		root.SetAttr("envelope", form)
 		w.Header().Set(TraceIDHeader, tr.ID())
 	}
 	res, werr := s.scheduleAs(ctx, &preq.Req, true, preq.Key)
@@ -98,17 +101,16 @@ func (s *Server) handlePeerSchedule(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, werr)
 		return
 	}
-	// The envelope goes out compact, with its length: no person reads
-	// replica-to-replica bodies, and the forwarder reads this one into a
+	// The body goes out with its length: the forwarder reads it into a
 	// single buffer of exactly that size.
-	body, err := json.Marshal(wire.PeerScheduleResponse{Result: res, Trace: tex})
+	body, err := wire.AppendPeerResponse(nil, &wire.PeerScheduleResponse{Result: res, Trace: tex}, form)
 	if err != nil {
 		s.logPeerServe(tr, preq.Origin, http.StatusInternalServerError)
 		s.writeErr(w, asWireErr(err))
 		return
 	}
 	s.logPeerServe(tr, preq.Origin, http.StatusOK)
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", wire.PeerContentType(form))
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(body) //nolint:errcheck // nothing useful to do mid-response

@@ -1,8 +1,9 @@
-// Fuzz targets for the wire request decoders: every malformed body
-// must come back as a structured error (the serve layer's 400), never
-// a panic. The targets mirror the handler pipeline exactly — strict
-// JSON decode, request→Instance conversion, Validate, key derivation —
-// but stop short of Build, so the fuzzer explores the parsing and
+// Fuzz targets for the wire request decoders, and for the decoder of a
+// peer's answer: every malformed body must come back as a structured
+// error (the serve layer's 400, or a failed fill), never a panic. The
+// request targets mirror the handler pipeline exactly — strict JSON
+// decode, request→Instance conversion, Validate, key derivation — but
+// stop short of Build, so the fuzzer explores the parsing and
 // validation surface without paying graph-construction time or memory.
 //
 // Run continuously with:
@@ -11,12 +12,14 @@
 //	go test -fuzz=FuzzCDAGRequest     -fuzztime=30s ./internal/serve/wire
 //	go test -fuzz=FuzzPatchRequest    -fuzztime=30s ./internal/serve/wire
 //	go test -fuzz=FuzzPeerRequest     -fuzztime=30s ./internal/serve/wire
+//	go test -fuzz=FuzzPeerResponse    -fuzztime=30s ./internal/serve/wire
 
 package wire
 
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"wrbpg/internal/solve"
@@ -160,6 +163,54 @@ func FuzzPeerRequest(f *testing.F) {
 		// The mismatch check is pure string comparison; any forwarder-sent
 		// key must be safely comparable (no canonicalization surprises).
 		_ = preq.Key == key
+	})
+}
+
+// FuzzPeerResponse exercises the forwarder's decoder of a peer's 200
+// body under both content types: a hostile or corrupt owner yields an
+// error or an envelope with a result, never a panic. A packed frame
+// that decodes carries exactly move_count moves and survives a
+// re-encode.
+func FuzzPeerResponse(f *testing.F) {
+	for _, env := range peerEnvelopeSeeds() {
+		for _, form := range []string{EnvelopePacked, EnvelopeJSON} {
+			b, err := AppendPeerResponse(nil, env, form)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(b)
+		}
+	}
+	f.Add([]byte(`{"workload":"w","source":"optimal","move_count":0}`))
+	f.Add([]byte("{\"result\":{\"move_count\":2}}\n\x02\x00"))
+	f.Add([]byte("{\"result\":null}\n\x00"))
+	f.Add([]byte("{}\n"))
+	f.Add([]byte("\n\x00"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, ct := range []string{PeerMediaType, "application/json"} {
+			env, err := DecodePeerResponse(ct, data)
+			if err != nil {
+				continue
+			}
+			if env.Result == nil {
+				t.Fatalf("%s %q: no error and no result", ct, data)
+			}
+			if ct != PeerMediaType {
+				continue
+			}
+			if len(env.Result.Schedule) != env.Result.MoveCount {
+				t.Fatalf("%q: %d moves, move_count %d", data, len(env.Result.Schedule), env.Result.MoveCount)
+			}
+			again, err := AppendPeerResponse(nil, env, EnvelopePacked)
+			if err != nil {
+				t.Fatalf("%q: decoded envelope does not re-encode: %v", data, err)
+			}
+			back, err := DecodePeerResponse(ct, again)
+			if err != nil || !reflect.DeepEqual(back, env) {
+				t.Fatalf("%q: re-encoded as %q, decodes to %+v, %v", data, again, back, err)
+			}
+		}
 	})
 }
 

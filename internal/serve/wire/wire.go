@@ -456,7 +456,8 @@ type PeerScheduleRequest struct {
 	TraceParent string `json:"-"`
 }
 
-// PeerScheduleResponse is the 200 body of POST /v1/peer/schedule. When
+// PeerScheduleResponse is the 200 body of POST /v1/peer/schedule, as a
+// packed frame or as JSON (AppendPeerResponse). When
 // the forwarder propagated trace context, Trace carries the owner's
 // span subtree for the forwarder to graft under its peer.fill span, so
 // GET /v1/trace/{id} on the forwarder shows the complete cross-replica
