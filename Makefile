@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-fault bench-smoke bench-e2e-smoke bench-json bench-json-quick serve-check obs-check metrics-lint patch-check cluster-check cdag-check soak-smoke fuzz-smoke bench-overload bench-cluster bench-anytime staticcheck check
+.PHONY: all build vet test race race-fault bench-smoke bench-e2e-smoke bench-ab serve-check obs-check metrics-lint patch-check cluster-check cdag-check soak-smoke fuzz-smoke staticcheck check
 
 all: check
 
@@ -38,13 +38,31 @@ bench-e2e-smoke:
 	out="$$(mktemp -d)"; bash cmd/wrbpgbench/run.sh --workload all --quick --out "$$out/r.json"; \
 		rc=$$?; rm -rf "$$out"; exit $$rc
 
-# Writes the perf-regression report (see docs/PERFORMANCE.md).
-bench-json:
-	$(GO) run ./cmd/experiments -bench-json BENCH_6.json
+# Paired A/B runs of the end-to-end benchmark against revision BASE:
+#
+#   make bench-ab BASE=<rev> WORKLOAD=<name> [PAIRS=10] [SECONDS=15]
+#
+# BASE is extracted with git archive into a temporary directory. Each
+# side builds its own cmd/wrbpgbench into its own temporary build
+# directory and runs seeds 1..PAIRS, the side that runs first
+# alternating pair by pair; compare then prints the paired verdicts
+# (docs/PERFORMANCE.md). Nothing is written inside the checkout.
+PAIRS ?= 10
+SECONDS ?= 15
 
-# One-iteration perf smoke artifact for CI (not a comparable baseline).
-bench-json-quick:
-	$(GO) run ./cmd/experiments -bench-json BENCH_6.json -bench-quick
+bench-ab:
+	@if [ -z "$(BASE)" ] || [ -z "$(WORKLOAD)" ]; then \
+		echo "usage: make bench-ab BASE=<rev> WORKLOAD=<name> [PAIRS=10] [SECONDS=15]" >&2; exit 2; fi
+	@set -e; rev="$$(git rev-parse --verify "$(BASE)^{commit}")"; \
+	tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base"; git archive "$$rev" | tar -x -C "$$tmp/base"; \
+	run() { (cd "$$2" && CARGO_TARGET_DIR="$$tmp/$$1-build" bash cmd/wrbpgbench/run.sh \
+		--workload "$(WORKLOAD)" --seed "$$3" --seconds "$(SECONDS)" --trace 0 --out "$$tmp/$$1-$$3.json"); }; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then run base "$$tmp/base" $$i; run head . $$i; \
+		else run head . $$i; run base "$$tmp/base" $$i; fi; \
+	done; \
+	CARGO_TARGET_DIR="$$tmp/head-build" bash cmd/wrbpgbench/run.sh compare "$$tmp"/base-*.json -- "$$tmp"/head-*.json
 
 # Boots the wrbpgd daemon on a random port and exercises every endpoint
 # end to end, including graceful SIGTERM shutdown (docs/SERVICE.md).
@@ -117,30 +135,6 @@ cdag-check:
 	$(GO) test -race -v -run TestRosterAcceptance ./internal/anytime/
 	$(GO) test -race ./internal/anytime/ ./internal/cdag/
 	$(GO) test -race -run 'CDAG|GraphSpec|Canonical' ./internal/serve/ ./internal/serve/wire/
-
-# The BENCH_7 overload run: measure capacity closed-loop, then offer 4x
-# that rate open-loop for 10s. Acceptance: nothing but 200s and 429s
-# (docs/PERFORMANCE.md §overload).
-bench-overload:
-	$(GO) run ./cmd/wrbpgload -inproc -workers 4 -probe 3s -overload 4 \
-		-duration 10s -timeout 300ms -assert-no-5xx -out BENCH_7.json
-
-# The BENCH_8 cluster run: a 3-replica in-process fleet on a fixed
-# hot-key roster, then a 5s kill-one soak. Acceptance: fleet duplicate
-# cold solves near zero (cross-replica singleflight) and zero 5xx while
-# a replica drains and dies (docs/CLUSTER.md).
-bench-cluster:
-	$(GO) run ./cmd/wrbpgload -inproc-replicas 3 -workers 4 -duration 10s \
-		-timeout 400ms -hot-budgets 4 -kill-soak 5s -assert-no-5xx \
-		-max-duplicates 10 -out BENCH_8.json
-
-# The BENCH_9 anytime run: the fixed 20-graph CDAG roster at the 50 ms
-# acceptance slice — expansion rate, pruning ratio, time-to-beat-
-# baseline, and the 1-vs-GOMAXPROCS time-to-match speedup kernel
-# (docs/PERFORMANCE.md §anytime). On a single-CPU host the speedup
-# kernel's ceiling is parity; the report says so in speedup_note.
-bench-anytime:
-	$(GO) run ./cmd/experiments -anytime-json BENCH_9.json
 
 # Runs staticcheck when it is installed; skips (successfully) when not,
 # so the gate works in minimal containers. CI installs it explicitly.

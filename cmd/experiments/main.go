@@ -3,14 +3,10 @@
 //
 // Usage:
 //
-//	experiments [-table1] [-fig5] [-fig6] [-fig7] [-fig8] [-dse] [-all] [-short] [-bench-json FILE] [-bench-quick] [-anytime-json FILE]
+//	experiments [-table1] [-fig5] [-fig6] [-fig7] [-fig8] [-dse] [-all] [-short] [-timeout D]
 //
-// With no flags, -all is assumed. -short reduces the Figure 5/6
-// sweep sizes for quick runs. -bench-json runs the hot-path
-// perf-regression suite and writes a BENCH_*.json report; alone it
-// skips the figures. -bench-quick runs each kernel once (CI smoke).
-// -anytime-json runs the general-DAG anytime roster suite (the
-// BENCH_9 report); alone it likewise skips the figures.
+// With no figure selected, -all is assumed. -short reduces the Figure
+// 5/6 sweep sizes for quick runs.
 package main
 
 import (
@@ -21,7 +17,6 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"time"
 
 	"wrbpg/internal/bench"
 	"wrbpg/internal/cdag"
@@ -42,10 +37,6 @@ var (
 	flagDSE    = flag.Bool("dse", false, "print the mixed-precision design-space exploration")
 	flagAll    = flag.Bool("all", false, "print everything")
 	flagShort  = flag.Bool("short", false, "reduced sweeps for quick runs")
-	flagBench  = flag.String("bench-json", "", "run the perf-regression suite and write BENCH JSON to `file` ('-' for stdout)")
-	flagQuick  = flag.Bool("bench-quick", false, "with -bench-json: run each kernel once (CI smoke artifact, not a baseline)")
-	flagAny    = flag.String("anytime-json", "", "run the general-DAG anytime roster suite and write BENCH JSON to `file` ('-' for stdout)")
-	flagAnyW   = flag.Int("anytime-workers", 0, "with -anytime-json: parallel search width (0 = GOMAXPROCS)")
 	flagTime   = flag.Duration("timeout", 0, "wall-clock limit for the whole run (0 = none)")
 )
 
@@ -91,18 +82,6 @@ func main() {
 		defer cancel()
 	}
 	runCtx = ctx
-	if *flagBench != "" {
-		benchJSON(*flagBench)
-		if *flagAny == "" && !*flagTable1 && !*flagFig5 && !*flagFig6 && !*flagFig7 && !*flagFig8 && !*flagDSE && !*flagAll {
-			return
-		}
-	}
-	if *flagAny != "" {
-		anytimeJSON(*flagAny)
-		if !*flagTable1 && !*flagFig5 && !*flagFig6 && !*flagFig7 && !*flagFig8 && !*flagDSE && !*flagAll {
-			return
-		}
-	}
 	if !*flagTable1 && !*flagFig5 && !*flagFig6 && !*flagFig7 && !*flagFig8 && !*flagDSE {
 		*flagAll = true
 	}
@@ -160,64 +139,6 @@ func dse2() {
 		"Precision", "MinMem(bits)", "Synth(bits)", "I/O(bits)", "Area(λ²)", "Energy(nJ)", "AvgPwr(mW)",
 	}, out))
 	fmt.Println("\n  * = on the precision-vs-energy Pareto frontier")
-}
-
-// benchJSON runs the hot-path perf suite and writes the report; the
-// output feeds the BENCH_*.json regression history (see
-// docs/PERFORMANCE.md). With -bench-quick each kernel runs once —
-// a smoke artifact for CI, not a comparable baseline.
-func benchJSON(path string) {
-	run := bench.RunPerfSuite
-	if *flagQuick {
-		run = bench.RunPerfSuiteQuick
-	}
-	rep, err := run()
-	if err != nil {
-		fatal(err)
-	}
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := rep.WriteJSON(out); err != nil {
-		fatal(err)
-	}
-	if path != "-" {
-		logger.Info("wrote perf report", "path", path)
-	}
-}
-
-// anytimeJSON runs the general-DAG anytime suite — the fixed 20-graph
-// roster at the acceptance slice of 50 ms — and writes the BENCH_9
-// report: expansion rate, pruning ratio, time-to-beat-baseline, and
-// the 1-vs-GOMAXPROCS time-to-match speedup (docs/PERFORMANCE.md).
-func anytimeJSON(path string) {
-	rep, err := bench.RunAnytimeSuiteWith(20, 50*time.Millisecond, *flagAnyW)
-	if err != nil {
-		fatal(err)
-	}
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := rep.WriteJSON(out); err != nil {
-		fatal(err)
-	}
-	if path != "-" {
-		logger.Info("wrote anytime report", "path", path,
-			"beat_baseline", rep.BeatBaseline, "graphs", len(rep.Graphs),
-			"total_parallel_speedup", rep.TotalParallelSpeedup)
-	}
 }
 
 func header(s string) {

@@ -5,7 +5,7 @@
 // topology a real deployment reaches with N wrbpgd processes behind a
 // balancer, compressed into one process so CI can run it.
 //
-// The fleet exposes the two measurements BENCH_8 is built on:
+// The fleet exposes the two measurements cluster-check gates on:
 //
 //   - duplicate cold solves: Σ over replicas of solver invocations on
 //     the /v1/schedule path, minus the distinct schedule keys the

@@ -4,10 +4,10 @@
 // measurement) or open loop (overload probing), and writes a JSON
 // report of status mix, shed rate and latency percentiles.
 //
-// The two-phase overload run behind docs/PERFORMANCE.md's BENCH_7:
+// The two-phase overload run (docs/ROBUSTNESS.md §chaos):
 //
 //	wrbpgload -inproc -workers 4 -probe 3s -overload 4 -duration 10s \
-//	          -assert-no-5xx -out BENCH_7.json
+//	          -assert-no-5xx
 //
 // measures capacity closed-loop first, then offers 4× that rate open
 // loop: the acceptance criterion is nothing but 200s and 429s.

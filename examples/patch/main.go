@@ -9,7 +9,7 @@
 // the rest warm. A single-channel precision change on a 64-input DWT
 // re-solves in a small fraction of the cold time while answering
 // bit-identically (the property tests in internal/solve and the
-// BENCH_6.json kernels pin both claims).
+// *PatchResolve perf kernels in internal/bench pin both claims).
 //
 // The same engine backs `wrbpg schedule -json -patch FILE` and the
 // wrbpgd endpoint POST /v1/schedule/patch (docs/SERVICE.md).

@@ -62,7 +62,7 @@ type Options struct {
 	Workers int
 	// TargetCost, when positive, stops the search as soon as the
 	// incumbent reaches it — the "time to match a reference cost"
-	// mode of the BENCH_9 speedup kernels.
+	// mode BenchmarkTimeToMatch times.
 	TargetCost cdag.Weight
 }
 

@@ -9,6 +9,7 @@ package anytime
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -21,8 +22,8 @@ import (
 	"wrbpg/internal/par"
 )
 
-// roster returns the fixed random-CDAG roster shared with the
-// cdag-check gate and BENCH_9: count graphs, 15–60 nodes, seeded.
+// roster returns the fixed random-CDAG roster of the cdag-check gate
+// and BenchmarkTimeToMatch: count graphs, 15–60 nodes, seeded.
 func roster(count int) []*cdag.Graph {
 	out := make([]*cdag.Graph, count)
 	for i := range out {
@@ -190,7 +191,7 @@ func TestSearchFaultInjectedWorkers(t *testing.T) {
 }
 
 // TestSearchTargetCost stops at a reference cost without claiming
-// completeness — the BENCH_9 time-to-match mode.
+// completeness — the mode BenchmarkTimeToMatch times.
 func TestSearchTargetCost(t *testing.T) {
 	g := cdag.Random(99, 30)
 	b := budgetFor(g)
@@ -225,8 +226,7 @@ func TestRosterAcceptance(t *testing.T) {
 	}
 	const graphs = 20
 	better := 0
-	for i := 0; i < graphs; i++ {
-		g := cdag.Random(int64(1000+i), 15+(i*45)/(graphs-1))
+	for i, g := range roster(graphs) {
 		b := budgetFor(g)
 		lbl, err := baseline.LayerByLayer(g, DepthLayers(g), b)
 		if err != nil {
@@ -241,6 +241,9 @@ func TestRosterAcceptance(t *testing.T) {
 		if _, err := core.Simulate(g, b, res.Schedule); err != nil {
 			t.Fatalf("graph %d: invalid schedule: %v", i, err)
 		}
+		if res.Cost < res.LowerBound {
+			t.Fatalf("graph %d: cost %d below Proposition 2.4 bound %d", i, res.Cost, res.LowerBound)
+		}
 		if res.Cost > lc {
 			t.Fatalf("graph %d: anytime %d worse than layer-by-layer %d", i, res.Cost, lc)
 		}
@@ -251,6 +254,46 @@ func TestRosterAcceptance(t *testing.T) {
 	if better*2 < graphs {
 		t.Fatalf("anytime strictly beat the baseline on only %d/%d graphs (want ≥ half)",
 			better, graphs)
+	}
+}
+
+// BenchmarkTimeToMatch is the 1-vs-N time-to-match kernel on the
+// 20-graph roster. A 1-worker search at the 50 ms acceptance slice
+// fixes each graph's target cost; each sub-benchmark then times
+// Search with Options.TargetCost set to that target at its width, so
+// one op is the whole roster and the ratio of the two ns/op is the
+// duration-weighted parallel speedup. With GOMAXPROCS 1 only the
+// workers=1 sub-benchmark runs: N workers there time-slice one core.
+func BenchmarkTimeToMatch(b *testing.B) {
+	ctx := context.Background()
+	graphs := roster(20)
+	targets := make([]cdag.Weight, len(graphs))
+	for i, g := range graphs {
+		ref, err := Search(ctx, g, budgetFor(g), guard.Limits{Deadline: 50 * time.Millisecond}, Options{Workers: 1})
+		if err != nil {
+			b.Fatalf("graph %d: %v", i, err)
+		}
+		targets[i] = ref.Cost
+	}
+	widths := []int{1}
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		widths = append(widths, n)
+	}
+	for _, w := range widths {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			for n := 0; n < b.N; n++ {
+				for i, g := range graphs {
+					res, err := Search(ctx, g, budgetFor(g), guard.Limits{Deadline: time.Second},
+						Options{Workers: w, TargetCost: targets[i]})
+					if err != nil {
+						b.Fatalf("graph %d: %v", i, err)
+					}
+					if res.Cost > targets[i] {
+						b.Fatalf("graph %d: stopped at %d above target %d", i, res.Cost, targets[i])
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -2,12 +2,8 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"runtime"
 	"testing"
-	"time"
 
 	"wrbpg/internal/cdag"
 	"wrbpg/internal/core"
@@ -22,32 +18,8 @@ import (
 	"wrbpg/internal/solve"
 )
 
-// PerfResult is one kernel's measurement, comparable across commits:
-// ns/op plus the allocator counters that the DP hot paths are
-// expected to keep at zero on memo hits.
-type PerfResult struct {
-	Name string `json:"name"`
-	// Layer is the request layer the kernel times, when it times one.
-	Layer       string  `json:"layer,omitempty"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-// PerfReport is the BENCH_*.json document emitted by
-// cmd/experiments -bench-json: environment metadata plus one
-// PerfResult per hot-path kernel.
-type PerfReport struct {
-	GoOS       string       `json:"goos"`
-	GoArch     string       `json:"goarch"`
-	NumCPU     int          `json:"num_cpu"`
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	Results    []PerfResult `json:"results"`
-}
-
-// perfKernel is one entry of the regression suite. setup runs outside
-// the timed region and returns the per-iteration body.
+// perfKernel is one hot-path kernel. setup runs outside the timed
+// region and returns the per-iteration body.
 type perfKernel struct {
 	name  string
 	setup func() (func() error, error)
@@ -560,20 +532,24 @@ func perfKernels() []perfKernel {
 	}
 }
 
-// kernelLayers names the request layer a kernel times, in the per-layer
-// vocabulary of cmd/wrbpgbench's traced run; untagged kernels time
-// solver internals below any one layer.
-var kernelLayers = map[string]string{
-	"ColdBuildDWT":              "solve.build",
-	"ColdBuildKTree":            "solve.build",
-	"ColdBuildMVM":              "solve.build",
-	"ColdSolveMVM":              "solve.optimal",
-	"SchedcacheHit":             "schedcache.probe",
-	"SchedcacheMissKey":         "schedcache.probe",
-	"ServeSweepWarm":            "session.sweep",
-	"ServePatchWarm":            "session.patch",
-	"PeerEnvelopeRoundTrip":     "cluster.peer_fill",
-	"PeerEnvelopeRoundTripJSON": "cluster.peer_fill",
+// BenchmarkKernels runs every perf kernel as a sub-benchmark of its
+// own name; one kernel alone is -bench 'Kernels/<name>$'.
+func BenchmarkKernels(b *testing.B) {
+	for _, k := range perfKernels() {
+		b.Run(k.name, func(b *testing.B) {
+			body, err := k.setup()
+			if err != nil {
+				b.Fatalf("setup: %v", err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := body(); err != nil {
+					b.Fatalf("kernel body: %v", err)
+				}
+			}
+		})
+	}
 }
 
 // coldBuild returns the setup of a kernel that builds in from
@@ -642,83 +618,4 @@ func peerEnvelopeRoundTrip(form string) func() (func() error, error) {
 			return nil
 		}, nil
 	}
-}
-
-// RunPerfSuite measures every kernel with testing.Benchmark and
-// returns the report. It is callable from a plain binary — the
-// standard benchmark machinery does not require a test context.
-func RunPerfSuite() (PerfReport, error) {
-	rep := PerfReport{
-		GoOS:       runtime.GOOS,
-		GoArch:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-	for _, k := range perfKernels() {
-		body, err := k.setup()
-		if err != nil {
-			return rep, fmt.Errorf("bench: perf kernel %s: %w", k.name, err)
-		}
-		var runErr error
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := body(); err != nil {
-					runErr = err
-					b.Fatalf("bench: perf kernel %s: %v", k.name, err)
-				}
-			}
-		})
-		if runErr != nil {
-			return rep, fmt.Errorf("bench: perf kernel %s: %w", k.name, runErr)
-		}
-		rep.Results = append(rep.Results, PerfResult{
-			Name:        k.name,
-			Layer:       kernelLayers[k.name],
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		})
-	}
-	return rep, nil
-}
-
-// RunPerfSuiteQuick runs every kernel body exactly once and reports
-// wall-clock-only results (Iterations=1, no allocator counters). It is
-// the CI smoke mode: it proves each kernel still sets up and runs, and
-// produces a BENCH_*.json artifact in seconds, without the statistical
-// weight of RunPerfSuite. Quick reports are not comparable baselines.
-func RunPerfSuiteQuick() (PerfReport, error) {
-	rep := PerfReport{
-		GoOS:       runtime.GOOS,
-		GoArch:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-	for _, k := range perfKernels() {
-		body, err := k.setup()
-		if err != nil {
-			return rep, fmt.Errorf("bench: perf kernel %s: %w", k.name, err)
-		}
-		start := time.Now()
-		if err := body(); err != nil {
-			return rep, fmt.Errorf("bench: perf kernel %s: %w", k.name, err)
-		}
-		rep.Results = append(rep.Results, PerfResult{
-			Name:       k.name,
-			Layer:      kernelLayers[k.name],
-			Iterations: 1,
-			NsPerOp:    float64(time.Since(start).Nanoseconds()),
-		})
-	}
-	return rep, nil
-}
-
-// WriteJSON emits the report as indented JSON (the BENCH_*.json
-// format; see docs/PERFORMANCE.md for the benchstat workflow).
-func (r PerfReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

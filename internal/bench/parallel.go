@@ -20,15 +20,10 @@ import (
 // par.MapCtx; the first error aborts the sweep (jobs not yet started
 // are skipped) and is returned after all workers drain.
 
-// Fig6DWTParallel is Fig6DWT fanned out across cores; results are
-// identical (the computation is deterministic per problem size).
-func Fig6DWTParallel(cfg wcfg.Config, maxN, workers int) ([]Fig6DWTRow, error) {
-	return Fig6DWTParallelCtx(context.Background(), cfg, maxN, workers)
-}
-
-// Fig6DWTParallelCtx is Fig6DWTParallel under a cancellation context:
-// once ctx dies no further problem size is dispatched and the typed
-// reason (guard.ErrCanceled / guard.ErrDeadline) is returned.
+// Fig6DWTParallelCtx is Fig6DWT fanned out across cores; results are
+// identical (the computation is deterministic per problem size). Once
+// ctx dies no further problem size is dispatched and the typed reason
+// (guard.ErrCanceled / guard.ErrDeadline) is returned.
 func Fig6DWTParallelCtx(ctx context.Context, cfg wcfg.Config, maxN, workers int) ([]Fig6DWTRow, error) {
 	var sizes []int
 	for n := 2; n <= maxN; n += 2 {
@@ -39,12 +34,8 @@ func Fig6DWTParallelCtx(ctx context.Context, cfg wcfg.Config, maxN, workers int)
 	})
 }
 
-// Fig6MVMParallel is Fig6MVM fanned out across cores.
-func Fig6MVMParallel(cfg wcfg.Config, m, maxN, workers int) ([]Fig6MVMRow, error) {
-	return Fig6MVMParallelCtx(context.Background(), cfg, m, maxN, workers)
-}
-
-// Fig6MVMParallelCtx is Fig6MVMParallel under a cancellation context.
+// Fig6MVMParallelCtx is Fig6MVM fanned out across cores, under ctx
+// like Fig6DWTParallelCtx.
 func Fig6MVMParallelCtx(ctx context.Context, cfg wcfg.Config, m, maxN, workers int) ([]Fig6MVMRow, error) {
 	var sizes []int
 	for n := 1; n <= maxN; n++ {
@@ -55,19 +46,13 @@ func Fig6MVMParallelCtx(ctx context.Context, cfg wcfg.Config, m, maxN, workers i
 	})
 }
 
-// Fig5DWTParallel is Fig5DWT with the budget axis split into
+// Fig5DWTParallelCtx is Fig5DWT with the budget axis split into
 // contiguous chunks, one dwt.Scheduler per chunk. The scheduler's
 // memo is not safe for concurrent use, so budgets cannot share one
 // instance; chunking keeps the within-chunk memo reuse (adjacent
 // budgets solve overlapping subproblems) while still fanning out.
-// Results are identical to Fig5DWT.
-func Fig5DWTParallel(cfg wcfg.Config, n, d int, budgets []cdag.Weight, workers int) ([]Fig5DWTRow, error) {
-	return Fig5DWTParallelCtx(context.Background(), cfg, n, d, budgets, workers)
-}
-
-// Fig5DWTParallelCtx is Fig5DWTParallel under a cancellation context:
-// once ctx dies no further budget chunk is dispatched and the typed
-// reason (guard.ErrCanceled / guard.ErrDeadline) is returned.
+// Results are identical to Fig5DWT. Once ctx dies no further budget
+// chunk is dispatched and the typed reason is returned.
 func Fig5DWTParallelCtx(ctx context.Context, cfg wcfg.Config, n, d int, budgets []cdag.Weight, workers int) ([]Fig5DWTRow, error) {
 	g, err := dwt.Build(n, d, dwt.ConfigWeights(cfg))
 	if err != nil {
@@ -111,14 +96,9 @@ func Fig5DWTParallelCtx(ctx context.Context, cfg wcfg.Config, n, d int, budgets 
 	return rows, nil
 }
 
-// Fig5MVMParallel is Fig5MVM with the budget axis fanned out per
-// point; mvm cost prediction is closed-form and stateless, so budgets
-// share the graph safely. Results are identical to Fig5MVM.
-func Fig5MVMParallel(cfg wcfg.Config, m, n int, budgets []cdag.Weight, workers int) ([]Fig5MVMRow, error) {
-	return Fig5MVMParallelCtx(context.Background(), cfg, m, n, budgets, workers)
-}
-
-// Fig5MVMParallelCtx is Fig5MVMParallel under a cancellation context.
+// Fig5MVMParallelCtx is Fig5MVM with the budget axis fanned out per
+// point, under ctx; mvm cost prediction is closed-form and stateless,
+// so budgets share the graph safely. Results are identical to Fig5MVM.
 func Fig5MVMParallelCtx(ctx context.Context, cfg wcfg.Config, m, n int, budgets []cdag.Weight, workers int) ([]Fig5MVMRow, error) {
 	g, err := mvm.Build(m, n, cfg)
 	if err != nil {

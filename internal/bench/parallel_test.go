@@ -1,16 +1,20 @@
 package bench
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestParallelSweepsMatchSequential: the parallel Figure 6 harness
 // returns exactly the sequential rows.
 func TestParallelSweepsMatchSequential(t *testing.T) {
+	ctx := context.Background()
 	cfg := Configs()[0]
 	seq, err := Fig6DWT(cfg, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Fig6DWTParallel(cfg, 32, 4)
+	par, err := Fig6DWTParallelCtx(ctx, cfg, 32, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +30,7 @@ func TestParallelSweepsMatchSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parM, err := Fig6MVMParallel(cfg, 12, 20, 4)
+	parM, err := Fig6MVMParallelCtx(ctx, cfg, 12, 20, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,6 +45,7 @@ func TestParallelSweepsMatchSequential(t *testing.T) {
 // of Figure 5 return exactly the sequential rows, for several worker
 // counts (including more workers than budgets).
 func TestFig5ParallelMatchesSequential(t *testing.T) {
+	ctx := context.Background()
 	cfg := Configs()[0]
 	seqD, err := Fig5DWT(cfg, 32, 5, nil)
 	if err != nil {
@@ -51,7 +56,7 @@ func TestFig5ParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 3, 64} {
-		parD, err := Fig5DWTParallel(cfg, 32, 5, nil, w)
+		parD, err := Fig5DWTParallelCtx(ctx, cfg, 32, 5, nil, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +68,7 @@ func TestFig5ParallelMatchesSequential(t *testing.T) {
 				t.Fatalf("workers=%d: DWT row %d differs: %+v vs %+v", w, i, seqD[i], parD[i])
 			}
 		}
-		parM, err := Fig5MVMParallel(cfg, 12, 16, nil, w)
+		parM, err := Fig5MVMParallelCtx(ctx, cfg, 12, 16, nil, w)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,6 @@
 // Seeded random CDAG generation: the fixture source for the anytime
 // scheduler's property tests, the cdag-check end-to-end gate, and the
-// BENCH_9 roster. Determinism matters more than realism here — the
+// anytime time-to-match benchmark's roster. Determinism matters more than realism here — the
 // same seed must describe the same graph in every process so the
 // acceptance numbers are reproducible — but the shape is tuned to look
 // like real dataflow: a few wide source layers, fan-in biased to

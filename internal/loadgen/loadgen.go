@@ -125,7 +125,7 @@ type Config struct {
 }
 
 // Result is the aggregated outcome of a run, JSON-shaped for
-// BENCH_7.json.
+// wrbpgload's -out report.
 type Result struct {
 	Mode        string  `json:"mode"` // "closed" or "open"
 	Workers     int     `json:"workers,omitempty"`

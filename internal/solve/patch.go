@@ -5,7 +5,8 @@
 // scheduler's dependency-tracked invalidation (dwt cone walk, ktree /
 // memstate root chains), and leaving every untouched memo cell warm —
 // so the next query re-solves a single-node change in a small fraction
-// of a cold solve (BENCH_6.json, docs/PERFORMANCE.md §incremental).
+// of a cold solve (the *PatchResolve perf kernels, docs/PERFORMANCE.md
+// §incremental).
 //
 // Budget changes need no patching at all: the budget-interval memos
 // absorb them (a new budget is just another query point). Only weight

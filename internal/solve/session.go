@@ -3,7 +3,8 @@
 // memo) and answers repeated budget queries against it: the DP
 // recurrences share all sub-budget cells across budget queries, so a
 // sweep over k budgets costs roughly one cold solve at the largest
-// budget instead of k cold solves (BENCH_4.json, docs/PERFORMANCE.md).
+// budget instead of k cold solves (the *Sweep16Cold perf kernels,
+// docs/PERFORMANCE.md).
 //
 // Sessions trade Run's goroutine isolation for warm state: queries run
 // cooperatively on the caller's goroutine under guard checkpoints, with
