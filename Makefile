@@ -112,17 +112,21 @@ soak-smoke:
 		-slo-p99 5s -slo-availability 0.9
 
 # Short fuzz pass over the wire request decoders: malformed bodies must
-# surface as structured 400s, never panics. FuzzPeerResponse does the
-# same for a forwarder decoding a peer's answer in either envelope. The
-# core targets check the schedule JSON codec against the reflective
-# encoder and decoder, and the packed codec for round trips and bounded
-# decoding. One -fuzz per invocation (a go test restriction).
+# surface as structured 400s, never panics, and a body the one-pass
+# scanner reads must decode to the same value through encoding/json.
+# FuzzPeerResponse does the same for a forwarder decoding a peer's
+# answer in either envelope, and FuzzResponseJSON holds the response
+# appenders to encoding/json's indented bytes. The core targets check
+# the schedule JSON codec against the reflective encoder and decoder,
+# and the packed codec for round trips and bounded decoding. One -fuzz
+# per invocation (a go test restriction).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzScheduleRequest -fuzztime=10s -run '^$$' ./internal/serve/wire/
 	$(GO) test -fuzz=FuzzCDAGRequest -fuzztime=10s -run '^$$' ./internal/serve/wire/
 	$(GO) test -fuzz=FuzzPatchRequest -fuzztime=10s -run '^$$' ./internal/serve/wire/
 	$(GO) test -fuzz=FuzzPeerRequest -fuzztime=10s -run '^$$' ./internal/serve/wire/
 	$(GO) test -fuzz=FuzzPeerResponse -fuzztime=10s -run '^$$' ./internal/serve/wire/
+	$(GO) test -fuzz=FuzzResponseJSON -fuzztime=10s -run '^$$' ./internal/serve/wire/
 	$(GO) test -fuzz=FuzzScheduleJSON -fuzztime=10s -run '^$$' ./internal/core/
 	$(GO) test -fuzz=FuzzScheduleBinary -fuzztime=10s -run '^$$' ./internal/core/
 

@@ -2,7 +2,9 @@ package bench
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"wrbpg/internal/cdag"
@@ -514,6 +516,55 @@ func perfKernels() []perfKernel {
 		// envelope older forwarders get.
 		{"PeerEnvelopeRoundTrip", peerEnvelopeRoundTrip(wire.EnvelopePacked)},
 		{"PeerEnvelopeRoundTripJSON", peerEnvelopeRoundTrip(wire.EnvelopeJSON)},
+		// The wire layers of a schedule request, on the bodies wrbpgbench
+		// sends: a parametric hot-cache key, a hot-cache graph as a
+		// 20-node raw spec, and a 48-node cdag-anytime graph in the
+		// interchange form, each decoded as the server decodes a body;
+		// then a cache hit's response and an 8-budget sweep's, encoded as
+		// the server writes them.
+		{"WireDecodeParam", wireDecode(func() ([]byte, error) {
+			return []byte(`{"family":"dwt","n":32,"d":4,"budget_bits":1400}`), nil
+		})},
+		{"WireDecodeSpec20", wireDecode(func() ([]byte, error) { return specBody(cdag.Random(20, 20)) })},
+		{"WireDecodeGraph48", wireDecode(func() ([]byte, error) {
+			g := cdag.Random(48, 48)
+			return json.Marshal(benchBody{Family: solve.FamilyCDAG, BudgetBits: int64(core.MinExistenceBudget(g)) * 3 / 2, Graph: g, TimeoutMS: 30})
+		})},
+		{"WireEncodeHit", func() (func() error, error) {
+			in := solve.Instance{Family: solve.FamilyMVM, M: 6, N: 8, Cfg: Configs()[0]}
+			p, g, err := in.Build()
+			if err != nil {
+				return nil, err
+			}
+			out, err := solve.Run(context.Background(), p, core.MinExistenceBudget(g)*3/2, guard.Limits{})
+			if err != nil {
+				return nil, err
+			}
+			res := wire.NewScheduleResult(in.Label(), out, core.LowerBound(g), true)
+			res.Cost = &wire.CostMeta{SourceTier: wire.TierSolve, SolveWallUS: 180, MemoMisses: 412}
+			st := wire.Stamp{Cache: "hit", CacheKey: in.Key(int64(out.Budget)), ElapsedUS: 9,
+				Cost: &wire.CostMeta{SourceTier: wire.TierCache}}
+			var buf []byte
+			return func() error {
+				buf = res.AppendStamped(buf[:0], &st)
+				return nil
+			}, nil
+		}},
+		{"WireEncodeSweep8", func() (func() error, error) {
+			resp := &wire.PatchResponse{Workload: "KTree(k=4,h=3)", BaseKey: strings.Repeat("5e", 32),
+				PatchKey: strings.Repeat("a7", 32), LowerBoundBits: 1344, MinExistenceBits: 208,
+				Session: "hit", CellsReused: 96, ElapsedUS: 41,
+				Cost: &wire.CostMeta{SourceTier: wire.TierSession, SolveWallUS: 12, MemoHits: 88}}
+			for b := int64(0); b < 8; b++ {
+				resp.Items = append(resp.Items, wire.SweepItem{BudgetBits: 208 + 64*b, CostBits: 2400 - 130*b, Feasible: true})
+			}
+			resp.Succeeded = len(resp.Items)
+			var buf []byte
+			return func() error {
+				buf = resp.AppendJSON(buf[:0])
+				return nil
+			}, nil
+		}},
 		{"SchedcacheMissKey", func() (func() error, error) {
 			cfg := Configs()[0]
 			in := solve.Instance{Family: solve.FamilyDWT, N: 64, D: 6, Cfg: cfg}
@@ -618,4 +669,44 @@ func peerEnvelopeRoundTrip(form string) func() (func() error, error) {
 			return nil
 		}, nil
 	}
+}
+
+// wireDecode is the setup of a kernel that decodes the request body
+// body builds, as the server's handlers decode one.
+func wireDecode(body func() ([]byte, error)) func() (func() error, error) {
+	return func() (func() error, error) {
+		b, err := body()
+		if err != nil {
+			return nil, err
+		}
+		return func() error {
+			var req wire.ScheduleRequest
+			return wire.DecodeRequest(b, &req)
+		}, nil
+	}
+}
+
+// benchBody is a schedule request body as wrbpgbench encodes one: its
+// optional fields are left out, weights included.
+type benchBody struct {
+	Family     string          `json:"family"`
+	BudgetBits int64           `json:"budget_bits"`
+	Graph      *cdag.Graph     `json:"graph,omitempty"`
+	CDAG       *wire.GraphSpec `json:"cdag,omitempty"`
+	TimeoutMS  int64           `json:"timeout_ms,omitempty"`
+}
+
+// specBody submits g in the raw node/edge form with node names of its
+// own, as hot-cache submits its graphs.
+func specBody(g *cdag.Graph) ([]byte, error) {
+	spec := &wire.GraphSpec{Nodes: make([]wire.GraphNode, g.Len())}
+	for v := range spec.Nodes {
+		id := cdag.NodeID(v)
+		nd := wire.GraphNode{Name: fmt.Sprintf("t%d", 700000+v), WeightBits: g.Weight(id)}
+		for _, p := range g.Parents(id) {
+			nd.Deps = append(nd.Deps, fmt.Sprintf("t%d", 700000+p))
+		}
+		spec.Nodes[v] = nd
+	}
+	return json.Marshal(benchBody{Family: solve.FamilyCDAG, BudgetBits: int64(core.MinExistenceBudget(g)) * 3 / 2, CDAG: spec})
 }

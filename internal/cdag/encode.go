@@ -11,24 +11,25 @@ import (
 // together (see core.Manifest). This file provides a stable JSON
 // interchange form.
 
-// nodeJSON is the wire form of one node.
-type nodeJSON struct {
+// InterchangeNode is the wire form of one node: its weight, its
+// display name and the IDs of its parents, all earlier in the list.
+type InterchangeNode struct {
 	Weight  Weight   `json:"w"`
 	Name    string   `json:"name,omitempty"`
 	Parents []NodeID `json:"parents,omitempty"`
 }
 
 type graphJSON struct {
-	Nodes []nodeJSON `json:"nodes"`
+	Nodes []InterchangeNode `json:"nodes"`
 }
 
 // MarshalJSON encodes the graph as a node list in topological
 // (insertion) order.
 func (g *Graph) MarshalJSON() ([]byte, error) {
-	nodes := make([]nodeJSON, g.Len())
+	nodes := make([]InterchangeNode, g.Len())
 	for v := 0; v < g.Len(); v++ {
 		id := NodeID(v)
-		nodes[v] = nodeJSON{Weight: g.Weight(id), Name: g.Name(id), Parents: g.Parents(id)}
+		nodes[v] = InterchangeNode{Weight: g.Weight(id), Name: g.Name(id), Parents: g.Parents(id)}
 	}
 	return json.Marshal(graphJSON{Nodes: nodes})
 }
@@ -40,25 +41,37 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return err
 	}
+	fresh, err := FromInterchange(raw.Nodes)
+	if err != nil {
+		return err
+	}
+	*g = *fresh
+	return nil
+}
+
+// FromInterchange builds the graph an interchange node list describes,
+// with the checks UnmarshalJSON makes: every weight positive, every
+// parent an earlier node. Decoders that parse the list themselves call
+// it, so a graph is accepted or refused the same way on every path.
+func FromInterchange(nodes []InterchangeNode) (*Graph, error) {
 	edges := 0
-	for _, n := range raw.Nodes {
+	for _, n := range nodes {
 		edges += len(n.Parents)
 	}
-	fresh := Graph{}
-	fresh.Reserve(len(raw.Nodes), edges)
-	for i, n := range raw.Nodes {
+	g := &Graph{}
+	g.Reserve(len(nodes), edges)
+	for i, n := range nodes {
 		if n.Weight <= 0 {
-			return fmt.Errorf("cdag: node %d has non-positive weight %d", i, n.Weight)
+			return nil, fmt.Errorf("cdag: node %d has non-positive weight %d", i, n.Weight)
 		}
 		for _, p := range n.Parents {
 			if p < 0 || int(p) >= i {
-				return fmt.Errorf("cdag: node %d has invalid parent %d", i, p)
+				return nil, fmt.Errorf("cdag: node %d has invalid parent %d", i, p)
 			}
 		}
-		fresh.AddNode(n.Weight, n.Name, n.Parents...)
+		g.AddNode(n.Weight, n.Name, n.Parents...)
 	}
-	*g = fresh
-	return nil
+	return g, nil
 }
 
 // WriteJSON streams the graph as indented JSON.

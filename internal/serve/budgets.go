@@ -87,7 +87,7 @@ func (s *Server) handleBudgets(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, werr)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	writeAppended(w, res.AppendJSON)
 }
 
 // budgetList validates the request, resolves its base, derives the

@@ -89,7 +89,7 @@ func (s *Server) handlePeerSchedule(w http.ResponseWriter, r *http.Request) {
 		root.SetAttr("envelope", form)
 		w.Header().Set(TraceIDHeader, tr.ID())
 	}
-	res, werr := s.scheduleAs(ctx, &preq.Req, true, preq.Key)
+	res, st, werr := s.scheduleAs(ctx, &preq.Req, true, preq.Key)
 	var tex *obs.TraceExport
 	if tr != nil {
 		root.End()
@@ -103,7 +103,7 @@ func (s *Server) handlePeerSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	// The body goes out with its length: the forwarder reads it into a
 	// single buffer of exactly that size.
-	body, err := wire.AppendPeerResponse(nil, &wire.PeerScheduleResponse{Result: res, Trace: tex}, form)
+	body, err := wire.AppendPeerResponse(nil, &wire.PeerScheduleResponse{Result: res.Stamped(&st), Trace: tex}, form)
 	if err != nil {
 		s.logPeerServe(tr, preq.Origin, http.StatusInternalServerError)
 		s.writeErr(w, asWireErr(err))
@@ -250,6 +250,12 @@ func (s *Server) peerFill(ctx context.Context, owner, key string, req *wire.Sche
 		// re-stamps cache disposition and key. ElapsedUS stays the
 		// owner's solve time — the same semantics a local solve reports.
 		fill.Cache, fill.CacheKey = "", ""
+		// Cached entries are encoded as they are, and a local solve's
+		// always has its move counts: an owner that sent none gets an
+		// empty map, which encodes as {} like the local one.
+		if fill.MoveKinds == nil {
+			fill.MoveKinds = map[string]int{}
+		}
 		// Cost accounting crosses the fleet with the fill: the owner's
 		// meter (its solve or cache disposition) survives, re-tiered as a
 		// peer answer one hop further from the client.

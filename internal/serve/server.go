@@ -46,13 +46,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -374,6 +377,45 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v) //nolint:errcheck // nothing useful to do mid-response
 }
 
+// jsonContentType is the Content-Type of a 200 body writeAppended
+// writes, shared so that setting it allocates nothing.
+var jsonContentType = []string{"application/json"}
+
+// writeAppended writes a 200 response whose JSON body appendTo builds
+// in a pooled buffer, sent with its length in one write. The
+// schedule and budget-list answers go this way; appendTo gives the
+// bytes writeJSON would.
+func writeAppended(w http.ResponseWriter, appendTo func([]byte) []byte) {
+	bp := getBody()
+	defer putBody(bp)
+	*bp = appendTo(*bp)
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = []string{strconv.Itoa(len(*bp))}
+	w.WriteHeader(http.StatusOK)
+	w.Write(*bp) //nolint:errcheck // nothing useful to do mid-response
+}
+
+// bodyPool recycles the buffers request bodies are read into and
+// responses are built in. It keeps none over maxPooledBody, so one
+// large body does not stay resident.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 64 << 10
+
+// getBody returns an empty pooled buffer.
+func getBody() *[]byte {
+	bp := bodyPool.Get().(*[]byte)
+	*bp = (*bp)[:0]
+	return bp
+}
+
+func putBody(bp *[]byte) {
+	if cap(*bp) <= maxPooledBody {
+		bodyPool.Put(bp)
+	}
+}
+
 // writeErr writes a structured error body; every non-2xx response
 // goes through here, so clients always get {"status","error"}. A 429
 // is server pushback, not a malformed request, so it carries its
@@ -413,19 +455,38 @@ func asWireErr(err error) *wire.Error {
 	return wire.Errorf(http.StatusInternalServerError, "%v", err)
 }
 
-// decodeStrict decodes one JSON value, rejecting unknown fields and
-// trailing garbage, with the body size capped.
+// decodeStrict reads the body, capped at maxBytes, into a pooled
+// buffer and decodes it with wire.DecodeRequest: one JSON value,
+// unknown fields and trailing data refused. v does not keep the buffer.
 func decodeStrict(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return wire.Errorf(http.StatusBadRequest, "malformed request body: %v", err)
+	bp := getBody()
+	defer putBody(bp)
+	var err error
+	if *bp, err = readBody(*bp, r.Body); err != nil {
+		// Over the cap or cut short. Replaying what arrived ahead of the
+		// error lets the decoder meet it where a streaming read would: a
+		// value complete before it still decodes.
+		return wire.DecodeStream(io.MultiReader(bytes.NewReader(*bp), r.Body), v)
 	}
-	if dec.More() {
-		return wire.Errorf(http.StatusBadRequest, "trailing data after request body")
+	return wire.DecodeRequest(*bp, v)
+}
+
+// readBody appends what r yields up to io.EOF to buf.
+func readBody(buf []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, 512)
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
 	}
-	return nil
 }
 
 // handleSchedule serves POST /v1/schedule.
@@ -444,83 +505,84 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	// playing one): treat it with peer semantics so forwards never
 	// chain, whatever path it arrived on.
 	peer := r.Header.Get(cluster.HopHeader) != ""
-	res, werr := s.scheduleAs(r.Context(), &req, peer, "")
+	res, st, werr := s.scheduleAs(r.Context(), &req, peer, "")
 	if werr != nil {
 		s.writeErr(w, werr)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	writeAppended(w, func(b []byte) []byte { return res.AppendStamped(b, &st) })
 }
+
+// The cost blocks of cache answers: such a request paid a lookup, not
+// the cached entry's solve. Shared by every hit and never written.
+var (
+	hitCost    = &wire.CostMeta{SourceTier: wire.TierCache}
+	sharedCost = &wire.CostMeta{SourceTier: wire.TierShared}
+)
 
 // scheduleAs is the shared single-request path (also used per batch
 // item): validate, canonicalize, cache-or-solve, stamp per-request
-// fields. peerCall marks a replica-to-replica request (never forward
-// again, shed with 429 instead of degrading on queue saturation), and
-// wantKey, when non-empty, is the forwarder's content-addressed key — a
-// mismatch against the locally computed key is a 400, so
-// canonicalization skew between replicas fails loudly instead of
-// silently splitting the fleet's cache.
-func (s *Server) scheduleAs(ctx context.Context, req *wire.ScheduleRequest, peerCall bool, wantKey string) (*wire.ScheduleResult, *wire.Error) {
+// fields. It returns the shared entry, which must not be written, and
+// this request's stamp for it. peerCall marks a replica-to-replica
+// request (never forward again, shed with 429 instead of degrading on
+// queue saturation), and wantKey, when non-empty, is the forwarder's
+// content-addressed key — a mismatch against the locally computed key
+// is a 400, so canonicalization skew between replicas fails loudly
+// instead of silently splitting the fleet's cache.
+func (s *Server) scheduleAs(ctx context.Context, req *wire.ScheduleRequest, peerCall bool, wantKey string) (*wire.ScheduleResult, wire.Stamp, *wire.Error) {
 	start := time.Now()
 	if req.BudgetBits < 1 {
-		return nil, wire.Errorf(http.StatusBadRequest,
+		return nil, wire.Stamp{}, wire.Errorf(http.StatusBadRequest,
 			"budget_bits must be positive, got %d", req.BudgetBits)
 	}
 	_, csp := obs.StartSpan(ctx, "canonicalize")
 	inst, err := req.Instance()
 	csp.End()
 	if err != nil {
-		return nil, wire.Errorf(http.StatusBadRequest, "%v", err)
+		return nil, wire.Stamp{}, wire.Errorf(http.StatusBadRequest, "%v", err)
 	}
 	budget := req.BudgetBits
 	key := inst.Key(budget)
 	if wantKey != "" && wantKey != key {
-		return nil, wire.Errorf(http.StatusBadRequest,
+		return nil, wire.Stamp{}, wire.Errorf(http.StatusBadRequest,
 			"peer key mismatch: forwarder sent %s, owner computed %s (replica version skew?)", wantKey, key)
 	}
 
-	// The counts sink rides the solve context: every guard.Checker the
-	// request drives (one-shot solvers, anytime workers) tees its
-	// TakeCounts delta here, feeding the response's CostMeta without any
-	// solver API change.
-	cs := &guard.CountsSink{}
-	cctx, sp := obs.StartSpan(guard.WithSink(ctx, cs), "cache")
+	cctx, sp := obs.StartSpan(ctx, "cache")
 	cached, state, err := s.cache.Do(key, func() (*wire.ScheduleResult, bool, error) {
-		return s.solveCold(cctx, req, &inst, key, budget, peerCall)
+		// The counts sink rides the solve context: every guard.Checker
+		// the request drives (one-shot solvers, anytime workers) tees its
+		// TakeCounts delta here, feeding the response's CostMeta without
+		// any solver API change.
+		return s.solveCold(guard.WithSink(cctx, &guard.CountsSink{}), req, &inst, key, budget, peerCall)
 	})
 	sp.SetAttr("disposition", state.String())
 	sp.End()
 	if err != nil {
-		return nil, asWireErr(err)
+		return nil, wire.Stamp{}, asWireErr(err)
 	}
 
-	// Stamp the per-request view without mutating the cached entry:
-	// cache disposition, this request's elapsed time, and the move
-	// list only when asked for.
-	res := cached.Clone()
-	res.Cache = state.String()
-	res.CacheKey = key
-	if state != schedcache.Miss {
-		res.ElapsedUS = wire.Elapsed(start)
-		// This request paid a cache lookup, not the cached entry's solve:
-		// its cost block says so instead of repeating the leader's meter.
-		tier := wire.TierCache
-		if state == schedcache.Shared {
-			tier = wire.TierShared
+	// This request's view of the entry: cache disposition, its elapsed
+	// time, and the move list only when asked for.
+	st := wire.Stamp{Cache: state.String(), CacheKey: key, ElapsedUS: cached.ElapsedUS, Cost: cached.Cost}
+	switch state {
+	case schedcache.Hit:
+		st.ElapsedUS, st.Cost = wire.Elapsed(start), hitCost
+	case schedcache.Shared:
+		st.ElapsedUS, st.Cost = wire.Elapsed(start), sharedCost
+	}
+	noteCost(ctx, st.Cost)
+	if req.IncludeMoves {
+		st.Schedule = cached.Schedule
+		if !peerCall {
+			// Cached cdag schedules live in canonical node numbering (the
+			// cache key is isomorphism-invariant); express the moves back
+			// in this requester's numbering. Peer calls stay canonical —
+			// the forwarder caches the fill and remaps at its own edge.
+			st.Schedule = inst.RequestSchedule(st.Schedule)
 		}
-		res.Cost = &wire.CostMeta{SourceTier: tier}
 	}
-	noteCost(ctx, res.Cost)
-	if !req.IncludeMoves {
-		res.Schedule = nil
-	} else if !peerCall {
-		// Cached cdag schedules live in canonical node numbering (the
-		// cache key is isomorphism-invariant); express the moves back in
-		// this requester's numbering. Peer calls stay canonical — the
-		// forwarder caches the fill and remaps at its own edge.
-		res.Schedule = inst.RequestSchedule(res.Schedule)
-	}
-	return res, nil
+	return cached, st, nil
 }
 
 // minDegradeBudget is the smallest deadline budget worth a degraded
@@ -743,11 +805,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// width only bounds decode/validate parallelism.
 	items, perr := par.MapCtx(ctx, s.opts.MaxInflight, idx, func(i int) (wire.BatchItem, error) {
 		s.m.reqSchedule.Inc()
-		res, werr := s.scheduleAs(ctx, &req.Requests[i], false, "")
+		res, st, werr := s.scheduleAs(ctx, &req.Requests[i], false, "")
 		if werr != nil {
 			return wire.BatchItem{Index: i, Error: werr}, nil
 		}
-		return wire.BatchItem{Index: i, Result: res}, nil
+		return wire.BatchItem{Index: i, Result: res.Stamped(&st)}, nil
 	})
 	if perr != nil {
 		s.writeErr(w, asWireErr(perr))

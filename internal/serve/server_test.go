@@ -182,6 +182,53 @@ func TestScheduleValidation(t *testing.T) {
 	}
 }
 
+// TestTrailingDataRejected: anything but whitespace after the request
+// value is a 400 on every body-decoding endpoint, including the ']'
+// and '}' that json.Decoder.More does not report. The capitalized key
+// sends the body down the general decoder instead of the scanner. A
+// value followed by whitespace, or cut off by the body-size cap after
+// it is complete, still decodes.
+func TestTrailingDataRejected(t *testing.T) {
+	ts, _, _ := newTestServer(t, Options{MaxBodyBytes: 256})
+	bodies := map[string][]string{
+		"/v1/schedule":       {`{"family":"dwt","n":8,"d":3,"budget_bits":99}`, `{"Family":"dwt","n":8,"d":3,"budget_bits":99}`},
+		"/v1/schedule/sweep": {`{"family":"dwt","n":8,"d":3,"budgets_bits":[99]}`, `{"Family":"dwt","n":8,"d":3,"budgets_bits":[99]}`},
+		"/v1/schedule/patch": {`{"family":"dwt","n":8,"d":3,"budgets_bits":[99]}`, `{"Family":"dwt","n":8,"d":3,"budgets_bits":[99]}`},
+		"/v1/schedule/batch": {`{"requests":[{"family":"dwt","n":8,"d":3,"budget_bits":99}]}`, `{"Requests":[{"family":"dwt","n":8,"d":3,"budget_bits":99}]}`},
+		"/v1/lowerbound":     {`{"family":"dwt","n":8,"d":3}`, `{"Family":"dwt","n":8,"d":3}`},
+	}
+	post := func(path, body string) (int, wire.Error) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e wire.Error
+		if resp.StatusCode != http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+				t.Fatalf("%s %q: unstructured error body: %v", path, body, err)
+			}
+		}
+		return resp.StatusCode, e
+	}
+	for path, valid := range bodies {
+		for _, v := range valid {
+			for _, tail := range []string{" ]", "}}}}", "]", " {}", "x"} {
+				status, e := post(path, v+tail)
+				if status != http.StatusBadRequest || e.Message != "trailing data after request body" {
+					t.Errorf("%s %q: status %d %q, want 400 trailing data", path, v+tail, status, e.Message)
+				}
+			}
+			for _, tail := range []string{"", " \n\t\r ", strings.Repeat(" ", 300)} {
+				if status, e := post(path, v+tail); status != http.StatusOK {
+					t.Errorf("%s %q: status %d %q, want 200", path, v+tail, status, e.Message)
+				}
+			}
+		}
+	}
+}
+
 // TestScheduleCDAGFamily: an arbitrary CDAG in the spec format solves
 // through the anytime tier (Complete on a graph this small, hence
 // cacheable) and caches by content — node names don't affect the key,

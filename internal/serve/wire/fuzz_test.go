@@ -5,6 +5,9 @@
 // decode, request→Instance conversion, Validate, key derivation — but
 // stop short of Build, so the fuzzer explores the parsing and
 // validation surface without paying graph-construction time or memory.
+// Their decode step is differential: a body the scanner accepts must
+// decode to the same value through encoding/json. FuzzResponseJSON
+// holds the response appenders to encoding/json's bytes.
 //
 // Run continuously with:
 //
@@ -13,6 +16,7 @@
 //	go test -fuzz=FuzzPatchRequest    -fuzztime=30s ./internal/serve/wire
 //	go test -fuzz=FuzzPeerRequest     -fuzztime=30s ./internal/serve/wire
 //	go test -fuzz=FuzzPeerResponse    -fuzztime=30s ./internal/serve/wire
+//	go test -fuzz=FuzzResponseJSON    -fuzztime=30s ./internal/serve/wire
 
 package wire
 
@@ -22,19 +26,28 @@ import (
 	"reflect"
 	"testing"
 
+	"wrbpg/internal/cdag"
+	"wrbpg/internal/core"
 	"wrbpg/internal/solve"
 )
 
-// decodeLikeServer mimics serve.decodeStrict: DisallowUnknownFields
-// plus a trailing-data check. Returns false when the body is rejected
-// at the JSON layer (the handler's immediate 400).
-func decodeLikeServer(data []byte, v any) bool {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return false
+// decodeLikeServer decodes data into v as the server does, and checks
+// the scanner against the general decoder on the way: a body the
+// scanner accepts must decode to a deeply equal value through
+// encoding/json. Returns false when the body is rejected at the JSON
+// layer (the handler's immediate 400).
+func decodeLikeServer[T any](t *testing.T, data []byte, v *T) bool {
+	t.Helper()
+	var scanned T
+	ok := scan(data, &scanned)
+	err := DecodeStream(bytes.NewReader(data), v)
+	if ok && err != nil {
+		t.Fatalf("%q: scanned, but the general decoder refuses it: %v", data, err)
 	}
-	return !dec.More()
+	if ok && !reflect.DeepEqual(&scanned, v) {
+		t.Fatalf("%q: scanned as %+v, decoded as %+v", data, scanned, *v)
+	}
+	return err == nil
 }
 
 func FuzzScheduleRequest(f *testing.F) {
@@ -50,10 +63,11 @@ func FuzzScheduleRequest(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"family":"dwt","n":9007199254740993,"d":4,"budget_bits":9223372036854775807}`))
+	f.Add([]byte(`{"family":"dwt","n":16,"d":2,"deltas":[{"node":5,"weight_bits":8}],"budget_bits":128}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req ScheduleRequest
-		if !decodeLikeServer(data, &req) {
+		if !decodeLikeServer(t, data, &req) {
 			return // handler answers 400 before the request exists
 		}
 		inst, err := req.Instance()
@@ -92,10 +106,12 @@ func FuzzCDAGRequest(f *testing.F) {
 	f.Add([]byte(`{"family":"cdag","budget_bits":64,"cdag":{"nodes":[{"name":"a","weight_bits":8,"deps":["a"]}]}}`))
 	f.Add([]byte(`{"family":"cdag","budget_bits":64,"graph":{"nodes":[{"w":8}]},"cdag":{"nodes":[{"name":"a","weight_bits":8}]}}`))
 	f.Add([]byte(`{"family":"cdag"}`))
+	f.Add([]byte(`{"family":"cdag","budget_bits":64,"graph":{"nodes":[{"w":8,"name":"a"},{"w":8,"parents":[]},{"w":16,"name":"out","parents":[0,1]}]}}`))
+	f.Add([]byte(`{"family":"cdag","budget_bits":64,"cdag":{"nodes":[{"name":"x","weight_bits":8,"deps":[]},{"name":"out","weight_bits":16,"deps":["x"]}]}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req ScheduleRequest
-		if !decodeLikeServer(data, &req) {
+		if !decodeLikeServer(t, data, &req) {
 			return // handler answers 400 before the request exists
 		}
 		inst, err := req.Instance()
@@ -144,7 +160,7 @@ func FuzzPeerRequest(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var preq PeerScheduleRequest
-		if !decodeLikeServer(data, &preq) {
+		if !decodeLikeServer(t, data, &preq) {
 			return // handler answers 400 before the envelope exists
 		}
 		inst, err := preq.Req.Instance()
@@ -230,7 +246,7 @@ func FuzzPatchRequest(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req PatchRequest
-		if !decodeLikeServer(data, &req) {
+		if !decodeLikeServer(t, data, &req) {
 			return
 		}
 		ds, err := CanonicalDeltas(req.Deltas)
@@ -264,6 +280,147 @@ func FuzzPatchRequest(f *testing.F) {
 		}
 		if len(inst.Deltas) == 0 && inst.ShapeKey() != inst.BaseShapeKey() {
 			t.Fatal("delta-free shape key differs from its base key")
+		}
+	})
+}
+
+// fuzzValues draws field values from fuzz input: each call consumes a
+// few bytes, and an exhausted input yields zeros.
+type fuzzValues struct{ b []byte }
+
+func (f *fuzzValues) byte() byte {
+	if len(f.b) == 0 {
+		return 0
+	}
+	c := f.b[0]
+	f.b = f.b[1:]
+	return c
+}
+
+func (f *fuzzValues) flag() bool { return f.byte()&1 == 1 }
+
+// num is zero, small or a full-width signed value.
+func (f *fuzzValues) num() int64 {
+	switch f.byte() % 4 {
+	case 0:
+		return 0
+	case 1:
+		return int64(int8(f.byte()))
+	}
+	var v uint64
+	for range 8 {
+		v = v<<8 | uint64(f.byte())
+	}
+	return int64(v)
+}
+
+// str is a length byte and that many raw bytes: any of them may be
+// control bytes, HTML-significant or invalid UTF-8.
+func (f *fuzzValues) str() string {
+	n := min(int(f.byte()%32), len(f.b))
+	s := string(f.b[:n])
+	f.b = f.b[n:]
+	return s
+}
+
+func (f *fuzzValues) cost() *CostMeta {
+	if !f.flag() {
+		return nil
+	}
+	return &CostMeta{SourceTier: f.str(), QueueWaitUS: f.num(), SolveWallUS: f.num(),
+		StatesExpanded: f.num(), MemoHits: f.num(), MemoMisses: f.num(),
+		CellsInvalidated: f.num(), CellsReused: f.num(), PeerHops: int(f.num())}
+}
+
+func (f *fuzzValues) scheduleResult() *ScheduleResult {
+	r := &ScheduleResult{Workload: f.str(), Source: f.str(), FallbackReason: f.str(), FallbackCause: f.str(),
+		BudgetBits: f.num(), CostBits: f.num(), PeakBits: f.num(), LowerBoundBits: f.num(), MoveCount: int(f.num())}
+	switch f.byte() % 3 {
+	case 1:
+		r.MoveKinds = map[string]int{}
+	case 2:
+		r.MoveKinds = map[string]int{"M1": int(f.num()), "M2": int(f.num()), "M3": int(f.num()), "M4": int(f.num())}
+		for range f.byte() % 4 {
+			r.MoveKinds[f.str()] = int(f.num())
+		}
+	}
+	if f.flag() {
+		r.Anytime = &AnytimeResult{Complete: f.flag(), SeedCostBits: f.num(), Expanded: f.num(),
+			Pruned: f.num(), Deduped: f.num(), Improvements: f.num(), Workers: int(f.num())}
+	}
+	switch f.byte() % 3 {
+	case 1:
+		r.Schedule = core.Schedule{}
+	case 2:
+		for range f.byte() % 16 {
+			r.Schedule = append(r.Schedule, core.Move{Kind: core.MoveKind(1 + f.byte()%4), Node: cdag.NodeID(int32(f.num()))})
+		}
+	}
+	r.ElapsedUS, r.CacheKey, r.Cache, r.Cost = f.num(), f.str(), f.str(), f.cost()
+	return r
+}
+
+func (f *fuzzValues) patchResponse() *PatchResponse {
+	r := &PatchResponse{Workload: f.str(), BaseKey: f.str(), PatchKey: f.str(),
+		LowerBoundBits: f.num(), MinExistenceBits: f.num()}
+	if f.flag() {
+		r.Items = []SweepItem{}
+		for range f.byte() % 8 {
+			it := SweepItem{BudgetBits: f.num(), CostBits: f.num(), Feasible: f.flag()}
+			if f.flag() {
+				it.Error = &Error{Status: int(f.num()), Message: f.str(), Reason: f.str(), RetryAfterS: f.num()}
+			}
+			r.Items = append(r.Items, it)
+		}
+	}
+	r.Succeeded, r.Failed, r.Session = int(f.num()), int(f.num()), f.str()
+	r.DeltasApplied, r.ChangedNodes = int(f.num()), int(f.num())
+	r.CellsInvalidated, r.CellsReused, r.ElapsedUS, r.Cost = f.num(), f.num(), f.num(), f.cost()
+	return r
+}
+
+// indentJSON is the reference encoding: what the server's writeJSON
+// sends for v.
+func indentJSON(t *testing.T, v any) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzResponseJSON checks the response appenders against encoding/json:
+// for any ScheduleResult, stamped or not, and any PatchResponse, the
+// appended bytes equal what json.Encoder with SetIndent("", "  ")
+// writes, appended after whatever the buffer already held.
+func FuzzResponseJSON(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x05dwt-8\x07optimal\x00\x00\x01\x10\x01\x20\x01\x30\x01\x08\x01\x09\x02\x01\x01\x01\x02\x01\x03\x01\x04\x00\x01\x01\x02\x05\x01\x07"))
+	f.Add([]byte("\x08<a>&b\xe2\x80\xa8\x06\x01\x1f\x7f\xff\"\\\x04\xe2\x80\xa9x\x03\xc3(\x03\x0a\x0d\x09\x02\x03\x02\x08\x0c"))
+	f.Add(bytes.Repeat([]byte{0xff, 0x03, 0x01, 0x02, '<'}, 40))
+	f.Add(bytes.Repeat([]byte{0x02, 0x01, 0x80, 0x7f, 0x00}, 60))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fv := fuzzValues{b: data}
+		prefix := []byte(fv.str())
+		r := fv.scheduleResult()
+		if got, want := r.AppendJSON(prefix[:len(prefix):len(prefix)]), append(prefix, indentJSON(t, r)...); !bytes.Equal(got, want) {
+			t.Fatalf("ScheduleResult.AppendJSON:\n%s\nwant\n%s", got, want)
+		}
+		st := Stamp{Cache: fv.str(), CacheKey: fv.str(), ElapsedUS: fv.num(), Cost: fv.cost()}
+		if fv.flag() {
+			st.Schedule = core.Schedule{{Kind: core.M2, Node: cdag.NodeID(fv.num())}}
+		}
+		cp := *r
+		cp.Cache, cp.CacheKey, cp.ElapsedUS, cp.Cost, cp.Schedule = st.Cache, st.CacheKey, st.ElapsedUS, st.Cost, st.Schedule
+		if got, want := r.AppendStamped(nil, &st), indentJSON(t, &cp); !bytes.Equal(got, want) {
+			t.Fatalf("ScheduleResult.AppendStamped:\n%s\nwant\n%s", got, want)
+		}
+		p := fv.patchResponse()
+		if got, want := p.AppendJSON(nil), indentJSON(t, p); !bytes.Equal(got, want) {
+			t.Fatalf("PatchResponse.AppendJSON:\n%s\nwant\n%s", got, want)
 		}
 	})
 }

@@ -45,6 +45,7 @@ func (s *GraphSpec) Graph() (*cdag.Graph, error) {
 		return nil, fmt.Errorf("cdag spec has no nodes")
 	}
 	idx := make(map[string]int, n)
+	edges := 0
 	for i, nd := range s.Nodes {
 		if nd.Name == "" {
 			return nil, fmt.Errorf("cdag spec node %d has no name", i)
@@ -53,53 +54,75 @@ func (s *GraphSpec) Graph() (*cdag.Graph, error) {
 			return nil, fmt.Errorf("cdag spec duplicates node name %q (indices %d and %d)", nd.Name, prev, i)
 		}
 		idx[nd.Name] = i
+		edges += len(nd.Deps)
 	}
-	for _, nd := range s.Nodes {
+	// The index arrays below share one allocation.
+	ints := make([]int, 4*n+2+2*edges)
+	take := func(k int) []int {
+		s := ints[:k:k]
+		ints = ints[k:]
+		return s
+	}
+	// Resolve every dep once: deps[first[i]:first[i+1]] are node i's
+	// parents as input indices. stamp[p] == i+1 marks p as already
+	// listed by node i.
+	first, deps, stamp := take(n+1), take(edges), take(n)
+	for i, nd := range s.Nodes {
+		first[i+1] = first[i] + len(nd.Deps)
+	}
+	for i, nd := range s.Nodes {
 		if nd.WeightBits < 1 {
 			return nil, fmt.Errorf("cdag spec node %q has non-positive weight %d bits", nd.Name, nd.WeightBits)
 		}
-		seen := make(map[string]bool, len(nd.Deps))
-		for _, d := range nd.Deps {
-			if _, ok := idx[d]; !ok {
+		for j, d := range nd.Deps {
+			p, ok := idx[d]
+			if !ok {
 				return nil, fmt.Errorf("cdag spec edge %q -> %q dangles: no node named %q", d, nd.Name, d)
 			}
-			if d == nd.Name {
+			if p == i {
 				return nil, fmt.Errorf("cdag spec edge %q -> %q is a self-cycle", d, nd.Name)
 			}
-			if seen[d] {
+			if stamp[p] == i+1 {
 				return nil, fmt.Errorf("cdag spec edge %q -> %q is listed twice", d, nd.Name)
 			}
-			seen[d] = true
+			stamp[p] = i + 1
+			deps[first[i]+j] = p
 		}
 	}
 
 	// Kahn's toposort over the dependency edges, input order as the
-	// tiebreak so compilation is deterministic.
-	indeg := make([]int, n)
-	children := make([][]int, n)
-	edges := 0
-	for i, nd := range s.Nodes {
-		indeg[i] = len(nd.Deps)
-		edges += len(nd.Deps)
-		for _, d := range nd.Deps {
-			p := idx[d]
-			children[p] = append(children[p], i)
+	// tiebreak so compilation is deterministic. The children of p are
+	// children[cfirst[p]:cfirst[p+1]], in input order.
+	indeg, cfirst, children, order := stamp, take(n+1), take(edges), take(n)[:0]
+	// A counting sort: cfirst[p] first counts p's children, then marks
+	// the end of p's range, and filling backwards leaves it at the start.
+	for i := range s.Nodes {
+		indeg[i] = first[i+1] - first[i]
+		for _, p := range deps[first[i]:first[i+1]] {
+			cfirst[p]++
 		}
 	}
-	order := make([]int, 0, n)
-	queue := make([]int, 0, n)
+	for p := 1; p <= n; p++ {
+		cfirst[p] += cfirst[p-1]
+	}
+	for i := n - 1; i >= 0; i-- {
+		for _, p := range deps[first[i]:first[i+1]] {
+			cfirst[p]--
+			children[cfirst[p]] = i
+		}
+	}
+	// order doubles as the FIFO queue: nodes are output in the order
+	// they become ready.
 	for i := range s.Nodes {
 		if indeg[i] == 0 {
-			queue = append(queue, i)
+			order = append(order, i)
 		}
 	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, c := range children[v] {
+	for h := 0; h < len(order); h++ {
+		v := order[h]
+		for _, c := range children[cfirst[v]:cfirst[v+1]] {
 			if indeg[c]--; indeg[c] == 0 {
-				queue = append(queue, c)
+				order = append(order, c)
 			}
 		}
 	}
@@ -110,12 +133,16 @@ func (s *GraphSpec) Graph() (*cdag.Graph, error) {
 	g := &cdag.Graph{}
 	g.Reserve(n, edges)
 	ids := make([]cdag.NodeID, n)
-	var parents []cdag.NodeID
+	maxDeps := 0
+	for i := range n {
+		maxDeps = max(maxDeps, first[i+1]-first[i])
+	}
+	parents := make([]cdag.NodeID, 0, maxDeps)
 	for _, i := range order {
 		nd := s.Nodes[i]
 		parents = parents[:0]
-		for _, d := range nd.Deps {
-			parents = append(parents, ids[idx[d]])
+		for _, p := range deps[first[i]:first[i+1]] {
+			parents = append(parents, ids[p])
 		}
 		id, err := g.TryAddNode(nd.WeightBits, nd.Name, parents...)
 		if err != nil {
