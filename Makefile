@@ -86,12 +86,14 @@ obs-check: metrics-lint
 metrics-lint:
 	$(GO) test -race -run TestMetricsLint -v ./cmd/wrbpgload/
 
-# Race-enabled incremental re-solve gate: the shuffled-delta property
-# tests in every family (warm answers bit-identical to cold rebuilds),
-# the facade patch semantics with fault injection, the patch endpoint,
-# and the CLI -patch path (docs/PERFORMANCE.md §incremental).
+# Race-enabled incremental re-solve gate: the shared memo's patch walk
+# (revert, cone invalidation, epoch wraparound), the shuffled-delta
+# property tests in every family (warm answers bit-identical to cold
+# rebuilds), the facade patch semantics with fault injection, the
+# patch endpoint, and the CLI -patch path (docs/PERFORMANCE.md
+# §incremental).
 patch-check:
-	$(GO) test -race -run 'SetWeights|Patch' ./internal/dwt/ ./internal/ktree/ ./internal/memstate/ ./internal/solve/ ./internal/serve/ ./cmd/wrbpg/
+	$(GO) test -race -run 'SetWeights|Patch' ./internal/stepmemo/ ./internal/dwt/ ./internal/ktree/ ./internal/memstate/ ./internal/solve/ ./internal/serve/ ./cmd/wrbpg/
 
 # Race-enabled cluster gate: a 3-replica in-process fleet (consistent-
 # hash ring, peer fill, cross-replica singleflight) under round-robin
@@ -118,8 +120,9 @@ soak-smoke:
 # answer in either envelope, and FuzzResponseJSON holds the response
 # appenders to encoding/json's indented bytes. The core targets check
 # the schedule JSON codec against the reflective encoder and decoder,
-# and the packed codec for round trips and bounded decoding. One -fuzz
-# per invocation (a go test restriction).
+# and the packed codec for round trips and bounded decoding. FuzzRow
+# holds the shared budget memo's rows to a random step function. One
+# -fuzz per invocation (a go test restriction).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzScheduleRequest -fuzztime=10s -run '^$$' ./internal/serve/wire/
 	$(GO) test -fuzz=FuzzCDAGRequest -fuzztime=10s -run '^$$' ./internal/serve/wire/
@@ -129,6 +132,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzResponseJSON -fuzztime=10s -run '^$$' ./internal/serve/wire/
 	$(GO) test -fuzz=FuzzScheduleJSON -fuzztime=10s -run '^$$' ./internal/core/
 	$(GO) test -fuzz=FuzzScheduleBinary -fuzztime=10s -run '^$$' ./internal/core/
+	$(GO) test -fuzz=FuzzRow -fuzztime=10s -run '^$$' ./internal/stepmemo/
 
 # Race-enabled general-DAG gate: the full anytime search suite
 # (property bounds, monotone trajectories, fault injection, the

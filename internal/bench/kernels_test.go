@@ -153,6 +153,23 @@ func perfKernels() []perfKernel {
 				return nil
 			}, nil
 		}},
+		{"DWTSweep16Cold", func() (func() error, error) {
+			g, err := dwt.Build(64, 6, dwt.ConfigWeights(Configs()[0]))
+			if err != nil {
+				return nil, err
+			}
+			budgets := sweepBudgets(core.MinExistenceBudget(g.G), g.G.TotalWeight(), 16)
+			return func() error {
+				s, err := dwt.NewScheduler(g)
+				if err != nil {
+					return err
+				}
+				for _, b := range budgets {
+					s.MinCost(b)
+				}
+				return nil
+			}, nil
+		}},
 		{"MVMSearch", func() (func() error, error) {
 			cfg := Configs()[0]
 			g, err := mvm.Build(MVMRows, MVMCols, cfg)
@@ -344,8 +361,8 @@ func perfKernels() []perfKernel {
 				_, err := se.CostCtx(ctx, lim, b)
 				return err
 			}
-			// Warm both toggle states so every budget index exists and
-			// the memo rows have their final capacity.
+			// Warm both toggle states so every budget interval exists
+			// and the memo rows have their final capacity.
 			if err := body(); err != nil {
 				return nil, err
 			}

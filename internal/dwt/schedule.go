@@ -3,19 +3,17 @@ package dwt
 import (
 	"context"
 	"fmt"
-	"math"
-	"slices"
 
 	"wrbpg/internal/cdag"
 	"wrbpg/internal/core"
 	"wrbpg/internal/guard"
 	"wrbpg/internal/memdesign"
+	"wrbpg/internal/stepmemo"
 )
 
 // Inf is the sentinel cost of an infeasible subproblem (the ∞ entries
-// of Eq. 2). It is large enough that sums of Inf with node weights
-// never overflow int64.
-const Inf cdag.Weight = math.MaxInt64 / 4
+// of Eq. 2).
+const Inf = stepmemo.Inf
 
 // strategy identifies one of the four representative parent-scheduling
 // strategies of Eq. 4. Keep strategies retain the first parent's red
@@ -35,7 +33,6 @@ const (
 type entry struct {
 	cost   cdag.Weight
 	choice strategy
-	valid  bool
 }
 
 // Scheduler computes minimum weighted WRBPG schedules for a DWT graph
@@ -44,34 +41,22 @@ type entry struct {
 // subproblem solutions across budgets, so sweeping budgets on one
 // graph reuses work.
 //
-// The memo is a per-node slice indexed by a dense budget index:
-// distinct budgets get consecutive indices as they are first seen, so
-// a P(v, b) cache hit is one small map probe and a slice load instead
-// of two map lookups, with zero allocations.
+// The memo stores, per node, the steps of P(v, ·) as a sorted list of
+// disjoint budget intervals (package stepmemo), so one cold cell
+// answers every budget on which its strategy choice stays the same. A
+// warm hit is one binary search over a short slice, with zero
+// allocations.
 type Scheduler struct {
-	dg        *Graph
-	budgetIdx map[cdag.Weight]int
-	memo      [][]entry
+	dg   *Graph
+	memo stepmemo.Rows[entry]
 	// roots and pruned cache Graph.Roots / Graph.PrunedNodes, so MinCost
 	// iterates plain slices instead of allocating per call — required by
 	// the zero-allocation warm query and patch paths.
 	roots  []cdag.NodeID
 	pruned []cdag.NodeID
-	// live counts currently valid memo cells; SetWeights reports it as
-	// the reused-cell count after an invalidation.
-	live int64
-	// mark/epoch/stack are the SetWeights cone-walk scratch: mark[v]
-	// equal to the current epoch means v's row is already cleared in
-	// this patch, so overlapping descendant cones are walked once.
-	mark  []uint32
-	epoch uint32
-	stack []cdag.NodeID
-	saved []cdag.Weight
-	// ck, when non-nil, is the active cancellation/budget guard of a
-	// *Ctx call. The DP checks it per cell and never memoizes results
-	// computed after it trips, so an aborted solve cannot poison later
-	// ones. nil (the default) costs one pointer test per cell.
-	ck *guard.Checker
+	// exist caches core.MinExistenceBudget, below which MinCost is Inf,
+	// so a query does not rescan the graph; SetWeights refreshes it.
+	exist cdag.Weight
 }
 
 // NewScheduler validates the weight assumption of Lemma 3.2 and
@@ -90,156 +75,73 @@ func NewScheduler(dg *Graph) (*Scheduler, error) {
 		}
 	}
 	return &Scheduler{
-		dg:        dg,
-		budgetIdx: map[cdag.Weight]int{},
-		memo:      make([][]entry, dg.G.Len()),
-		roots:     dg.Roots(),
-		pruned:    pruned,
-		mark:      make([]uint32, dg.G.Len()),
+		dg:     dg,
+		memo:   stepmemo.NewRows[entry](dg.G.Len()),
+		roots:  dg.Roots(),
+		pruned: pruned,
+		exist:  core.MinExistenceBudget(dg.G),
 	}, nil
 }
 
 // SetWeights applies weight deltas to the graph and invalidates
-// exactly the memo cells whose value can change: P(v, b) depends only
-// on weights inside v's subtree (Lemma 3.3), so a change at u dirties
-// the rows of u and its descendants and nothing else. Deltas are
-// validated (positive weights, in-range nodes, the Lemma 3.2 weight
-// assumption must still hold afterwards) and the graph is reverted
-// unchanged on any error. It returns the number of cells cleared and
-// the number surviving; rows keep their capacity, so re-solving after
-// a patch allocates nothing in steady state.
+// exactly the memo rows whose value can change: P(v, b) depends only
+// on weights inside v's subtree (Lemma 3.3), so a change at u stales
+// the rows of u and its descendants and nothing else
+// (stepmemo.Memo.Patch). Deltas are validated (positive weights,
+// in-range nodes, the Lemma 3.2 weight assumption must still hold
+// afterwards) and the graph is reverted unchanged on any error. It
+// returns the number of budget intervals cleared and the number
+// surviving; rows keep their capacity, so re-solving after a patch
+// allocates nothing in steady state.
 func (s *Scheduler) SetWeights(ds []cdag.WeightDelta) (invalidated, reused int64, err error) {
-	g := s.dg.G
-	s.saved = s.saved[:0]
-	applied := 0
-	for _, d := range ds {
-		var old cdag.Weight
-		if int(d.Node) >= 0 && int(d.Node) < g.Len() {
-			old = g.Weight(d.Node)
-		}
-		if err := g.TrySetWeight(d.Node, d.Weight); err != nil {
-			s.revert(ds, applied)
-			return 0, 0, fmt.Errorf("dwt: patch: %w", err)
-		}
-		s.saved = append(s.saved, old)
-		applied++
+	invalidated, reused, err = s.memo.Patch(s.dg.G, ds, "dwt", s.dg.CheckWeightAssumption, nil)
+	if err == nil {
+		s.exist = core.MinExistenceBudget(s.dg.G)
 	}
-	if err := s.dg.CheckWeightAssumption(); err != nil {
-		s.revert(ds, applied)
-		return 0, 0, err
-	}
-	s.epoch++
-	if s.epoch == 0 { // wrapped: every stale mark now looks current
-		for i := range s.mark {
-			s.mark[i] = 0
-		}
-		s.epoch = 1
-	}
-	stack := s.stack[:0]
-	for _, d := range ds {
-		stack = append(stack, d.Node)
-	}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if s.mark[v] == s.epoch {
-			continue
-		}
-		s.mark[v] = s.epoch
-		row := s.memo[v]
-		for i := range row {
-			if row[i].valid {
-				invalidated++
-				row[i] = entry{}
-			}
-		}
-		stack = append(stack, g.Children(v)...)
-	}
-	s.stack = stack
-	s.live -= invalidated
-	return invalidated, s.live, nil
-}
-
-// revert restores the first applied weights of a failed SetWeights, in
-// reverse order so duplicate-node delta lists unwind correctly.
-func (s *Scheduler) revert(ds []cdag.WeightDelta, applied int) {
-	for j := applied - 1; j >= 0; j-- {
-		s.dg.G.SetWeight(ds[j].Node, s.saved[j])
-	}
-}
-
-// cell returns a pointer to the memo slot for (v, b), growing the
-// node's row on first touch of a new budget index.
-func (s *Scheduler) cell(v cdag.NodeID, b cdag.Weight) *entry {
-	bi, ok := s.budgetIdx[b]
-	if !ok {
-		bi = len(s.budgetIdx)
-		s.budgetIdx[b] = bi
-	}
-	row := s.memo[v]
-	if bi >= len(row) {
-		// Rows grow geometrically. Slots past len were zeroed when the
-		// row's array was made and are never written before this, so the
-		// extension reads as invalid cells.
-		row = slices.Grow(row, bi+1-len(row))[:bi+1]
-		s.memo[v] = row
-	}
-	return &row[bi]
-}
-
-// store memoizes a freshly computed cell unless the guard has tripped
-// (poisoned partial results must never persist) or the memo budget is
-// exhausted (which trips the guard for the rest of the solve).
-func (s *Scheduler) store(v cdag.NodeID, b cdag.Weight, e entry) {
-	if s.ck != nil && (s.ck.Err() != nil || s.ck.AddMemo(1) != nil) {
-		return
-	}
-	*s.cell(v, b) = e
-	s.live++
+	return invalidated, reused, err
 }
 
 // p computes P(v, b): the minimum weighted cost to place a red pebble
 // on v, starting from blue pebbles on the subtree's inputs, using at
 // most b red weight inside the subtree, and leaving no other red
-// pebbles behind. Results are memoized per (v, b).
-func (s *Scheduler) p(v cdag.NodeID, b cdag.Weight) entry {
-	if c := s.cell(v, b); c.valid {
-		s.ck.NoteHit()
-		return *c
+// pebbles behind.
+//
+// Alongside the entry, p returns the budget interval [lo, hi] ∋ b on
+// which it is valid: a cold cell starts from the co-residency cutoff
+// w(v)+w1+w2 and narrows by the interval of each of the four
+// strategies' sub-calls, shifted by the red weight held while that
+// sub-call ran. On the intersection every consulted value is
+// constant, so the minimum and the chosen strategy are too.
+func (s *Scheduler) p(v cdag.NodeID, b cdag.Weight) (entry, cdag.Weight, cdag.Weight) {
+	if st := s.memo.Find(v, b); st != nil {
+		s.memo.Hit()
+		return st.V, st.Lo, st.Hi
 	}
 	// Cancellation checkpoint on the cold path only: warm hits return
 	// above untouched, and an all-warm solve finishes in microseconds.
-	if s.ck != nil && s.ck.Tick() != nil {
-		return entry{cost: Inf}
+	if s.memo.Tick() {
+		return entry{cost: Inf}, b, b
 	}
 	g := s.dg.G
-	var e entry
 	if g.IsSource(v) {
-		if g.Weight(v) <= b {
-			e = entry{cost: g.Weight(v), choice: stratLeaf, valid: true}
-		} else {
-			e = entry{cost: Inf, choice: stratLeaf, valid: true}
+		w := g.Weight(v)
+		if w > b {
+			return s.memo.Store(v, b, -Inf, w-1, entry{cost: Inf, choice: stratLeaf})
 		}
-		s.store(v, b, e)
-		return e
+		return s.memo.Store(v, b, w, Inf, entry{cost: w, choice: stratLeaf})
 	}
 	ps := g.Parents(v)
 	p1, p2 := ps[0], ps[1]
 	w1, w2 := g.Weight(p1), g.Weight(p2)
-	if g.Weight(v)+w1+w2 > b {
-		e = entry{cost: Inf, choice: stratKeepP1, valid: true}
-		s.store(v, b, e)
-		return e
+	lo, hi := g.Weight(v)+w1+w2, Inf
+	if lo > b {
+		return s.memo.Store(v, b, -Inf, lo-1, entry{cost: Inf, choice: stratKeepP1})
 	}
-	// Keep strategies are evaluated first so that ties resolve to
-	// them; spill strategies on source parents are strictly dominated
-	// (see package tests), so the generator never has to write a blue
-	// pebble onto a node that already has one.
-	best := entry{cost: Inf, choice: stratKeepP1}
-	consider := func(c cdag.Weight, st strategy) {
-		if c < best.cost {
-			best = entry{cost: c, choice: st}
-		}
+	// sub returns P(p, b−shift) and narrows [lo, hi] by its interval.
+	sub := func(p cdag.NodeID, shift cdag.Weight) cdag.Weight {
+		e, slo, shi := s.p(p, b-shift)
+		lo, hi = max(lo, slo+shift), min(hi, shi+shift)
+		return e.cost
 	}
 	add := func(a, b cdag.Weight) cdag.Weight {
 		if a >= Inf || b >= Inf {
@@ -247,13 +149,23 @@ func (s *Scheduler) p(v cdag.NodeID, b cdag.Weight) entry {
 		}
 		return a + b
 	}
-	consider(add(s.p(p1, b).cost, s.p(p2, b-w1).cost), stratKeepP1)
-	consider(add(s.p(p2, b).cost, s.p(p1, b-w2).cost), stratKeepP2)
-	consider(add(add(s.p(p1, b).cost, s.p(p2, b).cost), 2*w1), stratSpillP1)
-	consider(add(add(s.p(p2, b).cost, s.p(p1, b).cost), 2*w2), stratSpillP2)
-	best.valid = true
-	s.store(v, b, best)
-	return best
+	a1, a2 := sub(p1, 0), sub(p2, 0)
+	// Keep strategies are evaluated first so that ties resolve to
+	// them; spill strategies on source parents are strictly dominated
+	// (see package tests), so the generator never has to write a blue
+	// pebble onto a node that already has one.
+	best := entry{cost: Inf, choice: stratKeepP1}
+	for _, c := range [...]entry{
+		{add(a1, sub(p2, w1)), stratKeepP1},
+		{add(a2, sub(p1, w2)), stratKeepP2},
+		{add(add(a1, a2), 2*w1), stratSpillP1},
+		{add(add(a2, a1), 2*w2), stratSpillP2},
+	} {
+		if c.cost < best.cost {
+			best = c
+		}
+	}
+	return s.memo.Store(v, b, lo, hi, best)
 }
 
 // MinCost returns the cost of the minimum weighted schedule for the
@@ -262,13 +174,13 @@ func (s *Scheduler) p(v cdag.NodeID, b cdag.Weight) entry {
 // nodes, plus the final blue-pebble placements on the roots. It
 // returns Inf when no valid schedule exists under b.
 func (s *Scheduler) MinCost(b cdag.Weight) cdag.Weight {
-	if !core.ScheduleExists(s.dg.G, b) {
+	if b < s.exist {
 		return Inf
 	}
 	g := s.dg.G
 	var total cdag.Weight
 	for _, r := range s.roots {
-		e := s.p(r, b)
+		e, _, _ := s.p(r, b)
 		if e.cost >= Inf {
 			return Inf
 		}
@@ -289,8 +201,8 @@ func (s *Scheduler) MinCostCtx(ctx context.Context, lim guard.Limits, b cdag.Wei
 	ck := guard.New(ctx, lim)
 	defer ck.Release()
 	defer func() { guard.CountersFor("dwt").Record(ck.TakeCounts()) }()
-	s.ck = ck
-	defer func() { s.ck = nil }()
+	s.memo.Ck = ck
+	defer func() { s.memo.Ck = nil }()
 	c := s.MinCost(b)
 	if err := ck.Err(); err != nil {
 		return 0, fmt.Errorf("dwt: %w", err)
@@ -304,8 +216,8 @@ func (s *Scheduler) ScheduleCtx(ctx context.Context, lim guard.Limits, b cdag.We
 	ck := guard.New(ctx, lim)
 	defer ck.Release()
 	defer func() { guard.CountersFor("dwt").Record(ck.TakeCounts()) }()
-	s.ck = ck
-	defer func() { s.ck = nil }()
+	s.memo.Ck = ck
+	defer func() { s.memo.Ck = nil }()
 	sched, err := s.Schedule(b)
 	if cerr := ck.Err(); cerr != nil {
 		return nil, fmt.Errorf("dwt: %w", cerr)
@@ -318,7 +230,7 @@ func (s *Scheduler) ScheduleCtx(ctx context.Context, lim guard.Limits, b cdag.We
 // core.Simulate with exactly MinCost(b) weighted I/O.
 func (s *Scheduler) Schedule(b cdag.Weight) (core.Schedule, error) {
 	if c := s.MinCost(b); c >= Inf {
-		return nil, fmt.Errorf("dwt: no valid schedule under budget %d (existence bound %d)", b, core.MinExistenceBudget(s.dg.G))
+		return nil, fmt.Errorf("dwt: no valid schedule under budget %d (existence bound %d)", b, s.exist)
 	}
 	var sched core.Schedule
 	for _, r := range s.roots {
@@ -339,7 +251,7 @@ func (s *Scheduler) Schedule(b cdag.Weight) (core.Schedule, error) {
 // line 25), whose M2 cost is the pruned-node term of Lemma 3.4.
 func (s *Scheduler) gen(v cdag.NodeID, b cdag.Weight, sched *core.Schedule) error {
 	g := s.dg.G
-	e := s.p(v, b)
+	e, _, _ := s.p(v, b)
 	if e.cost >= Inf {
 		return fmt.Errorf("dwt: internal error: generating infeasible subproblem for node %d at budget %d", v, b)
 	}

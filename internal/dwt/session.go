@@ -40,7 +40,8 @@ func (se *Session) Scheduler() *Scheduler { return se.s }
 func (se *Session) Graph() *Graph { return se.s.dg }
 
 // TakeCounts returns and resets the session's cumulative solver
-// observation counters (memo hits, entries) for metric export.
+// observation counters (memo hits, entries, interval splits) for
+// metric export.
 func (se *Session) TakeCounts() guard.Counts { return se.ck.TakeCounts() }
 
 // Patch applies weight deltas to the underlying graph, invalidating
@@ -62,11 +63,11 @@ func (se *Session) Patch(ds []cdag.WeightDelta) (invalidated, reused int64, err 
 
 func (se *Session) begin(ctx context.Context, lim guard.Limits) {
 	se.ck.Reset(ctx, lim)
-	se.s.ck = &se.ck
+	se.s.memo.Ck = &se.ck
 }
 
 func (se *Session) end() {
-	se.s.ck = nil
+	se.s.memo.Ck = nil
 	se.ck.Release()
 }
 

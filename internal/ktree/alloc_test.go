@@ -7,8 +7,8 @@ import (
 	"wrbpg/internal/core"
 )
 
-// TestPtMemoHitZeroAlloc: a warm Pt(v, b) cell costs one budget-index
-// probe and a slice load — no allocations.
+// TestPtMemoHitZeroAlloc: a warm Pt(v, b) cell costs one binary search
+// over the node's interval row — no allocations.
 func TestPtMemoHitZeroAlloc(t *testing.T) {
 	tr, err := FullTree(4, 2, func(d, i int) cdag.Weight { return 1 + cdag.Weight((d+i)%2) })
 	if err != nil {

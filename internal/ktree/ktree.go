@@ -18,15 +18,15 @@ package ktree
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strconv"
 
 	"wrbpg/internal/cdag"
+	"wrbpg/internal/stepmemo"
 )
 
 // Inf is the sentinel cost of an infeasible subproblem.
-const Inf cdag.Weight = math.MaxInt64 / 4
+const Inf = stepmemo.Inf
 
 // MaxK bounds the in-degree accepted by the scheduler; 2^k·k! grows
 // so fast that k beyond 8 is never practical.

@@ -60,11 +60,11 @@ func (se *Session) Patch(ds []cdag.WeightDelta) (invalidated, reused int64, err 
 // begin installs the session checker for one query; end uninstalls it.
 func (se *Session) begin(ctx context.Context, lim guard.Limits) {
 	se.ck.Reset(ctx, lim)
-	se.s.ck = &se.ck
+	se.s.memo.Ck = &se.ck
 }
 
 func (se *Session) end() {
-	se.s.ck = nil
+	se.s.memo.Ck = nil
 	se.ck.Release()
 }
 

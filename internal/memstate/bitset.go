@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"wrbpg/internal/cdag"
+	"wrbpg/internal/stepmemo"
 )
 
 // Bitset is a packed set of node IDs: bit j of word i holds node
@@ -265,9 +266,9 @@ func ancestorMasks(g *cdag.Graph) []Bitset {
 // pmKey is the packed budget-free DP state of Eq. 8: target node and
 // the handles of the initial and reuse sets. The budget is *not* part
 // of the key — Pm(v, ·, I, R) is a non-increasing step function of
-// the budget, so each key owns a list of disjoint budget intervals on
-// which the value is constant (pmIval). It is a comparable struct, so
-// memo lookups build no strings and perform zero allocations.
+// the budget, so each key owns a stepmemo.Row of budget intervals on
+// which the value is constant. It is a comparable struct, so memo
+// lookups build no strings and perform zero allocations.
 type pmKey struct {
 	v          cdag.NodeID
 	ini, reuse uint64
@@ -284,24 +285,13 @@ func (k pmKey) hash() uint64 {
 	return h ^ h>>29
 }
 
-// pmIval records that Pm for its key equals cost on every budget in
-// [lo, hi]. Intervals in a slot are sorted by lo and pairwise
-// disjoint.
-type pmIval struct {
-	lo, hi cdag.Weight
-	cost   cdag.Weight
-}
-
 // pmTable is the Pm memo: an open-addressed hash table with linear
-// probing, specialized to pmKey, whose slots hold sorted
-// budget-interval lists. Probing a flat slot array with an inlined
-// integer hash skips the runtime's generic hashing and bucket walk,
-// and a warm hit answers a whole budget *range* per entry — the
-// mechanism that lets a k-budget sweep cost about one solve instead
-// of k. The zero value is an empty table; there is no deletion —
-// instead every access carries the key node's current generation
-// stamp (genState), and a slot recorded under an older generation is
-// treated as empty and lazily reset, keeping its interval capacity.
+// probing, specialized to pmKey, whose slots hold stepmemo rows.
+// Probing a flat slot array with an inlined integer hash skips the
+// runtime's generic hashing and bucket walk. The zero value is an
+// empty table; there is no deletion — a patch bumps the generations
+// of the changed nodes' root chains (stepmemo.Memo.Patch), and their
+// rows read as empty until their next store resets them in place.
 type pmTable struct {
 	mask  uint64
 	n     int
@@ -309,58 +299,40 @@ type pmTable struct {
 }
 
 type pmSlot struct {
-	key   pmKey
-	gen   uint32
-	ivals []pmIval
-	full  bool
+	key  pmKey
+	row  stepmemo.Row[cdag.Weight]
+	full bool
 }
 
-// get returns the memoized cost covering budget b along with its
-// validity interval. gen is the key node's current generation; a slot
-// stamped older was invalidated by a patch and reads as a miss (its
-// storage is reclaimed on the next put). The binary search allocates
-// nothing.
-func (t *pmTable) get(k pmKey, gen uint32, b cdag.Weight) (cdag.Weight, cdag.Weight, cdag.Weight, bool) {
+// get returns k's memoized step covering budget b under the current
+// generation of k's node, or nil. It allocates nothing.
+func (t *pmTable) get(m *stepmemo.Memo, k pmKey, b cdag.Weight) *stepmemo.Step[cdag.Weight] {
 	if t.slots == nil {
-		return 0, 0, 0, false
+		return nil
 	}
 	for i := k.hash() & t.mask; ; i = (i + 1) & t.mask {
 		s := &t.slots[i]
 		if !s.full {
-			return 0, 0, 0, false
+			return nil
 		}
 		if s.key == k {
-			if s.gen != gen {
-				return 0, 0, 0, false
-			}
-			row := s.ivals
-			lo, hi := 0, len(row)
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if row[mid].lo <= b {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if lo > 0 && row[lo-1].hi >= b {
-				iv := row[lo-1]
-				return iv.cost, iv.lo, iv.hi, true
-			}
-			return 0, 0, 0, false
+			return s.row.Find(m.Gen(k.v), b)
 		}
 	}
 }
 
-// put inserts iv under the key node's current generation, clipped to
-// the uncovered gap it lands in. Neighbours are restrictions of the
-// same step function, so on any overlap they agree and clipping
-// discards only redundancy. A slot stamped with an older generation
-// holds only invalidated intervals: it is reset in place (keeping its
-// capacity) before the insert. stored reports whether iv survived
-// (false when clipping emptied it); clipped reports whether clipping
-// happened (an interval split, for the observation counters).
-func (t *pmTable) put(k pmKey, gen uint32, iv pmIval) (stored, clipped bool) {
+// store memoizes cost on [lo, hi] for k, computed at the uncovered
+// budget b, unless m.Admit refuses it, and returns the triple a Pm
+// cell returns (as stepmemo.Rows.Store does).
+func (t *pmTable) store(m *stepmemo.Memo, k pmKey, b, lo, hi, cost cdag.Weight) (cdag.Weight, cdag.Weight, cdag.Weight) {
+	if m.Admit() {
+		t.row(k).Store(m, k.v, b, stepmemo.Step[cdag.Weight]{Lo: lo, Hi: hi, V: cost})
+	}
+	return cost, lo, hi
+}
+
+// row returns k's row, claiming an empty slot for it first if needed.
+func (t *pmTable) row(k pmKey) *stepmemo.Row[cdag.Weight] {
 	// Grow at 3/4 occupancy so probe chains stay short.
 	if (t.n+1)*4 > len(t.slots)*3 {
 		t.grow()
@@ -368,41 +340,12 @@ func (t *pmTable) put(k pmKey, gen uint32, iv pmIval) (stored, clipped bool) {
 	for i := k.hash() & t.mask; ; i = (i + 1) & t.mask {
 		s := &t.slots[i]
 		if !s.full {
-			*s = pmSlot{key: k, gen: gen, ivals: append(s.ivals[:0], iv), full: true}
+			s.key, s.full = k, true
 			t.n++
-			return true, false
+			return &s.row
 		}
 		if s.key == k {
-			if s.gen != gen {
-				s.gen = gen
-				s.ivals = s.ivals[:0]
-			}
-			row := s.ivals
-			lo, hi := 0, len(row)
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if row[mid].lo <= iv.lo {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if lo > 0 && row[lo-1].hi >= iv.lo {
-				iv.lo = row[lo-1].hi + 1
-				clipped = true
-			}
-			if lo < len(row) && row[lo].lo <= iv.hi {
-				iv.hi = row[lo].lo - 1
-				clipped = true
-			}
-			if iv.lo > iv.hi {
-				return false, clipped
-			}
-			row = append(row, pmIval{})
-			copy(row[lo+1:], row[lo:])
-			row[lo] = iv
-			s.ivals = row
-			return true, clipped
+			return &s.row
 		}
 	}
 }

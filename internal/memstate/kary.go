@@ -7,6 +7,7 @@ import (
 	"wrbpg/internal/cdag"
 	"wrbpg/internal/guard"
 	"wrbpg/internal/perm"
+	"wrbpg/internal/stepmemo"
 )
 
 // KScheduler generalizes the Pm recursion of Eq. 8 from the paper's
@@ -23,13 +24,10 @@ import (
 // cached cell performs zero allocations.
 type KScheduler struct {
 	g    *cdag.Graph
-	memo pmTable
+	tab  pmTable
+	memo stepmemo.Memo
 	ix   *setIndex
 	anc  []Bitset
-	gs   genState
-	// ck, when non-nil, is the active cancellation/budget guard of a
-	// CostCtx call; see Scheduler.ck.
-	ck *guard.Checker
 }
 
 // maxK mirrors ktree.MaxK (= perm.MaxK); 2^k·k! growth makes anything
@@ -55,20 +53,22 @@ func NewKScheduler(g *cdag.Graph) (*KScheduler, error) {
 		}
 	}
 	return &KScheduler{
-		g:   g,
-		ix:  newSetIndex(g.Len()),
-		anc: ancestorMasks(g),
-		gs:  newGenState(g.Len()),
+		g:    g,
+		ix:   newSetIndex(g.Len()),
+		anc:  ancestorMasks(g),
+		memo: stepmemo.New(g.Len()),
 	}, nil
 }
 
 // SetWeights applies weight deltas to the tree and invalidates (via
 // generation stamps) exactly the memo cells whose subtree contains a
-// changed node; see genState. The graph is reverted unchanged on any
+// changed node: Pm(v, ·, I, R) depends only on weights inside v's
+// subtree (Eq. 8), so only the changed nodes' root chains go stale
+// (stepmemo.Memo.Patch). The graph is reverted unchanged on any
 // error. It returns the number of intervals invalidated and the
 // number surviving.
 func (s *KScheduler) SetWeights(ds []cdag.WeightDelta) (invalidated, reused int64, err error) {
-	return s.gs.setWeights(s.g, ds)
+	return s.memo.Patch(s.g, ds, "memstate", nil, nil)
 }
 
 // Restrict returns X_u = X ∩ (pred(u) ∪ {u}).
@@ -87,8 +87,8 @@ func (s *KScheduler) Cost(v cdag.NodeID, b cdag.Weight, initial, reuse Bitset) c
 func (s *KScheduler) CostCtx(ctx context.Context, lim guard.Limits, v cdag.NodeID, b cdag.Weight, initial, reuse Bitset) (cdag.Weight, error) {
 	ck := guard.New(ctx, lim)
 	defer ck.Release()
-	s.ck = ck
-	defer func() { s.ck = nil }()
+	s.memo.Ck = ck
+	defer func() { s.memo.Ck = nil }()
 	c := s.Cost(v, b, initial, reuse)
 	if err := ck.Err(); err != nil {
 		return 0, fmt.Errorf("memstate: %w", err)
@@ -108,9 +108,9 @@ func (s *KScheduler) PlainCost(v cdag.NodeID, b cdag.Weight) cdag.Weight {
 // [lo, hi] ∋ b on which it is valid.
 func (s *KScheduler) pmk(v cdag.NodeID, b cdag.Weight, ini, reuse Bitset) (cdag.Weight, cdag.Weight, cdag.Weight) {
 	key := pmKey{v: v, ini: s.ix.handle(ini), reuse: s.ix.handle(reuse)}
-	if c, lo, hi, ok := s.memo.get(key, s.gs.gens[v], b); ok {
-		s.ck.NoteHit()
-		return c, lo, hi
+	if st := s.tab.get(&s.memo, key, b); st != nil {
+		s.memo.Hit()
+		return st.V, st.Lo, st.Hi
 	}
 	return s.pmkCold(key, v, b, ini, reuse)
 }
@@ -119,7 +119,7 @@ func (s *KScheduler) pmkCold(key pmKey, v cdag.NodeID, b cdag.Weight, ini, reuse
 	// Cancellation checkpoint on the cold path only: warm hits never
 	// reach this function. The tripped return carries an empty-width
 	// interval so enclosing cells cannot widen around a poisoned value.
-	if s.ck != nil && s.ck.Tick() != nil {
+	if s.memo.Tick() {
 		return Inf, b, b
 	}
 	g := s.g
@@ -137,10 +137,10 @@ func (s *KScheduler) pmkCold(key pmKey, v cdag.NodeID, b cdag.Weight, ini, reuse
 		}
 	}
 	var cost cdag.Weight
-	lo, hi := guard, cdag.Weight(budgetMax)
+	lo, hi := guard, Inf
 	switch {
 	case guard > b:
-		cost, lo, hi = Inf, budgetMin, guard-1
+		cost, lo, hi = Inf, -Inf, guard-1
 	case ini.Has(v):
 		cost = 0
 		reuse.ForEach(func(r cdag.NodeID) {
@@ -184,12 +184,7 @@ func (s *KScheduler) pmkCold(key pmKey, v cdag.NodeID, b cdag.Weight, ini, reuse
 					// acting on its value: the enumeration's outcome —
 					// including this break — is constant only where
 					// every consulted sub-value is.
-					if nlo := slo + shift; nlo > lo {
-						lo = nlo
-					}
-					if nhi := shi + shift; nhi < hi {
-						hi = nhi
-					}
+					lo, hi = max(lo, slo+shift), min(hi, shi+shift)
 					if sub >= Inf {
 						bad = true
 						break
@@ -213,16 +208,5 @@ func (s *KScheduler) pmkCold(key pmKey, v cdag.NodeID, b cdag.Weight, ini, reuse
 		}
 		cost = best
 	}
-	// Never memoize after a trip: children returned poisoned Inf costs
-	// that must not survive into later solves.
-	if s.ck == nil || (s.ck.Err() == nil && s.ck.AddMemo(1) == nil) {
-		stored, clipped := s.memo.put(key, s.gs.gens[v], pmIval{lo: lo, hi: hi, cost: cost})
-		if stored {
-			s.gs.noteStore(v)
-		}
-		if clipped {
-			s.ck.NoteSplit()
-		}
-	}
-	return cost, lo, hi
+	return s.tab.store(&s.memo, key, b, lo, hi, cost)
 }

@@ -25,36 +25,24 @@ package memstate
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
 	"wrbpg/internal/cdag"
 	"wrbpg/internal/guard"
+	"wrbpg/internal/stepmemo"
 )
 
 // Inf is the sentinel cost of an infeasible subproblem.
-const Inf cdag.Weight = math.MaxInt64 / 4
-
-// Budget-interval sentinels: a memoized value valid "for every budget
-// from here up" (or down) uses these as its open end.
-const (
-	budgetMax = Inf
-	budgetMin = -Inf
-)
+const Inf = stepmemo.Inf
 
 // Scheduler evaluates Pm on a binary in-tree.
 type Scheduler struct {
 	g    *cdag.Graph
-	memo pmTable
+	tab  pmTable
+	memo stepmemo.Memo
 	ix   *setIndex
 	anc  []Bitset
-	gs   genState
-	// ck, when non-nil, is the active cancellation/budget guard of a
-	// CostCtx call. The DP checks it per cold cell and never memoizes
-	// results computed after it trips. nil (the default) costs one
-	// pointer test per cell.
-	ck *guard.Checker
 }
 
 // NewScheduler wraps a binary in-tree (every in-degree 0 or 2, unique
@@ -72,20 +60,22 @@ func NewScheduler(g *cdag.Graph) (*Scheduler, error) {
 		}
 	}
 	return &Scheduler{
-		g:   g,
-		ix:  newSetIndex(g.Len()),
-		anc: ancestorMasks(g),
-		gs:  newGenState(g.Len()),
+		g:    g,
+		ix:   newSetIndex(g.Len()),
+		anc:  ancestorMasks(g),
+		memo: stepmemo.New(g.Len()),
 	}, nil
 }
 
 // SetWeights applies weight deltas to the tree and invalidates (via
 // generation stamps) exactly the memo cells whose subtree contains a
-// changed node; see genState. The graph is reverted unchanged on any
+// changed node: Pm(v, ·, I, R) depends only on weights inside v's
+// subtree (Eq. 8), so only the changed nodes' root chains go stale
+// (stepmemo.Memo.Patch). The graph is reverted unchanged on any
 // error. It returns the number of intervals invalidated and the
 // number surviving.
 func (s *Scheduler) SetWeights(ds []cdag.WeightDelta) (invalidated, reused int64, err error) {
-	return s.gs.setWeights(s.g, ds)
+	return s.memo.Patch(s.g, ds, "memstate", nil, nil)
 }
 
 // Restrict returns X_u = X ∩ (pred(u) ∪ {u}) — one mask intersection.
@@ -109,8 +99,8 @@ func (s *Scheduler) Cost(v cdag.NodeID, b cdag.Weight, initial, reuse Bitset) cd
 func (s *Scheduler) CostCtx(ctx context.Context, lim guard.Limits, v cdag.NodeID, b cdag.Weight, initial, reuse Bitset) (cdag.Weight, error) {
 	ck := guard.New(ctx, lim)
 	defer ck.Release()
-	s.ck = ck
-	defer func() { s.ck = nil }()
+	s.memo.Ck = ck
+	defer func() { s.memo.Ck = nil }()
 	c := s.Cost(v, b, initial, reuse)
 	if err := ck.Err(); err != nil {
 		return 0, fmt.Errorf("memstate: %w", err)
@@ -126,15 +116,14 @@ func (s *Scheduler) CostCtx(ctx context.Context, lim guard.Limits, v cdag.NodeID
 // is constant, so the minimum is too.
 func (s *Scheduler) pm(v cdag.NodeID, b cdag.Weight, ini, reuse Bitset) (cdag.Weight, cdag.Weight, cdag.Weight) {
 	key := pmKey{v: v, ini: s.ix.handle(ini), reuse: s.ix.handle(reuse)}
-	gen := s.gs.gens[v]
-	if c, lo, hi, ok := s.memo.get(key, gen, b); ok {
-		s.ck.NoteHit()
-		return c, lo, hi
+	if st := s.tab.get(&s.memo, key, b); st != nil {
+		s.memo.Hit()
+		return st.V, st.Lo, st.Hi
 	}
 	// Cancellation checkpoint on the cold path only: warm hits return
 	// above untouched. The tripped return carries an empty-width
 	// interval so enclosing cells cannot widen around a poisoned value.
-	if s.ck != nil && s.ck.Tick() != nil {
+	if s.memo.Tick() {
 		return Inf, b, b
 	}
 	g := s.g
@@ -152,10 +141,10 @@ func (s *Scheduler) pm(v cdag.NodeID, b cdag.Weight, ini, reuse Bitset) (cdag.We
 		}
 	}
 	var cost cdag.Weight
-	lo, hi := guard, cdag.Weight(budgetMax)
+	lo, hi := guard, Inf
 	switch {
 	case guard > b:
-		cost, lo, hi = Inf, budgetMin, guard-1
+		cost, lo, hi = Inf, -Inf, guard-1
 	case ini.Has(v):
 		// v already resident: only bring in reuse nodes not yet in
 		// fast memory (they hold blue pebbles).
@@ -197,12 +186,7 @@ func (s *Scheduler) pm(v cdag.NodeID, b cdag.Weight, ini, reuse Bitset) (cdag.We
 		// its validity interval (shifted back) into [lo, hi].
 		sub := func(p cdag.NodeID, shift cdag.Weight, pi, pr Bitset) cdag.Weight {
 			c, slo, shi := s.pm(p, b-shift, pi, pr)
-			if nlo := slo + shift; nlo > lo {
-				lo = nlo
-			}
-			if nhi := shi + shift; nhi < hi {
-				hi = nhi
-			}
+			lo, hi = max(lo, slo+shift), min(hi, shi+shift)
 			return c
 		}
 
@@ -227,18 +211,7 @@ func (s *Scheduler) pm(v cdag.NodeID, b cdag.Weight, ini, reuse Bitset) (cdag.We
 			cost = Inf
 		}
 	}
-	// Never memoize after a trip: children returned poisoned Inf costs
-	// that must not survive into later solves.
-	if s.ck == nil || (s.ck.Err() == nil && s.ck.AddMemo(1) == nil) {
-		stored, clipped := s.memo.put(key, gen, pmIval{lo: lo, hi: hi, cost: cost})
-		if stored {
-			s.gs.noteStore(v)
-		}
-		if clipped {
-			s.ck.NoteSplit()
-		}
-	}
-	return cost, lo, hi
+	return s.tab.store(&s.memo, key, b, lo, hi, cost)
 }
 
 // PlainCost returns Pm with empty states, which coincides with the

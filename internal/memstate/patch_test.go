@@ -129,7 +129,10 @@ func TestSetWeightsRevertsOnError(t *testing.T) {
 	}
 	b := core.MinExistenceBudget(tr.G) + 3
 	want := s.PlainCost(tr.Root, b)
-	gens := append([]uint32(nil), s.gs.gens...)
+	gens := make([]uint32, tr.G.Len())
+	for v := range gens {
+		gens[v] = s.memo.Gen(cdag.NodeID(v))
+	}
 	for _, bad := range [][]cdag.WeightDelta{
 		{{Node: 0, Weight: 0}},
 		{{Node: -1, Weight: 1}},
@@ -139,7 +142,7 @@ func TestSetWeightsRevertsOnError(t *testing.T) {
 			t.Fatalf("SetWeights(%v): want error", bad)
 		}
 		for v, g := range gens {
-			if s.gs.gens[v] != g {
+			if s.memo.Gen(cdag.NodeID(v)) != g {
 				t.Fatalf("after failed %v: node %d generation bumped", bad, v)
 			}
 		}

@@ -73,10 +73,10 @@ func (se *Session) Patch(ds []cdag.WeightDelta) (invalidated, reused int64, err 
 func (se *Session) CostCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) (cdag.Weight, error) {
 	se.ck.Reset(ctx, lim)
 	defer func() {
-		se.s.ck = nil
+		se.s.memo.Ck = nil
 		se.ck.Release()
 	}()
-	se.s.ck = &se.ck
+	se.s.memo.Ck = &se.ck
 	c := se.s.Cost(se.v, b, se.ini, se.reuse)
 	if err := se.ck.Err(); err != nil {
 		return 0, fmt.Errorf("memstate: %w", err)

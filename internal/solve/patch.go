@@ -2,8 +2,9 @@
 // session's graph to a declarative target weight state (base weights
 // plus a canonical delta list), computing the minimal set of actual
 // weight writes against the current state, handing them to the family
-// scheduler's dependency-tracked invalidation (dwt cone walk, ktree /
-// memstate root chains), and leaving every untouched memo cell warm —
+// scheduler's dependency-tracked invalidation (stepmemo.Memo.Patch: the
+// changed nodes' descendant cone, their root chains in the in-tree
+// families), and leaving every untouched memo cell warm —
 // so the next query re-solves a single-node change in a small fraction
 // of a cold solve (the *PatchResolve perf kernels, docs/PERFORMANCE.md
 // §incremental).
