@@ -1,6 +1,8 @@
 # Development entry points. `make check` is the full pre-commit gate:
-# build, vet, race-enabled tests, and a one-iteration benchmark smoke
-# pass (-short skips the heavy figure sweeps; see bench_test.go).
+# build, vet, race-enabled tests, a one-iteration benchmark smoke pass
+# (-short skips the heavy figure sweeps; see bench_test.go), and the
+# end-to-end benchmark smoke, so a root-module API change that breaks
+# the separately-moduled cmd/wrbpgbench fails here, not only in CI.
 
 GO ?= go
 
@@ -153,4 +155,4 @@ staticcheck:
 		echo "staticcheck not installed; skipping"; \
 	fi
 
-check: build vet race race-fault bench-smoke serve-check obs-check patch-check cluster-check cdag-check staticcheck
+check: build vet race race-fault bench-smoke bench-e2e-smoke serve-check obs-check patch-check cluster-check cdag-check staticcheck

@@ -246,6 +246,6 @@ func run(args []string, stdout *os.File) error {
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	logger.Info("exit", "cache", slog.AnyValue(srv.CacheStats()))
+	logger.Info("exit", "cache", slog.AnyValue(srv.Stats().Cache))
 	return nil
 }

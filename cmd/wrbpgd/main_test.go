@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -15,7 +16,7 @@ import (
 	"testing"
 	"time"
 
-	"wrbpg/internal/serve"
+	"wrbpg/internal/obs"
 	"wrbpg/internal/serve/wire"
 )
 
@@ -203,20 +204,48 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	// Counters reflect the traffic above.
-	var stats serve.Stats
-	if code := get("/statsz", &stats); code != http.StatusOK {
-		t.Fatalf("statsz: code %d", code)
+	resp, err := client.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stats.Cache.Hits < 2 || stats.Cache.Misses < 1 || stats.Solves < 2 || stats.BadRequests < 1 {
-		t.Fatalf("statsz counters: %+v", stats)
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stats.Sweeps < 3 || stats.SweepBudgets < 6 || stats.SessionHits < 1 ||
-		stats.SessionMisses < 1 || stats.SessionsLive < 1 {
-		t.Fatalf("sweep counters: %+v", stats)
+	samples, err := obs.ParseText(string(raw))
+	if err != nil {
+		t.Fatalf("/metrics unparseable: %v", err)
 	}
-	if stats.Patches < 2 || stats.PatchDeltas < 2 || stats.PatchChangedNodes < 2 ||
-		stats.SessionCapacity < 1 {
-		t.Fatalf("patch counters: %+v", stats)
+	m := make(map[string]float64, len(samples))
+	for _, s := range samples {
+		m[s.Series()] = s.Value
+	}
+	for _, c := range []struct {
+		series string
+		min    float64
+	}{
+		{"wrbpg_cache_hits_total", 2},
+		{"wrbpg_cache_misses_total", 1},
+		{"wrbpg_solves_total", 2},
+		{"wrbpg_http_bad_requests_total", 1},
+		{`wrbpg_http_requests_total{endpoint="sweep"}`, 3},
+		{"wrbpg_sweep_budgets_total", 6},
+		{"wrbpg_sweep_session_hits_total", 1},
+		{"wrbpg_sweep_session_misses_total", 1},
+		{"wrbpg_sweep_sessions_live", 1},
+		{`wrbpg_http_requests_total{endpoint="patch"}`, 2},
+		{"wrbpg_patch_deltas_total", 2},
+		{"wrbpg_patch_changed_nodes_total", 2},
+		{"wrbpg_sweep_session_capacity", 1},
+	} {
+		if m[c.series] < c.min {
+			t.Errorf("%s = %v, want >= %v", c.series, m[c.series], c.min)
+		}
+	}
+	// /metrics is the only stats surface.
+	if code := get("/statsz", nil); code != http.StatusNotFound {
+		t.Fatalf("GET /statsz: code %d, want 404", code)
 	}
 
 	// Graceful shutdown: SIGTERM flips /readyz to "draining" while the

@@ -249,11 +249,11 @@ func TestClusterFleetObservability(t *testing.T) {
 	if cs.Replicas != 3 || cs.Scraped != 3 {
 		t.Fatalf("cluster stats replicas=%d scraped=%d, want 3/3: %+v", cs.Replicas, cs.Scraped, cs)
 	}
-	if cs.PeerRequests == 0 || cs.PeerFill["filled"] == 0 {
-		t.Errorf("merged cluster stats show no peer traffic: %+v", cs)
+	if cs.Totals[`wrbpg_http_requests_total{endpoint="peer"}`] == 0 || cs.Totals[`wrbpg_peer_fill_total{outcome="filled"}`] == 0 {
+		t.Errorf("merged cluster stats show no peer traffic: %+v", cs.Totals)
 	}
-	if cs.Solves == 0 || cs.Requests == 0 {
-		t.Errorf("merged cluster stats show no solve traffic: %+v", cs)
+	if cs.Totals["wrbpg_solves_total"] == 0 || cs.Totals[`wrbpg_http_requests_total{endpoint="schedule"}`] == 0 {
+		t.Errorf("merged cluster stats show no solve traffic: %+v", cs.Totals)
 	}
 }
 

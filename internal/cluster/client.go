@@ -128,26 +128,26 @@ func readBody(resp *http.Response, limit int64) ([]byte, error) {
 	return b, err
 }
 
-// GetJSON fetches path from peer (GET) and decodes the 200 body into
-// v. Non-200s and transport failures come back as errors — callers
-// (the /v1/cluster/stats fan-out) report the peer as unreachable
-// rather than failing the whole scrape.
-func (c *Cluster) GetJSON(ctx context.Context, peer, path string, v any) error {
+// Get fetches path from peer (GET) and returns the 200 body. Non-200s
+// and transport failures come back as errors — callers (the
+// /v1/cluster/stats fan-out) report the peer as unreachable rather
+// than failing the whole scrape.
+func (c *Cluster) Get(ctx context.Context, peer, path string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+path, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	b, err := readBody(resp, maxPeerBody)
 	if err != nil {
-		return fmt.Errorf("cluster: read %s%s: %w", peer, path, err)
+		return nil, fmt.Errorf("cluster: read %s%s: %w", peer, path, err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: %s%s answered %d", peer, path, resp.StatusCode)
+		return nil, fmt.Errorf("cluster: %s%s answered %d", peer, path, resp.StatusCode)
 	}
-	return json.Unmarshal(b, v)
+	return b, nil
 }

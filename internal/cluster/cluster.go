@@ -161,7 +161,7 @@ type PeerHealth struct {
 	Healthy bool   `json:"healthy"`
 }
 
-// HealthReport summarizes fleet reachability for /readyz and /statsz.
+// HealthReport summarizes fleet reachability for /readyz.
 type HealthReport struct {
 	// Total counts cluster members including self; Healthy counts the
 	// members currently on the ring (self is always healthy from its own

@@ -10,7 +10,7 @@
 // requests for the same key trigger exactly one computation, with the
 // other callers blocking on the leader's result. Sharding keeps lock
 // contention bounded under concurrent serving traffic; statistics are
-// lock-free atomics so GET /statsz never contends with the request
+// lock-free atomics so GET /metrics never contends with the request
 // path.
 package schedcache
 

@@ -13,15 +13,11 @@ import (
 // test) metric handles.
 func newTestAdmission(slots, maxQueue int) *admission {
 	reg := obs.NewRegistry()
-	bounds := make([]float64, len(latencyBoundsUS))
-	for i, b := range latencyBoundsUS {
-		bounds[i] = float64(b)
-	}
 	return &admission{
 		slots:    make(chan struct{}, slots),
 		maxQueue: maxQueue,
 		depth:    reg.Gauge("test_depth", "t"),
-		hold:     reg.Histogram("test_hold", "t", bounds),
+		hold:     reg.Histogram("test_hold", "t", latencyBoundsUS),
 	}
 }
 

@@ -174,8 +174,8 @@ func (b *breaker) Cancel() {
 	}
 }
 
-// State names the current state for /statsz and /readyz; "disabled"
-// for a nil breaker.
+// State names the current state for /readyz and the startup log;
+// "disabled" for a nil breaker.
 func (b *breaker) State() string {
 	if b == nil {
 		return "disabled"

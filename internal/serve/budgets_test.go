@@ -114,14 +114,20 @@ func TestSweepWarmSession(t *testing.T) {
 		t.Errorf("warm sweep invoked the cold solver")
 	}
 
-	var st Stats
-	getJSON(t, ts.URL+"/statsz", &st)
-	if st.Sweeps != 2 || st.SweepBudgets != uint64(2*len(budgets)) ||
-		st.SessionMisses != 1 || st.SessionHits != 1 || st.SessionsLive != 1 {
-		t.Errorf("sweep counters: %+v", st)
+	m := scrapeMetrics(t, ts.URL)
+	for series, want := range map[string]float64{
+		`wrbpg_http_requests_total{endpoint="sweep"}`: 2,
+		"wrbpg_sweep_budgets_total":                   float64(2 * len(budgets)),
+		"wrbpg_sweep_session_misses_total":            1,
+		"wrbpg_sweep_session_hits_total":              1,
+		"wrbpg_sweep_sessions_live":                   1,
+	} {
+		if m[series] != want {
+			t.Errorf("sweep counter %s = %v, want %v", series, m[series], want)
+		}
 	}
-	if st.SweepWorkspaces < 1 {
-		t.Errorf("workspace pool allocated nothing: %+v", st)
+	if n := m["wrbpg_sweep_workspace_allocs_total"]; n < 1 {
+		t.Errorf("workspace pool allocated nothing: %v", n)
 	}
 }
 
@@ -335,14 +341,20 @@ func TestPatchInlineAndByBaseKey(t *testing.T) {
 	// Counters: two patches, the second a no-op-free re-patch; the
 	// delta-free sweep adds no patch counts. The session gauges cover
 	// the pool.
-	var st Stats
-	getJSON(t, ts.URL+"/statsz", &st)
-	if st.Patches != 2 || st.PatchDeltas != 2 || st.PatchBudgets != uint64(2*len(budgets)) ||
-		st.PatchChangedNodes != 2 || st.PatchNoops != 0 {
-		t.Errorf("patch counters: %+v", st)
+	m := scrapeMetrics(t, ts.URL)
+	for series, want := range map[string]float64{
+		`wrbpg_http_requests_total{endpoint="patch"}`: 2,
+		"wrbpg_patch_deltas_total":                    2,
+		"wrbpg_patch_budgets_total":                   float64(2 * len(budgets)),
+		"wrbpg_patch_changed_nodes_total":             2,
+		"wrbpg_patch_noop_total":                      0,
+	} {
+		if m[series] != want {
+			t.Errorf("patch counter %s = %v, want %v", series, m[series], want)
+		}
 	}
-	if st.SessionsLive != 1 || st.SessionCapacity < 1 {
-		t.Errorf("session gauges: live=%d capacity=%d", st.SessionsLive, st.SessionCapacity)
+	if live, capacity := m["wrbpg_sweep_sessions_live"], m["wrbpg_sweep_session_capacity"]; live != 1 || capacity < 1 {
+		t.Errorf("session gauges: live=%v capacity=%v", live, capacity)
 	}
 }
 

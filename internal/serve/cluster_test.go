@@ -439,9 +439,8 @@ func TestClusterShedPropagation(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("unsaturated: status %d: %s", resp.StatusCode, body)
 	}
-	st := s.Stats()
-	if st.PeerFill["shed"] != 1 || st.PeerShedPropagated != 0 {
-		t.Fatalf("unsaturated: peer_fill=%v propagated=%d, want shed=1 propagated=0", st.PeerFill, st.PeerShedPropagated)
+	if fill, propagated := s.Stats().PeerFill["shed"], scrapeMetrics(t, ts.URL)["wrbpg_peer_shed_propagated_total"]; fill != 1 || propagated != 0 {
+		t.Fatalf("unsaturated: peer_fill[shed]=%d propagated=%v, want shed=1 propagated=0", fill, propagated)
 	}
 
 	// Saturated: the owner's 429 is surfaced, Retry-After clamped to
@@ -462,9 +461,8 @@ func TestClusterShedPropagation(t *testing.T) {
 	if we.Reason != "shed" {
 		t.Fatalf("reason=%q, want shed", we.Reason)
 	}
-	st = s.Stats()
-	if st.PeerShedPropagated != 1 {
-		t.Fatalf("propagated=%d, want 1", st.PeerShedPropagated)
+	if n := scrapeMetrics(t, ts.URL)["wrbpg_peer_shed_propagated_total"]; n != 1 {
+		t.Fatalf("propagated=%v, want 1", n)
 	}
 }
 
@@ -520,5 +518,80 @@ func TestClusterFillDuringEjectRace(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestClusterStatsMergesMetrics: GET /v1/cluster/stats parses every
+// reachable replica's /metrics, sums each counter series over exactly
+// those rows, and reports an unreachable peer as an error row. The
+// replicas share obs.Default in one process, so the ground-truth checks
+// stick to series from each server's own registry.
+func TestClusterStatsMergesMetrics(t *testing.T) {
+	f := newTestFleet(t, 3, Options{})
+	dead := f.urls[2]
+	f.ts[2].Close() // its URL now refuses connections
+
+	// One key replica 0 owns, one it fills from replica 1.
+	for _, owner := range f.urls[:2] {
+		req := f.reqOwnedBy(t, func(o string) bool { return o == owner })
+		if resp, body := postJSON(t, f.urls[0]+"/v1/schedule", req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+	}
+
+	var cs ClusterStats
+	if resp := getJSON(t, f.urls[0]+"/v1/cluster/stats", &cs); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/cluster/stats: %d", resp.StatusCode)
+	}
+	if cs.Replicas != 3 || cs.Scraped != 2 || len(cs.PerReplica) != 3 {
+		t.Fatalf("replicas=%d scraped=%d rows=%d, want 3/2/3", cs.Replicas, cs.Scraped, len(cs.PerReplica))
+	}
+	sum := map[string]float64{}
+	for _, row := range cs.PerReplica {
+		switch {
+		case row.URL == dead:
+			if row.Error == "" || row.Series != nil {
+				t.Errorf("dead peer row %+v, want an error and no series", row)
+			}
+		case row.Error != "":
+			t.Errorf("reachable replica %s: error %q", row.URL, row.Error)
+		default:
+			for series, v := range row.Series {
+				sum[series] += v
+			}
+		}
+	}
+	if !cs.PerReplica[0].Self || cs.PerReplica[0].URL != f.urls[0] {
+		t.Errorf("first row %s (self=%v), want self %s", cs.PerReplica[0].URL, cs.PerReplica[0].Self, f.urls[0])
+	}
+	if len(cs.Totals) == 0 || len(cs.Totals) != len(sum) {
+		t.Fatalf("%d totals, want one per row series (%d)", len(cs.Totals), len(sum))
+	}
+	for series, v := range cs.Totals {
+		if v != sum[series] {
+			t.Errorf("totals[%s] = %v, want the row sum %v", series, v, sum[series])
+		}
+	}
+
+	want := map[string]uint64{}
+	for _, s := range f.servers {
+		st := s.Stats()
+		want[`wrbpg_http_requests_total{endpoint="schedule"}`] += st.Requests
+		want[`wrbpg_http_requests_total{endpoint="peer"}`] += st.PeerRequests
+		want["wrbpg_solves_total"] += st.Solves
+		want["wrbpg_cache_misses_total"] += st.Cache.Misses
+		want[`wrbpg_peer_fill_total{outcome="filled"}`] += st.PeerFill["filled"]
+	}
+	for series, n := range want {
+		if n == 0 || cs.Totals[series] != float64(n) {
+			t.Errorf("totals[%s] = %v, want the replicas' %d (> 0)", series, cs.Totals[series], n)
+		}
+	}
+
+	// A peerless server has no fleet to report.
+	single := httptest.NewServer(New(Options{}).Handler())
+	defer single.Close()
+	if resp := getJSON(t, single.URL+"/v1/cluster/stats", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("peerless /v1/cluster/stats: %d, want 404", resp.StatusCode)
 	}
 }

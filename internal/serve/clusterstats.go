@@ -1,17 +1,21 @@
 // GET /v1/cluster/stats: the fleet-wide stats fan-out. Any replica
-// answers for the whole fleet by merging its own counters with every
-// healthy peer's GET /statsz, scraped concurrently under the peer
-// timeout. Unreachable peers degrade to an error row instead of
-// failing the scrape — a partitioned fleet still reports the side you
-// can see.
+// answers for the whole fleet by parsing its own GET /metrics text and
+// every healthy peer's, scraped concurrently under the peer timeout,
+// and summing the counters (every series named *_total) over the
+// replicas that answered. Unreachable peers degrade to an error row
+// instead of failing the scrape — a partitioned fleet still reports
+// the side you can see.
 
 package serve
 
 import (
+	"bytes"
 	"context"
 	"net/http"
+	"strings"
 	"sync"
 
+	"wrbpg/internal/obs"
 	"wrbpg/internal/serve/wire"
 )
 
@@ -19,34 +23,29 @@ import (
 type ReplicaStats struct {
 	URL  string `json:"url"`
 	Self bool   `json:"self,omitempty"`
-	// Error marks a replica whose /statsz scrape failed (unreachable or
-	// unhealthy); Stats is absent then.
+	// Error marks a replica whose /metrics scrape failed (unreachable,
+	// unhealthy or unparseable); Series is absent then.
 	Error string `json:"error,omitempty"`
-	Stats *Stats `json:"stats,omitempty"`
+	// Series maps each counter series (obs.Sample.Series, e.g.
+	// `wrbpg_shed_total{mode="doomed"}`) to the replica's value.
+	Series map[string]float64 `json:"series,omitempty"`
 }
 
 // ClusterStats is the GET /v1/cluster/stats response body: fleet
 // totals over the reachable replicas plus the per-replica breakdown.
 type ClusterStats struct {
 	// Replicas counts cluster members including self; Healthy counts
-	// members on the ring; Scraped counts members whose /statsz
+	// members on the ring; Scraped counts members whose /metrics
 	// answered this fan-out (totals sum over exactly these).
 	Replicas int `json:"replicas"`
 	Healthy  int `json:"healthy"`
 	Scraped  int `json:"scraped"`
-	// Fleet totals summed across scraped replicas. Solves versus
-	// Requests is the fleet's duplicate-solve ratio; PeerFill outcomes
-	// aggregate the replica-to-replica traffic.
-	Requests           uint64            `json:"requests"`
-	Solves             uint64            `json:"solves"`
-	Fallbacks          uint64            `json:"fallbacks"`
-	CacheHits          uint64            `json:"cache_hits"`
-	CacheMisses        uint64            `json:"cache_misses"`
-	PeerRequests       uint64            `json:"peer_requests"`
-	PeerShedPropagated uint64            `json:"peer_shed_propagated"`
-	Shed               map[string]uint64 `json:"shed"`
-	PeerFill           map[string]uint64 `json:"peer_fill"`
-	PerReplica         []ReplicaStats    `json:"per_replica"`
+	// Totals sums each counter series across the scraped replicas.
+	// wrbpg_solves_total against the schedule requests is the fleet's
+	// duplicate-solve ratio; wrbpg_peer_fill_total aggregates the
+	// replica-to-replica traffic.
+	Totals     map[string]float64 `json:"totals"`
+	PerReplica []ReplicaStats     `json:"per_replica"`
 }
 
 // handleClusterStats serves GET /v1/cluster/stats.
@@ -61,9 +60,14 @@ func (s *Server) handleClusterStats(w http.ResponseWriter, r *http.Request) {
 	}
 
 	rep := s.cluster.Health()
-	self := s.Stats()
+	// The self row parses the text MetricsHandler serves: the same
+	// registries, in the same order.
+	var self bytes.Buffer
+	s.reg.WriteText(&self)       //nolint:errcheck // a bytes.Buffer never fails
+	obs.Default.WriteText(&self) //nolint:errcheck
 	rows := make([]ReplicaStats, 1+len(rep.Peers))
-	rows[0] = ReplicaStats{URL: s.cluster.Self(), Self: true, Stats: &self}
+	rows[0] = counterRow(s.cluster.Self(), self.Bytes())
+	rows[0].Self = true
 
 	// Scrape peers concurrently, each bounded by the peer timeout (a
 	// stats scrape should never be slower than a fill). Unhealthy peers
@@ -80,12 +84,12 @@ func (s *Server) handleClusterStats(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(r.Context(), s.cluster.PeerTimeout())
 			defer cancel()
-			var st Stats
-			if err := s.cluster.GetJSON(ctx, url, "/statsz", &st); err != nil {
+			text, err := s.cluster.Get(ctx, url, "/metrics")
+			if err != nil {
 				*row = ReplicaStats{URL: url, Error: err.Error()}
 				return
 			}
-			*row = ReplicaStats{URL: url, Stats: &st}
+			*row = counterRow(url, text)
 		}(&rows[1+i], p.URL)
 	}
 	wg.Wait()
@@ -93,29 +97,33 @@ func (s *Server) handleClusterStats(w http.ResponseWriter, r *http.Request) {
 	out := ClusterStats{
 		Replicas:   rep.Total,
 		Healthy:    rep.Healthy,
-		Shed:       make(map[string]uint64),
-		PeerFill:   make(map[string]uint64),
+		Totals:     make(map[string]float64),
 		PerReplica: rows,
 	}
-	for i := range rows {
-		st := rows[i].Stats
-		if st == nil {
+	for _, row := range rows {
+		if row.Error != "" {
 			continue
 		}
 		out.Scraped++
-		out.Requests += st.Requests
-		out.Solves += st.Solves
-		out.Fallbacks += st.Fallbacks
-		out.CacheHits += st.Cache.Hits
-		out.CacheMisses += st.Cache.Misses
-		out.PeerRequests += st.PeerRequests
-		out.PeerShedPropagated += st.PeerShedPropagated
-		for mode, n := range st.Shed {
-			out.Shed[mode] += n
-		}
-		for outcome, n := range st.PeerFill {
-			out.PeerFill[outcome] += n
+		for series, v := range row.Series {
+			out.Totals[series] += v
 		}
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// counterRow parses one replica's exposition text into its row of
+// counter series.
+func counterRow(url string, text []byte) ReplicaStats {
+	samples, err := obs.ParseText(string(text))
+	if err != nil {
+		return ReplicaStats{URL: url, Error: err.Error()}
+	}
+	series := make(map[string]float64)
+	for _, sm := range samples {
+		if strings.HasSuffix(sm.Name, "_total") {
+			series[sm.Series()] = sm.Value
+		}
+	}
+	return ReplicaStats{URL: url, Series: series}
 }

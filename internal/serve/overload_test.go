@@ -65,10 +65,8 @@ func TestOverloadDegradesToShedBaseline(t *testing.T) {
 		t.Fatal("shed answer carried no schedule")
 	}
 
-	var st Stats
-	getJSON(t, ts.URL+"/statsz", &st)
-	if st.Shed[shedDegraded] != 1 {
-		t.Fatalf("shed[degraded] = %d, want 1", st.Shed[shedDegraded])
+	if n := scrapeMetrics(t, ts.URL)[`wrbpg_shed_total{mode="degraded"}`]; n != 1 {
+		t.Fatalf("shed[degraded] = %v, want 1", n)
 	}
 
 	// The shed answer was not cached: once capacity returns, the same
@@ -121,14 +119,13 @@ func TestOverloadDoomedRejectedWith429(t *testing.T) {
 		t.Fatalf("doomed request reached the solver (%d solves)", solves.Load())
 	}
 
-	var st Stats
-	getJSON(t, ts.URL+"/statsz", &st)
-	if st.Shed[shedDoomed] != 1 {
-		t.Fatalf("shed[doomed] = %d, want 1", st.Shed[shedDoomed])
+	m := scrapeMetrics(t, ts.URL)
+	if n := m[`wrbpg_shed_total{mode="doomed"}`]; n != 1 {
+		t.Fatalf("shed[doomed] = %v, want 1", n)
 	}
 	// Server pushback is not a client error.
-	if st.BadRequests != 0 {
-		t.Fatalf("bad_requests = %d after a 429, want 0", st.BadRequests)
+	if n := m["wrbpg_http_bad_requests_total"]; n != 0 {
+		t.Fatalf("bad_requests = %v after a 429, want 0", n)
 	}
 }
 
@@ -187,10 +184,8 @@ func TestQueuedClientDisconnectReleasesSlot(t *testing.T) {
 	if got := s.adm.depth.Value(); got != 0 {
 		t.Fatalf("depth gauge = %d after disconnect, want 0", got)
 	}
-	var st Stats
-	getJSON(t, ts.URL+"/statsz", &st)
-	if st.Shed[shedCanceled] != 1 {
-		t.Fatalf("shed[canceled] = %d, want 1", st.Shed[shedCanceled])
+	if n := scrapeMetrics(t, ts.URL)[`wrbpg_shed_total{mode="canceled"}`]; n != 1 {
+		t.Fatalf("shed[canceled] = %v, want 1", n)
 	}
 
 	// Capacity restored: the next identical request solves optimally.
@@ -258,16 +253,15 @@ func TestBreakerTripsOnFallbackStorm(t *testing.T) {
 		t.Fatalf("breaker-open request invoked solve %d times, want 1 (degraded only)", got)
 	}
 
-	var st Stats
-	getJSON(t, ts.URL+"/statsz", &st)
-	if st.Breaker != "open" {
-		t.Fatalf("statsz breaker = %q, want open", st.Breaker)
+	m := scrapeMetrics(t, ts.URL)
+	if n := m["wrbpg_breaker_state"]; n != float64(breakerOpen) {
+		t.Fatalf("breaker state = %v, want %d (open)", n, breakerOpen)
 	}
-	if st.BreakerTrips != 1 {
-		t.Fatalf("breaker_trips = %d, want 1", st.BreakerTrips)
+	if n := m["wrbpg_breaker_trips_total"]; n != 1 {
+		t.Fatalf("breaker_trips = %v, want 1", n)
 	}
-	if st.Shed[shedBreaker] != 1 {
-		t.Fatalf("shed[breaker] = %d, want 1", st.Shed[shedBreaker])
+	if n := m[`wrbpg_shed_total{mode="breaker"}`]; n != 1 {
+		t.Fatalf("shed[breaker] = %v, want 1", n)
 	}
 }
 
@@ -322,9 +316,7 @@ func TestSweepShedsWith429(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("sweep 429 without Retry-After header")
 	}
-	var st Stats
-	getJSON(t, ts.URL+"/statsz", &st)
-	if st.Shed[shedQueueFull] != 1 {
-		t.Fatalf("shed[queue_full] = %d, want 1", st.Shed[shedQueueFull])
+	if n := scrapeMetrics(t, ts.URL)[`wrbpg_shed_total{mode="queue_full"}`]; n != 1 {
+		t.Fatalf("shed[queue_full] = %v, want 1", n)
 	}
 }

@@ -28,7 +28,6 @@
 //	GET  /v1/trace/{id}      span tree of a traced request
 //	GET  /healthz            liveness
 //	GET  /readyz             readiness (503 while draining or overloaded)
-//	GET  /statsz             cache/solver/latency/session counters
 //	GET  /metrics            Prometheus text exposition
 //
 // Any request carrying "X-Wrbpg-Trace: on" is traced: the solver
@@ -298,7 +297,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/cluster/stats", s.handleClusterStats)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/statsz", s.handleStatsz)
 	mux.Handle("/metrics", s.MetricsHandler())
 	return s.withTracing(s.withRequestObs(mux))
 }
@@ -363,10 +361,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			"unknown format %q: want \"tree\" (default) or \"chrome\"", format))
 	}
 }
-
-// CacheStats exposes the cache counters (for tests and the daemon's
-// shutdown log).
-func (s *Server) CacheStats() schedcache.Stats { return s.cache.Snapshot() }
 
 // writeJSON writes v with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -950,34 +944,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // unaffected. The daemon calls it on SIGINT/SIGTERM ahead of
 // http.Server.Shutdown.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
-
-// handleStatsz serves GET /statsz.
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
-}
-
-// Stats assembles the full /statsz snapshot. Exported so in-process
-// fleets (the wrbpgload cluster harness, tests) can read per-replica
-// counters — notably Solves, the input to fleet duplicate-solve
-// accounting — without an HTTP round trip.
-func (s *Server) Stats() Stats {
-	st := s.m.snapshot(time.Since(s.start), s.cache.Snapshot(), s.sessions.Snapshot())
-	st.QueueDepth = s.adm.queued.Load()
-	st.QueueLimit = s.adm.maxQueue
-	st.Breaker = s.brk.State()
-	st.CacheShards = s.cache.ShardStats()
-	if s.cluster != nil {
-		rep := s.cluster.Health()
-		st.Peers = &rep
-		st.PeerRequests = s.m.reqPeer.Value()
-		st.PeerShedPropagated = s.m.peerShedPropagated.Value()
-		st.PeerFill = make(map[string]uint64, len(s.m.peerFillBy))
-		for outcome, c := range s.m.peerFillBy {
-			st.PeerFill[outcome] = c.Value()
-		}
-	}
-	return st
-}
 
 // String describes the server configuration for startup logs.
 func (s *Server) String() string {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,7 @@ import (
 
 	"wrbpg/internal/core"
 	"wrbpg/internal/guard"
+	"wrbpg/internal/obs"
 	"wrbpg/internal/serve/wire"
 	"wrbpg/internal/solve"
 )
@@ -65,6 +67,30 @@ func getJSON(t *testing.T, url string, v any) *http.Response {
 	return resp
 }
 
+// scrapeMetrics fetches GET /metrics from the server at url and returns
+// every sample's value keyed by obs.Sample.Series().
+func scrapeMetrics(t *testing.T, url string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := obs.ParseText(string(raw))
+	if err != nil {
+		t.Fatalf("%s/metrics unparseable: %v", url, err)
+	}
+	series := make(map[string]float64, len(samples))
+	for _, s := range samples {
+		series[s.Series()] = s.Value
+	}
+	return series
+}
+
 func dwtRequest(budget int64) wire.ScheduleRequest {
 	return wire.ScheduleRequest{Family: "dwt", N: 32, D: 4, BudgetBits: budget, IncludeMoves: true}
 }
@@ -72,7 +98,7 @@ func dwtRequest(budget int64) wire.ScheduleRequest {
 // TestScheduleColdThenWarm is the tentpole acceptance test: a cold
 // request solves via internal/solve, an identical warm request is a
 // cache hit served without invoking the solver, the two schedules are
-// byte-identical, and /statsz reflects the hit/miss counts.
+// byte-identical, and /metrics reflects the hit/miss counts.
 func TestScheduleColdThenWarm(t *testing.T) {
 	ts, _, solves := newTestServer(t, Options{})
 	req := dwtRequest(16 * 16)
@@ -125,16 +151,15 @@ func TestScheduleColdThenWarm(t *testing.T) {
 		t.Fatal("warm schedule differs from cold solve")
 	}
 
-	var st Stats
-	getJSON(t, ts.URL+"/statsz", &st)
-	if st.Cache.Hits != 1 || st.Cache.Misses != 1 {
-		t.Fatalf("statsz: hits=%d misses=%d, want 1/1", st.Cache.Hits, st.Cache.Misses)
+	m := scrapeMetrics(t, ts.URL)
+	if hits, misses := m["wrbpg_cache_hits_total"], m["wrbpg_cache_misses_total"]; hits != 1 || misses != 1 {
+		t.Fatalf("metrics: hits=%v misses=%v, want 1/1", hits, misses)
 	}
-	if st.Solves != 1 {
-		t.Fatalf("statsz: solves=%d, want 1", st.Solves)
+	if n := m["wrbpg_solves_total"]; n != 1 {
+		t.Fatalf("metrics: solves=%v, want 1", n)
 	}
-	if st.Requests != 2 {
-		t.Fatalf("statsz: requests=%d, want 2", st.Requests)
+	if n := m[`wrbpg_http_requests_total{endpoint="schedule"}`]; n != 2 {
+		t.Fatalf("metrics: requests=%v, want 2", n)
 	}
 }
 
@@ -356,13 +381,11 @@ func TestFallbackFlaggedAndNotCached(t *testing.T) {
 			t.Fatalf("call %d: cache=%q — degraded results must not be cached", i, out.Cache)
 		}
 	}
-	if n := srv.CacheStats().Entries; n != 0 {
+	if n := srv.Stats().Cache.Entries; n != 0 {
 		t.Fatalf("cache holds %d entries after fallback-only traffic", n)
 	}
-	var st Stats
-	getJSON(t, ts.URL+"/statsz", &st)
-	if st.Fallbacks != 2 {
-		t.Fatalf("statsz fallbacks=%d, want 2", st.Fallbacks)
+	if n := scrapeMetrics(t, ts.URL)["wrbpg_solve_fallbacks_total"]; n != 2 {
+		t.Fatalf("metrics fallbacks=%v, want 2", n)
 	}
 }
 
@@ -410,17 +433,17 @@ func TestHealthzAndMethods(t *testing.T) {
 	}
 }
 
-// TestCacheEviction: a tiny cache evicts and /statsz reports it.
+// TestCacheEvictionVisibleInStats: a tiny cache evicts and
+// Stats().Cache reports it.
 func TestCacheEvictionVisibleInStats(t *testing.T) {
-	ts, _, _ := newTestServer(t, Options{CacheShards: 1, CachePerShard: 1})
+	ts, srv, _ := newTestServer(t, Options{CacheShards: 1, CachePerShard: 1})
 	budgets := []int64{16 * 16, 17 * 16, 18 * 16}
 	for _, b := range budgets {
 		if resp, body := postJSON(t, ts.URL+"/v1/schedule", dwtRequest(b)); resp.StatusCode != 200 {
 			t.Fatalf("budget %d: %s", b, body)
 		}
 	}
-	var st Stats
-	getJSON(t, ts.URL+"/statsz", &st)
+	st := srv.Stats()
 	if st.Cache.Evictions < 2 {
 		t.Fatalf("evictions = %d, want ≥ 2 with capacity 1", st.Cache.Evictions)
 	}

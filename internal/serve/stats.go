@@ -1,7 +1,5 @@
-// Serving metrics, rebuilt over the obs registry: every counter the
-// old lock-free struct tracked is now a registered obs metric, so one
-// set of atomics feeds both GET /statsz (the original JSON view, kept
-// wire-compatible) and GET /metrics (Prometheus text exposition). Each
+// Serving metrics: every counter is a registered obs metric, exported
+// on GET /metrics (Prometheus text exposition) and nowhere else. Each
 // Server owns its own registry; the handler merges it with obs.Default
 // (solver-family, guard and worker-pool counters) at exposition time.
 
@@ -11,7 +9,6 @@ import (
 	"strconv"
 	"time"
 
-	"wrbpg/internal/cluster"
 	"wrbpg/internal/obs"
 	"wrbpg/internal/schedcache"
 	"wrbpg/internal/solve"
@@ -20,10 +17,8 @@ import (
 // latencyBoundsUS are the upper bounds (µs) of the solve-latency
 // histogram buckets; the final implicit bucket is +Inf. Solves span
 // microsecond cache-adjacent paths to multi-second degraded solves, so
-// the buckets are roughly logarithmic. The exposition keeps microsecond
-// units (metric wrbpg_solve_latency_us) so /statsz reads identical
-// bucket values — int64 µs round-trip exactly through float64.
-var latencyBoundsUS = [...]int64{
+// the buckets are roughly logarithmic.
+var latencyBoundsUS = []float64{
 	50, 100, 250, 500,
 	1_000, 2_500, 5_000, 10_000, 25_000, 50_000,
 	100_000, 250_000, 500_000,
@@ -31,12 +26,11 @@ var latencyBoundsUS = [...]int64{
 }
 
 // metrics holds the server's pre-resolved metric handles. Updating any
-// of them is lock-free (one atomic add); /statsz and /metrics snapshot
-// without contending with the request path.
+// of them is lock-free (one atomic add); /metrics reads them without
+// contending with the request path.
 type metrics struct {
 	// HTTP request counters by endpoint; schedule includes batch items
-	// (each item runs the shared schedule path), matching the original
-	// /statsz "requests" semantics.
+	// (each item runs the shared schedule path).
 	reqSchedule *obs.Counter
 	reqBatch    *obs.Counter
 	reqSweep    *obs.Counter
@@ -122,10 +116,6 @@ func (m *metrics) shed(mode string) {
 func newMetrics(reg *obs.Registry) *metrics {
 	req := reg.CounterVec("wrbpg_http_requests_total",
 		"API requests by endpoint; schedule includes batch items.", "endpoint")
-	bounds := make([]float64, len(latencyBoundsUS))
-	for i, b := range latencyBoundsUS {
-		bounds[i] = float64(b)
-	}
 	shedVec := reg.CounterVec("wrbpg_shed_total",
 		"Requests shed by overload control, by mode (queue_full, doomed, canceled, degraded, breaker).", "mode")
 	shedBy := make(map[string]*obs.Counter)
@@ -157,7 +147,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		inflight: reg.Gauge("wrbpg_solves_inflight",
 			"Solver invocations currently running."),
 		latency: reg.Histogram("wrbpg_solve_latency_us",
-			"Solver wall-clock time per invocation, microseconds (cache hits excluded).", bounds),
+			"Solver wall-clock time per invocation, microseconds (cache hits excluded).", latencyBoundsUS),
 		sweepBudgets: reg.Counter("wrbpg_sweep_budgets_total",
 			"Budgets answered across all sweep requests."),
 		sessionHits: reg.Counter("wrbpg_sweep_session_hits_total",
@@ -179,7 +169,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		queueDepth: reg.Gauge("wrbpg_admission_queue_depth",
 			"Requests currently queued for a solver slot."),
 		holdUS: reg.Histogram("wrbpg_admission_hold_us",
-			"Solver-slot hold time per admitted request, microseconds (the queue-wait estimator's input).", bounds),
+			"Solver-slot hold time per admitted request, microseconds (the queue-wait estimator's input).", latencyBoundsUS),
 		breakerState: reg.Gauge("wrbpg_breaker_state",
 			"Fallback-storm breaker state: 0 closed, 1 half-open, 2 open."),
 		breakerTrips: reg.Counter("wrbpg_breaker_trips_total",
@@ -289,120 +279,45 @@ func (m *metrics) observeAnytime(a *solve.AnytimeInfo) {
 	m.anytimeImprovements.Add(uint64(a.Improvements))
 }
 
-// LatencyBucket is one histogram bucket in the /statsz response.
-type LatencyBucket struct {
-	// LEUS is the bucket's inclusive upper bound in microseconds;
-	// -1 marks the +Inf bucket.
-	LEUS  int64  `json:"le_us"`
-	Count uint64 `json:"count"`
-}
-
-// Stats is the GET /statsz response body.
+// Stats is the in-process view of the counters load harnesses read
+// between runs (cmd/wrbpgbench, cmd/wrbpgload), so an in-process fleet
+// needs no HTTP round trip. Each field reads its registry handle
+// directly; GET /metrics exports the same values.
 type Stats struct {
-	UptimeS     float64          `json:"uptime_s"`
-	Requests    uint64           `json:"requests"`
-	Batches     uint64           `json:"batches"`
-	BadRequests uint64           `json:"bad_requests"`
-	Cache       schedcache.Stats `json:"cache"`
-	Solves      uint64           `json:"solves"`
-	Fallbacks   uint64           `json:"fallbacks"`
-	SolveErrors uint64           `json:"solve_errors"`
-	InFlight    int64            `json:"in_flight"`
-	// Sweep-engine counters: requests and budgets served by
-	// POST /v1/schedule/sweep, warm-session pool dispositions, sessions
-	// currently live, and workspace allocations (sync.Pool misses — flat
-	// under steady-state traffic).
-	Sweeps          uint64 `json:"sweeps"`
-	SweepBudgets    uint64 `json:"sweep_budgets"`
-	SessionHits     uint64 `json:"session_hits"`
-	SessionMisses   uint64 `json:"session_misses"`
-	SessionsLive    int    `json:"sessions_live"`
-	SweepWorkspaces uint64 `json:"sweep_workspaces"`
-	// Session-pool occupancy: capacity is Options.SweepSessions (the
-	// LRU bound), evictions counts sessions dropped to admit new shapes
-	// — a rising rate means the pool is too small for the live shape
-	// set and base_key patches will 404.
-	SessionCapacity  int    `json:"session_capacity"`
-	SessionEvictions uint64 `json:"session_evictions"`
-	// Incremental-engine counters: patch requests, budgets answered
-	// after a patch, deltas received, node weights actually written and
-	// empty-diff patches.
-	Patches           uint64 `json:"patches"`
-	PatchBudgets      uint64 `json:"patch_budgets"`
-	PatchDeltas       uint64 `json:"patch_deltas"`
-	PatchChangedNodes uint64 `json:"patch_changed_nodes"`
-	PatchNoops        uint64 `json:"patch_noops"`
-	// Overload-control counters: current admission-queue occupancy,
-	// sheds by mode, and the fallback-storm breaker state
-	// ("closed" / "half_open" / "open" / "disabled") with its trip
-	// count. The handler fills QueueDepth/QueueLimit/Breaker from live
-	// server state.
-	QueueDepth   int64             `json:"queue_depth"`
-	QueueLimit   int               `json:"queue_limit"`
-	Shed         map[string]uint64 `json:"shed"`
-	Breaker      string            `json:"breaker"`
-	BreakerTrips uint64            `json:"breaker_trips"`
-	// Anytime-tier counters: branch-and-bound effort across all
-	// general-DAG solves.
-	AnytimeExpanded     uint64 `json:"anytime_expanded,omitempty"`
-	AnytimePruned       uint64 `json:"anytime_pruned,omitempty"`
-	AnytimeImprovements uint64 `json:"anytime_improvements,omitempty"`
-	// SolveLatency is the cumulative histogram of solver wall-clock
-	// times (cache hits excluded — they never invoke the solver).
-	SolveLatency   []LatencyBucket `json:"solve_latency"`
-	SolveLatencyUS int64           `json:"solve_latency_sum_us"`
-	// CacheShards breaks the schedule cache down by shard (entry count,
-	// evictions, capacity), exposing key-distribution skew.
-	CacheShards []schedcache.ShardStat `json:"cache_shards,omitempty"`
-	// Cluster-mode section (absent on single-node servers): peer
-	// requests served, fill attempts by outcome, owner 429s propagated
-	// to end clients, and the fleet health report. The handler fills
-	// Peers from live cluster state.
-	Peers              *cluster.HealthReport `json:"peers,omitempty"`
-	PeerRequests       uint64                `json:"peer_requests,omitempty"`
-	PeerFill           map[string]uint64     `json:"peer_fill,omitempty"`
-	PeerShedPropagated uint64                `json:"peer_shed_propagated,omitempty"`
+	Requests      uint64            // wrbpg_http_requests_total{endpoint="schedule"}, batch items included
+	Sweeps        uint64            // wrbpg_http_requests_total{endpoint="sweep"}
+	Patches       uint64            // wrbpg_http_requests_total{endpoint="patch"}
+	Solves        uint64            // wrbpg_solves_total
+	Cache         schedcache.Stats  // the wrbpg_cache_* series
+	SessionHits   uint64            // wrbpg_sweep_session_hits_total
+	SessionMisses uint64            // wrbpg_sweep_session_misses_total
+	Shed          map[string]uint64 // wrbpg_shed_total by mode
+	PeerRequests  uint64            // wrbpg_http_requests_total{endpoint="peer"}
+	PeerFill      map[string]uint64 // wrbpg_peer_fill_total by outcome
 }
 
-// snapshot assembles the exported view from the registered metrics;
-// the JSON shape predates the registry and stays wire-compatible.
-func (m *metrics) snapshot(uptime time.Duration, cache, sessions schedcache.Stats) Stats {
-	st := Stats{
-		UptimeS:             uptime.Seconds(),
-		Requests:            m.reqSchedule.Value(),
-		Batches:             m.reqBatch.Value(),
-		BadRequests:         m.badRequests.Value(),
-		Cache:               cache,
-		Solves:              m.solves.Value(),
-		Fallbacks:           m.fallbacks.Value(),
-		SolveErrors:         m.solveErrors.Value(),
-		InFlight:            m.inflight.Value(),
-		Sweeps:              m.reqSweep.Value(),
-		SweepBudgets:        m.sweepBudgets.Value(),
-		SessionHits:         m.sessionHits.Value(),
-		SessionMisses:       m.sessionMisses.Value(),
-		SessionsLive:        sessions.Entries,
-		SweepWorkspaces:     m.wsAllocs.Value(),
-		SessionCapacity:     sessions.Capacity,
-		SessionEvictions:    sessions.Evictions,
-		Patches:             m.reqPatch.Value(),
-		PatchBudgets:        m.patchBudgets.Value(),
-		PatchDeltas:         m.patchDeltas.Value(),
-		PatchChangedNodes:   m.patchChanged.Value(),
-		PatchNoops:          m.patchNoops.Value(),
-		BreakerTrips:        m.breakerTrips.Value(),
-		SolveLatencyUS:      int64(m.latency.Sum()),
-		AnytimeExpanded:     m.anytimeExpanded.Value(),
-		AnytimePruned:       m.anytimePruned.Value(),
-		AnytimeImprovements: m.anytimeImprovements.Value(),
+// Stats reads the harness counters from the registry handles.
+func (s *Server) Stats() Stats {
+	m := s.m
+	return Stats{
+		Requests:      m.reqSchedule.Value(),
+		Sweeps:        m.reqSweep.Value(),
+		Patches:       m.reqPatch.Value(),
+		Solves:        m.solves.Value(),
+		Cache:         s.cache.Snapshot(),
+		SessionHits:   m.sessionHits.Value(),
+		SessionMisses: m.sessionMisses.Value(),
+		Shed:          counts(m.shedBy),
+		PeerRequests:  m.reqPeer.Value(),
+		PeerFill:      counts(m.peerFillBy),
 	}
-	st.Shed = make(map[string]uint64, len(m.shedBy))
-	for mode, c := range m.shedBy {
-		st.Shed[mode] = c.Value()
+}
+
+// counts reads a pre-resolved label→counter map.
+func counts(by map[string]*obs.Counter) map[string]uint64 {
+	out := make(map[string]uint64, len(by))
+	for label, c := range by {
+		out[label] = c.Value()
 	}
-	for i, b := range latencyBoundsUS {
-		st.SolveLatency = append(st.SolveLatency, LatencyBucket{LEUS: b, Count: m.latency.Bucket(i)})
-	}
-	st.SolveLatency = append(st.SolveLatency, LatencyBucket{LEUS: -1, Count: m.latency.Bucket(len(latencyBoundsUS))})
-	return st
+	return out
 }
