@@ -1,17 +1,22 @@
 # Development entry points. `make check` is the full pre-commit gate:
-# build, vet, race-enabled tests, a one-iteration benchmark smoke pass
+# build, gofmt, vet, race-enabled tests, a one-iteration benchmark smoke pass
 # (-short skips the heavy figure sweeps; see bench_test.go), and the
 # end-to-end benchmark smoke, so a root-module API change that breaks
 # the separately-moduled cmd/wrbpgbench fails here, not only in CI.
 
 GO ?= go
 
-.PHONY: all build vet test race race-fault bench-smoke bench-e2e-smoke bench-ab serve-check obs-check metrics-lint patch-check cluster-check cdag-check soak-smoke fuzz-smoke staticcheck check
+.PHONY: all build fmt-check vet test race race-fault bench-smoke bench-e2e-smoke bench-ab serve-check obs-check metrics-lint patch-check cluster-check cdag-check soak-smoke fuzz-smoke staticcheck check
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# gofmt -l lists every file gofmt would change; it must list none.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
+		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -155,4 +160,4 @@ staticcheck:
 		echo "staticcheck not installed; skipping"; \
 	fi
 
-check: build vet race race-fault bench-smoke bench-e2e-smoke serve-check obs-check patch-check cluster-check cdag-check staticcheck
+check: build fmt-check vet race race-fault bench-smoke bench-e2e-smoke serve-check obs-check patch-check cluster-check cdag-check staticcheck

@@ -119,18 +119,17 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("invalid mvm: code %d body %+v", code, werr)
 	}
 
-	// Batch with partial failure.
-	batch := fmt.Sprintf(`{"requests":[%s,{"family":"nope","budget_bits":1},%s]}`,
-		reqBody, `{"family":"mvm","m":4,"n":4,"budget_bits":1024}`)
-	var bresp wire.BatchResponse
-	if code := post("/v1/schedule/batch", batch, &bresp); code != http.StatusOK {
-		t.Fatalf("batch: code %d", code)
+	// The former batch items as separate calls: a repeat (a cache hit),
+	// an unknown family (a 400) and a fresh instance (a solve).
+	var repeat, fresh wire.ScheduleResult
+	if code := post("/v1/schedule", reqBody, &repeat); code != http.StatusOK || repeat.Cache != "hit" {
+		t.Fatalf("repeat schedule: code %d cache %q, want a hit", code, repeat.Cache)
 	}
-	if bresp.Succeeded != 2 || bresp.Failed != 1 || len(bresp.Items) != 3 {
-		t.Fatalf("batch outcome: %+v", bresp)
+	if code := post("/v1/schedule", `{"family":"nope","budget_bits":1}`, &werr); code != http.StatusBadRequest || werr.Message == "" {
+		t.Fatalf("unknown family: code %d body %+v", code, werr)
 	}
-	if bresp.Items[1].Error == nil || bresp.Items[1].Result != nil {
-		t.Fatalf("batch item 1 should have failed: %+v", bresp.Items[1])
+	if code := post("/v1/schedule", `{"family":"mvm","m":4,"n":4,"budget_bits":1024}`, &fresh); code != http.StatusOK || fresh.Cache != "miss" {
+		t.Fatalf("mvm(4,4) schedule: code %d cache %q, want a solve", code, fresh.Cache)
 	}
 
 	// Bounds endpoint, no solve.
@@ -243,9 +242,13 @@ func TestServeEndToEnd(t *testing.T) {
 			t.Errorf("%s = %v, want >= %v", c.series, m[c.series], c.min)
 		}
 	}
-	// /metrics is the only stats surface.
-	if code := get("/statsz", nil); code != http.StatusNotFound {
-		t.Fatalf("GET /statsz: code %d, want 404", code)
+	// /metrics is the only stats surface, and retired paths answer a
+	// structured 404.
+	if code := get("/statsz", &werr); code != http.StatusNotFound || werr.Status != http.StatusNotFound {
+		t.Fatalf("GET /statsz: code %d body %+v, want a structured 404", code, werr)
+	}
+	if code := post("/v1/schedule/batch", `{"requests":[]}`, &werr); code != http.StatusNotFound || werr.Status != http.StatusNotFound {
+		t.Fatalf("POST /v1/schedule/batch: code %d body %+v, want a structured 404", code, werr)
 	}
 
 	// Graceful shutdown: SIGTERM flips /readyz to "draining" while the

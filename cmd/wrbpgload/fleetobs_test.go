@@ -132,7 +132,7 @@ func TestClusterFleetObservability(t *testing.T) {
 	)
 	for budget := int64(300); budget < 340 && traceID == ""; budget++ {
 		for _, u := range f.urls {
-			req := wire.ScheduleRequest{Family: "dwt", N: 32, D: 4, BudgetBits: budget}
+			req := wire.ScheduleRequest{Spec: wire.Spec{Family: "dwt", N: 32, D: 4}, BudgetBits: budget}
 			resp, body := postSchedule(t, u, req, true)
 			if resp.StatusCode != http.StatusOK {
 				continue // a shed during warmup is not what this test is about
@@ -278,7 +278,7 @@ func TestClusterFleetSLOBurn(t *testing.T) {
 			wg.Add(1)
 			go func(budget int64) {
 				defer wg.Done()
-				req := wire.ScheduleRequest{Family: "dwt", N: 32, D: 4,
+				req := wire.ScheduleRequest{Spec: wire.Spec{Family: "dwt", N: 32, D: 4},
 					BudgetBits: budget, TimeoutMS: 1}
 				resp, _ := postSchedule(t, target, req, false)
 				mu.Lock()
@@ -358,9 +358,9 @@ func TestMetricsLint(t *testing.T) {
 
 	// Touch every serving path so label-valued families materialize.
 	for i, u := range f.urls {
-		req := wire.ScheduleRequest{Family: "dwt", N: 32, D: 4, BudgetBits: int64(600 + i)}
+		req := wire.ScheduleRequest{Spec: wire.Spec{Family: "dwt", N: 32, D: 4}, BudgetBits: int64(600 + i)}
 		postSchedule(t, u, req, true)
-		b, _ := json.Marshal(wire.SweepRequest{Family: "dwt", N: 32, D: 4,
+		b, _ := json.Marshal(wire.SweepRequest{Spec: wire.Spec{Family: "dwt", N: 32, D: 4},
 			BudgetsBits: []int64{500, 700}})
 		if resp, err := http.Post(u+"/v1/schedule/sweep", "application/json", bytes.NewReader(b)); err == nil {
 			io.Copy(io.Discard, resp.Body) //nolint:errcheck

@@ -72,7 +72,7 @@ type entry[V any] struct {
 
 // shard is one lock domain: an LRU (front = most recent) plus the
 // singleflight table for keys currently being computed. evictions is
-// per-shard so ShardStats can expose skew — a single hot shard
+// per-shard so ShardStat can expose skew — a single hot shard
 // evicting while the others idle means the key distribution (or the
 // shard count) is off.
 type shard[V any] struct {
@@ -232,32 +232,20 @@ func (c *Cache[V]) Len() int {
 	return n
 }
 
-// ShardStat is one shard's row in ShardStats: its live entry count,
-// its share of the evictions, and its fixed capacity.
+// ShardStat is one shard's row: its live entry count, its share of the
+// evictions, and its fixed capacity. The rows expose distribution skew
+// the aggregate Snapshot hides: FNV-1a over content digests should load
+// shards near-uniformly, so one shard evicting while its siblings sit
+// half-empty points at a pathological key population or an undersized
+// shard count.
 type ShardStat struct {
 	Entries   int    `json:"entries"`
 	Evictions uint64 `json:"evictions"`
 	Capacity  int    `json:"capacity"`
 }
 
-// ShardStats snapshots every shard, indexed by shard number. The rows
-// expose distribution skew the aggregate Snapshot hides: FNV-1a over
-// content digests should load shards near-uniformly, so one shard
-// evicting while its siblings sit half-empty points at a pathological
-// key population or an undersized shard count.
-func (c *Cache[V]) ShardStats() []ShardStat {
-	out := make([]ShardStat, len(c.shards))
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		out[i] = ShardStat{Entries: s.lru.Len(), Evictions: s.evictions.Load(), Capacity: s.cap}
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// ShardStat snapshots a single shard (panics on an out-of-range
-// index, like a slice).
+// ShardStat snapshots shard i (panics on an out-of-range index, like a
+// slice).
 func (c *Cache[V]) ShardStat(i int) ShardStat {
 	s := &c.shards[i]
 	s.mu.Lock()

@@ -45,7 +45,7 @@ func renamedDiamondSpec() *wire.GraphSpec {
 func postCDAG(t *testing.T, url string, spec *wire.GraphSpec, budget int64) (int, wire.ScheduleResult, []byte) {
 	t.Helper()
 	body := wire.ScheduleRequest{
-		Family: solve.FamilyCDAG, CDAG: spec,
+		Spec:       wire.Spec{Family: solve.FamilyCDAG, CDAG: spec},
 		BudgetBits: budget, IncludeMoves: true,
 	}
 	resp, raw := postJSON(t, url+"/v1/schedule", body)
@@ -175,7 +175,7 @@ func TestScheduleCDAGSpecBadRequests(t *testing.T) {
 // Proposition 2.3/2.4 bounds without solving.
 func TestLowerBoundCDAGBody(t *testing.T) {
 	ts, _, solves := newTestServer(t, Options{})
-	body := wire.ScheduleRequest{Family: solve.FamilyCDAG, CDAG: diamondSpec()}
+	body := wire.Spec{Family: solve.FamilyCDAG, CDAG: diamondSpec()}
 	resp, raw := postJSON(t, ts.URL+"/v1/lowerbound", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)

@@ -30,15 +30,15 @@ func TestScheduleBodyGolden(t *testing.T) {
 		name string
 		req  wire.ScheduleRequest
 	}{
-		{"dwt", wire.ScheduleRequest{Family: "dwt", N: 8, D: 3}},
-		{"ktree", wire.ScheduleRequest{Family: "ktree", K: 2, Height: 3, Weights: wire.WeightSpec{Name: "da"}}},
-		{"mvm", wire.ScheduleRequest{Family: "mvm", M: 4, N: 6}},
-		{"cdag", wire.ScheduleRequest{Family: "cdag", CDAG: &wire.GraphSpec{Nodes: []wire.GraphNode{
+		{"dwt", wire.ScheduleRequest{Spec: wire.Spec{Family: "dwt", N: 8, D: 3}}},
+		{"ktree", wire.ScheduleRequest{Spec: wire.Spec{Family: "ktree", K: 2, Height: 3, Weights: wire.WeightSpec{Name: "da"}}}},
+		{"mvm", wire.ScheduleRequest{Spec: wire.Spec{Family: "mvm", M: 4, N: 6}}},
+		{"cdag", wire.ScheduleRequest{Spec: wire.Spec{Family: "cdag", CDAG: &wire.GraphSpec{Nodes: []wire.GraphNode{
 			{Name: "out", WeightBits: 2, Deps: []string{"mul", "x"}},
 			{Name: "x", WeightBits: 4},
 			{Name: "mul", WeightBits: 3, Deps: []string{"x", "y"}},
 			{Name: "y", WeightBits: 1},
-		}}}},
+		}}}}},
 	}
 	ts, _, _ := newTestServer(t, Options{})
 	for _, c := range cases {

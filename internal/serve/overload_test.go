@@ -308,7 +308,7 @@ func TestSweepShedsWith429(t *testing.T) {
 	release := pinSlots(t, s)
 	defer release()
 
-	req := wire.SweepRequest{Family: "dwt", N: 32, D: 4, BudgetsBits: []int64{256, 512}, TimeoutMS: 50}
+	req := wire.SweepRequest{Spec: wire.Spec{Family: "dwt", N: 32, D: 4}, BudgetsBits: []int64{256, 512}, TimeoutMS: 50}
 	resp, body := postJSON(t, ts.URL+"/v1/schedule/sweep", req)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)

@@ -13,7 +13,6 @@ package serve
 import (
 	"context"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"wrbpg/internal/obs"
@@ -25,7 +24,6 @@ import (
 // forwarder's request, which that forwarder already counts once.
 var trackedPaths = map[string]bool{
 	"/v1/schedule":       true,
-	"/v1/schedule/batch": true,
 	"/v1/schedule/sweep": true,
 	"/v1/schedule/patch": true,
 	"/v1/lowerbound":     true,
@@ -35,16 +33,15 @@ var trackedPaths = map[string]bool{
 // response's CostMeta so the request log line can repeat it.
 type costKey struct{}
 
-// noteCost records c as the request's cost block. The carrier is an
-// atomic pointer because batch items stamp concurrently; the log line
-// shows whichever item finished last, which is fine for a fan-out
-// whose authoritative per-item costs ride in the response body.
+// noteCost records c as the request's cost block. The handler's own
+// goroutine writes it and the middleware reads it once the handler has
+// returned.
 func noteCost(ctx context.Context, c *wire.CostMeta) {
 	if c == nil {
 		return
 	}
-	if p, ok := ctx.Value(costKey{}).(*atomic.Pointer[wire.CostMeta]); ok {
-		p.Store(c)
+	if p, ok := ctx.Value(costKey{}).(**wire.CostMeta); ok {
+		*p = c
 	}
 }
 
@@ -87,7 +84,7 @@ func (s *Server) withRequestObs(h http.Handler) http.Handler {
 			return
 		}
 		start := time.Now()
-		var cost atomic.Pointer[wire.CostMeta]
+		var cost *wire.CostMeta
 		ctx := context.WithValue(r.Context(), costKey{}, &cost)
 		sw := &statusWriter{ResponseWriter: w}
 		h.ServeHTTP(sw, r.WithContext(ctx))
@@ -100,7 +97,7 @@ func (s *Server) withRequestObs(h http.Handler) http.Handler {
 			traceID = tr.ID()
 		}
 		s.m.reqSeconds.ObserveExemplar(dur.Seconds(), traceID)
-		s.logRequest(r, status, dur, traceID, cost.Load())
+		s.logRequest(r, status, dur, traceID, cost)
 	})
 }
 

@@ -21,14 +21,18 @@
 // Endpoints:
 //
 //	POST /v1/schedule        solve one instance (cache-backed)
-//	POST /v1/schedule/batch  fan out independent solves, partial failure
 //	POST /v1/schedule/sweep  a budget list, one warm solver session
 //	POST /v1/schedule/patch  the same, named a patch (deltas expected)
+//	POST /v1/peer/schedule   a replica's cache-miss fill (cluster mode)
 //	GET  /v1/lowerbound      Proposition 2.3/2.4 bounds, no solve
 //	GET  /v1/trace/{id}      span tree of a traced request
+//	GET  /v1/slo             SLO burn rates per window
+//	GET  /v1/cluster/stats   every replica's *_total series, summed
 //	GET  /healthz            liveness
 //	GET  /readyz             readiness (503 while draining or overloaded)
 //	GET  /metrics            Prometheus text exposition
+//
+// Any other path answers a structured 404.
 //
 // Any request carrying "X-Wrbpg-Trace: on" is traced: the solver
 // phases (canonicalize, cache, build, admission, solve, simulate,
@@ -68,7 +72,6 @@ import (
 	"wrbpg/internal/guard"
 	"wrbpg/internal/obs"
 	"wrbpg/internal/obs/slo"
-	"wrbpg/internal/par"
 	"wrbpg/internal/schedcache"
 	"wrbpg/internal/serve/wire"
 	"wrbpg/internal/solve"
@@ -117,9 +120,7 @@ type Options struct {
 	// states) applied to every solve; its Deadline field is ignored —
 	// deadlines are derived per request.
 	Limits guard.Limits
-	// MaxBatch bounds the number of requests in one batch call
-	// (default 64); MaxBodyBytes bounds request bodies (default 8 MiB).
-	MaxBatch     int
+	// MaxBodyBytes bounds request bodies (default 8 MiB).
 	MaxBodyBytes int64
 	// MaxSweepBudgets bounds the budget list of one sweep or patch
 	// request (default 128). SweepSessions caps the warm-session pool
@@ -190,9 +191,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxTimeout <= 0 {
 		o.MaxTimeout = 30 * time.Second
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 64
 	}
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 8 << 20
@@ -287,7 +285,6 @@ func New(opts Options) *Server {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/schedule", s.handleSchedule)
-	mux.HandleFunc("/v1/schedule/batch", s.handleBatch)
 	mux.HandleFunc("/v1/schedule/sweep", s.handleBudgets)
 	mux.HandleFunc("/v1/schedule/patch", s.handleBudgets)
 	mux.HandleFunc(cluster.PeerPath, s.handlePeerSchedule)
@@ -298,6 +295,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.Handle("/metrics", s.MetricsHandler())
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		s.writeErr(w, wire.Errorf(http.StatusNotFound, "no endpoint at %s", r.URL.Path))
+	})
 	return s.withTracing(s.withRequestObs(mux))
 }
 
@@ -514,8 +514,8 @@ var (
 	sharedCost = &wire.CostMeta{SourceTier: wire.TierShared}
 )
 
-// scheduleAs is the shared single-request path (also used per batch
-// item): validate, canonicalize, cache-or-solve, stamp per-request
+// scheduleAs is the shared single-request path of /v1/schedule and the
+// peer route: validate, canonicalize, cache-or-solve, stamp per-request
 // fields. It returns the shared entry, which must not be written, and
 // this request's stamp for it. peerCall marks a replica-to-replica
 // request (never forward again, shed with 429 instead of degrading on
@@ -764,62 +764,6 @@ func (s *Server) solveShed(ctx context.Context, p solve.Problem, label string, b
 	return res, false, nil
 }
 
-// handleBatch serves POST /v1/schedule/batch: independent fan-out over
-// the worker pool with per-item (partial) failure reporting.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeErr(w, wire.Errorf(http.StatusMethodNotAllowed, "POST required"))
-		return
-	}
-	s.m.reqBatch.Inc()
-	var req wire.BatchRequest
-	if err := decodeStrict(w, r, s.opts.MaxBodyBytes, &req); err != nil {
-		s.writeErr(w, asWireErr(err))
-		return
-	}
-	if len(req.Requests) == 0 {
-		s.writeErr(w, wire.Errorf(http.StatusBadRequest, "empty batch"))
-		return
-	}
-	if len(req.Requests) > s.opts.MaxBatch {
-		s.writeErr(w, wire.Errorf(http.StatusBadRequest,
-			"batch of %d exceeds limit %d", len(req.Requests), s.opts.MaxBatch))
-		return
-	}
-
-	ctx := r.Context()
-	idx := make([]int, len(req.Requests))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Each item reports success or failure in place; the pool function
-	// never returns an error, so one malformed item cannot abort its
-	// siblings (partial-failure reporting). Solver concurrency is
-	// bounded by the semaphore inside the shared path, so the pool
-	// width only bounds decode/validate parallelism.
-	items, perr := par.MapCtx(ctx, s.opts.MaxInflight, idx, func(i int) (wire.BatchItem, error) {
-		s.m.reqSchedule.Inc()
-		res, st, werr := s.scheduleAs(ctx, &req.Requests[i], false, "")
-		if werr != nil {
-			return wire.BatchItem{Index: i, Error: werr}, nil
-		}
-		return wire.BatchItem{Index: i, Result: res.Stamped(&st)}, nil
-	})
-	if perr != nil {
-		s.writeErr(w, asWireErr(perr))
-		return
-	}
-	resp := wire.BatchResponse{Items: items}
-	for _, it := range items {
-		if it.Error != nil {
-			resp.Failed++
-		} else {
-			resp.Succeeded++
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // handleLowerBound serves /v1/lowerbound: the compulsory-I/O lower
 // bound (Proposition 2.4) and the schedule-existence bound
 // (Proposition 2.3), computed without solving. Parametric families use
@@ -840,42 +784,35 @@ func (s *Server) handleLowerBound(w http.ResponseWriter, r *http.Request) {
 			s.writeErr(w, asWireErr(err))
 			return
 		}
-		s.writeLowerBound(w, &req)
+		s.writeLowerBound(w, &req.Spec)
 		return
 	}
 	q := r.URL.Query()
-	intArg := func(name string) (int, *wire.Error) {
-		v := q.Get(name)
-		if v == "" {
-			return 0, nil
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return 0, wire.Errorf(http.StatusBadRequest, "bad %s=%q: %v", name, v, err)
-		}
-		return n, nil
-	}
-	req := wire.ScheduleRequest{
+	spec := wire.Spec{
 		Family:  q.Get("family"),
 		Weights: wire.WeightSpec{Name: q.Get("weights")},
 	}
 	for _, f := range []struct {
 		name string
 		dst  *int
-	}{{"n", &req.N}, {"d", &req.D}, {"m", &req.M}, {"k", &req.K}, {"height", &req.Height}} {
-		v, werr := intArg(f.name)
-		if werr != nil {
-			s.writeErr(w, werr)
+	}{{"n", &spec.N}, {"d", &spec.D}, {"m", &spec.M}, {"k", &spec.K}, {"height", &spec.Height}} {
+		v := q.Get(f.name)
+		if v == "" {
+			continue
+		}
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			s.writeErr(w, wire.Errorf(http.StatusBadRequest, "bad %s=%q: %v", f.name, v, err))
 			return
 		}
-		*f.dst = v
+		*f.dst = n
 	}
-	s.writeLowerBound(w, &req)
+	s.writeLowerBound(w, &spec)
 }
 
 // writeLowerBound resolves the instance and writes its bounds.
-func (s *Server) writeLowerBound(w http.ResponseWriter, req *wire.ScheduleRequest) {
-	inst, err := req.Instance()
+func (s *Server) writeLowerBound(w http.ResponseWriter, spec *wire.Spec) {
+	inst, err := spec.Instance()
 	if err != nil {
 		s.writeErr(w, wire.Errorf(http.StatusBadRequest, "%v", err))
 		return

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -92,7 +93,7 @@ func scrapeMetrics(t *testing.T, url string) map[string]float64 {
 }
 
 func dwtRequest(budget int64) wire.ScheduleRequest {
-	return wire.ScheduleRequest{Family: "dwt", N: 32, D: 4, BudgetBits: budget, IncludeMoves: true}
+	return wire.ScheduleRequest{Spec: wire.Spec{Family: "dwt", N: 32, D: 4}, BudgetBits: budget, IncludeMoves: true}
 }
 
 // TestScheduleColdThenWarm is the tentpole acceptance test: a cold
@@ -219,7 +220,6 @@ func TestTrailingDataRejected(t *testing.T) {
 		"/v1/schedule":       {`{"family":"dwt","n":8,"d":3,"budget_bits":99}`, `{"Family":"dwt","n":8,"d":3,"budget_bits":99}`},
 		"/v1/schedule/sweep": {`{"family":"dwt","n":8,"d":3,"budgets_bits":[99]}`, `{"Family":"dwt","n":8,"d":3,"budgets_bits":[99]}`},
 		"/v1/schedule/patch": {`{"family":"dwt","n":8,"d":3,"budgets_bits":[99]}`, `{"Family":"dwt","n":8,"d":3,"budgets_bits":[99]}`},
-		"/v1/schedule/batch": {`{"requests":[{"family":"dwt","n":8,"d":3,"budget_bits":99}]}`, `{"Requests":[{"family":"dwt","n":8,"d":3,"budget_bits":99}]}`},
 		"/v1/lowerbound":     {`{"family":"dwt","n":8,"d":3}`, `{"Family":"dwt","n":8,"d":3}`},
 	}
 	post := func(path, body string) (int, wire.Error) {
@@ -289,67 +289,77 @@ func TestScheduleCDAGFamily(t *testing.T) {
 	}
 }
 
-// TestBatchPartialFailure: one malformed item reports its own error
-// while its siblings succeed, with correct summary counts.
-func TestBatchPartialFailure(t *testing.T) {
-	ts, _, _ := newTestServer(t, Options{})
-	batch := wire.BatchRequest{Requests: []wire.ScheduleRequest{
-		dwtRequest(16 * 16),
-		{Family: "mvm", M: 0, N: 8, BudgetBits: 256}, // malformed: MVM(0,n)
-		{Family: "mvm", M: 4, N: 6, BudgetBits: 512},
-	}}
-	resp, body := postJSON(t, ts.URL+"/v1/schedule/batch", batch)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var out wire.BatchResponse
-	if err := json.Unmarshal(body, &out); err != nil {
+// TestScheduleConcurrentDedup: identical requests in flight together
+// run one solve between them (singleflight, then the cache), and every
+// one of them succeeds.
+func TestScheduleConcurrentDedup(t *testing.T) {
+	ts, _, solves := newTestServer(t, Options{})
+	body, err := json.Marshal(dwtRequest(16 * 16))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Succeeded != 2 || out.Failed != 1 || len(out.Items) != 3 {
-		t.Fatalf("batch summary: %d ok / %d failed / %d items", out.Succeeded, out.Failed, len(out.Items))
+	const n = 8
+	codes := make(chan int, n)
+	var wg sync.WaitGroup
+	for range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/schedule", "application/json", bytes.NewReader(body))
+			if err != nil {
+				codes <- 0
+				return
+			}
+			io.Copy(io.Discard, resp.Body) //nolint:errcheck
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
 	}
-	if out.Items[1].Error == nil || out.Items[1].Result != nil {
-		t.Fatalf("item 1 should carry an error, got %+v", out.Items[1])
+	wg.Wait()
+	close(codes)
+	ok := 0
+	for code := range codes {
+		if code == http.StatusOK {
+			ok++
+		}
 	}
-	if out.Items[0].Result == nil || out.Items[2].Result == nil {
-		t.Fatal("items 0 and 2 should carry results")
+	if ok != n {
+		t.Fatalf("%d of %d identical requests answered 200", ok, n)
 	}
-	if out.Items[1].Error.Status != http.StatusBadRequest {
-		t.Fatalf("item 1 error status = %d", out.Items[1].Error.Status)
-	}
-
-	// Oversized and empty batches are rejected outright.
-	big := wire.BatchRequest{Requests: make([]wire.ScheduleRequest, 65)}
-	if resp, _ := postJSON(t, ts.URL+"/v1/schedule/batch", big); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversized batch: status %d, want 400", resp.StatusCode)
-	}
-	if resp, _ := postJSON(t, ts.URL+"/v1/schedule/batch", wire.BatchRequest{}); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty batch: status %d, want 400", resp.StatusCode)
+	if got := solves.Load(); got != 1 {
+		t.Fatalf("identical concurrent requests ran the solver %d times, want 1", got)
 	}
 }
 
-// TestBatchDedupsAgainstCache: a batch of identical requests triggers
-// at most one solve (singleflight + cache), and every item succeeds.
-func TestBatchDedupsAgainstCache(t *testing.T) {
-	ts, _, solves := newTestServer(t, Options{})
-	reqs := make([]wire.ScheduleRequest, 8)
-	for i := range reqs {
-		reqs[i] = dwtRequest(16 * 16)
-	}
-	resp, body := postJSON(t, ts.URL+"/v1/schedule/batch", wire.BatchRequest{Requests: reqs})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var out wire.BatchResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Succeeded != 8 || out.Failed != 0 {
-		t.Fatalf("batch: %d ok / %d failed, want 8/0", out.Succeeded, out.Failed)
-	}
-	if got := solves.Load(); got != 1 {
-		t.Fatalf("identical batch items ran the solver %d times, want 1", got)
+// TestUnknownPathStructured404: a path no endpoint serves, a retired
+// one included, answers a structured JSON 404 like every other error.
+func TestUnknownPathStructured404(t *testing.T) {
+	ts, _, _ := newTestServer(t, Options{})
+	for _, c := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/nope"},
+		{http.MethodGet, "/statsz"},
+		{http.MethodPost, "/v1/schedule/batch"},
+		{http.MethodGet, "/"},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(`{}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e wire.Error
+		derr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound || resp.Header.Get("Content-Type") != "application/json" {
+			t.Errorf("%s %s: status %d, Content-Type %q; want a JSON 404",
+				c.method, c.path, resp.StatusCode, resp.Header.Get("Content-Type"))
+			continue
+		}
+		if derr != nil || e.Status != http.StatusNotFound || e.Message == "" {
+			t.Errorf("%s %s: unstructured 404 body (decode err %v, body %+v)", c.method, c.path, derr, e)
+		}
 	}
 }
 
@@ -428,8 +438,8 @@ func TestHealthzAndMethods(t *testing.T) {
 	if resp := getJSON(t, ts.URL+"/v1/schedule", nil); resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET schedule: status %d, want 405", resp.StatusCode)
 	}
-	if resp := getJSON(t, ts.URL+"/v1/schedule/batch", nil); resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET batch: status %d, want 405", resp.StatusCode)
+	if resp := getJSON(t, ts.URL+"/v1/schedule/sweep", nil); resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET sweep: status %d, want 405", resp.StatusCode)
 	}
 }
 

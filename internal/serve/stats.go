@@ -29,10 +29,8 @@ var latencyBoundsUS = []float64{
 // of them is lock-free (one atomic add); /metrics reads them without
 // contending with the request path.
 type metrics struct {
-	// HTTP request counters by endpoint; schedule includes batch items
-	// (each item runs the shared schedule path).
+	// HTTP request counters by endpoint.
 	reqSchedule *obs.Counter
-	reqBatch    *obs.Counter
 	reqSweep    *obs.Counter
 	reqPatch    *obs.Counter
 	reqPeer     *obs.Counter
@@ -115,7 +113,7 @@ func (m *metrics) shed(mode string) {
 // the resolved handles.
 func newMetrics(reg *obs.Registry) *metrics {
 	req := reg.CounterVec("wrbpg_http_requests_total",
-		"API requests by endpoint; schedule includes batch items.", "endpoint")
+		"API requests by endpoint.", "endpoint")
 	shedVec := reg.CounterVec("wrbpg_shed_total",
 		"Requests shed by overload control, by mode (queue_full, doomed, canceled, degraded, breaker).", "mode")
 	shedBy := make(map[string]*obs.Counter)
@@ -130,7 +128,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 	}
 	return &metrics{
 		reqSchedule: req.With("schedule"),
-		reqBatch:    req.With("batch"),
 		reqSweep:    req.With("sweep"),
 		reqPatch:    req.With("patch"),
 		reqPeer:     req.With("peer"),
@@ -187,7 +184,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		traced: reg.Counter("wrbpg_traced_requests_total",
 			"Requests that opted into tracing via the X-Wrbpg-Trace header."),
 		reqSeconds: reg.Histogram("wrbpg_request_seconds",
-			"End-to-end API request latency in seconds (schedule, batch, sweep, patch, lowerbound); traced requests attach their trace ID as an OpenMetrics exemplar.",
+			"End-to-end API request latency in seconds (schedule, sweep, patch, lowerbound); traced requests attach their trace ID as an OpenMetrics exemplar.",
 			requestSecondsBounds),
 	}
 }
@@ -284,7 +281,7 @@ func (m *metrics) observeAnytime(a *solve.AnytimeInfo) {
 // needs no HTTP round trip. Each field reads its registry handle
 // directly; GET /metrics exports the same values.
 type Stats struct {
-	Requests      uint64            // wrbpg_http_requests_total{endpoint="schedule"}, batch items included
+	Requests      uint64            // wrbpg_http_requests_total{endpoint="schedule"}
 	Sweeps        uint64            // wrbpg_http_requests_total{endpoint="sweep"}
 	Patches       uint64            // wrbpg_http_requests_total{endpoint="patch"}
 	Solves        uint64            // wrbpg_solves_total

@@ -11,9 +11,12 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 
 	"wrbpg/internal/cdag"
@@ -22,10 +25,9 @@ import (
 
 // DecodeRequest decodes one request body into v, which must point at a
 // zero value: refusing unknown fields, and refusing anything but
-// whitespace after the value. A *ScheduleRequest, *PatchRequest,
-// *PeerScheduleRequest or *BatchRequest is scanned when its body takes
-// the plain form; every other case goes to DecodeStream. Errors are
-// structured 400s.
+// whitespace after the value. A *ScheduleRequest, *PatchRequest or
+// *PeerScheduleRequest is scanned when its body takes the plain form;
+// every other case goes to DecodeStream. Errors are structured 400s.
 func DecodeRequest(data []byte, v any) error {
 	if scan(data, v) {
 		return nil
@@ -54,11 +56,6 @@ func scan(data []byte, v any) bool {
 			return true
 		}
 		*v = PeerScheduleRequest{}
-	case *BatchRequest:
-		if sc.batchRequest(v) && sc.end() {
-			return true
-		}
-		*v = BatchRequest{}
 	}
 	return false
 }
@@ -71,12 +68,25 @@ func DecodeStream(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return Errorf(http.StatusBadRequest, "malformed request body: %v", err)
+		return Errorf(http.StatusBadRequest, "malformed request body: %v", unembedSpec(err))
 	}
 	if trailingData(io.MultiReader(dec.Buffered(), r)) {
 		return Errorf(http.StatusBadRequest, "trailing data after request body")
 	}
 	return nil
+}
+
+// unembedSpec drops the embedded Spec from a type error's field path,
+// which encoding/json spells with the Go name of every embedded struct:
+// the message names the field as the body does, "ScheduleRequest.n"
+// and not "ScheduleRequest.Spec.n". No JSON key is "Spec".
+func unembedSpec(err error) error {
+	var te *json.UnmarshalTypeError
+	if errors.As(err, &te) {
+		path := strings.Split(te.Field, ".")
+		te.Field = strings.Join(slices.DeleteFunc(path, func(p string) bool { return p == "Spec" }), ".")
+	}
+	return err
 }
 
 // trailingData reports whether r holds a byte other than JSON
@@ -308,13 +318,13 @@ func (sc *scanner) scheduleRequest(r *ScheduleRequest) bool {
 		case "include_moves":
 			return sc.boolv(&r.IncludeMoves)
 		}
-		return sc.instanceField(key, r)
+		return sc.instanceField(key, &r.Spec)
 	})
 }
 
-// instanceField reads one of the fields that name an instance, which
-// ScheduleRequest and PatchRequest share, into r.
-func (sc *scanner) instanceField(key []byte, r *ScheduleRequest) bool {
+// instanceField reads one of the fields of the Spec that ScheduleRequest
+// and PatchRequest embed into r.
+func (sc *scanner) instanceField(key []byte, r *Spec) bool {
 	switch string(key) {
 	case "family":
 		return sc.text(&r.Family)
@@ -341,8 +351,7 @@ func (sc *scanner) instanceField(key []byte, r *ScheduleRequest) bool {
 }
 
 func (sc *scanner) patchRequest(r *PatchRequest) bool {
-	var in ScheduleRequest
-	ok := sc.object(func(key []byte) bool {
+	return sc.object(func(key []byte) bool {
 		switch string(key) {
 		case "base_key":
 			return sc.text(&r.BaseKey)
@@ -351,11 +360,8 @@ func (sc *scanner) patchRequest(r *PatchRequest) bool {
 		case "timeout_ms":
 			return sc.int64v(&r.TimeoutMS)
 		}
-		return sc.instanceField(key, &in)
+		return sc.instanceField(key, &r.Spec)
 	})
-	r.Family, r.N, r.D, r.M, r.K, r.Height = in.Family, in.N, in.D, in.M, in.K, in.Height
-	r.Weights, r.Graph, r.CDAG, r.Deltas = in.Weights, in.Graph, in.CDAG, in.Deltas
-	return ok
 }
 
 func (sc *scanner) peerRequest(r *PeerScheduleRequest) bool {
@@ -369,19 +375,6 @@ func (sc *scanner) peerRequest(r *PeerScheduleRequest) bool {
 			return sc.text(&r.Origin)
 		}
 		return false
-	})
-}
-
-func (sc *scanner) batchRequest(r *BatchRequest) bool {
-	return sc.object(func(key []byte) bool {
-		if string(key) != "requests" {
-			return false
-		}
-		r.Requests = []ScheduleRequest{}
-		return sc.array(func() bool {
-			r.Requests = append(r.Requests, ScheduleRequest{})
-			return sc.scheduleRequest(&r.Requests[len(r.Requests)-1])
-		})
 	})
 }
 

@@ -51,8 +51,6 @@ func TestScannerTakesPlainBodies(t *testing.T) {
 		{`{"base_key":"sha256:abcdef","deltas":[{"node":1,"weight_bits":8}],"budgets_bits":[64],"timeout_ms":9}`, &PatchRequest{}},
 		{`{"family":"dwt","n":16,"d":2,"budgets_bits":[]}`, &PatchRequest{}},
 		{`{"req":{"family":"dwt","n":32,"d":4,"budget_bits":2048,"include_moves":true,"timeout_ms":125},"key":"sha256:ab","origin":"http://replica-0:8080"}`, &PeerScheduleRequest{}},
-		{`{"requests":[{"family":"dwt","n":32,"d":4,"budget_bits":2048},{"family":"mvm","m":4,"n":6,"budget_bits":99}]}`, &BatchRequest{}},
-		{`{"requests":[]}`, &BatchRequest{}},
 	}
 	for _, c := range cases {
 		scanned, s, d, err := decodeBoth(t, c.body, c.v)
@@ -119,3 +117,28 @@ func TestDecodeStreamTrailing(t *testing.T) {
 type errReader struct{}
 
 func (errReader) Read([]byte) (int, error) { return 0, fmt.Errorf("http: request body too large") }
+
+// TestTypeErrorsNameBodyFields: a wrongly typed value's 400 names the
+// field by its path in the body, with no trace of the embedded Spec.
+func TestTypeErrorsNameBodyFields(t *testing.T) {
+	const prefix = "malformed request body: json: cannot unmarshal "
+	for _, c := range []struct {
+		body string
+		v    any
+		want string
+	}{
+		{`{"family":"dwt","n":"x","budget_bits":1}`, &ScheduleRequest{},
+			`string into Go struct field ScheduleRequest.n of type int`},
+		{`{"family":5,"budgets_bits":[1]}`, &PatchRequest{},
+			`number into Go struct field PatchRequest.family of type string`},
+		{`{"family":"dwt","weights":{"name":3},"budget_bits":1}`, &ScheduleRequest{},
+			`number into Go struct field WeightSpec.weights.name of type string`},
+		{`{"req":{"family":"dwt","deltas":[{"node":"a"}],"budget_bits":1}}`, &PeerScheduleRequest{},
+			`string into Go struct field PatchDelta.req.deltas.node of type int64`},
+	} {
+		err := DecodeRequest([]byte(c.body), c.v)
+		if err == nil || err.Error() != prefix+c.want {
+			t.Errorf("%s: error %v, want %q", c.body, err, prefix+c.want)
+		}
+	}
+}

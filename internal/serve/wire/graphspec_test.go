@@ -99,11 +99,11 @@ func TestGraphSpecCycleNamesMembers(t *testing.T) {
 // different node names and orderings — and across the two wire forms —
 // lands on one canonical cache key.
 func TestCDAGRequestIsomorphicKeys(t *testing.T) {
-	a := &ScheduleRequest{Family: solve.FamilyCDAG, BudgetBits: 64,
+	a := &Spec{Family: solve.FamilyCDAG,
 		CDAG: &GraphSpec{Nodes: []GraphNode{
 			specNode("x", 8), specNode("y", 4), specNode("r", 16, "x", "y"),
 		}}}
-	b := &ScheduleRequest{Family: solve.FamilyCDAG, BudgetBits: 64,
+	b := &Spec{Family: solve.FamilyCDAG,
 		CDAG: &GraphSpec{Nodes: []GraphNode{
 			specNode("result", 16, "right", "left"),
 			specNode("right", 8), specNode("left", 4),
@@ -130,7 +130,7 @@ func TestScheduleRequestRejectsBothGraphForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &ScheduleRequest{Family: solve.FamilyCDAG, BudgetBits: 64, Graph: ga, CDAG: g}
+	r := &Spec{Family: solve.FamilyCDAG, Graph: ga, CDAG: g}
 	if _, err := r.Instance(); err == nil {
 		t.Fatal("request with both graph and cdag accepted")
 	}

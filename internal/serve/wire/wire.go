@@ -52,11 +52,13 @@ func (ws WeightSpec) Config() (wcfg.Config, error) {
 	}
 }
 
-// ScheduleRequest asks for one solve. Families: "dwt" (N, D), "ktree"
-// (K, Height), "mvm" (M, N), or "cdag" with an explicit Graph in the
-// cdag JSON spec format.
-type ScheduleRequest struct {
-	Family string `json:"family"`
+// Spec names one instance: a family with its size parameters and node
+// weights — "dwt" (N, D), "ktree" (K, Height), "mvm" (M, N), or "cdag"
+// with an explicit graph — plus optional weight overrides. Every
+// request type that names an instance embeds it, so its fields appear
+// at the top level of the request body.
+type Spec struct {
+	Family string `json:"family,omitempty"`
 	N      int    `json:"n,omitempty"`
 	D      int    `json:"d,omitempty"`
 	M      int    `json:"m,omitempty"`
@@ -65,10 +67,6 @@ type ScheduleRequest struct {
 	// Weights selects the node-weight configuration for the parametric
 	// families; ignored for cdag.
 	Weights WeightSpec `json:"weights,omitempty"`
-	// BudgetBits is the fast-memory budget B; it must be positive
-	// (servers have no "default to minimum memory" convention — the
-	// budget is part of the cache identity).
-	BudgetBits int64 `json:"budget_bits"`
 	// Graph is the explicit CDAG of a family:"cdag" request in the
 	// cdag interchange form (integer parents, topological order).
 	Graph *cdag.Graph `json:"graph,omitempty"`
@@ -76,12 +74,6 @@ type ScheduleRequest struct {
 	// nodes with symbolic deps in any order (see GraphSpec). Exactly one
 	// of Graph and CDAG may be set.
 	CDAG *GraphSpec `json:"cdag,omitempty"`
-	// TimeoutMS optionally overrides the server's default solve
-	// deadline, clamped to its maximum.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// IncludeMoves asks for the full move list in the response (the
-	// summary metrics are always present).
-	IncludeMoves bool `json:"include_moves,omitempty"`
 	// Deltas, when present, are per-node weight overrides applied on
 	// top of the configured weights (dwt and ktree only). They become
 	// part of the instance's cache identity, so a patched variant never
@@ -90,13 +82,13 @@ type ScheduleRequest struct {
 	Deltas []PatchDelta `json:"deltas,omitempty"`
 }
 
-// Instance converts the request to its canonical solve.Instance. For
+// Instance converts the spec to its canonical solve.Instance. For
 // family:"cdag" the graph — whichever wire form carried it — is
 // relabeled into the structural canonical form, so isomorphic
 // submissions (same dataflow, different node order or names) share one
 // cache key; Instance.Perm records the relabeling for callers that
 // must express move lists back in the requester's numbering.
-func (r *ScheduleRequest) Instance() (solve.Instance, error) {
+func (r *Spec) Instance() (solve.Instance, error) {
 	var cfg wcfg.Config
 	if r.Family != solve.FamilyCDAG {
 		var err error
@@ -131,6 +123,21 @@ func (r *ScheduleRequest) Instance() (solve.Instance, error) {
 	}
 	in.Canonicalize()
 	return in, nil
+}
+
+// ScheduleRequest asks for one solve of the instance its Spec names.
+type ScheduleRequest struct {
+	Spec
+	// BudgetBits is the fast-memory budget B; it must be positive
+	// (servers have no "default to minimum memory" convention — the
+	// budget is part of the cache identity).
+	BudgetBits int64 `json:"budget_bits"`
+	// TimeoutMS optionally overrides the server's default solve
+	// deadline, clamped to its maximum.
+	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+	// IncludeMoves asks for the full move list in the response (the
+	// summary metrics are always present).
+	IncludeMoves bool `json:"include_moves,omitempty"`
 }
 
 // PatchDelta is one node-weight override in the wire schema, shared by
@@ -329,24 +336,14 @@ func (r *ScheduleResult) Clone() *ScheduleResult {
 // carries per-budget costs only; fetch move lists via /v1/schedule.
 type PatchRequest struct {
 	// BaseKey is the content-addressed identity of the base instance
-	// (solve.Instance.BaseShapeKey). Mutually exclusive with the inline
-	// family fields; 404 when the session is no longer resident.
+	// (solve.Instance.BaseShapeKey). Mutually exclusive with an inline
+	// Spec; 404 when the session is no longer resident.
 	BaseKey string `json:"base_key,omitempty"`
-	// Family through CDAG describe the base instance inline, exactly as
-	// in ScheduleRequest.
-	Family  string      `json:"family,omitempty"`
-	N       int         `json:"n,omitempty"`
-	D       int         `json:"d,omitempty"`
-	M       int         `json:"m,omitempty"`
-	K       int         `json:"k,omitempty"`
-	Height  int         `json:"height,omitempty"`
-	Weights WeightSpec  `json:"weights,omitempty"`
-	Graph   *cdag.Graph `json:"graph,omitempty"`
-	CDAG    *GraphSpec  `json:"cdag,omitempty"`
-	// Deltas are the weight overrides defining the patched instance: the
-	// full target state relative to the *base* weights (duplicate nodes
-	// merge last-wins), so none answers the base. Only dwt and ktree.
-	Deltas []PatchDelta `json:"deltas,omitempty"`
+	// Spec names the base instance inline. Its Deltas are the weight
+	// overrides defining the patched instance: the full target state
+	// relative to the *base* weights (duplicate nodes merge last-wins),
+	// so none answers the base. Only dwt and ktree.
+	Spec
 	// BudgetsBits lists the fast-memory budgets to answer, all
 	// positive; answers come back in the same order.
 	BudgetsBits []int64 `json:"budgets_bits"`
@@ -360,24 +357,9 @@ type PatchRequest struct {
 type SweepRequest = PatchRequest
 type SweepResponse = PatchResponse
 
-// Instance converts the inline fields, deltas included, to the
-// canonical solve.Instance.
-func (r *PatchRequest) Instance() (solve.Instance, error) {
-	sr := ScheduleRequest{
-		Family: r.Family,
-		N:      r.N, D: r.D, M: r.M,
-		K: r.K, Height: r.Height,
-		Weights: r.Weights,
-		Graph:   r.Graph,
-		CDAG:    r.CDAG,
-		Deltas:  r.Deltas,
-	}
-	return sr.Instance()
-}
-
 // BaseInstance is Instance with the deltas left off.
 func (r *PatchRequest) BaseInstance() (solve.Instance, error) {
-	base := *r
+	base := r.Spec
 	base.Deltas = nil
 	return base.Instance()
 }
@@ -465,26 +447,6 @@ type PeerScheduleRequest struct {
 type PeerScheduleResponse struct {
 	Result *ScheduleResult  `json:"result"`
 	Trace  *obs.TraceExport `json:"trace,omitempty"`
-}
-
-// BatchRequest fans out independent schedule requests.
-type BatchRequest struct {
-	Requests []ScheduleRequest `json:"requests"`
-}
-
-// BatchItem is one batch element's outcome: exactly one of Result or
-// Error is set (partial-failure reporting).
-type BatchItem struct {
-	Index  int             `json:"index"`
-	Result *ScheduleResult `json:"result,omitempty"`
-	Error  *Error          `json:"error,omitempty"`
-}
-
-// BatchResponse reports every item plus summary counts.
-type BatchResponse struct {
-	Items     []BatchItem `json:"items"`
-	Succeeded int         `json:"succeeded"`
-	Failed    int         `json:"failed"`
 }
 
 // LowerBoundResult answers GET /v1/lowerbound: the compulsory I/O

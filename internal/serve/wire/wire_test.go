@@ -33,8 +33,8 @@ func TestWeightSpecConfig(t *testing.T) {
 // TestScheduleRequestInstanceRoundTrip: the request type survives a
 // JSON round trip and canonicalizes to a keyed instance.
 func TestScheduleRequestInstanceRoundTrip(t *testing.T) {
-	req := ScheduleRequest{Family: "mvm", M: 4, N: 6, BudgetBits: 512,
-		Weights: WeightSpec{Name: "da"}}
+	req := ScheduleRequest{Spec: Spec{Family: "mvm", M: 4, N: 6,
+		Weights: WeightSpec{Name: "da"}}, BudgetBits: 512}
 	b, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
