@@ -30,9 +30,11 @@ race:
 	$(GO) test -race -cpu 1,4 ./...
 
 # Race-enabled fault-injection and degradation tests: worker panics,
-# injected faults, cancellation, and fallback paths (docs/ROBUSTNESS.md).
+# injected faults, cancellation, fallback paths, and the family
+# solvers' abort-then-reuse checks of their reusable guard checkers
+# (docs/ROBUSTNESS.md).
 race-fault:
-	$(GO) test -race -run 'Fault|Panic|Ctx|Cancel|Deadline|Degrad|Hung|Budget' ./internal/par/ ./internal/solve/ ./internal/guard/
+	$(GO) test -race -run 'Fault|Panic|Ctx|Cancel|Deadline|Degrad|Hung|Budget|Abort' ./internal/par/ ./internal/solve/ ./internal/guard/ ./internal/dwt/ ./internal/ktree/ ./internal/memstate/ ./internal/mvm/
 
 bench-smoke:
 	$(GO) test -short -bench=. -benchtime=1x -run '^$$' ./...

@@ -331,13 +331,17 @@ func (s *searcher) finish(res *Result, complete bool) {
 	res.Improvements = s.improvements.Load()
 }
 
+// counters is the anytime tier's solver counter set, resolved once so
+// a worker's flush takes no registry lock.
+var counters = guard.CountersFor("anytime")
+
 // worker is one parallel search loop. Deadline and state-budget trips
 // stop the whole search and are swallowed (the anytime contract:
 // return the incumbent); cancellation propagates.
 func (s *searcher) worker(ctx context.Context, id int, wlim guard.Limits) error {
 	ck := guard.New(ctx, wlim)
 	defer ck.Release()
-	defer func() { guard.CountersFor("anytime").Record(ck.TakeCounts()) }()
+	defer func() { counters.Record(ck.TakeCounts()) }()
 	for {
 		if s.stop.Load() {
 			return nil

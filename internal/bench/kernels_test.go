@@ -326,7 +326,7 @@ func perfKernels() []perfKernel {
 		}},
 		// The incremental-engine kernels back the patch acceptance
 		// claims: a single-node weight delta followed by a re-query
-		// against the warm session (the *PatchResolveWarm kernels, which
+		// against the warm scheduler (the *PatchResolveWarm kernels, which
 		// must report 0 allocs/op) versus rebuilding the scheduler cold
 		// on the same patched graph (the *PatchResolveCold pair). The
 		// warm path re-solves only the dirtied subtree cone / root chain
@@ -337,7 +337,7 @@ func perfKernels() []perfKernel {
 			if err != nil {
 				return nil, err
 			}
-			se, err := dwt.NewSession(g)
+			se, err := dwt.NewScheduler(g)
 			if err != nil {
 				return nil, err
 			}
@@ -354,7 +354,7 @@ func perfKernels() []perfKernel {
 			var lim guard.Limits
 			var i int
 			body := func() error {
-				if _, _, err := se.Patch(deltas[i&1]); err != nil {
+				if _, _, err := se.SetWeights(deltas[i&1]); err != nil {
 					return err
 				}
 				i++
@@ -396,7 +396,7 @@ func perfKernels() []perfKernel {
 			if err != nil {
 				return nil, err
 			}
-			se := ktree.NewSession(tr)
+			se := ktree.NewScheduler(tr)
 			node := tr.G.Sources()[0]
 			w := tr.G.Weight(node)
 			b := core.MinExistenceBudget(tr.G) + 4
@@ -408,7 +408,7 @@ func perfKernels() []perfKernel {
 			var lim guard.Limits
 			var i int
 			body := func() error {
-				if _, _, err := se.Patch(deltas[i&1]); err != nil {
+				if _, _, err := se.SetWeights(deltas[i&1]); err != nil {
 					return err
 				}
 				i++
@@ -443,7 +443,7 @@ func perfKernels() []perfKernel {
 			if err != nil {
 				return nil, err
 			}
-			se, err := memstate.NewSession(tr.G, tr.Root, memstate.Bitset{}, memstate.Bitset{})
+			se, err := memstate.NewKScheduler(tr.G)
 			if err != nil {
 				return nil, err
 			}
@@ -458,11 +458,11 @@ func perfKernels() []perfKernel {
 			var lim guard.Limits
 			var i int
 			body := func() error {
-				if _, _, err := se.Patch(deltas[i&1]); err != nil {
+				if _, _, err := se.SetWeights(deltas[i&1]); err != nil {
 					return err
 				}
 				i++
-				_, err := se.CostCtx(ctx, lim, b)
+				_, err := se.CostCtx(ctx, lim, tr.Root, b, memstate.Bitset{}, memstate.Bitset{})
 				return err
 			}
 			if err := body(); err != nil {

@@ -28,8 +28,8 @@ import (
 
 // shape is the graph-determining part of a precision configuration:
 // two configs with equal shapes (differing only in display name) build
-// identical graphs, so they share one warm solver session during
-// exploration and the second evaluation runs entirely on memo hits.
+// identical graphs, so they share one warm solver during exploration
+// and the second evaluation runs entirely on memo hits.
 type shape struct{ wb, iw, nw int }
 
 func shapeOf(cfg wcfg.Config) shape {
@@ -101,31 +101,31 @@ func Precisions(wordBits []int, accWords []int) []wcfg.Config {
 
 // ExploreDWT evaluates the grid on DWT(n, d) with the optimum
 // scheduler. Configs sharing a weight shape reuse one warm
-// dwt.Session: the minimum-memory binary search probes and the final
+// dwt.Scheduler: the minimum-memory binary search probes and the final
 // schedule all land in the same P(v, b) memo.
 func ExploreDWT(n, d int, cfgs []wcfg.Config, proc synth.Process, ep energy.Params) ([]Point, error) {
 	ctx := context.Background()
-	sessions := make(map[shape]*dwt.Session, len(cfgs))
+	scheds := make(map[shape]*dwt.Scheduler, len(cfgs))
 	return explore(cfgs, proc, ep, func(cfg wcfg.Config) (cdag.Weight, int, core.Stats, error) {
-		se, ok := sessions[shapeOf(cfg)]
+		s, ok := scheds[shapeOf(cfg)]
 		if !ok {
 			g, err := dwt.Build(n, d, dwt.ConfigWeights(cfg))
 			if err != nil {
 				return 0, 0, core.Stats{}, err
 			}
-			if se, err = dwt.NewSession(g); err != nil {
+			if s, err = dwt.NewScheduler(g); err != nil {
 				return 0, 0, core.Stats{}, err
 			}
-			sessions[shapeOf(cfg)] = se
+			scheds[shapeOf(cfg)] = s
 		}
-		g := se.Graph().G
-		b, err := memdesign.SearchMonotoneSession(ctx, guard.Limits{}, se,
+		g := s.Graph().G
+		b, err := memdesign.SearchMonotoneSession(ctx, guard.Limits{}, s,
 			core.LowerBound(g), core.MinExistenceBudget(g), g.TotalWeight(),
 			cdag.Weight(cfg.WordBits))
 		if err != nil {
 			return 0, 0, core.Stats{}, err
 		}
-		sched, err := se.ScheduleCtx(ctx, guard.Limits{}, b)
+		sched, err := s.ScheduleCtx(ctx, guard.Limits{}, b)
 		if err != nil {
 			return 0, 0, core.Stats{}, err
 		}

@@ -39,7 +39,8 @@ type entry struct {
 // via the memoized dynamic program P(v, b) of Lemma 3.3 and generates
 // the corresponding move sequences (Algorithm 1). A Scheduler caches
 // subproblem solutions across budgets, so sweeping budgets on one
-// graph reuses work.
+// graph reuses work, and CostCtx/ScheduleCtx guard every query with
+// the memo's one reusable checker. It is not safe for concurrent use.
 //
 // The memo stores, per node, the steps of P(v, ·) as a sorted list of
 // disjoint budget intervals (package stepmemo), so one cold cell
@@ -83,6 +84,9 @@ func NewScheduler(dg *Graph) (*Scheduler, error) {
 	}, nil
 }
 
+// Graph returns the scheduled DWT graph.
+func (s *Scheduler) Graph() *Graph { return s.dg }
+
 // SetWeights applies weight deltas to the graph and invalidates
 // exactly the memo rows whose value can change: P(v, b) depends only
 // on weights inside v's subtree (Lemma 3.3), so a change at u stales
@@ -91,8 +95,8 @@ func NewScheduler(dg *Graph) (*Scheduler, error) {
 // in-range nodes, the Lemma 3.2 weight assumption must still hold
 // afterwards) and the graph is reverted unchanged on any error. It
 // returns the number of budget intervals cleared and the number
-// surviving; rows keep their capacity, so re-solving after a patch
-// allocates nothing in steady state.
+// surviving, which also feed TakeCounts; rows keep their capacity, so
+// re-solving after a patch allocates nothing in steady state.
 func (s *Scheduler) SetWeights(ds []cdag.WeightDelta) (invalidated, reused int64, err error) {
 	invalidated, reused, err = s.memo.Patch(s.dg.G, ds, "dwt", s.dg.CheckWeightAssumption, nil)
 	if err == nil {
@@ -192,38 +196,40 @@ func (s *Scheduler) MinCost(b cdag.Weight) cdag.Weight {
 	return total
 }
 
-// MinCostCtx is MinCost under a cancellation context and resource
-// limits. It returns guard.ErrCanceled / guard.ErrDeadline /
-// guard.ErrBudgetExceeded (wrapped) when the solve was aborted; the
+// CostCtx is MinCost under a cancellation context and resource
+// limits, guarded by the scheduler's reusable checker, so a warm query
+// allocates nothing when lim carries no deadline. It returns
+// guard.ErrCanceled / guard.ErrDeadline / guard.ErrBudgetExceeded
+// (wrapped) when the query was aborted; limits are per query, and the
 // scheduler remains usable afterwards — partial results computed after
-// the abort are never memoized.
-func (s *Scheduler) MinCostCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) (cdag.Weight, error) {
-	ck := guard.New(ctx, lim)
-	defer ck.Release()
-	defer func() { guard.CountersFor("dwt").Record(ck.TakeCounts()) }()
-	s.memo.Ck = ck
-	defer func() { s.memo.Ck = nil }()
+// the abort are never memoized. It satisfies memdesign.CostQuerier.
+func (s *Scheduler) CostCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) (cdag.Weight, error) {
+	s.memo.Begin(ctx, lim)
+	defer s.memo.End()
 	c := s.MinCost(b)
-	if err := ck.Err(); err != nil {
+	if err := s.memo.Err(); err != nil {
 		return 0, fmt.Errorf("dwt: %w", err)
 	}
 	return c, nil
 }
 
 // ScheduleCtx is Schedule under a cancellation context and resource
-// limits, with the same abort semantics as MinCostCtx.
+// limits, with the same guard and abort semantics as CostCtx.
 func (s *Scheduler) ScheduleCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) (core.Schedule, error) {
-	ck := guard.New(ctx, lim)
-	defer ck.Release()
-	defer func() { guard.CountersFor("dwt").Record(ck.TakeCounts()) }()
-	s.memo.Ck = ck
-	defer func() { s.memo.Ck = nil }()
+	s.memo.Begin(ctx, lim)
+	defer s.memo.End()
 	sched, err := s.Schedule(b)
-	if cerr := ck.Err(); cerr != nil {
+	if cerr := s.memo.Err(); cerr != nil {
 		return nil, fmt.Errorf("dwt: %w", cerr)
 	}
 	return sched, err
 }
+
+// TakeCounts returns and resets the observation counts (memo hits,
+// entries, interval splits, patch invalidations) that CostCtx,
+// ScheduleCtx and SetWeights accumulated since the last call, for
+// metric export.
+func (s *Scheduler) TakeCounts() guard.Counts { return s.memo.TakeCounts() }
 
 // Schedule generates a minimum weighted WRBPG schedule for budget b
 // (Algorithm 1: PebbleDWT). The returned schedule always passes

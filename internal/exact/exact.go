@@ -92,6 +92,10 @@ func Solve(g *cdag.Graph, budget cdag.Weight) (*Result, error) {
 	return SolveCtx(context.Background(), g, budget, guard.Limits{})
 }
 
+// counters is the exact search's solver counter set (family cdag),
+// resolved once so a solve's flush takes no registry lock.
+var counters = guard.CountersFor("cdag")
+
 // SolveCtx is Solve under a cancellation context and resource limits:
 // the search checks for cancellation at every settled state and charges
 // each newly tracked state against lim.MaxStates, returning
@@ -104,7 +108,7 @@ func SolveCtx(ctx context.Context, g *cdag.Graph, budget cdag.Weight, lim guard.
 	// Export the states-explored count for this solve (the exact search
 	// is the one solver whose cost is measured in states, not memo
 	// cells).
-	defer func() { guard.CountersFor("cdag").Record(ck.TakeCounts()) }()
+	defer func() { counters.Record(ck.TakeCounts()) }()
 	if g.Len() > MaxNodes {
 		return nil, ErrTooLarge
 	}

@@ -1,5 +1,5 @@
 // The guard → obs bridge: process-wide solver counters in the
-// obs.Default registry, fed by the solver sessions (per-query Counts
+// obs.Default registry, fed by the solver drivers (per-query Counts
 // deltas) and by the checker itself (abort reasons). guard sits below
 // every solver package, so this is the one place the family-labeled
 // counter set can live without import cycles.
@@ -45,7 +45,9 @@ var (
 	fcs  = map[string]*FamilyCounters{}
 )
 
-// CountersFor returns the (cached) counter set for the family.
+// CountersFor returns the (cached) counter set for the family. It
+// takes a process-wide lock, so callers resolve their set once, at
+// package init, and keep it.
 func CountersFor(family string) *FamilyCounters {
 	fcMu.Lock()
 	defer fcMu.Unlock()

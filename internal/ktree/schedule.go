@@ -24,7 +24,9 @@ type entry struct {
 }
 
 // Scheduler computes Pt(v, b) (Eq. 6) with memoization and generates
-// optimal schedules for k-ary trees.
+// optimal schedules for k-ary trees. CostCtx/ScheduleCtx guard every
+// query with the memo's one reusable checker. It is not safe for
+// concurrent use.
 //
 // The memo stores, per node, the steps of Pt(v, ·) as a sorted list
 // of disjoint budget intervals (package stepmemo). A warm hit is one
@@ -87,7 +89,7 @@ func (s *Scheduler) setExist(v cdag.NodeID) {
 // chains go stale (stepmemo.Memo.Patch). Their exist bounds are
 // recomputed bottom-up, and the tree is reverted unchanged on any
 // validation error. It returns the number of budget intervals cleared
-// and the number surviving.
+// and the number surviving, which also feed TakeCounts.
 func (s *Scheduler) SetWeights(ds []cdag.WeightDelta) (invalidated, reused int64, err error) {
 	return s.memo.Patch(s.t.G, ds, "ktree", nil, s.setExist)
 }
@@ -177,38 +179,40 @@ func (s *Scheduler) MinCost(b cdag.Weight) cdag.Weight {
 	return e.cost + s.t.G.Weight(s.t.Root)
 }
 
-// MinCostCtx is MinCost under a cancellation context and resource
-// limits. It returns guard.ErrCanceled / guard.ErrDeadline /
-// guard.ErrBudgetExceeded (wrapped) when the solve was aborted; the
+// CostCtx is MinCost under a cancellation context and resource
+// limits, guarded by the scheduler's reusable checker, so a warm query
+// allocates nothing when lim carries no deadline. It returns
+// guard.ErrCanceled / guard.ErrDeadline / guard.ErrBudgetExceeded
+// (wrapped) when the query was aborted; limits are per query, and the
 // scheduler remains usable afterwards — partial results computed after
-// the abort are never memoized.
-func (s *Scheduler) MinCostCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) (cdag.Weight, error) {
-	ck := guard.New(ctx, lim)
-	defer ck.Release()
-	defer func() { guard.CountersFor("ktree").Record(ck.TakeCounts()) }()
-	s.memo.Ck = ck
-	defer func() { s.memo.Ck = nil }()
+// the abort are never memoized. It satisfies memdesign.CostQuerier.
+func (s *Scheduler) CostCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) (cdag.Weight, error) {
+	s.memo.Begin(ctx, lim)
+	defer s.memo.End()
 	c := s.MinCost(b)
-	if err := ck.Err(); err != nil {
+	if err := s.memo.Err(); err != nil {
 		return 0, fmt.Errorf("ktree: %w", err)
 	}
 	return c, nil
 }
 
 // ScheduleCtx is Schedule under a cancellation context and resource
-// limits, with the same abort semantics as MinCostCtx.
+// limits, with the same guard and abort semantics as CostCtx.
 func (s *Scheduler) ScheduleCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) (core.Schedule, error) {
-	ck := guard.New(ctx, lim)
-	defer ck.Release()
-	defer func() { guard.CountersFor("ktree").Record(ck.TakeCounts()) }()
-	s.memo.Ck = ck
-	defer func() { s.memo.Ck = nil }()
+	s.memo.Begin(ctx, lim)
+	defer s.memo.End()
 	sched, err := s.Schedule(b)
-	if cerr := ck.Err(); cerr != nil {
+	if cerr := s.memo.Err(); cerr != nil {
 		return nil, fmt.Errorf("ktree: %w", cerr)
 	}
 	return sched, err
 }
+
+// TakeCounts returns and resets the observation counts (memo hits,
+// entries, interval splits, patch invalidations) that CostCtx,
+// ScheduleCtx and SetWeights accumulated since the last call, for
+// metric export.
+func (s *Scheduler) TakeCounts() guard.Counts { return s.memo.TakeCounts() }
 
 // Schedule generates an optimal schedule under budget b; it always
 // passes core.Simulate with cost MinCost(b).

@@ -1,10 +1,10 @@
 // Session-aware budget searches: the same monotone/linear searches and
 // sweeps as memdesign.go, but threading a context and guard limits
-// through a warm solver session (dwt.Session, ktree.Session,
-// memstate.Session, mvm.Session, solve.Session) instead of calling a
-// bare CostFn. Every budget probe lands in the same memo, so a binary
-// search costs O(log) warm queries inside one cold solve's worth of
-// work rather than O(log) independent cold solves.
+// through a warm guarded solver (dwt.Scheduler, ktree.Scheduler,
+// mvm.Session, solve.Session) instead of calling a bare CostFn. Every
+// budget probe lands in the same memo, so a binary search costs
+// O(log) warm queries inside one cold solve's worth of work rather
+// than O(log) independent cold solves.
 
 package memdesign
 
@@ -19,7 +19,8 @@ import (
 )
 
 // CostQuerier answers repeated budget → cost queries against shared
-// warm state. The family Session types implement it. Implementations
+// warm state. The dwt and ktree Schedulers, mvm.Session and
+// solve.Session implement it. Implementations
 // return the cost (with the family's Inf sentinel for infeasible
 // budgets) and a non-nil error only when the query was aborted
 // (guard.ErrCanceled / guard.ErrDeadline / guard.ErrBudgetExceeded,

@@ -83,14 +83,13 @@ func (s *KScheduler) Cost(v cdag.NodeID, b cdag.Weight, initial, reuse Bitset) c
 }
 
 // CostCtx is Cost under a cancellation context and resource limits,
-// with the same abort semantics as Scheduler.CostCtx.
+// with the same reusable guard and abort semantics as
+// Scheduler.CostCtx.
 func (s *KScheduler) CostCtx(ctx context.Context, lim guard.Limits, v cdag.NodeID, b cdag.Weight, initial, reuse Bitset) (cdag.Weight, error) {
-	ck := guard.New(ctx, lim)
-	defer ck.Release()
-	s.memo.Ck = ck
-	defer func() { s.memo.Ck = nil }()
+	s.memo.Begin(ctx, lim)
+	defer s.memo.End()
 	c := s.Cost(v, b, initial, reuse)
-	if err := ck.Err(); err != nil {
+	if err := s.memo.Err(); err != nil {
 		return 0, fmt.Errorf("memstate: %w", err)
 	}
 	return c, nil

@@ -91,18 +91,18 @@ func (s *Scheduler) Cost(v cdag.NodeID, b cdag.Weight, initial, reuse Bitset) cd
 	return c
 }
 
-// CostCtx is Cost under a cancellation context and resource limits. It
-// returns guard.ErrCanceled / guard.ErrDeadline /
-// guard.ErrBudgetExceeded (wrapped) when the solve was aborted; the
+// CostCtx is Cost under a cancellation context and resource limits,
+// guarded by the scheduler's reusable checker, so a warm query
+// allocates nothing when lim carries no deadline. It returns
+// guard.ErrCanceled / guard.ErrDeadline / guard.ErrBudgetExceeded
+// (wrapped) when the query was aborted; limits are per query, and the
 // scheduler remains usable afterwards — partial results computed after
 // the abort are never memoized.
 func (s *Scheduler) CostCtx(ctx context.Context, lim guard.Limits, v cdag.NodeID, b cdag.Weight, initial, reuse Bitset) (cdag.Weight, error) {
-	ck := guard.New(ctx, lim)
-	defer ck.Release()
-	s.memo.Ck = ck
-	defer func() { s.memo.Ck = nil }()
+	s.memo.Begin(ctx, lim)
+	defer s.memo.End()
 	c := s.Cost(v, b, initial, reuse)
-	if err := ck.Err(); err != nil {
+	if err := s.memo.Err(); err != nil {
 		return 0, fmt.Errorf("memstate: %w", err)
 	}
 	return c, nil

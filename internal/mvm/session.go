@@ -11,13 +11,15 @@ import (
 	"wrbpg/internal/par"
 )
 
-// Session answers repeated budget queries against one Graph, memoizing
-// the tile search per budget: the first query at a budget runs the
-// candidate-height sweep, later queries are a single map probe with no
-// allocations. Unlike the tree DPs, whose memo tables already persist
-// inside their Schedulers, the tile search had no warm state at all —
-// the Session supplies it, giving mvm the same CostCtx/ScheduleCtx
-// surface as the other solver families.
+// Session is the guarded tile search: it answers budget queries
+// against one Graph under a cancellation context and resource limits,
+// memoizing the search per budget. The first query at a budget runs
+// the candidate-height sweep under the session's reusable checker;
+// later queries are a single map probe with no allocations. A one-shot
+// solve is a fresh Session's single query. Unlike the tree DPs, whose
+// memo tables persist inside their Schedulers, the tile search has no
+// warm state of its own — the Session supplies it, giving mvm the same
+// CostCtx/ScheduleCtx/TakeCounts surface as the other solver families.
 //
 // A Session is not safe for concurrent use; serving layers serialize
 // access per session (internal/serve's session pool).
@@ -70,8 +72,12 @@ func (se *Session) search(ctx context.Context, lim guard.Limits, b cdag.Weight) 
 }
 
 // aborted distinguishes an interrupted search (guard trip, worker
-// panic) from sharedSearch's legitimate "nothing fits" error.
+// panic) from sharedSearch's legitimate "nothing fits" error. The nil
+// test keeps a successful search from allocating the errors.As target.
 func aborted(err error) bool {
+	if err == nil {
+		return false
+	}
 	var pe *par.PanicError
 	return errors.Is(err, guard.ErrCanceled) ||
 		errors.Is(err, guard.ErrDeadline) ||

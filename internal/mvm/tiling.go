@@ -1,7 +1,6 @@
 package mvm
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -267,21 +266,6 @@ func (g *Graph) searchHeight(h int, budget cdag.Weight) searchResult {
 // parallel search returns exactly the serial configuration.
 func (g *Graph) Search(budget cdag.Weight) (TileConfig, cdag.Weight, error) {
 	return g.sharedSearch(nil, budget)
-}
-
-// SearchCtx is Search under a cancellation context and resource
-// limits: the height sweep checks for cancellation per candidate and
-// the parallel fan-out stops dispatching chunks once the context dies,
-// returning guard.ErrCanceled / guard.ErrDeadline (wrapped).
-func (g *Graph) SearchCtx(ctx context.Context, lim guard.Limits, budget cdag.Weight) (TileConfig, cdag.Weight, error) {
-	ck := guard.New(ctx, lim)
-	defer ck.Release()
-	defer func() { guard.CountersFor("mvm").Record(ck.TakeCounts()) }()
-	tc, cost, err := g.sharedSearch(ck, budget)
-	if cerr := ck.Err(); cerr != nil {
-		return TileConfig{}, 0, fmt.Errorf("mvm: %w", cerr)
-	}
-	return tc, cost, err
 }
 
 // sharedSearch implements Search for an optional guard. ck == nil is

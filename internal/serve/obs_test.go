@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -281,5 +282,55 @@ func TestDebugHandler(t *testing.T) {
 	resp.Body.Close()
 	if _, err := obs.ParseText(string(raw)); err != nil {
 		t.Fatalf("debug /metrics unparseable: %v", err)
+	}
+}
+
+// TestColdSolveFeedsSolverCounters: a one-shot solve flushes its
+// family solver's counts exactly once, so one cold /v1/schedule raises
+// wrbpg_solver_queries_total{family} by 1, and for the DP families the
+// response's cost.memo_misses is the memo-entry series' delta. Not
+// parallel: the solver counters are process-global.
+func TestColdSolveFeedsSolverCounters(t *testing.T) {
+	ts, _, _ := newTestServer(t, Options{})
+	for _, c := range []struct {
+		spec wire.Spec
+		dp   bool
+	}{
+		{wire.Spec{Family: "dwt", N: 16, D: 3}, true},
+		{wire.Spec{Family: "ktree", K: 3, Height: 3}, true},
+		{wire.Spec{Family: "mvm", M: 6, N: 10}, false},
+	} {
+		t.Run(c.spec.Family, func(t *testing.T) {
+			var lb wire.LowerBoundResult
+			if resp, body := postJSON(t, ts.URL+"/v1/lowerbound", wire.ScheduleRequest{Spec: c.spec}); resp.StatusCode != http.StatusOK {
+				t.Fatalf("lowerbound: %d: %s", resp.StatusCode, body)
+			} else if err := json.Unmarshal(body, &lb); err != nil {
+				t.Fatal(err)
+			}
+			queries := fmt.Sprintf("wrbpg_solver_queries_total{family=%q}", c.spec.Family)
+			entries := fmt.Sprintf("wrbpg_solver_memo_entries_total{family=%q}", c.spec.Family)
+			before := scrapeMetrics(t, ts.URL)
+			resp, body := postJSON(t, ts.URL+"/v1/schedule", wire.ScheduleRequest{Spec: c.spec, BudgetBits: 2 * lb.MinExistenceBits})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("schedule: %d: %s", resp.StatusCode, body)
+			}
+			var res wire.ScheduleResult
+			if err := json.Unmarshal(body, &res); err != nil {
+				t.Fatal(err)
+			}
+			if res.Cache != "miss" || res.Source != "optimal" || res.Cost == nil {
+				t.Fatalf("cache=%q source=%q cost=%v, want a cold optimal solve with a cost block", res.Cache, res.Source, res.Cost)
+			}
+			after := scrapeMetrics(t, ts.URL)
+			if d := after[queries] - before[queries]; d != 1 {
+				t.Errorf("%s rose by %v, want 1", queries, d)
+			}
+			if !c.dp {
+				return
+			}
+			if d := after[entries] - before[entries]; d <= 0 || float64(res.Cost.MemoMisses) != d {
+				t.Errorf("%s rose by %v, cost.memo_misses = %d: want equal and > 0", entries, d, res.Cost.MemoMisses)
+			}
+		})
 	}
 }

@@ -230,29 +230,14 @@ func (in *Instance) Build() (Problem, *cdag.Graph, error) {
 	if err := in.Validate(); err != nil {
 		return Problem{}, nil, err
 	}
-	switch in.Family {
-	case FamilyDWT:
-		g, err := in.buildDWT()
-		if err != nil {
-			return Problem{}, nil, err
-		}
-		return DWT(g), g.G, nil
-	case FamilyKTree:
-		tr, err := in.buildKTree()
-		if err != nil {
-			return Problem{}, nil, err
-		}
-		return KTree(tr), tr.G, nil
-	case FamilyMVM:
-		g, err := in.buildMVM()
-		if err != nil {
-			return Problem{}, nil, err
-		}
-		return MVM(g), g.G, nil
-	case FamilyCDAG:
+	if in.Family == FamilyCDAG {
 		return AnytimeCDAG(in.G), in.G, nil
 	}
-	return Problem{}, nil, fmt.Errorf("solve: unknown family %q", in.Family)
+	f, err := in.build()
+	if err != nil {
+		return Problem{}, nil, err
+	}
+	return f.problem(), f.g, nil
 }
 
 // Canonicalize relabels a FamilyCDAG instance's graph into the
@@ -295,42 +280,56 @@ func (in *Instance) RequestSchedule(s core.Schedule) core.Schedule {
 	return out
 }
 
-// buildDWT, buildKTree and buildMVM construct the family-typed graphs;
-// Build wraps them as Problems and NewSession as warm sessions. The
+// build constructs the family-typed graph of a validated instance;
+// Build wraps it as a Problem and NewSession as a warm session. The
 // incremental families apply any weight deltas after construction, so
 // the cold path solves exactly the graph a patched session holds.
-func (in *Instance) buildDWT() (*dwt.Graph, error) {
-	g, err := dwt.Build(in.N, in.D, dwt.ConfigWeights(in.Cfg))
-	if err != nil {
-		return nil, err
-	}
-	if err := in.applyDeltas(g.G); err != nil {
-		return nil, err
-	}
-	if len(in.Deltas) > 0 {
-		// Deltas can break the Lemma 3.2 weight assumption the DWT
-		// scheduler relies on; fail here, before any solver state exists.
-		if err := g.CheckWeightAssumption(); err != nil {
-			return nil, err
+func (in *Instance) build() (family, error) {
+	f := family{name: in.Family}
+	switch in.Family {
+	case FamilyDWT:
+		g, err := dwt.Build(in.N, in.D, dwt.ConfigWeights(in.Cfg))
+		if err != nil {
+			return f, err
 		}
-	}
-	return g, nil
-}
-
-func (in *Instance) buildKTree() (*ktree.Tree, error) {
-	tr, err := ktree.FullTree(in.K, in.Height, func(depth, index int) cdag.Weight {
-		if depth == in.Height {
-			return in.Cfg.Input()
+		if err := in.applyDeltas(g.G); err != nil {
+			return f, err
 		}
-		return in.Cfg.Node()
-	})
-	if err != nil {
-		return nil, err
+		if len(in.Deltas) > 0 {
+			// Deltas can break the Lemma 3.2 weight assumption the DWT
+			// scheduler relies on; fail here, before any solver state
+			// exists.
+			if err := g.CheckWeightAssumption(); err != nil {
+				return f, err
+			}
+		}
+		f.g, f.layers, f.dwt = g.G, g.Layers, g
+	case FamilyKTree:
+		tr, err := ktree.FullTree(in.K, in.Height, func(depth, index int) cdag.Weight {
+			if depth == in.Height {
+				return in.Cfg.Input()
+			}
+			return in.Cfg.Node()
+		})
+		if err != nil {
+			return f, err
+		}
+		if err := in.applyDeltas(tr.G); err != nil {
+			return f, err
+		}
+		f.g, f.tree = tr.G, tr
+	case FamilyMVM:
+		g, err := mvm.Build(in.M, in.N, in.Cfg)
+		if err != nil {
+			return f, err
+		}
+		f.g, f.mvm = g.G, g
+	case FamilyCDAG:
+		f.g = in.G
+	default:
+		return f, fmt.Errorf("solve: unknown family %q", in.Family)
 	}
-	if err := in.applyDeltas(tr.G); err != nil {
-		return nil, err
-	}
-	return tr, nil
+	return f, nil
 }
 
 func (in *Instance) applyDeltas(g *cdag.Graph) error {
@@ -340,8 +339,4 @@ func (in *Instance) applyDeltas(g *cdag.Graph) error {
 		}
 	}
 	return nil
-}
-
-func (in *Instance) buildMVM() (*mvm.Graph, error) {
-	return mvm.Build(in.M, in.N, in.Cfg)
 }

@@ -100,7 +100,7 @@ func (s *Session) PatchTo(target []cdag.WeightDelta) (PatchStats, error) {
 		if s.patch == nil {
 			return PatchStats{}, fmt.Errorf("solve: family %q does not support incremental patching", s.inst.Family)
 		}
-		inv, reused, err := s.patch(ch)
+		inv, reused, err := s.patch.SetWeights(ch)
 		if err != nil {
 			return PatchStats{}, err
 		}

@@ -268,10 +268,7 @@ func TestSessionPatchFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := SolveSweep(context.Background(), inst, budgets, guard.Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := coldSweep(t, inst, budgets)
 	if !reflect.DeepEqual(after, base) {
 		t.Errorf("post-fault reverted answers differ from cold base solves")
 	}

@@ -17,17 +17,13 @@ package solve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"runtime/debug"
 
 	"wrbpg/internal/anytime"
 	"wrbpg/internal/cdag"
 	"wrbpg/internal/core"
-	"wrbpg/internal/dwt"
 	"wrbpg/internal/guard"
-	"wrbpg/internal/ktree"
-	"wrbpg/internal/mvm"
 	"wrbpg/internal/par"
 )
 
@@ -61,40 +57,40 @@ type Session struct {
 	g        *cdag.Graph
 	lb       cdag.Weight
 	minExist cdag.Weight
-	cost     func(ctx context.Context, lim guard.Limits, b cdag.Weight) (cdag.Weight, error)
-	sched    func(ctx context.Context, lim guard.Limits, b cdag.Weight) (core.Schedule, error)
-	// fc/takeCounts export the family session's solver-progress counters
-	// (memo hits, cells, splits) into the obs registry. Public queries
-	// flush per call; SweepCosts flushes once per sweep, keeping the
-	// warm-sweep hot path at a couple of atomic adds total. Nil for
-	// FamilyCDAG, where anytime.Search flushes internally.
-	fc         *guard.FamilyCounters
-	takeCounts func() guard.Counts
-	// patch, for the incremental families (dwt, ktree), applies weight
-	// deltas to the family session with dependency-tracked invalidation;
-	// baseW snapshots the base instance's weights so PatchTo can revert
-	// nodes that fall out of the target delta list; cur is the canonical
-	// delta state the session currently sits at; scratch/merged are
-	// retained merge buffers keeping the steady-state patch path
-	// allocation-free.
-	patch   func(ds []cdag.WeightDelta) (invalidated, reused int64, err error)
+	// sv is the family's guarded solver, and fc the counter set its
+	// solver-progress counts (memo hits, cells, splits) flush into.
+	// Public queries flush per call; SweepCosts flushes once per sweep,
+	// keeping the warm-sweep hot path at a couple of atomic adds total.
+	sv solver
+	fc *guard.FamilyCounters
+	// patch, for the incremental families (dwt, ktree), is sv's
+	// dependency-tracked weight patch; baseW snapshots the base
+	// instance's weights so PatchTo can revert nodes that fall out of
+	// the target delta list; cur is the canonical delta state the
+	// session currently sits at; scratch/merged are retained merge
+	// buffers keeping the steady-state patch path allocation-free.
+	patch   patcher
 	baseW   []cdag.Weight
 	cur     []cdag.WeightDelta
 	scratch []cdag.WeightDelta
 	merged  []cdag.WeightDelta
 }
 
-// flush records the accumulated solver counts since the last flush.
-func (s *Session) flush() {
-	if s.takeCounts != nil {
-		s.fc.Record(s.takeCounts())
-	}
+// patcher is the weight patch of the incremental families' solvers
+// (dwt and ktree Scheduler.SetWeights), which also notes its
+// invalidation counts in the solver's counts.
+type patcher interface {
+	SetWeights(ds []cdag.WeightDelta) (invalidated, reused int64, err error)
 }
 
-// NewSession builds the instance's graph once and wraps the family
-// solver's warm session around it. For FamilyCDAG there is no reusable
-// memo, so every budget query is a cold (but guarded) anytime search —
-// the Session still provides the uniform surface.
+// flush records the accumulated solver counts since the last flush.
+func (s *Session) flush() { s.fc.Record(s.sv.TakeCounts()) }
+
+// NewSession builds the instance's graph once and the family's guarded
+// solver over it, the same solver a one-shot Build runs. For FamilyCDAG
+// there is no reusable memo, so every budget query is a cold (but
+// guarded) anytime search — the Session still provides the uniform
+// surface.
 //
 // For the incremental families the *base* graph (deltas stripped) is
 // built first and any instance deltas are then applied through PatchTo,
@@ -104,89 +100,56 @@ func NewSession(inst Instance) (*Session, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Session{inst: inst, label: inst.Label()}
 	base := inst
 	base.Deltas = nil
-	switch inst.Family {
-	case FamilyDWT:
-		g, err := base.buildDWT()
-		if err != nil {
-			return nil, err
-		}
-		se, err := dwt.NewSession(g)
-		if err != nil {
-			return nil, err
-		}
-		s.g = g.G
-		s.cost = se.CostCtx
-		s.sched = se.ScheduleCtx
-		s.fc = guard.CountersFor("dwt")
-		s.takeCounts = se.TakeCounts
-		s.patch = se.Patch
-	case FamilyKTree:
-		tr, err := base.buildKTree()
-		if err != nil {
-			return nil, err
-		}
-		se := ktree.NewSession(tr)
-		s.g = tr.G
-		s.cost = se.CostCtx
-		s.sched = se.ScheduleCtx
-		s.fc = guard.CountersFor("ktree")
-		s.takeCounts = se.TakeCounts
-		s.patch = se.Patch
-	case FamilyMVM:
-		g, err := inst.buildMVM()
-		if err != nil {
-			return nil, err
-		}
-		se := mvm.NewSession(g)
-		s.g = g.G
-		s.cost = se.CostCtx
-		s.sched = se.ScheduleCtx
-		s.fc = guard.CountersFor("mvm")
-		s.takeCounts = se.TakeCounts
-	case FamilyCDAG:
-		// The general-DAG tier: every budget query is an anytime search
-		// (the exact Dijkstra solver stays available as a library for
-		// certification, but cannot answer within serving deadlines on
-		// arbitrary graphs). Costs are upper bounds unless the search
-		// reports Complete; they are still monotone enough for sweeps
-		// because every query seeds from the same baselines.
-		g := inst.G
-		s.g = g
-		s.cost = func(ctx context.Context, lim guard.Limits, b cdag.Weight) (cdag.Weight, error) {
-			res, err := anytime.Search(ctx, g, b, lim, anytime.Options{})
-			if errors.Is(err, anytime.ErrInfeasible) {
-				return infCost, nil
-			}
-			if err != nil {
-				return 0, err
-			}
-			return res.Cost, nil
-		}
-		s.sched = func(ctx context.Context, lim guard.Limits, b cdag.Weight) (core.Schedule, error) {
-			res, err := anytime.Search(ctx, g, b, lim, anytime.Options{})
-			if err != nil {
-				return nil, err
-			}
-			return res.Schedule, nil
-		}
-	default:
-		return nil, fmt.Errorf("solve: unknown family %q", inst.Family)
+	f, err := base.build()
+	if err != nil {
+		return nil, err
 	}
-	s.lb = core.LowerBound(s.g)
-	s.minExist = core.MinExistenceBudget(s.g)
-	if len(inst.Deltas) > 0 {
+	sv, fc, err := f.newSolver()
+	if err != nil {
+		return nil, err
+	}
+	s := &Session{inst: inst, label: inst.Label(), g: f.g, sv: sv, fc: fc,
+		lb: core.LowerBound(f.g), minExist: core.MinExistenceBudget(f.g)}
+	if s.patch, _ = sv.(patcher); s.patch != nil {
 		s.baseW = snapshotWeights(s.g)
-		if _, err := s.PatchTo(inst.Deltas); err != nil {
-			return nil, err
-		}
-	} else if s.patch != nil {
-		s.baseW = snapshotWeights(s.g)
+	}
+	if _, err := s.PatchTo(inst.Deltas); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
+
+// anytimeSolver is the general-DAG tier's solver: every budget query is
+// an anytime search (the exact Dijkstra solver stays available as a
+// library for certification, but cannot answer within serving
+// deadlines on arbitrary graphs), which flushes its own counts. Costs
+// are upper bounds unless the search reports Complete; they are still
+// monotone enough for sweeps because every query seeds from the same
+// baselines.
+type anytimeSolver struct{ g *cdag.Graph }
+
+func (a anytimeSolver) CostCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) (cdag.Weight, error) {
+	res, err := anytime.Search(ctx, a.g, b, lim, anytime.Options{})
+	if errors.Is(err, anytime.ErrInfeasible) {
+		return infCost, nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	return res.Cost, nil
+}
+
+func (a anytimeSolver) ScheduleCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) (core.Schedule, error) {
+	res, err := anytime.Search(ctx, a.g, b, lim, anytime.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return res.Schedule, nil
+}
+
+func (anytimeSolver) TakeCounts() guard.Counts { return guard.Counts{} }
 
 func snapshotWeights(g *cdag.Graph) []cdag.Weight {
 	w := make([]cdag.Weight, g.Len())
@@ -223,7 +186,7 @@ func (s *Session) costCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) 
 	if b < s.minExist {
 		return infCost, nil
 	}
-	return s.cost(ctx, lim, b)
+	return s.sv.CostCtx(ctx, lim, b)
 }
 
 // ScheduleCtx generates an optimal schedule under the budget against
@@ -232,7 +195,7 @@ func (s *Session) costCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) 
 // wrap the instance in Run.
 func (s *Session) ScheduleCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) (core.Schedule, error) {
 	defer s.flush()
-	return s.sched(ctx, lim, b)
+	return s.sv.ScheduleCtx(ctx, lim, b)
 }
 
 // SweepCosts answers every budget in order against the warm state,
@@ -267,7 +230,7 @@ func (s *Session) SweepCosts(ctx context.Context, lim guard.Limits, budgets []cd
 // costPoint answers one budget with pool-worker crash isolation: a
 // panicking solver (or injected fault) surfaces as a *par.PanicError
 // on the point, never as a process crash, and the deferred guard
-// teardown in the family sessions keeps their memo state consistent.
+// teardown in the family solvers keeps their memo state consistent.
 func (s *Session) costPoint(ctx context.Context, lim guard.Limits, i int, b cdag.Weight) (cp CostPoint) {
 	cp.Budget = b
 	defer func() {
@@ -284,17 +247,4 @@ func (s *Session) costPoint(ctx context.Context, lim guard.Limits, i int, b cdag
 	cp.Cost = c
 	cp.Feasible = c < infCost
 	return cp
-}
-
-// SolveSweep is the multi-budget entry point: it builds one warm
-// session for the instance and answers the whole budget list from it.
-// Results are deterministic and identical to independent one-shot
-// solves at each budget — the memo only changes how much work each
-// query performs, never its answer.
-func SolveSweep(ctx context.Context, inst Instance, budgets []cdag.Weight, lim guard.Limits) ([]CostPoint, error) {
-	s, err := NewSession(inst)
-	if err != nil {
-		return nil, err
-	}
-	return s.SweepCosts(ctx, lim, budgets, make([]CostPoint, 0, len(budgets)))
 }

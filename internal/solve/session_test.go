@@ -81,14 +81,25 @@ func TestSessionSweepMatchesColdSolves(t *testing.T) {
 		}
 	}
 
-	// SolveSweep (fresh session) must reproduce the same points.
-	again, err := SolveSweep(context.Background(), inst, budgets, guard.Limits{})
+	// A fresh session must reproduce the same points.
+	again := coldSweep(t, inst, budgets)
+	if !reflect.DeepEqual(pts, again) {
+		t.Errorf("fresh-session sweep differs from Session.SweepCosts")
+	}
+}
+
+// coldSweep answers budgets from a fresh session for inst.
+func coldSweep(t *testing.T, inst Instance, budgets []cdag.Weight) []CostPoint {
+	t.Helper()
+	s, err := NewSession(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(pts, again) {
-		t.Errorf("SolveSweep differs from Session.SweepCosts")
+	pts, err := s.SweepCosts(context.Background(), guard.Limits{}, budgets, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return pts
 }
 
 // TestSessionSweepFaultInjection: an injected panic at one budget index
@@ -130,10 +141,7 @@ func TestSessionSweepFaultInjection(t *testing.T) {
 		}
 	}
 	// And the post-fault answers match independent cold solves.
-	cold, err := SolveSweep(context.Background(), inst, budgets, guard.Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := coldSweep(t, inst, budgets)
 	if !reflect.DeepEqual(clean, cold) {
 		t.Errorf("post-fault session answers differ from cold solves")
 	}
@@ -163,10 +171,7 @@ func TestSessionSweepCanceledMidSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := SolveSweep(context.Background(), inst, budgets, guard.Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := coldSweep(t, inst, budgets)
 	if !reflect.DeepEqual(after, cold) {
 		t.Errorf("session answers after cancellation differ from cold solves")
 	}
@@ -202,10 +207,7 @@ func TestSessionSweepDeadlinePerItem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := SolveSweep(context.Background(), inst, budgets, guard.Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := coldSweep(t, inst, budgets)
 	if !reflect.DeepEqual(after, cold) {
 		t.Errorf("session answers after deadline aborts differ from cold solves")
 	}

@@ -391,51 +391,92 @@ func degraded(ctx context.Context, p Problem, budget cdag.Weight) (Outcome, erro
 	}, nil
 }
 
-// DWT wraps a DWT graph: the optimal solver is the P(v, b) dynamic
-// program (Lemma 3.3) and the fallback is layer-by-layer over the
-// graph's layer structure.
-func DWT(g *dwt.Graph) Problem {
+// solver is the guarded query surface every family's optimal tier
+// shares: dwt.Scheduler, ktree.Scheduler, mvm.Session, and for cdag
+// the anytime search. Queries accumulate solver-progress counts in the
+// solver; whoever drives it flushes them with TakeCounts.
+type solver interface {
+	CostCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) (cdag.Weight, error)
+	ScheduleCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) (core.Schedule, error)
+	TakeCounts() guard.Counts
+}
+
+// Each family's solver counter set, resolved once: a flush is a few
+// atomic adds, never a registry lookup.
+var (
+	dwtCounters   = guard.CountersFor(FamilyDWT)
+	ktreeCounters = guard.CountersFor(FamilyKTree)
+	mvmCounters   = guard.CountersFor(FamilyMVM)
+)
+
+// family is one instance's built graph, typed by its dataflow family.
+// Build's Problems and NewSession both construct the family's solver
+// through it, so a one-shot solve and a warm session run the same
+// guarded solver and flush its counts into the same counter set.
+type family struct {
+	name   string
+	g      *cdag.Graph
+	layers [][]cdag.NodeID // nil routes the fallback through baseline.Greedy
+	dwt    *dwt.Graph
+	tree   *ktree.Tree
+	mvm    *mvm.Graph
+}
+
+// newSolver returns a fresh solver for the family and the counter set
+// its counts flush into: nil for cdag, whose anytime search flushes
+// its own.
+func (f family) newSolver() (solver, *guard.FamilyCounters, error) {
+	switch {
+	case f.dwt != nil:
+		s, err := dwt.NewScheduler(f.dwt)
+		if err != nil {
+			return nil, nil, err
+		}
+		return s, dwtCounters, nil
+	case f.tree != nil:
+		return ktree.NewScheduler(f.tree), ktreeCounters, nil
+	case f.mvm != nil:
+		return mvm.NewSession(f.mvm), mvmCounters, nil
+	}
+	return anytimeSolver{f.g}, nil, nil
+}
+
+// problem wraps the family as a Problem: every optimal attempt runs on
+// a fresh solver and flushes its counts once.
+func (f family) problem() Problem {
 	return Problem{
-		Name:   "dwt",
-		G:      g.G,
-		Layers: g.Layers,
+		Name:   f.name,
+		G:      f.g,
+		Layers: f.layers,
 		Optimal: func(ctx context.Context, lim guard.Limits, budget cdag.Weight) (core.Schedule, error) {
-			s, err := dwt.NewScheduler(g)
+			s, fc, err := f.newSolver()
 			if err != nil {
 				return nil, err
 			}
+			defer func() { fc.Record(s.TakeCounts()) }()
 			return s.ScheduleCtx(ctx, lim, budget)
 		},
 	}
 }
 
+// DWT wraps a DWT graph: the optimal solver is the P(v, b) dynamic
+// program (Lemma 3.3) and the fallback is layer-by-layer over the
+// graph's layer structure.
+func DWT(g *dwt.Graph) Problem {
+	return family{name: FamilyDWT, g: g.G, layers: g.Layers, dwt: g}.problem()
+}
+
 // KTree wraps a k-ary tree: the optimal solver is the Pt(v, b) dynamic
 // program (Eq. 6) and the fallback is the greedy topological baseline.
 func KTree(t *ktree.Tree) Problem {
-	return Problem{
-		Name: "ktree",
-		G:    t.G,
-		Optimal: func(ctx context.Context, lim guard.Limits, budget cdag.Weight) (core.Schedule, error) {
-			return ktree.NewScheduler(t).ScheduleCtx(ctx, lim, budget)
-		},
-	}
+	return family{name: FamilyKTree, g: t.G, tree: t}.problem()
 }
 
 // MVM wraps an MVM graph: the optimal solver is the tile-configuration
 // search of Section 4.3 and the fallback is the greedy topological
 // baseline.
 func MVM(g *mvm.Graph) Problem {
-	return Problem{
-		Name: "mvm",
-		G:    g.G,
-		Optimal: func(ctx context.Context, lim guard.Limits, budget cdag.Weight) (core.Schedule, error) {
-			tc, _, err := g.SearchCtx(ctx, lim, budget)
-			if err != nil {
-				return nil, err
-			}
-			return g.TileSchedule(tc)
-		},
-	}
+	return family{name: FamilyMVM, g: g.G, mvm: g}.problem()
 }
 
 // anytimeMargin returns how much of the caller's deadline the anytime

@@ -13,15 +13,16 @@
 // search, is a warm hit instead of a fresh enumeration.
 //
 // A Row holds one memo key's steps as a sorted, disjoint list; a Memo
-// holds the per-node generations, live-step counts, guard hooks and
-// patch scratch; Rows pairs a Memo with one slab-backed Row per node
-// (ktree, dwt), while memstate keeps Rows in its own hash table keyed
-// by node and memory states. Memo.Patch applies weight deltas and
+// holds the per-node generations, live-step counts, the reusable query
+// guard and patch scratch; Rows pairs a Memo with one slab-backed Row
+// per node (ktree, dwt), while memstate keeps Rows in its own hash
+// table keyed by node and memory states. Memo.Patch applies weight deltas and
 // invalidates, by generation stamp, exactly the rows whose value can
 // change; Rows.Patch also empties them on the spot.
 package stepmemo
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -137,7 +138,7 @@ func (r *Row[V]) Store(m *Memo, v cdag.NodeID, b cdag.Weight, s Step[V]) {
 		m.live++
 	}
 	if clipped {
-		m.Ck.NoteSplit()
+		m.ck.NoteSplit()
 	}
 }
 
@@ -153,15 +154,16 @@ type node struct {
 }
 
 // Memo is the bookkeeping every budget memo shares: per-node
-// generations and live-step counts, the guard hooks, and the scratch
+// generations and live-step counts, the query guard, and the scratch
 // of Patch. Its zero value is not usable; build it with New.
 type Memo struct {
-	// Ck, when non-nil, is the active cancellation/budget guard of a
-	// *Ctx call or session query. The DP checks it per cold cell and
-	// never stores results computed after it trips, so an aborted
-	// solve cannot poison later ones. nil (the default) costs one
-	// pointer test per cell.
-	Ck    *guard.Checker
+	// q is the memo's reusable query guard. ck points at it while a
+	// guarded query (Begin … End) runs and is nil otherwise: the DP
+	// checks it per cold cell and never stores results computed after
+	// it trips, so an aborted query cannot poison later ones, and an
+	// unguarded query pays one pointer test per cell.
+	q     guard.Checker
+	ck    *guard.Checker
 	nodes []node
 	// live is the sum of nodes[·].live; Patch reports it as the reused
 	// count.
@@ -175,24 +177,50 @@ type Memo struct {
 // New returns the memo state for a graph of n nodes.
 func New(n int) Memo { return Memo{nodes: make([]node, n)} }
 
+// Begin Resets the memo's reusable checker under ctx and lim and
+// installs it as the guard of one query; defer End right after it, so
+// a panicking query cannot leave its guard installed. Limits are per
+// query, while observation counts accumulate until TakeCounts, so a
+// warm query allocates nothing for its guard when lim carries no
+// deadline.
+func (m *Memo) Begin(ctx context.Context, lim guard.Limits) {
+	m.q.Reset(ctx, lim)
+	m.ck = &m.q
+}
+
+// End uninstalls the query guard and frees its deadline timer, if any.
+func (m *Memo) End() {
+	m.ck = nil
+	m.q.Release()
+}
+
+// Err returns the abort reason of the last guarded query, or nil.
+func (m *Memo) Err() error { return m.q.Err() }
+
+// TakeCounts returns and zeroes the observation counts (memo hits,
+// entries, interval splits, patch invalidations) of the guarded queries
+// and patches since the last call, teeing them into the sink of the
+// last query's context (guard.Checker.TakeCounts).
+func (m *Memo) TakeCounts() guard.Counts { return m.q.TakeCounts() }
+
 // Gen returns v's current generation, for Row.Find.
 func (m *Memo) Gen(v cdag.NodeID) uint32 { return m.nodes[v].gen }
 
 // Hit records one warm memo hit.
-func (m *Memo) Hit() { m.Ck.NoteHit() }
+func (m *Memo) Hit() { m.ck.NoteHit() }
 
 // Tick is the cold-path cancellation checkpoint: it reports whether
 // the solve must abort. A caller that aborts returns its poisoned
 // value with the empty-width interval [b, b], so no enclosing cell can
 // widen its own step around it.
-func (m *Memo) Tick() bool { return m.Ck != nil && m.Ck.Tick() != nil }
+func (m *Memo) Tick() bool { return m.ck != nil && m.ck.Tick() != nil }
 
 // Admit reports whether a freshly computed step may be stored: never
 // after the guard tripped (partial results must not persist), and only
 // while the memo-entry budget lasts (the charge trips the guard for
 // the rest of the solve once it runs out).
 func (m *Memo) Admit() bool {
-	return m.Ck == nil || (m.Ck.Err() == nil && m.Ck.AddMemo(1) == nil)
+	return m.ck == nil || (m.ck.Err() == nil && m.ck.AddMemo(1) == nil)
 }
 
 // Patch applies weight deltas to g and invalidates every memo row
@@ -209,7 +237,7 @@ func (m *Memo) Admit() bool {
 // dirty, when non-nil, is called on every invalidated node in
 // ascending ID order, which is topological for every family's graph.
 // Patch returns the number of steps invalidated and the number
-// surviving.
+// surviving, and notes both in the observation counts.
 func (m *Memo) Patch(g *cdag.Graph, ds []cdag.WeightDelta, family string, validate func() error, dirty func(cdag.NodeID)) (invalidated, reused int64, err error) {
 	m.saved = m.saved[:0]
 	for _, d := range ds {
@@ -265,6 +293,7 @@ func (m *Memo) Patch(g *cdag.Graph, ds []cdag.WeightDelta, family string, valida
 			dirty(v)
 		}
 	}
+	m.q.NoteInvalidation(invalidated, m.live)
 	return invalidated, m.live, nil
 }
 

@@ -174,13 +174,13 @@ func TestRowsSlabWindows(t *testing.T) {
 // and the memo-entry budget trips it when exhausted.
 func TestStoreRefusedAfterTrip(t *testing.T) {
 	m := NewRows[int](1)
-	m.Ck = guard.New(context.Background(), guard.Limits{MaxMemoEntries: 1})
+	m.Begin(context.Background(), guard.Limits{MaxMemoEntries: 1})
 	m.Store(0, 0, 0, 0, 1)
 	m.Store(0, 1, 1, 1, 1)
-	if m.Ck.Err() == nil {
+	if m.Err() == nil {
 		t.Fatal("second store did not trip the memo-entry budget")
 	}
-	m.Ck = nil
+	m.End()
 	if m.Find(0, 0) == nil || m.Find(0, 1) != nil || m.live != 1 {
 		t.Fatalf("want only the first step stored, live=%d", m.live)
 	}
@@ -206,7 +206,8 @@ func fill(m *Rows[int]) {
 
 // TestPatchInvalidatesCone: a change stales the changed node and its
 // descendants (here its root chain), reports the cleared and surviving
-// step counts, and visits the dirtied nodes in ascending ID order.
+// step counts (and notes them in the observation counts), and visits
+// the dirtied nodes in ascending ID order.
 func TestPatchInvalidatesCone(t *testing.T) {
 	g := chain()
 	m := NewRows[int](g.Len())
@@ -216,6 +217,9 @@ func TestPatchInvalidatesCone(t *testing.T) {
 		func(v cdag.NodeID) { seen = append(seen, v) })
 	if err != nil || inv != 3 || reused != 1 {
 		t.Fatalf("Patch: inv=%d reused=%d err=%v, want 3 1 nil", inv, reused, err)
+	}
+	if c := m.TakeCounts(); c.CellsInvalidated != 3 || c.CellsReused != 1 {
+		t.Fatalf("counts %+v, want 3 invalidated and 1 reused", c)
 	}
 	if len(seen) != 3 || seen[0] != 0 || seen[1] != 1 || seen[2] != 3 {
 		t.Fatalf("dirty order %v, want [0 1 3]", seen)
@@ -236,7 +240,8 @@ func TestPatchInvalidatesCone(t *testing.T) {
 }
 
 // TestPatchRevertsOnError: a failing delta list or validation leaves
-// every weight, generation and live count as it was.
+// every weight, generation and live count as it was, and notes no
+// invalidation.
 func TestPatchRevertsOnError(t *testing.T) {
 	g := chain()
 	m := NewRows[int](g.Len())
@@ -262,6 +267,9 @@ func TestPatchRevertsOnError(t *testing.T) {
 		}
 		if m.live != 4 {
 			t.Fatalf("after failed %v: live %d, want 4", tc.ds, m.live)
+		}
+		if c := m.TakeCounts(); c != (guard.Counts{}) {
+			t.Fatalf("after failed %v: counts %+v, want none", tc.ds, c)
 		}
 	}
 }
