@@ -100,9 +100,13 @@ metrics-lint:
 # property tests in every family (warm answers bit-identical to cold
 # rebuilds), the facade patch semantics with fault injection, the
 # patch endpoint, and the CLI -patch path (docs/PERFORMANCE.md
-# §incremental).
+# §incremental). The Topology tests hold the shape table's shared
+# family topologies to the same standard: concurrent cold solves and
+# patched sessions of one shape match sequential answers, AddNode on a
+# graph that shares a topology copies it first, and two collections
+# empty the table (docs/PERFORMANCE.md §topology reuse).
 patch-check:
-	$(GO) test -race -run 'SetWeights|Patch' ./internal/stepmemo/ ./internal/dwt/ ./internal/ktree/ ./internal/memstate/ ./internal/solve/ ./internal/serve/ ./cmd/wrbpg/
+	$(GO) test -race -run 'SetWeights|Patch|Topology' ./internal/stepmemo/ ./internal/cdag/ ./internal/dwt/ ./internal/ktree/ ./internal/memstate/ ./internal/solve/ ./internal/serve/ ./cmd/wrbpg/
 
 # Race-enabled cluster gate: a 3-replica in-process fleet (consistent-
 # hash ring, peer fill, cross-replica singleflight) under round-robin

@@ -198,17 +198,43 @@ func perfKernels() []perfKernel {
 		}},
 		// The cold-build kernels time Instance.Build for the largest
 		// shape of each family in wrbpgbench's cold-solve workload, every
-		// check included; ColdSolveMVM adds the optimal tile search and
-		// the Simulate validation that complete a cold answer.
-		{"ColdBuildDWT", coldBuild(solve.Instance{Family: solve.FamilyDWT, N: 128, D: 7, Cfg: Configs()[0]})},
-		{"ColdBuildKTree", coldBuild(solve.Instance{Family: solve.FamilyKTree, K: 2, Height: 8, Cfg: Configs()[0]})},
-		{"ColdBuildMVM", coldBuild(solve.Instance{Family: solve.FamilyMVM, M: 16, N: 32, Cfg: Configs()[0]})},
-		{"ColdSolveMVM", func() (func() error, error) {
+		// check included. The shape's topology comes from solve's shape
+		// table, as it does for every request after the first of a
+		// shape, so they time the reuse path: weights filled in over a
+		// shared topology. The first-build kernels time the family
+		// builders themselves, topology included, as the first request
+		// of a shape pays them. The cold-solve kernels add the optimal
+		// solve and the Simulate validation that complete a cold answer.
+		{"ColdBuildDWT", coldBuild(coldDWT)},
+		{"ColdBuildKTree", coldBuild(coldKTree)},
+		{"ColdBuildMVM", coldBuild(coldMVM)},
+		{"FirstBuildDWT", func() (func() error, error) {
 			return func() error {
-				_, _, _, err := coldMVM()
+				_, err := dwt.Build(coldDWT.N, coldDWT.D, dwt.ConfigWeights(coldDWT.Cfg))
 				return err
 			}, nil
 		}},
+		{"FirstBuildKTree", func() (func() error, error) {
+			in := coldKTree
+			return func() error {
+				_, err := ktree.FullTree(in.K, in.Height, func(depth, _ int) cdag.Weight {
+					if depth == in.Height {
+						return in.Cfg.Input()
+					}
+					return in.Cfg.Node()
+				})
+				return err
+			}, nil
+		}},
+		{"FirstBuildMVM", func() (func() error, error) {
+			return func() error {
+				_, err := mvm.Build(coldMVM.M, coldMVM.N, coldMVM.Cfg)
+				return err
+			}, nil
+		}},
+		{"ColdSolveDWT", coldSolveKernel(coldDWT)},
+		{"ColdSolveKTree", coldSolveKernel(coldKTree)},
+		{"ColdSolveMVM", coldSolveKernel(coldMVM)},
 		// The schedcache pair measures the serving layer's cache around
 		// a realistic key population: a hit must stay allocation-light
 		// (one LRU bump under a shard lock), and a keyed miss that finds
@@ -620,8 +646,16 @@ func BenchmarkKernels(b *testing.B) {
 	}
 }
 
-// coldBuild returns the setup of a kernel that builds in from
-// scratch on every iteration.
+// The largest shape of each family in wrbpgbench's cold-solve and
+// fleet-3 workloads, under the Equal weighting.
+var (
+	coldDWT   = solve.Instance{Family: solve.FamilyDWT, N: 128, D: 7, Cfg: Configs()[0]}
+	coldKTree = solve.Instance{Family: solve.FamilyKTree, K: 2, Height: 8, Cfg: Configs()[0]}
+	coldMVM   = solve.Instance{Family: solve.FamilyMVM, M: 16, N: 32, Cfg: Configs()[0]}
+)
+
+// coldBuild returns the setup of a kernel that builds in through
+// Instance.Build on every iteration.
 func coldBuild(in solve.Instance) func() (func() error, error) {
 	return func() (func() error, error) {
 		return func() error {
@@ -631,33 +665,43 @@ func coldBuild(in solve.Instance) func() (func() error, error) {
 	}
 }
 
-// coldMVM is a cold answer for the largest shape of wrbpgbench's
-// cold-solve and fleet-3 workloads: mvm(16,32) built from scratch and
+// coldSolveKernel returns the setup of a kernel that answers in cold
+// on every iteration (see coldSolve).
+func coldSolveKernel(in solve.Instance) func() (func() error, error) {
+	return func() (func() error, error) {
+		return func() error {
+			_, _, err := coldSolve(in)
+			return err
+		}, nil
+	}
+}
+
+// coldSolve is a cold answer: in built through Instance.Build and
 // solved optimally at 1.5× its existence bound, Simulate included.
-func coldMVM() (solve.Instance, solve.Outcome, *cdag.Graph, error) {
-	in := solve.Instance{Family: solve.FamilyMVM, M: 16, N: 32, Cfg: Configs()[0]}
+func coldSolve(in solve.Instance) (solve.Outcome, *cdag.Graph, error) {
 	p, g, err := in.Build()
 	if err != nil {
-		return in, solve.Outcome{}, nil, err
+		return solve.Outcome{}, nil, err
 	}
 	out, err := solve.Run(context.Background(), p, core.MinExistenceBudget(g)*3/2, guard.Limits{})
 	if err != nil {
-		return in, out, g, err
+		return out, g, err
 	}
 	if out.Source != solve.SourceOptimal {
-		return in, out, g, fmt.Errorf("bench: mvm(16,32) answered %s, want optimal", out.Source)
+		return out, g, fmt.Errorf("bench: %s answered %s, want optimal", in.Label(), out.Source)
 	}
-	return in, out, g, nil
+	return out, g, nil
 }
 
 // peerFillResult is the result a peer fill carries in the fleet-3
-// benchmark's largest shape: coldMVM's answer with its full move list.
+// benchmark's largest shape: mvm(16,32)'s cold answer with its full
+// move list.
 func peerFillResult() (*wire.ScheduleResult, error) {
-	in, out, g, err := coldMVM()
+	out, g, err := coldSolve(coldMVM)
 	if err != nil {
 		return nil, err
 	}
-	return wire.NewScheduleResult(in.Label(), out, core.LowerBound(g), true), nil
+	return wire.NewScheduleResult(coldMVM.Label(), out, core.LowerBound(g), true), nil
 }
 
 // peerEnvelopeRoundTrip is the setup of a kernel that encodes

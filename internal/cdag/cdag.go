@@ -43,6 +43,9 @@ type Weight = int64
 // fills up is replaced by a larger one. Neither copies the slab:
 // windows already cut keep pointing into the old array, where they
 // stay valid.
+//
+// A graph made by WithWeights shares its source's adjacency and names
+// and owns only its weights; see there.
 type Graph struct {
 	weights  []Weight
 	parents  [][]NodeID
@@ -53,6 +56,10 @@ type Graph struct {
 	// namer, when set, derives every display name from the node ID in
 	// place of the stored names (see SetNamer).
 	namer func(NodeID) string
+	// shared marks adjacency and names borrowed from another graph
+	// (WithWeights): they are never written, and the first AddNode or
+	// Reserve copies them into storage of the graph's own.
+	shared bool
 }
 
 // childSlots is the number of inline child slots each node gets in
@@ -65,6 +72,7 @@ const childSlots = 2
 // a fresh children slab, twice the size of the last. Too small a
 // reservation is safe: storage grows as it does without one.
 func (g *Graph) Reserve(nodes, edges int) {
+	g.unshare()
 	g.weights = slices.Grow(g.weights, nodes)
 	g.parents = slices.Grow(g.parents, nodes)
 	g.children = slices.Grow(g.children, nodes)
@@ -89,6 +97,54 @@ func carve(slab *[]NodeID, n, c int) []NodeID {
 	o := len(s)
 	*slab = s[:o+c]
 	return s[o : o+n : o+c]
+}
+
+// WithWeights returns a graph with g's nodes, edges and display names
+// and the weights w, one per node, which it keeps without copying.
+// Making it allocates only the Graph header: the new graph reads g's
+// adjacency, names and namer in place and never writes them, since its
+// first AddNode or Reserve copies them into storage of its own. g in
+// turn must not gain nodes while graphs made from it are in use, so a
+// caller that shares one source across goroutines keeps it private and
+// hands out only graphs made from it. WithWeights does not check w:
+// Validate reports a non-positive weight, and a length other than
+// g.Len() is the caller's bug.
+func (g *Graph) WithWeights(w []Weight) *Graph {
+	return &Graph{
+		weights:  w,
+		parents:  g.parents,
+		children: g.children,
+		names:    g.names,
+		namer:    g.namer,
+		shared:   true,
+	}
+}
+
+// unshare gives a graph made by WithWeights private copies of its
+// borrowed adjacency and names, so the next write touches only its own
+// storage. It does nothing on a graph that owns its adjacency.
+func (g *Graph) unshare() {
+	if !g.shared {
+		return
+	}
+	parents, children := g.parents, g.children
+	edges, slots := 0, 0
+	for v := range parents {
+		edges += len(parents[v])
+		slots += max(len(children[v]), childSlots)
+	}
+	g.parents = make([][]NodeID, len(parents))
+	g.children = make([][]NodeID, len(children))
+	g.pslab = make([]NodeID, 0, edges)
+	g.cslab = make([]NodeID, 0, slots)
+	for v := range parents {
+		g.parents[v] = carve(&g.pslab, len(parents[v]), len(parents[v]))
+		copy(g.parents[v], parents[v])
+		g.children[v] = carve(&g.cslab, len(children[v]), max(len(children[v]), childSlots))
+		copy(g.children[v], children[v])
+	}
+	g.names = slices.Clone(g.names)
+	g.shared = false
 }
 
 // SetNamer makes Name derive display names from node IDs with f
@@ -126,6 +182,7 @@ func (g *Graph) TryAddNode(w Weight, name string, parents ...NodeID) (NodeID, er
 			return None, fmt.Errorf("cdag: parent %d of node %d does not exist", p, id)
 		}
 	}
+	g.unshare()
 	g.weights = append(g.weights, w)
 	ps := carve(&g.pslab, len(parents), len(parents))
 	copy(ps, parents)
@@ -203,21 +260,27 @@ func (g *Graph) IsSource(v NodeID) bool { return len(g.parents[v]) == 0 }
 func (g *Graph) IsSink(v NodeID) bool { return len(g.children[v]) == 0 }
 
 // Sources returns A(G), all nodes with in-degree zero, in ID order.
-func (g *Graph) Sources() []NodeID {
-	var out []NodeID
-	for v := range g.weights {
-		if len(g.parents[v]) == 0 {
-			out = append(out, NodeID(v))
-		}
-	}
-	return out
-}
+func (g *Graph) Sources() []NodeID { return collect(g.parents) }
 
 // Sinks returns Z(G), all nodes with out-degree zero, in ID order.
-func (g *Graph) Sinks() []NodeID {
-	var out []NodeID
-	for v := range g.weights {
-		if len(g.children[v]) == 0 {
+func (g *Graph) Sinks() []NodeID { return collect(g.children) }
+
+// collect returns, in ID order, the nodes whose adjacency list in adj
+// is empty, in a slice of exactly that length (nil when there are
+// none).
+func collect(adj [][]NodeID) []NodeID {
+	n := 0
+	for _, a := range adj {
+		if len(a) == 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]NodeID, 0, n)
+	for v, a := range adj {
+		if len(a) == 0 {
 			out = append(out, NodeID(v))
 		}
 	}

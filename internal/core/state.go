@@ -22,8 +22,10 @@ type State struct {
 // other nodes are empty.
 func NewState(g *cdag.Graph, budget cdag.Weight) *State {
 	s := &State{g: g, budget: budget, labels: make([]Label, g.Len())}
-	for _, v := range g.Sources() {
-		s.labels[v] = LabelBlue
+	for v := range s.labels {
+		if g.IsSource(cdag.NodeID(v)) {
+			s.labels[v] = LabelBlue
+		}
 	}
 	return s
 }

@@ -44,9 +44,33 @@ type Graph struct {
 	Layers [][]cdag.NodeID
 }
 
+// Topology is DWT(n, d) without its weights: the nodes, edges,
+// display names and layer table, which depend on n and d alone. It is
+// immutable, so any number of Graphs in any goroutines may share one;
+// Graph fills in one weighting.
+type Topology struct {
+	// g holds the adjacency every Graph shares. Its weights are
+	// placeholders, and it is never handed out.
+	g *cdag.Graph
+	// n is the number of input samples, d the transform level.
+	n, d int
+	// layers is the layer table every Graph shares (see Graph.Layers).
+	layers [][]cdag.NodeID
+}
+
 // Build constructs DWT(n, d) per Definition 3.1. n must be a positive
-// multiple of 2^d and d ≥ 1.
+// multiple of 2^d and d ≥ 1. It is NewTopology followed by Graph.
 func Build(n, d int, wf WeightFunc) (*Graph, error) {
+	t, err := NewTopology(n, d)
+	if err != nil {
+		return nil, err
+	}
+	return t.Graph(wf)
+}
+
+// NewTopology constructs the nodes, edges and layers of DWT(n, d) per
+// Definition 3.1. n must be a positive multiple of 2^d and d ≥ 1.
+func NewTopology(n, d int) (*Topology, error) {
 	if d < 1 {
 		return nil, fmt.Errorf("dwt: level d must be ≥ 1, got %d", d)
 	}
@@ -74,7 +98,7 @@ func Build(n, d int, wf WeightFunc) (*Graph, error) {
 
 	// S_1: inputs.
 	for j := 1; j <= n; j++ {
-		layers[0][j-1] = g.AddNode(wf(1, j), "")
+		layers[0][j-1] = g.AddNode(1, "")
 	}
 	// S_2: n nodes; v²_j (j odd) = average of inputs (j, j+1),
 	// v²_j (j even) = coefficient of inputs (j−1, j).
@@ -85,7 +109,7 @@ func Build(n, d int, wf WeightFunc) (*Graph, error) {
 		} else {
 			p1, p2 = layers[0][j-2], layers[0][j-1]
 		}
-		layers[1][j-1] = g.AddNode(wf(2, j), "", p1, p2)
+		layers[1][j-1] = g.AddNode(1, "", p1, p2)
 	}
 	// S_{i+1} for 2 ≤ i ≤ d: |S_{i+1}| = |S_i|/2. Parents of v^{i+1}_J:
 	// J odd → {v^i_{2J−1}, v^i_{2J+1}}; J even → {v^i_{2J−3}, v^i_{2J−1}}.
@@ -101,22 +125,41 @@ func Build(n, d int, wf WeightFunc) (*Graph, error) {
 			}
 			p1 := layers[i-1][a-1]
 			p2 := layers[i-1][b-1]
-			layers[i][J-1] = g.AddNode(wf(i+1, J), "", p1, p2)
+			layers[i][J-1] = g.AddNode(1, "", p1, p2)
 		}
 	}
-	dg := &Graph{G: g, N: n, D: d, Layers: layers}
-	g.SetNamer(dg.name)
+	t := &Topology{g: g, n: n, d: d, layers: layers}
+	g.SetNamer(t.name)
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("dwt: internal construction error: %w", err)
 	}
-	return dg, nil
+	return t, nil
+}
+
+// Graph returns DWT(n, d) with weight wf(i, j) on v^i_j. The graph
+// shares t's adjacency, names and layer table and owns only its
+// weights, so SetWeight and the schedulers' SetWeights change it
+// alone; its namer keeps t reachable for as long as it lives. It is
+// validated like any built graph.
+func (t *Topology) Graph(wf WeightFunc) (*Graph, error) {
+	w := make([]cdag.Weight, t.g.Len())
+	for i, l := range t.layers {
+		for j, v := range l {
+			w[v] = wf(i+1, j+1)
+		}
+	}
+	g := t.g.WithWeights(w)
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("dwt: %w", err)
+	}
+	return &Graph{G: g, N: t.n, D: t.d, Layers: t.layers}, nil
 }
 
 // name derives a node's display name from its (layer, index): x[j]
 // for inputs, a<level>[j] for averages and c<level>[j] for
 // coefficients.
-func (d *Graph) name(v cdag.NodeID) string {
-	layer, j, _ := d.locate(v)
+func (t *Topology) name(v cdag.NodeID) string {
+	layer, j, _ := locate(t.layers, v)
 	if layer == 1 {
 		return "x[" + strconv.Itoa(j) + "]"
 	}
@@ -155,10 +198,16 @@ func (d *Graph) Sibling(v cdag.NodeID) cdag.NodeID {
 
 // locate returns the (layer, index) of a node, both 1-based.
 func (d *Graph) locate(v cdag.NodeID) (layer, index int, ok bool) {
+	return locate(d.Layers, v)
+}
+
+// locate returns the (layer, index) of a node in a layer table, both
+// 1-based.
+func locate(layers [][]cdag.NodeID, v cdag.NodeID) (layer, index int, ok bool) {
 	// Node IDs are assigned layer by layer in index order, so locate
 	// can binary-search by first-ID per layer; layers are small enough
 	// that a linear scan over layers suffices.
-	for i, l := range d.Layers {
+	for i, l := range layers {
 		if len(l) == 0 {
 			continue
 		}

@@ -233,12 +233,17 @@ func (s *Scheduler) TakeCounts() guard.Counts { return s.memo.TakeCounts() }
 
 // Schedule generates a minimum weighted WRBPG schedule for budget b
 // (Algorithm 1: PebbleDWT). The returned schedule always passes
-// core.Simulate with exactly MinCost(b) weighted I/O.
+// core.Simulate with exactly MinCost(b) weighted I/O; its capacity is
+// its length.
 func (s *Scheduler) Schedule(b cdag.Weight) (core.Schedule, error) {
 	if c := s.MinCost(b); c >= Inf {
 		return nil, fmt.Errorf("dwt: no valid schedule under budget %d (existence bound %d)", b, s.exist)
 	}
-	var sched core.Schedule
+	n := 0
+	for _, r := range s.roots {
+		n += s.moves(r, b) + 2
+	}
+	sched := make(core.Schedule, 0, n)
 	for _, r := range s.roots {
 		if err := s.gen(r, b, &sched); err != nil {
 			return nil, err
@@ -265,14 +270,7 @@ func (s *Scheduler) gen(v cdag.NodeID, b cdag.Weight, sched *core.Schedule) erro
 		*sched = sched.Append(core.Move{Kind: core.M1, Node: v})
 		return nil
 	}
-	ps := g.Parents(v)
-	p1, p2 := ps[0], ps[1]
-	first, second := p1, p2
-	if e.choice == stratKeepP2 || e.choice == stratSpillP2 {
-		first, second = p2, p1
-	}
-	spill := e.choice == stratSpillP1 || e.choice == stratSpillP2
-
+	first, second, spill := s.order(v, e)
 	if err := s.gen(first, b, sched); err != nil {
 		return err
 	}
@@ -305,12 +303,50 @@ func (s *Scheduler) gen(v cdag.NodeID, b cdag.Weight, sched *core.Schedule) erro
 			core.Move{Kind: core.M4, Node: u},
 		)
 	}
+	ps := g.Parents(v)
 	*sched = sched.Append(
 		core.Move{Kind: core.M3, Node: v},
-		core.Move{Kind: core.M4, Node: p1},
-		core.Move{Kind: core.M4, Node: p2},
+		core.Move{Kind: core.M4, Node: ps[0]},
+		core.Move{Kind: core.M4, Node: ps[1]},
 	)
 	return nil
+}
+
+// order returns the parents of non-input v in the order e's strategy
+// computes them, and whether it spills the first.
+func (s *Scheduler) order(v cdag.NodeID, e entry) (first, second cdag.NodeID, spill bool) {
+	ps := s.dg.G.Parents(v)
+	first, second = ps[0], ps[1]
+	if e.choice == stratKeepP2 || e.choice == stratSpillP2 {
+		first, second = second, first
+	}
+	return first, second, e.choice == stratSpillP1 || e.choice == stratSpillP2
+}
+
+// moves returns the number of moves gen emits for (v, b), read from
+// the memo that MinCost(b) filled, so Schedule can size its result
+// exactly. It reads cells without counting memo hits. A cell the memo
+// lacks (a store that the resource limits refused) counts no moves:
+// the result only sizes the schedule, which then grows as needed.
+func (s *Scheduler) moves(v cdag.NodeID, b cdag.Weight) int {
+	st := s.memo.Find(v, b)
+	if st == nil {
+		return 0
+	}
+	if st.V.choice == stratLeaf {
+		return 1
+	}
+	first, second, spill := s.order(v, st.V)
+	n := s.moves(first, b) + 3 // M3 v, M4 on both parents
+	if spill {
+		n += 3 + s.moves(second, b) // M2, M4 and the reload M1 of first
+	} else {
+		n += s.moves(second, b-s.dg.G.Weight(first))
+	}
+	if s.dg.Sibling(v) != cdag.None {
+		n += 3
+	}
+	return n
 }
 
 // MinMemory returns the minimum fast memory size of Definition 2.6:

@@ -23,7 +23,8 @@ func newSched(t *testing.T, n, d int, wf WeightFunc) (*Graph, *Scheduler) {
 
 // TestScheduleSimulatesToMinCost is the central contract: for a range
 // of budgets, the generated schedule passes the rule-checking
-// simulator and its measured cost equals the DP's MinCost.
+// simulator and its measured cost equals the DP's MinCost. The
+// schedule is sized exactly.
 func TestScheduleSimulatesToMinCost(t *testing.T) {
 	configs := []wcfg.Config{wcfg.Equal(16), wcfg.DoubleAccumulator(16)}
 	for _, cfg := range configs {
@@ -38,6 +39,9 @@ func TestScheduleSimulatesToMinCost(t *testing.T) {
 				sched, err := s.Schedule(b)
 				if err != nil {
 					t.Fatalf("%s DWT(%d,%d) b=%d: %v", cfg.Name, nd.n, nd.d, b, err)
+				}
+				if cap(sched) != len(sched) {
+					t.Errorf("%s DWT(%d,%d) b=%d: schedule cap %d, want its length %d", cfg.Name, nd.n, nd.d, b, cap(sched), len(sched))
 				}
 				stats, err := core.Simulate(g.G, b, sched)
 				if err != nil {

@@ -59,10 +59,35 @@ func New(g *cdag.Graph) (*Tree, error) {
 	return &Tree{G: g, Root: sinks[0], K: k}, nil
 }
 
+// Topology is a complete k-ary tree of a given height without its
+// weights: the nodes, edges and display names, which depend on k and
+// the height alone. It is immutable, so any number of Trees in any
+// goroutines may share one; Tree fills in one weighting.
+type Topology struct {
+	// g holds the adjacency every Tree shares. Its weights are
+	// placeholders, and it is never handed out.
+	g *cdag.Graph
+	// k is the arity, height the number of edges from a leaf to the
+	// root, and leaves = k^height the number of leaves, which take the
+	// first IDs.
+	k, height, leaves int
+}
+
 // FullTree builds a complete k-ary tree of the given height
 // (height ≥ 1 edges from leaves to root) with weights produced by wf,
-// which receives the depth (0 = root) and a per-depth index.
+// which receives the depth (0 = root) and a per-depth index. It is
+// NewTopology followed by Tree.
 func FullTree(k, height int, wf func(depth, index int) cdag.Weight) (*Tree, error) {
+	t, err := NewTopology(k, height)
+	if err != nil {
+		return nil, err
+	}
+	return t.Tree(wf)
+}
+
+// NewTopology constructs the nodes and edges of a complete k-ary tree
+// of the given height (height ≥ 1).
+func NewTopology(k, height int) (*Topology, error) {
 	if k < 1 || k > MaxK {
 		return nil, fmt.Errorf("ktree: k=%d out of range [1,%d]", k, MaxK)
 	}
@@ -80,7 +105,7 @@ func FullTree(k, height int, wf func(depth, index int) cdag.Weight) (*Tree, erro
 	g := &cdag.Graph{}
 	g.Reserve(total, total-1)
 	for i := 0; i < leaves; i++ {
-		g.AddNode(wf(height, i), "")
+		g.AddNode(1, "")
 	}
 	var parents [MaxK]cdag.NodeID
 	first := cdag.NodeID(0)
@@ -89,21 +114,50 @@ func FullTree(k, height int, wf func(depth, index int) cdag.Weight) (*Tree, erro
 			for j := range parents[:k] {
 				parents[j] = first + cdag.NodeID(i*k+j)
 			}
-			g.AddNode(wf(depth, i), "", parents[:k]...)
+			g.AddNode(1, "", parents[:k]...)
 		}
 		first += cdag.NodeID(size * k)
 	}
-	g.SetNamer(func(v cdag.NodeID) string {
-		if int(v) < leaves {
-			return "leaf" + strconv.Itoa(int(v))
+	t := &Topology{g: g, k: k, height: height, leaves: leaves}
+	g.SetNamer(t.name)
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("ktree: internal construction error: %w", err)
+	}
+	return t, nil
+}
+
+// name derives a node's display name from its ID: leaf<i> for the
+// leaves, n<depth>_<i> for the i-th node at an inner depth.
+func (t *Topology) name(v cdag.NodeID) string {
+	if int(v) < t.leaves {
+		return "leaf" + strconv.Itoa(int(v))
+	}
+	start, size, depth := t.leaves, t.leaves/t.k, t.height-1
+	for int(v) >= start+size {
+		start, size, depth = start+size, size/t.k, depth-1
+	}
+	return "n" + strconv.Itoa(depth) + "_" + strconv.Itoa(int(v)-start)
+}
+
+// Tree returns the tree with weight wf(depth, index) on each node,
+// depth 0 being the root and index counting from 0 within a depth. The
+// tree shares t's adjacency and names and owns only its weights, so
+// SetWeight and the scheduler's SetWeights change it alone; its namer
+// keeps t reachable for as long as it lives. It passes New's checks
+// like any tree.
+func (t *Topology) Tree(wf func(depth, index int) cdag.Weight) (*Tree, error) {
+	w := make([]cdag.Weight, t.g.Len())
+	// IDs run level by level from the leaves up, as NewTopology adds
+	// them; the root is the last.
+	v, size := len(w), 1
+	for depth := 0; depth <= t.height; depth++ {
+		v -= size
+		for i := range size {
+			w[v+i] = wf(depth, i)
 		}
-		start, size, depth := leaves, leaves/k, height-1
-		for int(v) >= start+size {
-			start, size, depth = start+size, size/k, depth-1
-		}
-		return "n" + strconv.Itoa(depth) + "_" + strconv.Itoa(int(v)-start)
-	})
-	return New(g)
+		size *= t.k
+	}
+	return New(t.g.WithWeights(w))
 }
 
 // Random builds a random in-tree with the given number of internal

@@ -134,6 +134,9 @@ func TestScheduleSimulatesToMinCost(t *testing.T) {
 			if err != nil {
 				t.Fatalf("b=%d: %v", b, err)
 			}
+			if cap(sched) != len(sched) {
+				t.Errorf("b=%d: schedule cap %d, want its length %d", b, cap(sched), len(sched))
+			}
 			if stats.Cost != want {
 				t.Errorf("b=%d: simulated %d != DP %d", b, stats.Cost, want)
 			}

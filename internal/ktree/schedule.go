@@ -215,12 +215,13 @@ func (s *Scheduler) ScheduleCtx(ctx context.Context, lim guard.Limits, b cdag.We
 func (s *Scheduler) TakeCounts() guard.Counts { return s.memo.TakeCounts() }
 
 // Schedule generates an optimal schedule under budget b; it always
-// passes core.Simulate with cost MinCost(b).
+// passes core.Simulate with cost MinCost(b), and its capacity is its
+// length.
 func (s *Scheduler) Schedule(b cdag.Weight) (core.Schedule, error) {
 	if s.MinCost(b) >= Inf {
 		return nil, fmt.Errorf("ktree: no valid schedule under budget %d (existence bound %d)", b, core.MinExistenceBudget(s.t.G))
 	}
-	var sched core.Schedule
+	sched := make(core.Schedule, 0, s.moves(s.t.Root, b)+2)
 	if err := s.gen(s.t.Root, b, &sched); err != nil {
 		return nil, err
 	}
@@ -246,7 +247,6 @@ func (s *Scheduler) gen(v cdag.NodeID, b cdag.Weight, sched *core.Schedule) erro
 	parents := g.Parents(v)
 	order := perm.Table(len(parents))[e.permIdx]
 	var held cdag.Weight
-	var spilled []cdag.NodeID
 	for i, oi := range order {
 		p := parents[oi]
 		if err := s.gen(p, b-held, sched); err != nil {
@@ -259,17 +259,48 @@ func (s *Scheduler) gen(v cdag.NodeID, b cdag.Weight, sched *core.Schedule) erro
 				core.Move{Kind: core.M2, Node: p},
 				core.Move{Kind: core.M4, Node: p},
 			)
-			spilled = append(spilled, p)
 		}
 	}
-	for _, p := range spilled {
-		*sched = sched.Append(core.Move{Kind: core.M1, Node: p})
+	// Reload the spilled parents, in the order they were spilled.
+	for i, oi := range order {
+		if e.delta&(1<<uint(i)) == 0 {
+			*sched = sched.Append(core.Move{Kind: core.M1, Node: parents[oi]})
+		}
 	}
 	*sched = sched.Append(core.Move{Kind: core.M3, Node: v})
 	for _, p := range parents {
 		*sched = sched.Append(core.Move{Kind: core.M4, Node: p})
 	}
 	return nil
+}
+
+// moves returns the number of moves gen emits for (v, b), read from
+// the memo that MinCost(b) filled, so Schedule can size its result
+// exactly. It reads cells without counting memo hits. A cell the memo
+// lacks (a store that the resource limits refused) counts no moves:
+// the result only sizes the schedule, which then grows as needed.
+func (s *Scheduler) moves(v cdag.NodeID, b cdag.Weight) int {
+	g := s.t.G
+	st := s.memo.Find(v, b)
+	if st == nil {
+		return 0
+	}
+	if g.IsSource(v) {
+		return 1
+	}
+	parents := g.Parents(v)
+	n := 1 + len(parents) // M3 v, M4 on every parent
+	var held cdag.Weight
+	for i, oi := range perm.Table(len(parents))[st.V.permIdx] {
+		p := parents[oi]
+		n += s.moves(p, b-held)
+		if st.V.delta&(1<<uint(i)) != 0 {
+			held += g.Weight(p)
+		} else {
+			n += 3 // M2, M4 and the reload M1
+		}
+	}
+	return n
 }
 
 // MinMemory returns the smallest budget (on multiples of step) whose

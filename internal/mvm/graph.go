@@ -44,14 +44,43 @@ type Graph struct {
 	// PredictCost once or twice per height.
 	lb cdag.Weight
 	// cand caches the candidate tile heights (see Candidates): they
-	// depend only on M, so Build computes them once and Search's hot
-	// path reads them without allocating.
+	// depend only on M, so NewTopology computes them once for every
+	// Graph of the shape and Search's hot path reads them without
+	// allocating.
+	cand []int
+}
+
+// Topology is MVM(m, n) without its weights: the nodes, edges,
+// display names, row tables and candidate tile heights, which depend
+// on m and n alone. It is immutable, so any number of Graphs in any
+// goroutines may share one; Graph fills in one weight configuration.
+type Topology struct {
+	// g holds the adjacency every Graph shares. Its weights are
+	// placeholders, and it is never handed out.
+	g *cdag.Graph
+	// m is the number of matrix rows, n the number of columns.
+	m, n int
+	// x, a, prod and acc are the node tables every Graph shares (see
+	// the Graph fields X, A, Prod and Acc).
+	x            []cdag.NodeID
+	a, prod, acc [][]cdag.NodeID
+	// cand holds the candidate tile heights, which depend only on m.
 	cand []int
 }
 
 // Build constructs MVM(m, n) with class weights from cfg. m ≥ 2 and
-// n ≥ 1 per Definition 4.1.
+// n ≥ 1 per Definition 4.1. It is NewTopology followed by Graph.
 func Build(m, n int, cfg wcfg.Config) (*Graph, error) {
+	t, err := NewTopology(m, n)
+	if err != nil {
+		return nil, err
+	}
+	return t.Graph(cfg)
+}
+
+// NewTopology constructs the nodes, edges and row tables of MVM(m, n).
+// m ≥ 2 and n ≥ 1 per Definition 4.1.
+func NewTopology(m, n int) (*Topology, error) {
 	if m < 2 {
 		return nil, fmt.Errorf("mvm: m=%d must be ≥ 2", m)
 	}
@@ -63,44 +92,69 @@ func Build(m, n int, cfg wcfg.Config) (*Graph, error) {
 	// table is cut from one backing array.
 	g := &cdag.Graph{}
 	g.Reserve(n+3*m*n-m, 4*m*n-2*m)
-	out := &Graph{G: g, M: m, N: n, Cfg: cfg}
-	wi, wn := cfg.Input(), cfg.Node()
-
-	out.X = make([]cdag.NodeID, n)
-	out.A = rows(m, n)
-	out.Prod = rows(m, n)
+	t := &Topology{g: g, m: m, n: n, x: make([]cdag.NodeID, n), a: rows(m, n), prod: rows(m, n)}
 	if n > 1 {
-		out.Acc = rows(m, n-1)
+		t.acc = rows(m, n-1)
+	}
+	head := func(r, c int) cdag.NodeID {
+		if c == 1 {
+			return t.prod[r-1][0]
+		}
+		return t.acc[r-1][c-2]
 	}
 
 	// S_1: for each column c, x_c then a_{1,c} … a_{m,c} — this is
 	// exactly the j = (c−1)(m+1)+1 … c(m+1) indexing of rule (1).
 	for c := 1; c <= n; c++ {
-		out.X[c-1] = g.AddNode(wi, "")
+		t.x[c-1] = g.AddNode(1, "")
 		for r := 1; r <= m; r++ {
-			out.A[r-1][c-1] = g.AddNode(wi, "")
+			t.a[r-1][c-1] = g.AddNode(1, "")
 		}
 	}
 	// S_2: products v²_{(c−1)m+r} with parents {x_c, a_{r,c}}.
 	for c := 1; c <= n; c++ {
 		for r := 1; r <= m; r++ {
-			out.Prod[r-1][c-1] = g.AddNode(wn, "", out.X[c-1], out.A[r-1][c-1])
+			t.prod[r-1][c-1] = g.AddNode(1, "", t.x[c-1], t.a[r-1][c-1])
 		}
 	}
 	// S_3 … S_{n+1}: accumulators. Rule (2) supplies the edge from the
 	// previous partial sum, rule (3) the edge from the column product.
 	for c := 2; c <= n; c++ {
 		for r := 1; r <= m; r++ {
-			out.Acc[r-1][c-2] = g.AddNode(wn, "", out.Head(r, c-1), out.Prod[r-1][c-1])
+			t.acc[r-1][c-2] = g.AddNode(1, "", head(r, c-1), t.prod[r-1][c-1])
 		}
 	}
-	g.SetNamer(out.name)
+	g.SetNamer(t.name)
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("mvm: internal construction error: %w", err)
 	}
-	out.lb = core.LowerBound(g)
-	out.cand = out.candidates()
-	return out, nil
+	t.cand = candidates(m)
+	return t, nil
+}
+
+// Graph returns MVM(m, n) with the input weight of cfg on x and A and
+// its node weight on the products and accumulators. The graph shares
+// t's adjacency, names and tables and owns its weights and its cached
+// lower bound; its namer keeps t reachable for as long as it lives. It
+// is validated like any built graph.
+func (t *Topology) Graph(cfg wcfg.Config) (*Graph, error) {
+	w := make([]cdag.Weight, t.g.Len())
+	// The inputs take the first n(m+1) IDs (NewTopology's S_1).
+	inputs := t.n * (t.m + 1)
+	wi, wn := cfg.Input(), cfg.Node()
+	for v := range w {
+		if v < inputs {
+			w[v] = wi
+		} else {
+			w[v] = wn
+		}
+	}
+	g := t.g.WithWeights(w)
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("mvm: %w", err)
+	}
+	return &Graph{G: g, M: t.m, N: t.n, Cfg: cfg, X: t.x, A: t.a, Prod: t.prod, Acc: t.acc,
+		lb: core.LowerBound(g), cand: t.cand}, nil
 }
 
 // rows returns an m×n table of node IDs cut from one backing array.
@@ -113,15 +167,16 @@ func rows(m, n int) [][]cdag.NodeID {
 	return out
 }
 
-// name derives a node's display name from its ID, following Build's
-// insertion order: x[c] and a[r,c] interleaved by column, then the
-// products p[r,c] and the accumulators s[r,c], each column by column.
-func (g *Graph) name(v cdag.NodeID) string {
-	i, m := int(v), g.M
+// name derives a node's display name from its ID, following
+// NewTopology's insertion order: x[c] and a[r,c] interleaved by
+// column, then the products p[r,c] and the accumulators s[r,c], each
+// column by column.
+func (t *Topology) name(v cdag.NodeID) string {
+	i, m := int(v), t.m
 	rc := func(kind string, r, c int) string {
 		return kind + "[" + strconv.Itoa(r) + "," + strconv.Itoa(c) + "]"
 	}
-	inputs, prods := g.N*(m+1), g.N*m
+	inputs, prods := t.n*(m+1), t.n*m
 	switch {
 	case i < inputs:
 		c, r := i/(m+1)+1, i%(m+1)

@@ -54,12 +54,18 @@ func (g *Graph) validate(tc TileConfig) (TileConfig, error) {
 // loaded exactly once overall; each output is stored exactly once —
 // the property that separates the tiling scheduler from IOOpt's
 // read-and-write-every-output strategy (Section 5.2).
+//
+// The schedule's capacity is its length: the resident prefix's load
+// and drop (2·vc), a load and a drop of every transient x per tile
+// (2·tiles·(n−vc)), and per row six moves per column but the first's
+// three, plus its output's store and drop (m·(6n−1)).
 func (g *Graph) TileSchedule(tc TileConfig) (core.Schedule, error) {
 	tc, err := g.validate(tc)
 	if err != nil {
 		return nil, err
 	}
-	var s core.Schedule
+	vc := tc.ResidentVector
+	s := make(core.Schedule, 0, 2*vc+2*g.Tiles(tc)*(g.N-vc)+g.M*(6*g.N-1))
 	mv := func(k core.MoveKind, v cdag.NodeID) {
 		s = append(s, core.Move{Kind: k, Node: v})
 	}
@@ -166,27 +172,28 @@ func (g *Graph) PredictPeak(tc TileConfig) cdag.Weight {
 // Candidates returns the tile heights worth searching: for each
 // distinct tile count q = ⌈m/h⌉ the smallest h achieving it, since
 // cost depends on h only through q while peak grows with h. The set
-// depends only on M, so Build computes it once; Candidates returns a
-// copy (Search reads the cached slice directly and allocates nothing).
+// depends only on M, so NewTopology computes it once; Candidates
+// returns a copy (Search reads the cached slice directly and allocates
+// nothing).
 func (g *Graph) Candidates() []int {
 	cand := g.cand
 	if cand == nil {
-		cand = g.candidates()
+		cand = candidates(g.M)
 	}
 	out := make([]int, len(cand))
 	copy(out, cand)
 	return out
 }
 
-// candidates enumerates the distinct heights. As q grows the height
-// ⌈m/q⌉ is non-increasing, so duplicates are always adjacent and a
-// single previous-value check replaces the former seen-map. There are
-// at most 2⌊√m⌋+1 of them, so out never regrows.
-func (g *Graph) candidates() []int {
-	out := make([]int, 0, 2*isqrt(g.M)+1)
+// candidates enumerates the distinct heights for m rows. As q grows
+// the height ⌈m/q⌉ is non-increasing, so duplicates are always
+// adjacent and a single previous-value check replaces the former
+// seen-map. There are at most 2⌊√m⌋+1 of them, so out never regrows.
+func candidates(m int) []int {
+	out := make([]int, 0, 2*isqrt(m)+1)
 	prev := -1
-	for q := 1; q <= g.M; q++ {
-		h := (g.M + q - 1) / q
+	for q := 1; q <= m; q++ {
+		h := (m + q - 1) / q
 		if h != prev {
 			out = append(out, h)
 			prev = h
@@ -275,7 +282,7 @@ func (g *Graph) Search(budget cdag.Weight) (TileConfig, cdag.Weight, error) {
 func (g *Graph) sharedSearch(ck *guard.Checker, budget cdag.Weight) (TileConfig, cdag.Weight, error) {
 	heights := g.cand
 	if heights == nil {
-		heights = g.candidates() // hand-constructed Graph (tests)
+		heights = candidates(g.M) // hand-constructed Graph (tests)
 	}
 	best := searchResult{cost: Inf, peak: Inf}
 	if len(heights) >= searchParallelThreshold {

@@ -13,7 +13,8 @@ import (
 
 // TestTileScheduleValidAndPredicted is the central tiling contract:
 // generated schedules pass the simulator, and both the closed-form
-// cost and peak predictions match the simulation exactly.
+// cost and peak predictions match the simulation exactly, and the
+// schedule is sized exactly.
 func TestTileScheduleValidAndPredicted(t *testing.T) {
 	configs := []wcfg.Config{wcfg.Equal(16), wcfg.DoubleAccumulator(16)}
 	dims := []struct{ m, n int }{{2, 1}, {2, 2}, {3, 2}, {2, 3}, {4, 4}, {5, 3}, {8, 6}}
@@ -26,6 +27,9 @@ func TestTileScheduleValidAndPredicted(t *testing.T) {
 					sched, err := g.TileSchedule(tc)
 					if err != nil {
 						t.Fatalf("%s MVM(%d,%d) %v: %v", cfg.Name, d.m, d.n, tc, err)
+					}
+					if cap(sched) != len(sched) {
+						t.Errorf("%s MVM(%d,%d) %v: schedule cap %d, want its length %d", cfg.Name, d.m, d.n, tc, cap(sched), len(sched))
 					}
 					peak := g.PredictPeak(tc)
 					stats, err := core.Simulate(g.G, peak, sched)

@@ -282,13 +282,19 @@ func (in *Instance) RequestSchedule(s core.Schedule) core.Schedule {
 
 // build constructs the family-typed graph of a validated instance;
 // Build wraps it as a Problem and NewSession as a warm session. The
-// incremental families apply any weight deltas after construction, so
-// the cold path solves exactly the graph a patched session holds.
+// parametric families take their topology from the shape table and
+// fill in only the weights. The incremental families apply any weight
+// deltas after construction, so the cold path solves exactly the graph
+// a patched session holds.
 func (in *Instance) build() (family, error) {
 	f := family{name: in.Family}
 	switch in.Family {
 	case FamilyDWT:
-		g, err := dwt.Build(in.N, in.D, dwt.ConfigWeights(in.Cfg))
+		t, err := topology(shapeKey{FamilyDWT, in.N, in.D}, dwt.NewTopology)
+		if err != nil {
+			return f, err
+		}
+		g, err := t.Graph(dwt.ConfigWeights(in.Cfg))
 		if err != nil {
 			return f, err
 		}
@@ -305,7 +311,11 @@ func (in *Instance) build() (family, error) {
 		}
 		f.g, f.layers, f.dwt = g.G, g.Layers, g
 	case FamilyKTree:
-		tr, err := ktree.FullTree(in.K, in.Height, func(depth, index int) cdag.Weight {
+		t, err := topology(shapeKey{FamilyKTree, in.K, in.Height}, ktree.NewTopology)
+		if err != nil {
+			return f, err
+		}
+		tr, err := t.Tree(func(depth, index int) cdag.Weight {
 			if depth == in.Height {
 				return in.Cfg.Input()
 			}
@@ -319,7 +329,11 @@ func (in *Instance) build() (family, error) {
 		}
 		f.g, f.tree = tr.G, tr
 	case FamilyMVM:
-		g, err := mvm.Build(in.M, in.N, in.Cfg)
+		t, err := topology(shapeKey{FamilyMVM, in.M, in.N}, mvm.NewTopology)
+		if err != nil {
+			return f, err
+		}
+		g, err := t.Graph(in.Cfg)
 		if err != nil {
 			return f, err
 		}

@@ -87,7 +87,9 @@ type patcher interface {
 func (s *Session) flush() { s.fc.Record(s.sv.TakeCounts()) }
 
 // NewSession builds the instance's graph once and the family's guarded
-// solver over it, the same solver a one-shot Build runs. For FamilyCDAG
+// solver over it, the same solver a one-shot Build runs. The graph's
+// topology comes from the shape table, so a session shares it with
+// every cold solve and session of its shape. For FamilyCDAG
 // there is no reusable memo, so every budget query is a cold (but
 // guarded) anytime search — the Session still provides the uniform
 // surface.
