@@ -10,6 +10,7 @@ package wrbpg
 // EXPERIMENTS.md records the regenerated values against the paper's.
 
 import (
+	"context"
 	"testing"
 
 	"wrbpg/internal/banded"
@@ -37,7 +38,7 @@ func benchFig5DWT(b *testing.B, cfg wcfg.Config) {
 		b.Skip("full Figure 5 DWT sweep; skipped in -short mode")
 	}
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Fig5DWT(cfg, bench.DWTInputs, bench.DWTLevels, nil)
+		rows, err := bench.Fig5DWT(context.Background(), cfg, bench.DWTInputs, bench.DWTLevels, nil, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -56,7 +57,7 @@ func benchFig5MVM(b *testing.B, cfg wcfg.Config) {
 		b.Skip("full Figure 5 MVM sweep; skipped in -short mode")
 	}
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Fig5MVM(cfg, bench.MVMRows, bench.MVMCols, nil)
+		rows, err := bench.Fig5MVM(context.Background(), cfg, bench.MVMRows, bench.MVMCols, nil, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,7 +78,7 @@ func benchFig6DWT(b *testing.B, cfg wcfg.Config) {
 		b.Skip("full Figure 6 DWT sweep; skipped in -short mode")
 	}
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Fig6DWT(cfg, bench.DWTInputs)
+		rows, err := bench.Fig6DWT(context.Background(), cfg, bench.DWTInputs, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -96,7 +97,7 @@ func benchFig6MVM(b *testing.B, cfg wcfg.Config) {
 		b.Skip("full Figure 6 MVM sweep; skipped in -short mode")
 	}
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Fig6MVM(cfg, bench.MVMRows, bench.MVMCols)
+		rows, err := bench.Fig6MVM(context.Background(), cfg, bench.MVMRows, bench.MVMCols, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

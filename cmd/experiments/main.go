@@ -14,6 +14,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -43,6 +44,9 @@ var (
 // runCtx carries cancellation (Ctrl-C, -timeout) into the parallel
 // figure sweeps.
 var runCtx = context.Background()
+
+// stdout receives every table; the golden test swaps in a buffer.
+var stdout io.Writer = os.Stdout
 
 // logger is replaced in main once -log-format / -log-level are parsed.
 var logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -82,6 +86,11 @@ func main() {
 		defer cancel()
 	}
 	runCtx = ctx
+	render()
+}
+
+// render prints every selected table and figure to stdout.
+func render() {
 	if !*flagTable1 && !*flagFig5 && !*flagFig6 && !*flagFig7 && !*flagFig8 && !*flagDSE {
 		*flagAll = true
 	}
@@ -135,14 +144,14 @@ func dse2() {
 			fmt.Sprintf("%.3f", p.Energy.AvgPowerMW),
 		})
 	}
-	must(bench.WriteTable(os.Stdout, []string{
+	must(bench.WriteTable(stdout, []string{
 		"Precision", "MinMem(bits)", "Synth(bits)", "I/O(bits)", "Area(λ²)", "Energy(nJ)", "AvgPwr(mW)",
 	}, out))
-	fmt.Println("\n  * = on the precision-vs-energy Pareto frontier")
+	fmt.Fprintln(stdout, "\n  * = on the precision-vs-energy Pareto frontier")
 }
 
 func header(s string) {
-	fmt.Printf("\n================ %s ================\n\n", s)
+	fmt.Fprintf(stdout, "\n================ %s ================\n\n", s)
 }
 
 func fig5() {
@@ -154,7 +163,7 @@ func fig5() {
 	}
 	for _, cfg := range bench.Configs() {
 		header(fmt.Sprintf("Figure 5: %s DWT(%d,%d) — bits transferred vs fast memory", cfg.Name, dwtN, dwtD))
-		rows, err := bench.Fig5DWTParallelCtx(runCtx, cfg, dwtN, dwtD, nil, 0)
+		rows, err := bench.Fig5DWT(runCtx, cfg, dwtN, dwtD, nil, 0)
 		fatalIfSweepFailed(err)
 		var out [][]string
 		for _, r := range rows {
@@ -165,12 +174,12 @@ func fig5() {
 				fmt.Sprint(r.Optimum),
 			})
 		}
-		must(bench.WriteTable(os.Stdout,
+		must(bench.WriteTable(stdout,
 			[]string{"FastMem(bits)", "AlgorithmicLB", "Layer-by-Layer", "Optimum(Ours)"}, out))
 	}
 	for _, cfg := range bench.Configs() {
 		header(fmt.Sprintf("Figure 5: %s MVM(%d,%d) — bits transferred vs fast memory", cfg.Name, mvmM, mvmN))
-		rows, err := bench.Fig5MVMParallelCtx(runCtx, cfg, mvmM, mvmN, nil, 0)
+		rows, err := bench.Fig5MVM(runCtx, cfg, mvmM, mvmN, nil, 0)
 		fatalIfSweepFailed(err)
 		var out [][]string
 		for _, r := range rows {
@@ -181,7 +190,7 @@ func fig5() {
 				fmt.Sprint(r.Tiling),
 			})
 		}
-		must(bench.WriteTable(os.Stdout,
+		must(bench.WriteTable(stdout,
 			[]string{"FastMem(bits)", "IOOpt LB", "IOOpt UB", "Tiling(Ours)"}, out))
 	}
 }
@@ -201,7 +210,7 @@ func fig6() {
 	}
 	for _, cfg := range bench.Configs() {
 		header(fmt.Sprintf("Figure 6: %s DWT(n, d*) — minimum fast memory (bits) vs n", cfg.Name))
-		rows, err := bench.Fig6DWTParallelCtx(runCtx, cfg, maxN, 0)
+		rows, err := bench.Fig6DWT(runCtx, cfg, maxN, 0)
 		fatalIfSweepFailed(err)
 		var out [][]string
 		for _, r := range rows {
@@ -210,17 +219,17 @@ func fig6() {
 				fmt.Sprint(r.LayerByLayer), fmt.Sprint(r.Optimum),
 			})
 		}
-		must(bench.WriteTable(os.Stdout, []string{"n", "d*", "Layer-by-Layer", "Optimum(Ours)"}, out))
+		must(bench.WriteTable(stdout, []string{"n", "d*", "Layer-by-Layer", "Optimum(Ours)"}, out))
 	}
 	for _, cfg := range bench.Configs() {
 		header(fmt.Sprintf("Figure 6: %s MVM(%d, n) — minimum fast memory (bits) vs n", cfg.Name, bench.MVMRows))
-		rows, err := bench.Fig6MVMParallelCtx(runCtx, cfg, bench.MVMRows, mvmN, 0)
+		rows, err := bench.Fig6MVM(runCtx, cfg, bench.MVMRows, mvmN, 0)
 		fatalIfSweepFailed(err)
 		var out [][]string
 		for _, r := range rows {
 			out = append(out, []string{fmt.Sprint(r.N), fmt.Sprint(r.IOOptUB), fmt.Sprint(r.Tiling)})
 		}
-		must(bench.WriteTable(os.Stdout, []string{"n", "IOOpt UB", "Tiling(Ours)"}, out))
+		must(bench.WriteTable(stdout, []string{"n", "IOOpt UB", "Tiling(Ours)"}, out))
 	}
 }
 
@@ -238,15 +247,15 @@ func table1() {
 			fmt.Sprint(r.Spec.MinBits), fmt.Sprint(r.Spec.Pow2Bits),
 		})
 	}
-	must(bench.WriteTable(os.Stdout, []string{
+	must(bench.WriteTable(stdout, []string{
 		"Workload", "Node Weights", "Approach", "MinFastMem(words)",
 		"WordSize(bits)", "MinCapacity(bits)", "Pow2Capacity(bits)",
 	}, out))
 
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	for i := 0; i+1 < len(rows); i += 2 {
 		ours, base := rows[i], rows[i+1]
-		fmt.Printf("  %s %s: %s reduces minimum memory by %.1f%% vs %s\n",
+		fmt.Fprintf(stdout, "  %s %s: %s reduces minimum memory by %.1f%% vs %s\n",
 			ours.Weights, ours.Workload, ours.Approach,
 			memdesign.Reduction(base.Spec.MinBits, ours.Spec.MinBits), base.Approach)
 	}
@@ -271,12 +280,12 @@ func fig7() {
 			fmt.Sprintf("%.1f", r.Macro.WriteGBs),
 		})
 	}
-	must(bench.WriteTable(os.Stdout, []string{
+	must(bench.WriteTable(stdout, []string{
 		"Workload", "Approach", "Capacity(bits)", "Area(λ²)",
 		"Leakage(mW)", "ReadPwr(mW)", "WritePwr(mW)", "Read(GB/s)", "Write(GB/s)",
 	}, out))
 
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	var areaRed, leakRed float64
 	pairs := 0
 	for i := 0; i+1 < len(rows); i += 2 {
@@ -285,8 +294,8 @@ func fig7() {
 		leakRed += 100 * (base.Macro.LeakageMW - ours.Macro.LeakageMW) / base.Macro.LeakageMW
 		pairs++
 	}
-	fmt.Printf("  average area reduction:    %.1f%% (paper: 63%%)\n", areaRed/float64(pairs))
-	fmt.Printf("  average leakage reduction: %.1f%% (paper: 43.4%%)\n", leakRed/float64(pairs))
+	fmt.Fprintf(stdout, "  average area reduction:    %.1f%% (paper: 63%%)\n", areaRed/float64(pairs))
+	fmt.Fprintf(stdout, "  average leakage reduction: %.1f%% (paper: 43.4%%)\n", leakRed/float64(pairs))
 }
 
 func fig8() {
@@ -297,11 +306,11 @@ func fig8() {
 	}
 	for _, p := range pairs {
 		scale := p.Baseline.Macro.WidthLambda / 48
-		fmt.Printf("--- %s ---\n", p.Label)
-		fmt.Printf("%s (%d bits, %.0f×%.0f λ):\n%s\n",
+		fmt.Fprintf(stdout, "--- %s ---\n", p.Label)
+		fmt.Fprintf(stdout, "%s (%d bits, %.0f×%.0f λ):\n%s\n",
 			p.Ours.Approach, p.Ours.Spec.Pow2Bits, p.Ours.Macro.WidthLambda, p.Ours.Macro.HeightLambda,
 			p.Ours.Macro.Layout(scale))
-		fmt.Printf("%s (%d bits, %.0f×%.0f λ):\n%s\n",
+		fmt.Fprintf(stdout, "%s (%d bits, %.0f×%.0f λ):\n%s\n",
 			p.Baseline.Approach, p.Baseline.Spec.Pow2Bits, p.Baseline.Macro.WidthLambda, p.Baseline.Macro.HeightLambda,
 			p.Baseline.Macro.Layout(scale))
 	}

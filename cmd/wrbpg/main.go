@@ -101,10 +101,11 @@ func (wf *workloadFlags) config() wcfg.Config {
 }
 
 // built bundles whichever workload graph was constructed; exactly one
-// typed field is non-nil.
+// typed field is non-nil. A dwt workload carries its scheduler, so the
+// minimum-memory search and the schedule share one warm memo.
 type built struct {
 	g    *cdag.Graph
-	dwt  *dwt.Graph
+	dwt  *dwt.Scheduler
 	mvm  *mvm.Graph
 	fft  *fft.Graph
 	mmm  *mmm.Graph
@@ -124,7 +125,11 @@ func (wf *workloadFlags) build() built {
 		if err != nil {
 			fatal(err)
 		}
-		return built{g: g.G, dwt: g, label: fmt.Sprintf("%s DWT(%d,%d)", cfg.Name, wf.n, wf.d)}
+		s, err := dwt.NewScheduler(g)
+		if err != nil {
+			fatal(err)
+		}
+		return built{g: g.G, dwt: s, label: fmt.Sprintf("%s DWT(%d,%d)", cfg.Name, wf.n, wf.d)}
 	case "mvm":
 		g, err := mvm.Build(wf.m, wf.n, cfg)
 		if err != nil {
@@ -239,82 +244,74 @@ func usage() {
 	os.Exit(2)
 }
 
-// buildSchedule produces the workload's preferred schedule at the
-// budget (0 = the workload's minimum memory), shared by compile and
-// schedule.
-func buildSchedule(w built, budget cdag.Weight) (cdag.Weight, core.Schedule, error) {
-	b := budget
+// plan schedules the built workload at budget (0 = its minimum
+// memory): it searches the family's configuration, builds the
+// schedule, and returns the budget used, the schedule and the detail
+// line the text report prints first (tile configuration, block
+// exponent, strategy, window buffer or anytime report; none for dwt).
+// lim bounds only the cdag anytime search. compile, the text path of
+// schedule and the solve facade's fft/mmm/conv problems all call it.
+func plan(w built, budget cdag.Weight, lim guard.Limits) (cdag.Weight, core.Schedule, string, error) {
+	b, err := defaultBudget(w, budget)
+	if err != nil {
+		return 0, nil, "", err
+	}
 	switch {
 	case w.dwt != nil:
-		s, err := dwt.NewScheduler(w.dwt)
-		if err != nil {
-			return 0, nil, err
-		}
-		if b == 0 {
-			if b, err = s.MinMemory(16); err != nil {
-				return 0, nil, err
-			}
-		}
-		sched, err := s.Schedule(b)
-		return b, sched, err
+		sched, err := w.dwt.Schedule(b)
+		return b, sched, "", err
 	case w.mvm != nil:
-		if b == 0 {
-			b = w.mvm.MinMemory()
-		}
 		tc, _, err := w.mvm.Search(b)
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, "", err
 		}
 		sched, err := w.mvm.TileSchedule(tc)
-		return b, sched, err
+		return b, sched, fmt.Sprintf("tile configuration: %v", tc), err
 	case w.fft != nil:
-		if b == 0 {
-			b = w.fft.MinMemory()
-		}
 		t, _, err := w.fft.Search(b)
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, "", err
 		}
 		sched, err := w.fft.BlockedSchedule(t)
-		return b, sched, err
+		return b, sched, fmt.Sprintf("block exponent: %d (%d passes)", t, w.fft.Passes(t)), err
 	case w.mmm != nil:
-		if b == 0 {
-			b = w.mmm.MinMemory()
-		}
 		c, _, err := w.mmm.Search(b)
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, "", err
 		}
 		sched, err := w.mmm.Schedule(c)
-		return b, sched, err
+		return b, sched, fmt.Sprintf("strategy: %v", c), err
 	case w.conv != nil:
-		if b == 0 {
-			b = w.conv.MinMemory()
-		}
 		c, _, err := w.conv.Search(b)
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, "", err
 		}
 		sched, err := w.conv.Schedule(c)
-		return b, sched, err
+		return b, sched, fmt.Sprintf("resident window buffer: %d inputs", c), err
 	case w.cdag:
-		if b == 0 {
-			b = core.MinExistenceBudget(w.g)
-		}
-		res, err := anytime.Search(context.Background(), w.g, b,
-			guard.Limits{Deadline: cdagCLIDeadline}, anytime.Options{})
+		res, err := anytime.Search(context.Background(), w.g, b, lim, anytime.Options{})
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, "", err
 		}
-		return b, res.Schedule, nil
+		return b, res.Schedule, fmt.Sprintf("anytime: seed %d -> %d bits (complete=%v, %d states expanded)",
+			res.SeedCost, res.Cost, res.Complete, res.Expanded), nil
 	}
-	return 0, nil, fmt.Errorf("no workload built")
+	return 0, nil, "", fmt.Errorf("no workload built")
 }
 
 // cdagCLIDeadline bounds the anytime search when the CLI schedules an
 // arbitrary graph without an explicit -timeout: long enough to drain
 // small graphs (a certified answer), short enough to stay interactive.
 const cdagCLIDeadline = 2 * time.Second
+
+// limits picks the solve limits for every CLI path: the -timeout
+// deadline, or cdagCLIDeadline for a cdag workload given none.
+func limits(w built, timeout time.Duration) guard.Limits {
+	if timeout == 0 && w.cdag {
+		timeout = cdagCLIDeadline
+	}
+	return guard.Limits{Deadline: timeout}
+}
 
 func cmdCompile(args []string) {
 	fs := flag.NewFlagSet("compile", flag.ExitOnError)
@@ -324,7 +321,7 @@ func cmdCompile(args []string) {
 	fs.Parse(args)
 	initLog(wf.log)
 	w := wf.build()
-	b, sched, err := buildSchedule(w, cdag.Weight(*budget))
+	b, sched, _, err := plan(w, cdag.Weight(*budget), limits(w, 0))
 	if err != nil {
 		fatal(err)
 	}
@@ -391,16 +388,16 @@ func cmdInfo(args []string) {
 	fmt.Printf("  existence bound:  %d bits (Proposition 2.3)\n", core.MinExistenceBudget(g))
 }
 
-// defaultBudget resolves the budget-0 convention ("use the workload's
-// minimum memory") without running the full scheduler.
-func defaultBudget(w built) (cdag.Weight, error) {
+// defaultBudget resolves the budget-0 convention: a zero budget means
+// the workload's minimum memory (the existence bound for cdag); any
+// other budget is returned as is.
+func defaultBudget(w built, b cdag.Weight) (cdag.Weight, error) {
+	if b != 0 {
+		return b, nil
+	}
 	switch {
 	case w.dwt != nil:
-		s, err := dwt.NewScheduler(w.dwt)
-		if err != nil {
-			return 0, err
-		}
-		return s.MinMemory(16)
+		return w.dwt.MinMemory(16)
 	case w.mvm != nil:
 		return w.mvm.MinMemory(), nil
 	case w.fft != nil:
@@ -421,39 +418,33 @@ func defaultBudget(w built) (cdag.Weight, error) {
 func problemFor(w built) solve.Problem {
 	switch {
 	case w.dwt != nil:
-		return solve.DWT(w.dwt)
+		return solve.DWT(w.dwt.Graph())
 	case w.mvm != nil:
 		return solve.MVM(w.mvm)
 	case w.cdag:
 		return solve.AnytimeCDAG(w.g)
 	case w.fft != nil:
-		return solve.Problem{Name: "fft", G: w.g,
-			Optimal: func(ctx context.Context, lim guard.Limits, b cdag.Weight) (core.Schedule, error) {
-				t, _, err := w.fft.Search(b)
-				if err != nil {
-					return nil, err
-				}
-				return w.fft.BlockedSchedule(t)
-			}}
+		return planProblem("fft", w)
 	case w.mmm != nil:
-		return solve.Problem{Name: "mmm", G: w.g,
-			Optimal: func(ctx context.Context, lim guard.Limits, b cdag.Weight) (core.Schedule, error) {
-				c, _, err := w.mmm.Search(b)
-				if err != nil {
-					return nil, err
-				}
-				return w.mmm.Schedule(c)
-			}}
+		return planProblem("mmm", w)
 	default:
-		return solve.Problem{Name: "conv", G: w.g,
-			Optimal: func(ctx context.Context, lim guard.Limits, b cdag.Weight) (core.Schedule, error) {
-				c, _, err := w.conv.Search(b)
-				if err != nil {
-					return nil, err
-				}
-				return w.conv.Schedule(c)
-			}}
+		return planProblem("conv", w)
 	}
+}
+
+// planProblem wraps plan as a solve.Problem's optimal solver.
+func planProblem(name string, w built) solve.Problem {
+	return solve.Problem{Name: name, G: w.g,
+		Optimal: func(ctx context.Context, lim guard.Limits, b cdag.Weight) (core.Schedule, error) {
+			_, sched, _, err := plan(w, b, lim)
+			return sched, err
+		}}
+}
+
+// runSolve schedules through the hardened solve facade, the path the
+// -json output and -timeout share.
+func runSolve(w built, b cdag.Weight, timeout time.Duration) (solve.Outcome, error) {
+	return solve.Run(context.Background(), problemFor(w), b, limits(w, timeout))
 }
 
 func cmdSchedule(args []string) {
@@ -472,59 +463,32 @@ func cmdSchedule(args []string) {
 	fs.Parse(args)
 	initLog(wf.log)
 	w := wf.build()
-
-	var sched core.Schedule
-	var err error
-	b := cdag.Weight(*budget)
-	if *patchFile != "" {
-		if !*jsonOut {
-			fatal("-patch requires -json (the result is the wrbpgd patch wire format)")
-		}
-		if b == 0 {
-			if b, err = defaultBudget(w); err != nil {
-				fatal(err)
-			}
-		}
-		res, perr := schedulePatch(wf, b, *patchFile, *timeout)
-		if perr != nil {
-			fatal(perr)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
+	if *patchFile != "" && !*jsonOut {
+		fatal("-patch requires -json (the result is the wrbpgd patch wire format)")
+	}
+	b, err := defaultBudget(w, cdag.Weight(*budget))
+	if err != nil {
+		fatal(err)
+	}
+	switch {
+	case *patchFile != "":
+		res, err := schedulePatch(wf, b, *patchFile, *timeout)
+		if err != nil {
 			fatal(err)
 		}
-		return
-	}
-	if *jsonOut {
+		writeJSON(res)
+	case *jsonOut:
 		// The -json path always goes through the hardened solve facade
 		// so the CLI and wrbpgd emit the identical result struct.
-		if b == 0 {
-			if b, err = defaultBudget(w); err != nil {
-				fatal(err)
-			}
-		}
-		out, rerr := solve.Run(context.Background(), problemFor(w), b, guard.Limits{Deadline: *timeout})
-		if rerr != nil {
-			fatal(rerr)
-		}
-		res := wire.NewScheduleResult(w.label, out, core.LowerBound(w.g), *moves)
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
+		out, err := runSolve(w, b, *timeout)
+		if err != nil {
 			fatal(err)
 		}
-		return
-	}
-	if *timeout > 0 {
-		if b == 0 {
-			if b, err = defaultBudget(w); err != nil {
-				fatal(err)
-			}
-		}
-		out, rerr := solve.Run(context.Background(), problemFor(w), b, guard.Limits{Deadline: *timeout})
-		if rerr != nil {
-			fatal(rerr)
+		writeJSON(wire.NewScheduleResult(w.label, out, core.LowerBound(w.g), *moves))
+	case *timeout > 0:
+		out, err := runSolve(w, b, *timeout)
+		if err != nil {
+			fatal(err)
 		}
 		if out.Source == solve.SourceFallback {
 			logger.Warn("degraded: optimal solve abandoned; using baseline schedule",
@@ -532,77 +496,25 @@ func cmdSchedule(args []string) {
 		}
 		fmt.Printf("path: %s (%s)\n", out.Source, out.Elapsed.Round(time.Microsecond))
 		printScheduleReport(w, b, out.Schedule, *moves, *trace)
-		return
+	default:
+		_, sched, detail, err := plan(w, b, limits(w, 0))
+		if err != nil {
+			fatal(err)
+		}
+		if detail != "" {
+			fmt.Println(detail)
+		}
+		printScheduleReport(w, b, sched, *moves, *trace)
 	}
-	switch {
-	case w.dwt != nil:
-		s, serr := dwt.NewScheduler(w.dwt)
-		if serr != nil {
-			fatal(serr)
-		}
-		if b == 0 {
-			if b, err = s.MinMemory(16); err != nil {
-				fatal(err)
-			}
-		}
-		sched, err = s.Schedule(b)
-	case w.mvm != nil:
-		if b == 0 {
-			b = w.mvm.MinMemory()
-		}
-		tc, _, serr := w.mvm.Search(b)
-		if serr != nil {
-			fatal(serr)
-		}
-		fmt.Printf("tile configuration: %v\n", tc)
-		sched, err = w.mvm.TileSchedule(tc)
-	case w.fft != nil:
-		if b == 0 {
-			b = w.fft.MinMemory()
-		}
-		t, _, serr := w.fft.Search(b)
-		if serr != nil {
-			fatal(serr)
-		}
-		fmt.Printf("block exponent: %d (%d passes)\n", t, w.fft.Passes(t))
-		sched, err = w.fft.BlockedSchedule(t)
-	case w.mmm != nil:
-		if b == 0 {
-			b = w.mmm.MinMemory()
-		}
-		cfg, _, serr := w.mmm.Search(b)
-		if serr != nil {
-			fatal(serr)
-		}
-		fmt.Printf("strategy: %v\n", cfg)
-		sched, err = w.mmm.Schedule(cfg)
-	case w.conv != nil:
-		if b == 0 {
-			b = w.conv.MinMemory()
-		}
-		c, _, serr := w.conv.Search(b)
-		if serr != nil {
-			fatal(serr)
-		}
-		fmt.Printf("resident window buffer: %d inputs\n", c)
-		sched, err = w.conv.Schedule(c)
-	case w.cdag:
-		if b == 0 {
-			b = core.MinExistenceBudget(w.g)
-		}
-		res, serr := anytime.Search(context.Background(), w.g, b,
-			guard.Limits{Deadline: cdagCLIDeadline}, anytime.Options{})
-		if serr != nil {
-			fatal(serr)
-		}
-		fmt.Printf("anytime: seed %d -> %d bits (complete=%v, %d states expanded)\n",
-			res.SeedCost, res.Cost, res.Complete, res.Expanded)
-		sched = res.Schedule
-	}
-	if err != nil {
+}
+
+// writeJSON prints v as indented JSON on stdout.
+func writeJSON(v any) {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
 		fatal(err)
 	}
-	printScheduleReport(w, b, sched, *moves, *trace)
 }
 
 // schedulePatch is the CLI face of the incremental re-solve engine:
@@ -710,15 +622,12 @@ func cmdMinMem(args []string) {
 	fmt.Printf("%s minimum fast memory (Definition 2.6):\n", w.label)
 	switch {
 	case w.dwt != nil:
-		s, err := dwt.NewScheduler(w.dwt)
+		opt, err := w.dwt.MinMemory(16)
 		if err != nil {
 			fatal(err)
 		}
-		opt, err := s.MinMemory(16)
-		if err != nil {
-			fatal(err)
-		}
-		lbl, err := baseline.MinMemory(w.dwt.G, w.dwt.Layers, 16)
+		dg := w.dwt.Graph()
+		lbl, err := baseline.MinMemory(dg.G, dg.Layers, 16)
 		if err != nil {
 			fatal(err)
 		}

@@ -2,10 +2,13 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
+
 	"wrbpg/internal/cdag"
 	"wrbpg/internal/core"
 	"wrbpg/internal/guard"
@@ -29,7 +32,7 @@ func TestBuildAllWorkloads(t *testing.T) {
 		if w.g == nil || w.label == "" {
 			t.Fatalf("%s: empty build", wf.workload)
 		}
-		b, sched, err := buildSchedule(w, 0)
+		b, sched, _, err := plan(w, 0, limits(w, 0))
 		if err != nil {
 			t.Fatalf("%s: %v", wf.workload, err)
 		}
@@ -48,7 +51,7 @@ func TestBuildAllWorkloads(t *testing.T) {
 func TestBuildScheduleExplicitBudget(t *testing.T) {
 	wf := workloadFlags{workload: "dwt", n: 8, d: 3, weights: "equal"}
 	w := wf.build()
-	b, sched, err := buildSchedule(w, w.g.TotalWeight())
+	b, sched, _, err := plan(w, w.g.TotalWeight(), limits(w, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,37 +65,101 @@ func TestBuildScheduleExplicitBudget(t *testing.T) {
 
 // TestJSONResultMatchesTextPath: the -json path (solve facade + wire
 // result) reports the same schedule metrics the text path computes, so
-// the two output modes can never disagree about a solve.
+// the two output modes can never disagree about a solve. The cdag
+// graph is small enough for the anytime search to complete, so both
+// paths certify the same optimal cost; two optimal schedules may still
+// differ in length and peak, so only the cost is compared there.
 func TestJSONResultMatchesTextPath(t *testing.T) {
-	wf := workloadFlags{workload: "mvm", m: 4, n: 6, weights: "equal"}
+	cases := []workloadFlags{
+		{workload: "dwt", n: 16, d: 4, weights: "equal"},
+		{workload: "mvm", m: 4, n: 6, weights: "equal"},
+		{workload: "fft", n: 16, weights: "da"},
+		{workload: "mmm", m: 3, k: 2, n: 4, weights: "equal"},
+		{workload: "conv", n: 12, taps: 4, d: 2, weights: "equal"},
+		{workload: "cdag", graph: writeGraph(t, cdag.Random(3, 8)), weights: "equal"},
+	}
+	for _, wf := range cases {
+		w := wf.build()
+		b, err := defaultBudget(w, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := runSolve(w, b, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := wire.NewScheduleResult(w.label, out, core.LowerBound(w.g), false)
+		want := "optimal"
+		if w.cdag {
+			want = "anytime"
+		}
+		if res.Source != want {
+			t.Fatalf("%s: source %q, want %q: %+v", wf.workload, res.Source, want, res)
+		}
+		_, sched, _, err := plan(w, b, limits(w, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := core.Simulate(w.g, b, sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CostBits != int64(stats.Cost) {
+			t.Fatalf("%s: json path cost %d != text path %d", wf.workload, res.CostBits, stats.Cost)
+		}
+		if res.Schedule != nil {
+			t.Fatalf("%s: schedule emitted without -moves", wf.workload)
+		}
+		if w.cdag {
+			if res.Anytime == nil || !res.Anytime.Complete {
+				t.Fatalf("cdag search did not complete: %+v", res.Anytime)
+			}
+			continue
+		}
+		if res.PeakBits != int64(stats.PeakRedWeight) {
+			t.Fatalf("%s: json path peak %d != text path %d", wf.workload, res.PeakBits, stats.PeakRedWeight)
+		}
+		if res.MoveCount != len(sched) {
+			t.Fatalf("%s: move accounting: %+v vs %d moves", wf.workload, res, len(sched))
+		}
+	}
+}
+
+// TestJSONCDAGDeadline: without -timeout, the -json path bounds a cdag
+// anytime search by cdagCLIDeadline as the text path does, rather than
+// searching until the graph is drained.
+func TestJSONCDAGDeadline(t *testing.T) {
+	wf := workloadFlags{workload: "cdag", graph: writeGraph(t, cdag.Random(7, 48)), weights: "equal"}
 	w := wf.build()
-	b, err := defaultBudget(w)
+	b, err := defaultBudget(w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := solve.Run(context.Background(), problemFor(w), b, guard.Limits{})
+	start := time.Now()
+	out, err := runSolve(w, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := wire.NewScheduleResult(w.label, out, core.LowerBound(w.g), false)
-	if res.Source != "optimal" {
-		t.Fatalf("source: %+v", res)
+	if el := time.Since(start); el > 2*cdagCLIDeadline {
+		t.Fatalf("-json cdag solve took %v, want at most %v", el, 2*cdagCLIDeadline)
 	}
-	_, sched, err := buildSchedule(w, b)
+	if _, err := core.Simulate(w.g, b, out.Schedule); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeGraph stores g in the cdag interchange form for -graph.
+func writeGraph(t *testing.T, g *cdag.Graph) string {
+	t.Helper()
+	data, err := json.Marshal(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := core.Simulate(w.g, b, sched)
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "g.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if res.CostBits != int64(stats.Cost) || res.PeakBits != int64(stats.PeakRedWeight) {
-		t.Fatalf("json path cost/peak %d/%d != text path %d/%d",
-			res.CostBits, res.PeakBits, stats.Cost, stats.PeakRedWeight)
-	}
-	if res.MoveCount != len(sched) || res.Schedule != nil {
-		t.Fatalf("move accounting: %+v vs %d moves", res, len(sched))
-	}
+	return path
 }
 
 // TestSchedulePatch: the CLI's incremental path answers a patched

@@ -7,6 +7,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -19,6 +20,7 @@ import (
 	"wrbpg/internal/ioopt"
 	"wrbpg/internal/memdesign"
 	"wrbpg/internal/mvm"
+	"wrbpg/internal/par"
 	"wrbpg/internal/synth"
 	"wrbpg/internal/wcfg"
 )
@@ -66,6 +68,13 @@ func LogBudgets(lo, hi cdag.Weight, ratio float64, wordBits int) []cdag.Weight {
 	return out
 }
 
+// The sweeps of Figures 5 and 6 are embarrassingly parallel, so each
+// fans out across workers goroutines (≤ 0 selects GOMAXPROCS) with
+// par.MapCtx. Rows are identical at every worker count. The first
+// error aborts the sweep (jobs not yet started are skipped); once ctx
+// dies no further point is dispatched and the typed reason
+// (guard.ErrCanceled / guard.ErrDeadline) is returned.
+
 // Fig5DWTRow is one budget point of Figure 5a/5b: bits transferred by
 // each approach for DWT(256,8).
 type Fig5DWTRow struct {
@@ -77,13 +86,13 @@ type Fig5DWTRow struct {
 
 // Fig5DWT sweeps fast memory sizes for DWT(n,d) under cfg. A nil
 // budget list selects a default log sweep from the existence bound to
-// past both approaches' convergence.
-func Fig5DWT(cfg wcfg.Config, n, d int, budgets []cdag.Weight) ([]Fig5DWTRow, error) {
+// past both approaches' convergence. The budget axis is split into
+// contiguous chunks, one dwt.Scheduler per chunk: the scheduler's memo
+// is not safe for concurrent use, and chunking keeps the within-chunk
+// memo reuse (adjacent budgets solve overlapping subproblems). One
+// worker makes one chunk, so one warm scheduler answers every budget.
+func Fig5DWT(ctx context.Context, cfg wcfg.Config, n, d int, budgets []cdag.Weight, workers int) ([]Fig5DWTRow, error) {
 	g, err := dwt.Build(n, d, dwt.ConfigWeights(cfg))
-	if err != nil {
-		return nil, err
-	}
-	sched, err := dwt.NewScheduler(g)
 	if err != nil {
 		return nil, err
 	}
@@ -95,17 +104,32 @@ func Fig5DWT(cfg wcfg.Config, n, d int, budgets []cdag.Weight) ([]Fig5DWTRow, er
 		}
 		budgets = LogBudgets(core.MinExistenceBudget(g.G), 2*lblMem, 1.3, cfg.WordBits)
 	}
-	var rows []Fig5DWTRow
-	for _, b := range budgets {
-		lbl, err := baseline.Cost(g.G, g.Layers, b)
+	chunks := par.Chunks(len(budgets), workers)
+	parts, err := par.MapCtx(ctx, workers, chunks, func(c [2]int) ([]Fig5DWTRow, error) {
+		sched, err := dwt.NewScheduler(g)
 		if err != nil {
-			return nil, fmt.Errorf("bench: layer-by-layer at %d: %w", b, err)
+			return nil, err
 		}
-		opt := sched.MinCost(b)
-		if opt >= dwt.Inf {
-			return nil, fmt.Errorf("bench: optimum infeasible at %d", b)
+		rows := make([]Fig5DWTRow, 0, c[1]-c[0])
+		for _, b := range budgets[c[0]:c[1]] {
+			lbl, err := baseline.Cost(g.G, g.Layers, b)
+			if err != nil {
+				return nil, fmt.Errorf("bench: layer-by-layer at %d: %w", b, err)
+			}
+			opt := sched.MinCost(b)
+			if opt >= dwt.Inf {
+				return nil, fmt.Errorf("bench: optimum infeasible at %d", b)
+			}
+			rows = append(rows, Fig5DWTRow{BudgetBits: b, AlgorithmicLB: lb, LayerByLayer: lbl, Optimum: opt})
 		}
-		rows = append(rows, Fig5DWTRow{BudgetBits: b, AlgorithmicLB: lb, LayerByLayer: lbl, Optimum: opt})
+		return rows, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var rows []Fig5DWTRow
+	for _, p := range parts {
+		rows = append(rows, p...)
 	}
 	return rows, nil
 }
@@ -118,8 +142,10 @@ type Fig5MVMRow struct {
 	Tiling     cdag.Weight
 }
 
-// Fig5MVM sweeps fast memory sizes for MVM(m,n) under cfg.
-func Fig5MVM(cfg wcfg.Config, m, n int, budgets []cdag.Weight) ([]Fig5MVMRow, error) {
+// Fig5MVM sweeps fast memory sizes for MVM(m,n) under cfg, one budget
+// per job: mvm cost prediction is closed-form and stateless, so
+// budgets share the graph safely.
+func Fig5MVM(ctx context.Context, cfg wcfg.Config, m, n int, budgets []cdag.Weight, workers int) ([]Fig5MVMRow, error) {
 	g, err := mvm.Build(m, n, cfg)
 	if err != nil {
 		return nil, err
@@ -129,19 +155,29 @@ func Fig5MVM(cfg wcfg.Config, m, n int, budgets []cdag.Weight) ([]Fig5MVMRow, er
 		hi := 2 * model.MinMemoryBits()
 		budgets = LogBudgets(g.TilingMinBudget(), hi, 1.3, cfg.WordBits)
 	}
-	var rows []Fig5MVMRow
-	for _, b := range budgets {
+	pts, err := par.MapCtx(ctx, workers, budgets, func(b cdag.Weight) (Fig5MVMRow, error) {
 		words := int(b) / cfg.WordBits
 		tiling := g.MinCost(b)
 		if tiling >= mvm.Inf {
-			continue // below the tiling minimum; the paper's axis starts above it
+			// Below the tiling minimum; the paper's axis starts above
+			// it. Marked by a zero BudgetBits and filtered below.
+			return Fig5MVMRow{}, nil
 		}
-		rows = append(rows, Fig5MVMRow{
+		return Fig5MVMRow{
 			BudgetBits: b,
 			IOOptLB:    model.LowerBound(words),
 			IOOptUB:    model.UpperBound(words),
 			Tiling:     tiling,
-		})
+		}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Fig5MVMRow, 0, len(pts))
+	for _, r := range pts {
+		if r.BudgetBits != 0 {
+			rows = append(rows, r)
+		}
 	}
 	return rows, nil
 }
@@ -154,39 +190,33 @@ type Fig6DWTRow struct {
 	Optimum      cdag.Weight
 }
 
-// fig6DWTPoint computes one problem size of Figure 6a/6b.
-func fig6DWTPoint(cfg wcfg.Config, n int) (Fig6DWTRow, error) {
-	d := dwt.MaxLevel(n)
-	g, err := dwt.Build(n, d, dwt.ConfigWeights(cfg))
-	if err != nil {
-		return Fig6DWTRow{}, err
-	}
-	s, err := dwt.NewScheduler(g)
-	if err != nil {
-		return Fig6DWTRow{}, err
-	}
-	opt, err := s.MinMemory(cdag.Weight(cfg.WordBits))
-	if err != nil {
-		return Fig6DWTRow{}, err
-	}
-	lbl, err := baseline.MinMemory(g.G, g.Layers, cdag.Weight(cfg.WordBits))
-	if err != nil {
-		return Fig6DWTRow{}, err
-	}
-	return Fig6DWTRow{N: n, D: d, LayerByLayer: lbl, Optimum: opt}, nil
-}
-
-// Fig6DWT scans even n in [2, maxN].
-func Fig6DWT(cfg wcfg.Config, maxN int) ([]Fig6DWTRow, error) {
-	var rows []Fig6DWTRow
+// Fig6DWT scans even n in [2, maxN], one problem size per job.
+func Fig6DWT(ctx context.Context, cfg wcfg.Config, maxN, workers int) ([]Fig6DWTRow, error) {
+	var sizes []int
 	for n := 2; n <= maxN; n += 2 {
-		r, err := fig6DWTPoint(cfg, n)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r)
+		sizes = append(sizes, n)
 	}
-	return rows, nil
+	step := cdag.Weight(cfg.WordBits)
+	return par.MapCtx(ctx, workers, sizes, func(n int) (Fig6DWTRow, error) {
+		d := dwt.MaxLevel(n)
+		g, err := dwt.Build(n, d, dwt.ConfigWeights(cfg))
+		if err != nil {
+			return Fig6DWTRow{}, err
+		}
+		s, err := dwt.NewScheduler(g)
+		if err != nil {
+			return Fig6DWTRow{}, err
+		}
+		opt, err := s.MinMemory(step)
+		if err != nil {
+			return Fig6DWTRow{}, err
+		}
+		lbl, err := baseline.MinMemory(g.G, g.Layers, step)
+		if err != nil {
+			return Fig6DWTRow{}, err
+		}
+		return Fig6DWTRow{N: n, D: d, LayerByLayer: lbl, Optimum: opt}, nil
+	})
 }
 
 // Fig6MVMRow is one problem size of Figure 6c/6d: minimum fast memory
@@ -197,27 +227,20 @@ type Fig6MVMRow struct {
 	Tiling  cdag.Weight
 }
 
-// fig6MVMPoint computes one problem size of Figure 6c/6d.
-func fig6MVMPoint(cfg wcfg.Config, m, n int) (Fig6MVMRow, error) {
-	g, err := mvm.Build(m, n, cfg)
-	if err != nil {
-		return Fig6MVMRow{}, err
-	}
-	model := ioopt.New(m, n, cfg)
-	return Fig6MVMRow{N: n, IOOptUB: model.MinMemoryBits(), Tiling: g.MinMemory()}, nil
-}
-
-// Fig6MVM scans n in [1, maxN] with m fixed at 96.
-func Fig6MVM(cfg wcfg.Config, m, maxN int) ([]Fig6MVMRow, error) {
-	var rows []Fig6MVMRow
+// Fig6MVM scans n in [1, maxN] with m rows, one problem size per job.
+func Fig6MVM(ctx context.Context, cfg wcfg.Config, m, maxN, workers int) ([]Fig6MVMRow, error) {
+	var sizes []int
 	for n := 1; n <= maxN; n++ {
-		r, err := fig6MVMPoint(cfg, m, n)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r)
+		sizes = append(sizes, n)
 	}
-	return rows, nil
+	return par.MapCtx(ctx, workers, sizes, func(n int) (Fig6MVMRow, error) {
+		g, err := mvm.Build(m, n, cfg)
+		if err != nil {
+			return Fig6MVMRow{}, err
+		}
+		model := ioopt.New(m, n, cfg)
+		return Fig6MVMRow{N: n, IOOptUB: model.MinMemoryBits(), Tiling: g.MinMemory()}, nil
+	})
 }
 
 // Table1Row mirrors one row of Table 1.

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"wrbpg/internal/cdag"
@@ -31,7 +32,7 @@ func TestLogBudgets(t *testing.T) {
 // the lower bound.
 func TestFig5DWTShape(t *testing.T) {
 	for _, cfg := range Configs() {
-		rows, err := Fig5DWT(cfg, 64, 6, nil)
+		rows, err := Fig5DWT(context.Background(), cfg, 64, 6, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func TestFig5DWTShape(t *testing.T) {
 // TestFig5DWTAnchors: the Equal DWT(256,8) series starts at the known
 // extremes of Figure 5a.
 func TestFig5DWTAnchors(t *testing.T) {
-	rows, err := Fig5DWT(Configs()[0], 256, 8, []cdag.Weight{48, 160, 7120})
+	rows, err := Fig5DWT(context.Background(), Configs()[0], 256, 8, []cdag.Weight{48, 160, 7120}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestFig5DWTAnchors(t *testing.T) {
 // sits at or above the algorithmic LB; all series decrease.
 func TestFig5MVMShape(t *testing.T) {
 	for _, cfg := range Configs() {
-		rows, err := Fig5MVM(cfg, 24, 30, nil)
+		rows, err := Fig5MVM(context.Background(), cfg, 24, 30, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +191,7 @@ func TestFig8Pairs(t *testing.T) {
 // memory than the baseline anywhere.
 func TestFig6DWTSmall(t *testing.T) {
 	for _, cfg := range Configs() {
-		rows, err := Fig6DWT(cfg, 64)
+		rows, err := Fig6DWT(context.Background(), cfg, 64, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +212,7 @@ func TestFig6DWTSmall(t *testing.T) {
 // TestFig6MVMSmall: tiling stays at or below IOOpt UB across n, and
 // the Equal curve flattens at m+3 words once n is large.
 func TestFig6MVMSmall(t *testing.T) {
-	rows, err := Fig6MVM(Configs()[0], 24, 40)
+	rows, err := Fig6MVM(context.Background(), Configs()[0], 24, 40, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,16 +5,16 @@ import (
 	"testing"
 )
 
-// TestParallelSweepsMatchSequential: the parallel Figure 6 harness
-// returns exactly the sequential rows.
+// TestParallelSweepsMatchSequential: the Figure 6 sweeps return
+// exactly the same rows on four workers as on one.
 func TestParallelSweepsMatchSequential(t *testing.T) {
 	ctx := context.Background()
 	cfg := Configs()[0]
-	seq, err := Fig6DWT(cfg, 32)
+	seq, err := Fig6DWT(ctx, cfg, 32, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Fig6DWTParallelCtx(ctx, cfg, 32, 4)
+	par, err := Fig6DWT(ctx, cfg, 32, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,11 +26,11 @@ func TestParallelSweepsMatchSequential(t *testing.T) {
 			t.Fatalf("row %d differs: %+v vs %+v", i, seq[i], par[i])
 		}
 	}
-	seqM, err := Fig6MVM(cfg, 12, 20)
+	seqM, err := Fig6MVM(ctx, cfg, 12, 20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parM, err := Fig6MVMParallelCtx(ctx, cfg, 12, 20, 4)
+	parM, err := Fig6MVM(ctx, cfg, 12, 20, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,21 +42,21 @@ func TestParallelSweepsMatchSequential(t *testing.T) {
 }
 
 // TestFig5ParallelMatchesSequential: the chunked/fanned budget sweeps
-// of Figure 5 return exactly the sequential rows, for several worker
+// of Figure 5 return exactly the one-worker rows, for several worker
 // counts (including more workers than budgets).
 func TestFig5ParallelMatchesSequential(t *testing.T) {
 	ctx := context.Background()
 	cfg := Configs()[0]
-	seqD, err := Fig5DWT(cfg, 32, 5, nil)
+	seqD, err := Fig5DWT(ctx, cfg, 32, 5, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqM, err := Fig5MVM(cfg, 12, 16, nil)
+	seqM, err := Fig5MVM(ctx, cfg, 12, 16, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 3, 64} {
-		parD, err := Fig5DWTParallelCtx(ctx, cfg, 32, 5, nil, w)
+		parD, err := Fig5DWT(ctx, cfg, 32, 5, nil, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestFig5ParallelMatchesSequential(t *testing.T) {
 				t.Fatalf("workers=%d: DWT row %d differs: %+v vs %+v", w, i, seqD[i], parD[i])
 			}
 		}
-		parM, err := Fig5MVMParallelCtx(ctx, cfg, 12, 16, nil, w)
+		parM, err := Fig5MVM(ctx, cfg, 12, 16, nil, w)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -104,7 +104,6 @@ func Precisions(wordBits []int, accWords []int) []wcfg.Config {
 // dwt.Scheduler: the minimum-memory binary search probes and the final
 // schedule all land in the same P(v, b) memo.
 func ExploreDWT(n, d int, cfgs []wcfg.Config, proc synth.Process, ep energy.Params) ([]Point, error) {
-	ctx := context.Background()
 	scheds := make(map[shape]*dwt.Scheduler, len(cfgs))
 	return explore(cfgs, proc, ep, func(cfg wcfg.Config) (cdag.Weight, int, core.Stats, error) {
 		s, ok := scheds[shapeOf(cfg)]
@@ -118,18 +117,15 @@ func ExploreDWT(n, d int, cfgs []wcfg.Config, proc synth.Process, ep energy.Para
 			}
 			scheds[shapeOf(cfg)] = s
 		}
-		g := s.Graph().G
-		b, err := memdesign.SearchMonotoneSession(ctx, guard.Limits{}, s,
-			core.LowerBound(g), core.MinExistenceBudget(g), g.TotalWeight(),
-			cdag.Weight(cfg.WordBits))
+		b, err := s.MinMemory(cdag.Weight(cfg.WordBits))
 		if err != nil {
 			return 0, 0, core.Stats{}, err
 		}
-		sched, err := s.ScheduleCtx(ctx, guard.Limits{}, b)
+		sched, err := s.Schedule(b)
 		if err != nil {
 			return 0, 0, core.Stats{}, err
 		}
-		stats, err := core.Simulate(g, b, sched)
+		stats, err := core.Simulate(s.Graph().G, b, sched)
 		return b, len(sched), stats, err
 	})
 }

@@ -202,7 +202,7 @@ func (s *Scheduler) MinCost(b cdag.Weight) cdag.Weight {
 // guard.ErrCanceled / guard.ErrDeadline / guard.ErrBudgetExceeded
 // (wrapped) when the query was aborted; limits are per query, and the
 // scheduler remains usable afterwards — partial results computed after
-// the abort are never memoized. It satisfies memdesign.CostQuerier.
+// the abort are never memoized.
 func (s *Scheduler) CostCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) (cdag.Weight, error) {
 	s.memo.Begin(ctx, lim)
 	defer s.memo.End()
@@ -352,13 +352,11 @@ func (s *Scheduler) moves(v cdag.NodeID, b cdag.Weight) int {
 // MinMemory returns the minimum fast memory size of Definition 2.6:
 // the smallest budget (searched on multiples of step) whose minimum
 // schedule cost equals the algorithmic lower bound. MinCost is
-// monotone non-increasing in the budget, so the binary search of
-// memdesign.SearchMonotone applies, and it runs inside this
-// scheduler's warm memo.
+// monotone non-increasing in the budget, so memdesign.MinMemory's
+// binary search applies, and it runs inside this scheduler's warm
+// memo.
 func (s *Scheduler) MinMemory(step cdag.Weight) (cdag.Weight, error) {
-	g := s.dg.G
-	lb := core.LowerBound(g)
-	b, err := memdesign.SearchMonotone(s.MinCost, lb, core.MinExistenceBudget(g), g.TotalWeight(), step)
+	b, err := memdesign.MinMemory(s.dg.G, s.MinCost, step)
 	if err != nil {
 		return 0, fmt.Errorf("dwt: %w", err)
 	}

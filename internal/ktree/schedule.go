@@ -185,7 +185,7 @@ func (s *Scheduler) MinCost(b cdag.Weight) cdag.Weight {
 // guard.ErrCanceled / guard.ErrDeadline / guard.ErrBudgetExceeded
 // (wrapped) when the query was aborted; limits are per query, and the
 // scheduler remains usable afterwards — partial results computed after
-// the abort are never memoized. It satisfies memdesign.CostQuerier.
+// the abort are never memoized.
 func (s *Scheduler) CostCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) (cdag.Weight, error) {
 	s.memo.Begin(ctx, lim)
 	defer s.memo.End()
@@ -306,11 +306,9 @@ func (s *Scheduler) moves(v cdag.NodeID, b cdag.Weight) int {
 // MinMemory returns the smallest budget (on multiples of step) whose
 // optimal cost equals the algorithmic lower bound (Definition 2.6).
 // The binary search runs inside this scheduler's warm memo via
-// memdesign.SearchMonotone.
+// memdesign.MinMemory.
 func (s *Scheduler) MinMemory(step cdag.Weight) (cdag.Weight, error) {
-	g := s.t.G
-	lb := core.LowerBound(g)
-	b, err := memdesign.SearchMonotone(s.MinCost, lb, core.MinExistenceBudget(g), g.TotalWeight(), step)
+	b, err := memdesign.MinMemory(s.t.G, s.MinCost, step)
 	if err != nil {
 		return 0, fmt.Errorf("ktree: %w", err)
 	}

@@ -1,14 +1,15 @@
 // Package memdesign turns the WRBPG's minimum fast memory sizes
 // (Definition 2.6) into concrete on-chip memory specifications:
 // word-granular capacities and the power-of-two rounding used before
-// physical synthesis (Section 5.3), plus generic budget-search
-// helpers shared by the schedulers.
+// physical synthesis (Section 5.3), plus the minimum-memory search
+// the dwt and ktree schedulers share.
 package memdesign
 
 import (
 	"fmt"
 
 	"wrbpg/internal/cdag"
+	"wrbpg/internal/core"
 )
 
 // Spec is a fast-memory design point: the scheduler-derived minimum
@@ -120,20 +121,11 @@ func SearchMonotone(fn CostFn, target cdag.Weight, lo, hi, step cdag.Weight) (cd
 	return hi, nil
 }
 
-// SearchLinear scans budgets from lo to hi (multiples of step) for
-// the first one where fn returns target; for cost functions that are
-// not monotone, such as spill heuristics.
-func SearchLinear(fn CostFn, target cdag.Weight, lo, hi, step cdag.Weight) (cdag.Weight, error) {
-	if step <= 0 {
-		step = 1
-	}
-	if r := lo % step; r != 0 {
-		lo += step - r
-	}
-	for b := lo; b <= hi; b += step {
-		if fn(b) == target {
-			return b, nil
-		}
-	}
-	return 0, fmt.Errorf("memdesign: target cost %d not reached up to budget %d", target, hi)
+// MinMemory returns the minimum fast memory size of Definition 2.6 for
+// g: the smallest budget (on multiples of step) at which fn, a
+// schedule cost non-increasing in the budget, meets the Proposition
+// 2.4 lower bound. The search runs from the Proposition 2.3 existence
+// bound up to the total weight, where every node fits at once.
+func MinMemory(g *cdag.Graph, fn CostFn, step cdag.Weight) (cdag.Weight, error) {
+	return SearchMonotone(fn, core.LowerBound(g), core.MinExistenceBudget(g), g.TotalWeight(), step)
 }

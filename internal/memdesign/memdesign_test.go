@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"wrbpg/internal/cdag"
+	"wrbpg/internal/core"
 )
 
 func TestPow2(t *testing.T) {
@@ -123,26 +124,6 @@ func TestSearchMonotone(t *testing.T) {
 	}
 }
 
-func TestSearchLinear(t *testing.T) {
-	// Non-monotone: target hit only at exactly 37.
-	fn := func(b cdag.Weight) cdag.Weight {
-		if b == 37 {
-			return 1
-		}
-		return 2
-	}
-	got, err := SearchLinear(fn, 1, 1, 100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 37 {
-		t.Errorf("SearchLinear = %d, want 37", got)
-	}
-	if _, err := SearchLinear(fn, 3, 1, 100, 1); err == nil {
-		t.Error("unreachable target should error")
-	}
-}
-
 func TestSearchAgreesOnMonotone(t *testing.T) {
 	f := func(cut uint8) bool {
 		threshold := cdag.Weight(cut%97) + 1
@@ -152,11 +133,52 @@ func TestSearchAgreesOnMonotone(t *testing.T) {
 			}
 			return 1
 		}
-		a, err1 := SearchMonotone(fn, 0, 1, 200, 1)
-		b, err2 := SearchLinear(fn, 0, 1, 200, 1)
-		return err1 == nil && err2 == nil && a == b && a == threshold
+		a, err := SearchMonotone(fn, 0, 1, 200, 1)
+		b := cdag.Weight(1) // a linear scan for the first budget hitting the target
+		for b <= 200 && fn(b) != 0 {
+			b++
+		}
+		return err == nil && a == b && a == threshold
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMinMemory: the Definition 2.6 search targets the Proposition 2.4
+// lower bound between the existence bound and the total weight.
+func TestMinMemory(t *testing.T) {
+	// a(4), b(4) → c(8) → d(16): LB = 4+4+16 = 24, existence bound
+	// 16+8 = 24 (computing d), total weight 32.
+	g := &cdag.Graph{}
+	a := g.AddNode(4, "a")
+	b := g.AddNode(4, "b")
+	c := g.AddNode(8, "c", a, b)
+	g.AddNode(16, "d", c)
+	lb := core.LowerBound(g)
+	var probes []cdag.Weight
+	fn := func(budget cdag.Weight) cdag.Weight {
+		probes = append(probes, budget)
+		if budget >= 30 {
+			return lb
+		}
+		return lb + 8
+	}
+	got, err := MinMemory(g, fn, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 32 {
+		t.Errorf("MinMemory = %d, want 32 (30 rounded up to the 4-bit step)", got)
+	}
+	lo, hi := core.MinExistenceBudget(g), g.TotalWeight()
+	for _, p := range probes {
+		if p < lo || p > hi {
+			t.Errorf("probe %d outside [%d, %d]", p, lo, hi)
+		}
+	}
+	never := func(cdag.Weight) cdag.Weight { return lb + 1 }
+	if _, err := MinMemory(g, never, 4); err == nil {
+		t.Error("a cost that never meets the lower bound should error")
 	}
 }

@@ -17,7 +17,7 @@ import (
 func TestMapPanicIsolated(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		in := []int{10, 20, 30, 40, 50, 60, 70, 80}
-		_, err := Map(workers, in, func(x int) (int, error) {
+		_, err := MapCtx(context.Background(), workers, in, func(x int) (int, error) {
 			if x == 30 {
 				panic("injected worker crash")
 			}
@@ -49,7 +49,7 @@ func TestFaultHookPanic(t *testing.T) {
 	})
 	defer restore()
 	in := make([]int, 16)
-	_, err := Map(4, in, func(x int) (int, error) { return x, nil })
+	_, err := MapCtx(context.Background(), 4, in, func(x int) (int, error) { return x, nil })
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
@@ -58,7 +58,7 @@ func TestFaultHookPanic(t *testing.T) {
 		t.Fatalf("PanicError.Index = %d, want 5", pe.Index)
 	}
 	restore()
-	if _, err := Map(4, in, func(x int) (int, error) { return x, nil }); err != nil {
+	if _, err := MapCtx(context.Background(), 4, in, func(x int) (int, error) { return x, nil }); err != nil {
 		t.Fatalf("after restore: err = %v", err)
 	}
 }
@@ -70,14 +70,14 @@ func TestFaultHookRestoresPrevious(t *testing.T) {
 	restoreOuter := SetFaultHook(func(int) { outerCalls.Add(1) })
 	defer restoreOuter()
 	restoreInner := SetFaultHook(nil)
-	if _, err := Map(2, []int{1, 2}, func(x int) (int, error) { return x, nil }); err != nil {
+	if _, err := MapCtx(context.Background(), 2, []int{1, 2}, func(x int) (int, error) { return x, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if outerCalls.Load() != 0 {
 		t.Fatal("cleared hook still ran")
 	}
 	restoreInner()
-	if _, err := Map(2, []int{1, 2}, func(x int) (int, error) { return x, nil }); err != nil {
+	if _, err := MapCtx(context.Background(), 2, []int{1, 2}, func(x int) (int, error) { return x, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if outerCalls.Load() != 2 {

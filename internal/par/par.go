@@ -1,7 +1,7 @@
 // Package par provides the bounded worker pool shared by the
-// experiment sweeps (internal/bench), the mvm tile search, and the
-// memdesign budget sweeps. It lives below all of them so that packages
-// bench depends on can use it without an import cycle.
+// experiment sweeps (internal/bench) and the mvm tile search. It lives
+// below both so that packages bench depends on can use it without an
+// import cycle.
 //
 // Workers are crash-isolated: a panic inside f is recovered and
 // surfaced as a *PanicError naming the offending item and carrying the
@@ -84,22 +84,19 @@ func Fault(i int) {
 	}
 }
 
-// Map evaluates f over every input on a bounded worker pool and
+// MapCtx evaluates f over every input on a bounded worker pool and
 // returns the outputs in input order. workers ≤ 0 selects
 // GOMAXPROCS. The first error wins: once any job fails, the producer
-// stops submitting new work, the remaining workers drain, and Map
+// stops submitting new work, the remaining workers drain, and MapCtx
 // returns that error — jobs not yet started are never evaluated.
 // A panicking f surfaces as a *PanicError, not a process crash.
-func Map[I, O any](workers int, in []I, f func(I) (O, error)) ([]O, error) {
-	return MapCtx(context.Background(), workers, in, f)
-}
-
-// MapCtx is Map under a context: once ctx is done, no further job is
-// dispatched, the pool drains, and the typed cancellation reason
-// (guard.ErrCanceled / guard.ErrDeadline) is returned — unless a
-// worker failed first, in which case that error wins as in Map.
-// In-flight evaluations are not preempted (Go cannot kill a
-// goroutine); long-running f bodies should capture ctx and check it.
+//
+// Once ctx is done, no further job is dispatched, the pool drains,
+// and the typed cancellation reason (guard.ErrCanceled /
+// guard.ErrDeadline) is returned — unless a worker failed first, in
+// which case that error wins. In-flight evaluations are not preempted
+// (Go cannot kill a goroutine); long-running f bodies should capture
+// ctx and check it.
 func MapCtx[I, O any](ctx context.Context, workers int, in []I, f func(I) (O, error)) ([]O, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

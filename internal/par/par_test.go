@@ -1,6 +1,7 @@
 package par
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -14,7 +15,7 @@ func TestMapOrder(t *testing.T) {
 	for i := range in {
 		in[i] = i
 	}
-	out, err := Map(4, in, func(x int) (int, error) { return x * x, nil })
+	out, err := MapCtx(context.Background(), 4, in, func(x int) (int, error) { return x * x, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +27,7 @@ func TestMapOrder(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	out, err := Map(4, nil, func(x int) (int, error) { return x, nil })
+	out, err := MapCtx(context.Background(), 4, nil, func(x int) (int, error) { return x, nil })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("out=%v err=%v", out, err)
 	}
@@ -35,7 +36,7 @@ func TestMapEmpty(t *testing.T) {
 func TestMapSerialError(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0
-	_, err := Map(1, []int{1, 2, 3, 4}, func(x int) (int, error) {
+	_, err := MapCtx(context.Background(), 1, []int{1, 2, 3, 4}, func(x int) (int, error) {
 		calls++
 		if x == 2 {
 			return 0, boom
@@ -62,7 +63,7 @@ func TestMapEarlyAbort(t *testing.T) {
 	boom := errors.New("boom")
 	gate := make(chan struct{})
 	var calls atomic.Int64
-	_, err := Map(4, in, func(x int) (int, error) {
+	_, err := MapCtx(context.Background(), 4, in, func(x int) (int, error) {
 		calls.Add(1)
 		if x == 0 {
 			defer close(gate)
@@ -89,7 +90,7 @@ func TestMapActuallyConcurrent(t *testing.T) {
 	var inFlight, peak atomic.Int32
 	overlap := make(chan struct{})
 	var once sync.Once
-	_, err := Map(workers, make([]int, 32), func(int) (int, error) {
+	_, err := MapCtx(context.Background(), workers, make([]int, 32), func(int) (int, error) {
 		n := inFlight.Add(1)
 		defer inFlight.Add(-1)
 		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
@@ -114,7 +115,7 @@ func TestMapActuallyConcurrent(t *testing.T) {
 
 func TestMapFirstErrorWins(t *testing.T) {
 	in := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	_, err := Map(4, in, func(x int) (int, error) {
+	_, err := MapCtx(context.Background(), 4, in, func(x int) (int, error) {
 		if x%2 == 1 {
 			time.Sleep(time.Millisecond)
 			return 0, fmt.Errorf("err-%d", x)

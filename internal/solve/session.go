@@ -50,7 +50,7 @@ type CostPoint struct {
 
 // Session is a persistent warm solver for one instance, answering
 // repeated cost/schedule queries across budgets. Create with
-// NewSession; it implements memdesign.CostQuerier.
+// NewSession.
 type Session struct {
 	inst     Instance
 	label    string
@@ -174,9 +174,8 @@ func (s *Session) LowerBound() cdag.Weight { return s.lb }
 func (s *Session) MinExistence() cdag.Weight { return s.minExist }
 
 // CostCtx returns the optimal cost under the budget against the warm
-// state (the family Inf sentinel when infeasible); it satisfies
-// memdesign.CostQuerier, so the session plugs into the memdesign
-// search helpers. Resource limits in lim are per query.
+// state (the family Inf sentinel when infeasible). Resource limits in
+// lim are per query.
 func (s *Session) CostCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) (cdag.Weight, error) {
 	defer s.flush()
 	return s.costCtx(ctx, lim, b)
