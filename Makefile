@@ -150,11 +150,12 @@ fuzz-smoke:
 # Race-enabled general-DAG gate: the full anytime search suite
 # (property bounds, monotone trajectories, fault injection, the
 # 20-graph roster acceptance — skipped under -short elsewhere), the
+# packed sets its visited table keys on (internal/bitset), the
 # canonical-form isomorphism tests, the GraphSpec decoder, and the
 # serve-layer cdag end-to-end tests (docs/SERVICE.md §anytime).
 cdag-check:
 	$(GO) test -race -v -run TestRosterAcceptance ./internal/anytime/
-	$(GO) test -race ./internal/anytime/ ./internal/cdag/
+	$(GO) test -race ./internal/anytime/ ./internal/bitset/ ./internal/cdag/
 	$(GO) test -race -run 'CDAG|GraphSpec|Canonical' ./internal/serve/ ./internal/serve/wire/
 
 # Runs staticcheck when it is installed; skips (successfully) when not,

@@ -9,7 +9,7 @@
 //   - internal/core      the game: moves, schedules, simulator, bounds
 //   - internal/dwt       DWT(n,d) graphs and the optimum scheduler (Alg. 1)
 //   - internal/ktree     k-ary tree graphs and the Pt DP (Eq. 6)
-//   - internal/memstate  initial/reuse memory-state DP (Eq. 8)
+//   - internal/memstate  initial/reuse memory-state DP (Eq. 8, k = 2)
 //   - internal/mvm       MVM(m,n) graphs and the tiling scheduler
 //   - internal/baseline  layer-by-layer and greedy baselines
 //   - internal/ioopt     IOOpt bound models for MVM
@@ -22,7 +22,7 @@
 // Extensions along the paper's stated future-work axes:
 //
 //   - internal/fft       radix-2 butterfly graphs, blocked scheduling
-//   - internal/conv      T-tap FIR/wavelet dataflows (+ multi-level)
+//   - internal/conv      T-tap FIR/wavelet dataflows
 //   - internal/mmm       matrix-matrix tiling
 //   - internal/banded    structured-sparse matrix-vector products
 //   - internal/pipeline  modular schedule composition

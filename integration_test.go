@@ -31,9 +31,7 @@ func TestDeploymentRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2. Compact (no fat expected in the optimal schedule, but the
-	// pass must be harmless) and wrap in a manifest.
-	sched = core.Compact(g.G, sched)
+	// 2. Wrap in a manifest.
 	m, err := core.NewManifest("DWT(64,6)/Equal", g.G, budget, sched)
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@
 // frontier is sharded across internal/par workers (each worker pops
 // its own shard first and steals from the others), and duplicate
 // states are suppressed by a sharded open-addressed visited table over
-// packed memstate.Bitset keys.
+// packed bitset.Set keys.
 package anytime
 
 import (
@@ -43,10 +43,10 @@ import (
 	"time"
 
 	"wrbpg/internal/baseline"
+	"wrbpg/internal/bitset"
 	"wrbpg/internal/cdag"
 	"wrbpg/internal/core"
 	"wrbpg/internal/guard"
-	"wrbpg/internal/memstate"
 	"wrbpg/internal/obs"
 	"wrbpg/internal/par"
 )
@@ -110,9 +110,9 @@ type Result struct {
 type state struct {
 	parent *state
 	moves  []core.Move // micro-moves applied on top of parent
-	done   memstate.Bitset
-	red    memstate.Bitset
-	blue   memstate.Bitset
+	done   bitset.Set
+	red    bitset.Set
+	blue   bitset.Set
 	redW   cdag.Weight
 	cost   cdag.Weight
 	f      cdag.Weight // cost + admissible residual
@@ -241,7 +241,7 @@ func Search(ctx context.Context, g *cdag.Graph, budget cdag.Weight, lim guard.Li
 		shards:   make([]frontierShard, workers),
 		visited:  make([]visitedShard, visitedShards),
 	}
-	var sources memstate.Bitset
+	var sources bitset.Set
 	for v := 0; v < g.Len(); v++ {
 		id := cdag.NodeID(v)
 		if g.IsSource(id) {
@@ -455,7 +455,7 @@ func (s *searcher) expand(ck *guard.Checker, st *state) error {
 // live reports whether u's value still has a consumer: a child not yet
 // computed. Dead values may be dropped (and need never be stored,
 // sinks excepted — sinks are stored at compute time).
-func (s *searcher) live(u cdag.NodeID, done memstate.Bitset) bool {
+func (s *searcher) live(u cdag.NodeID, done bitset.Set) bool {
 	for _, c := range s.g.Children(u) {
 		if !done.Has(c) {
 			return true

@@ -2,7 +2,7 @@
 // mapping (done, red, blue) to the cheapest cost reaching that class,
 // in the style of memstate's pmTable (flat slot array, inlined integer
 // hash, linear probing, grow at 3/4 occupancy) but with packed
-// memstate.Bitset keys and a mutex per shard — different shards insert
+// bitset.Set keys and a mutex per shard — different shards insert
 // concurrently, and the hash picking the shard is the same one probing
 // the slots, so contention spreads with the key space.
 
@@ -11,8 +11,8 @@ package anytime
 import (
 	"sync"
 
+	"wrbpg/internal/bitset"
 	"wrbpg/internal/cdag"
-	"wrbpg/internal/memstate"
 )
 
 // visitedShards is the fixed shard count; a power of two so the shard
@@ -21,9 +21,9 @@ const visitedShards = 16
 
 type vSlot struct {
 	hash uint64
-	done memstate.Bitset
-	red  memstate.Bitset
-	blue memstate.Bitset
+	done bitset.Set
+	red  bitset.Set
+	blue bitset.Set
 	cost cdag.Weight
 	full bool
 }

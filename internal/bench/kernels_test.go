@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"wrbpg/internal/bitset"
 	"wrbpg/internal/cdag"
 	"wrbpg/internal/core"
 	"wrbpg/internal/dwt"
@@ -84,40 +85,10 @@ func perfKernels() []perfKernel {
 				return nil, err
 			}
 			leaf := tr.G.Sources()[0]
-			reuse := memstate.NewBitset(leaf)
+			reuse := bitset.New(leaf)
 			b := core.MinExistenceBudget(tr.G) + 4
-			s.Cost(tr.Root, b, memstate.Bitset{}, reuse)
-			return func() error { s.Cost(tr.Root, b, memstate.Bitset{}, reuse); return nil }, nil
-		}},
-		{"MemstateKSchedulerCostWarm", func() (func() error, error) {
-			tr, err := ktree.FullTree(3, 3, func(d, i int) cdag.Weight { return 1 + cdag.Weight(i%2) })
-			if err != nil {
-				return nil, err
-			}
-			s, err := memstate.NewKScheduler(tr.G)
-			if err != nil {
-				return nil, err
-			}
-			leaf := tr.G.Sources()[0]
-			reuse := memstate.NewBitset(leaf)
-			b := core.MinExistenceBudget(tr.G) + 4
-			s.Cost(tr.Root, b, memstate.Bitset{}, reuse)
-			return func() error { s.Cost(tr.Root, b, memstate.Bitset{}, reuse); return nil }, nil
-		}},
-		{"MemstateKSchedulerCostCold", func() (func() error, error) {
-			tr, err := ktree.FullTree(3, 3, func(d, i int) cdag.Weight { return 1 + cdag.Weight(i%2) })
-			if err != nil {
-				return nil, err
-			}
-			b := core.MinExistenceBudget(tr.G) + 4
-			return func() error {
-				s, err := memstate.NewKScheduler(tr.G)
-				if err != nil {
-					return err
-				}
-				s.PlainCost(tr.Root, b)
-				return nil
-			}, nil
+			s.Cost(tr.Root, b, bitset.Set{}, reuse)
+			return func() error { s.Cost(tr.Root, b, bitset.Set{}, reuse); return nil }, nil
 		}},
 		{"KtreeMinCostWarm", func() (func() error, error) {
 			tr, err := ktree.FullTree(4, 3, func(d, i int) cdag.Weight { return 1 + cdag.Weight((d+i)%2) })
@@ -290,40 +261,6 @@ func perfKernels() []perfKernel {
 			max := sweepBudgets(core.MinExistenceBudget(tr.G), tr.G.TotalWeight(), 16)[0]
 			return func() error { ktree.NewScheduler(tr).MinCost(max); return nil }, nil
 		}},
-		{"MemstateKSweep16Cold", func() (func() error, error) {
-			tr, err := sweepTree(3, 3)
-			if err != nil {
-				return nil, err
-			}
-			reuse := memstate.NewBitset(tr.G.Sources()[0])
-			budgets := sweepBudgets(core.MinExistenceBudget(tr.G), tr.G.TotalWeight(), 16)
-			return func() error {
-				s, err := memstate.NewKScheduler(tr.G)
-				if err != nil {
-					return err
-				}
-				for _, b := range budgets {
-					s.Cost(tr.Root, b, memstate.Bitset{}, reuse)
-				}
-				return nil
-			}, nil
-		}},
-		{"MemstateKSchedulerCostColdMax", func() (func() error, error) {
-			tr, err := sweepTree(3, 3)
-			if err != nil {
-				return nil, err
-			}
-			reuse := memstate.NewBitset(tr.G.Sources()[0])
-			max := sweepBudgets(core.MinExistenceBudget(tr.G), tr.G.TotalWeight(), 16)[0]
-			return func() error {
-				s, err := memstate.NewKScheduler(tr.G)
-				if err != nil {
-					return err
-				}
-				s.Cost(tr.Root, max, memstate.Bitset{}, reuse)
-				return nil
-			}, nil
-		}},
 		{"ServeSweepWarm", func() (func() error, error) {
 			// The full serving sweep core — a delta-free PatchCosts:
 			// session-pool hit plus 16 warm budget queries — measured
@@ -469,7 +406,7 @@ func perfKernels() []perfKernel {
 			if err != nil {
 				return nil, err
 			}
-			se, err := memstate.NewKScheduler(tr.G)
+			se, err := memstate.NewScheduler(tr.G)
 			if err != nil {
 				return nil, err
 			}
@@ -488,7 +425,7 @@ func perfKernels() []perfKernel {
 					return err
 				}
 				i++
-				_, err := se.CostCtx(ctx, lim, tr.Root, b, memstate.Bitset{}, memstate.Bitset{})
+				_, err := se.CostCtx(ctx, lim, tr.Root, b, bitset.Set{}, bitset.Set{})
 				return err
 			}
 			if err := body(); err != nil {
@@ -510,7 +447,7 @@ func perfKernels() []perfKernel {
 					return err
 				}
 				i++
-				s, err := memstate.NewKScheduler(tr.G)
+				s, err := memstate.NewScheduler(tr.G)
 				if err != nil {
 					return err
 				}

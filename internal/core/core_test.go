@@ -300,39 +300,10 @@ func TestLowerBoundAndExistence(t *testing.T) {
 	}
 }
 
-func TestSnapshots(t *testing.T) {
-	g, a, b, c := pair(1, 1, 1)
-	sched := Schedule{{M1, a}, {M1, b}, {M3, c}, {M2, c}}
-	snaps, err := Snapshots(g, 3, sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 5 {
-		t.Fatalf("snapshots = %d, want 5 (C0..C4)", len(snaps))
-	}
-	if snaps[0][a] != LabelBlue || snaps[1][a] != LabelBoth {
-		t.Error("snapshot labels wrong")
-	}
-	if snaps[4][c] != LabelBoth {
-		t.Error("final snapshot should have c Both")
-	}
-	if _, err := Snapshots(g, 1, sched); err == nil {
-		t.Error("over-budget schedule should fail")
-	}
-}
-
-func TestConcatAndString(t *testing.T) {
-	s1 := Schedule{{M1, 0}}
-	s2 := Schedule{{M2, 1}, {M4, 0}}
-	all := Concat(s1, s2)
-	if len(all) != 3 {
-		t.Fatalf("Concat len = %d", len(all))
-	}
+func TestScheduleString(t *testing.T) {
+	all := Schedule{{M1, 0}, {M2, 1}, {M4, 0}}
 	if all.String() != "M1(0) M2(1) M4(0)" {
 		t.Errorf("String = %q", all.String())
-	}
-	if len(Concat()) != 0 {
-		t.Error("empty concat")
 	}
 }
 

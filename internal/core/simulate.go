@@ -96,43 +96,3 @@ func ScheduleExists(g *cdag.Graph, budget cdag.Weight) bool {
 func MinExistenceBudget(g *cdag.Graph) cdag.Weight {
 	return g.MaxComputePressure()
 }
-
-// Snapshots replays a schedule and returns every intermediate label
-// vector (C_0 ... C_t), mainly for debugging, visualisation and tests.
-// The schedule must be valid for the budget.
-func Snapshots(g *cdag.Graph, budget cdag.Weight, s Schedule) ([][]Label, error) {
-	st := NewState(g, budget)
-	out := make([][]Label, 0, len(s)+1)
-	snap := func() {
-		ls := make([]Label, g.Len())
-		for v := 0; v < g.Len(); v++ {
-			ls[v] = st.Label(cdag.NodeID(v))
-		}
-		out = append(out, ls)
-	}
-	snap()
-	for i, m := range s {
-		if _, err := st.Apply(m); err != nil {
-			re := err.(*RuleError)
-			re.Index = i
-			return nil, re
-		}
-		snap()
-	}
-	return out, nil
-}
-
-// Concat concatenates schedules in order, a helper for the modular
-// composition the paper advocates (schedules for modules are stitched
-// together into a schedule for the whole task).
-func Concat(parts ...Schedule) Schedule {
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	out := make(Schedule, 0, n)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}

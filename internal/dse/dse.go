@@ -10,18 +10,14 @@
 package dse
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
-	"wrbpg/internal/baseline"
 	"wrbpg/internal/cdag"
 	"wrbpg/internal/core"
 	"wrbpg/internal/dwt"
 	"wrbpg/internal/energy"
-	"wrbpg/internal/guard"
 	"wrbpg/internal/memdesign"
-	"wrbpg/internal/mvm"
 	"wrbpg/internal/synth"
 	"wrbpg/internal/wcfg"
 )
@@ -51,36 +47,6 @@ type Point struct {
 	Energy energy.Report
 }
 
-// evaluator derives minimum memory, schedule length and cost for one
-// precision configuration.
-type evaluator func(cfg wcfg.Config) (minMem cdag.Weight, moves int, stats core.Stats, err error)
-
-func explore(cfgs []wcfg.Config, proc synth.Process, ep energy.Params, eval evaluator) ([]Point, error) {
-	var out []Point
-	for _, cfg := range cfgs {
-		minMem, moves, stats, err := eval(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("dse: %s: %w", cfg.Name, err)
-		}
-		spec := memdesign.NewSpec(minMem, cfg.WordBits)
-		// Round to a power-of-two word count so odd word sizes (12-bit
-		// samples are common in neural ADCs) stay synthesizable.
-		macro, err := synth.Synthesize(spec.Pow2WordCapacity(), cfg.WordBits, proc)
-		if err != nil {
-			return nil, fmt.Errorf("dse: %s: %w", cfg.Name, err)
-		}
-		rep, err := energy.Estimate(stats, moves, macro, ep)
-		if err != nil {
-			return nil, fmt.Errorf("dse: %s: %w", cfg.Name, err)
-		}
-		out = append(out, Point{
-			Cfg: cfg, MinMemoryBits: minMem, Spec: spec,
-			CostBits: stats.Cost, Macro: macro, Energy: rep,
-		})
-	}
-	return out, nil
-}
-
 // Precisions builds the candidate grid: every input word size paired
 // with every accumulator multiple.
 func Precisions(wordBits []int, accWords []int) []wcfg.Config {
@@ -105,78 +71,59 @@ func Precisions(wordBits []int, accWords []int) []wcfg.Config {
 // schedule all land in the same P(v, b) memo.
 func ExploreDWT(n, d int, cfgs []wcfg.Config, proc synth.Process, ep energy.Params) ([]Point, error) {
 	scheds := make(map[shape]*dwt.Scheduler, len(cfgs))
-	return explore(cfgs, proc, ep, func(cfg wcfg.Config) (cdag.Weight, int, core.Stats, error) {
-		s, ok := scheds[shapeOf(cfg)]
-		if !ok {
-			g, err := dwt.Build(n, d, dwt.ConfigWeights(cfg))
-			if err != nil {
-				return 0, 0, core.Stats{}, err
-			}
-			if s, err = dwt.NewScheduler(g); err != nil {
-				return 0, 0, core.Stats{}, err
-			}
-			scheds[shapeOf(cfg)] = s
-		}
-		b, err := s.MinMemory(cdag.Weight(cfg.WordBits))
+	var out []Point
+	for _, cfg := range cfgs {
+		p, err := evalDWT(n, d, cfg, scheds, proc, ep)
 		if err != nil {
-			return 0, 0, core.Stats{}, err
+			return nil, fmt.Errorf("dse: %s: %w", cfg.Name, err)
 		}
-		sched, err := s.Schedule(b)
-		if err != nil {
-			return 0, 0, core.Stats{}, err
-		}
-		stats, err := core.Simulate(s.Graph().G, b, sched)
-		return b, len(sched), stats, err
-	})
+		out = append(out, p)
+	}
+	return out, nil
 }
 
-// ExploreMVM evaluates the grid on MVM(m, n) with the tiling
-// scheduler. Configs sharing a weight shape reuse one warm
-// mvm.Session, so repeated budgets answer from the tile-search memo.
-func ExploreMVM(m, n int, cfgs []wcfg.Config, proc synth.Process, ep energy.Params) ([]Point, error) {
-	ctx := context.Background()
-	sessions := make(map[shape]*mvm.Session, len(cfgs))
-	return explore(cfgs, proc, ep, func(cfg wcfg.Config) (cdag.Weight, int, core.Stats, error) {
-		se, ok := sessions[shapeOf(cfg)]
-		if !ok {
-			g, err := mvm.Build(m, n, cfg)
-			if err != nil {
-				return 0, 0, core.Stats{}, err
-			}
-			se = mvm.NewSession(g)
-			sessions[shapeOf(cfg)] = se
-		}
-		g := se.Graph()
-		b := g.MinMemory()
-		sched, err := se.ScheduleCtx(ctx, guard.Limits{}, b)
-		if err != nil {
-			return 0, 0, core.Stats{}, err
-		}
-		stats, err := core.Simulate(g.G, b, sched)
-		return b, len(sched), stats, err
-	})
-}
-
-// ExploreDWTBaseline evaluates the grid with the layer-by-layer
-// scheduler — the "what if you don't have the optimal scheduler"
-// column of the design space.
-func ExploreDWTBaseline(n, d int, cfgs []wcfg.Config, proc synth.Process, ep energy.Params) ([]Point, error) {
-	return explore(cfgs, proc, ep, func(cfg wcfg.Config) (cdag.Weight, int, core.Stats, error) {
+// evalDWT derives one configuration's minimum memory and the cost of
+// its optimal schedule there, synthesizes the macro and estimates the
+// per-window energy.
+func evalDWT(n, d int, cfg wcfg.Config, scheds map[shape]*dwt.Scheduler, proc synth.Process, ep energy.Params) (Point, error) {
+	s, ok := scheds[shapeOf(cfg)]
+	if !ok {
 		g, err := dwt.Build(n, d, dwt.ConfigWeights(cfg))
 		if err != nil {
-			return 0, 0, core.Stats{}, err
+			return Point{}, err
 		}
-		b, err := baseline.MinMemory(g.G, g.Layers, cdag.Weight(cfg.WordBits))
-		if err != nil {
-			return 0, 0, core.Stats{}, err
+		if s, err = dwt.NewScheduler(g); err != nil {
+			return Point{}, err
 		}
-		sched, err := baseline.LayerByLayer(g.G, g.Layers, b)
-		if err != nil {
-			return 0, 0, core.Stats{}, err
-		}
-		stats, err := core.Simulate(g.G, b, sched)
-		return b, len(sched), stats, err
-	})
+		scheds[shapeOf(cfg)] = s
+	}
+	b, err := s.MinMemory(cdag.Weight(cfg.WordBits))
+	if err != nil {
+		return Point{}, err
+	}
+	sched, err := s.Schedule(b)
+	if err != nil {
+		return Point{}, err
+	}
+	stats, err := core.Simulate(s.Graph().G, b, sched)
+	if err != nil {
+		return Point{}, err
+	}
+	spec := memdesign.NewSpec(b, cfg.WordBits)
+	// Round to a power-of-two word count so odd word sizes (12-bit
+	// samples are common in neural ADCs) stay synthesizable.
+	macro, err := synth.Synthesize(spec.Pow2WordCapacity(), cfg.WordBits, proc)
+	if err != nil {
+		return Point{}, err
+	}
+	rep, err := energy.Estimate(stats, len(sched), macro, ep)
+	if err != nil {
+		return Point{}, err
+	}
+	return Point{
+		Cfg: cfg, MinMemoryBits: b, Spec: spec,
+		CostBits: stats.Cost, Macro: macro, Energy: rep,
+	}, nil
 }
 
 // Pareto returns the non-dominated points under (input precision ↑,

@@ -52,39 +52,6 @@ func TestExploreDWT(t *testing.T) {
 	}
 }
 
-func TestExploreMVM(t *testing.T) {
-	cfgs := Precisions([]int{16}, []int{1, 2})
-	pts, err := ExploreMVM(8, 10, cfgs, synth.TSMC65(), energy.Default65nm())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	// Double accumulators need at least as much memory.
-	if pts[1].MinMemoryBits < pts[0].MinMemoryBits {
-		t.Errorf("acc2 memory %d below acc1 %d", pts[1].MinMemoryBits, pts[0].MinMemoryBits)
-	}
-}
-
-func TestBaselineColumnDominatedByOptimum(t *testing.T) {
-	cfgs := Precisions([]int{16}, []int{1})
-	opt, err := ExploreDWT(64, 6, cfgs, synth.TSMC65(), energy.Default65nm())
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := ExploreDWTBaseline(64, 6, cfgs, synth.TSMC65(), energy.Default65nm())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opt[0].MinMemoryBits >= base[0].MinMemoryBits {
-		t.Errorf("optimum memory %d not below baseline %d", opt[0].MinMemoryBits, base[0].MinMemoryBits)
-	}
-	if opt[0].Energy.TotalPJ >= base[0].Energy.TotalPJ {
-		t.Errorf("optimum energy not below baseline")
-	}
-}
-
 func TestPareto(t *testing.T) {
 	cfgs := Precisions([]int{8, 12, 16}, []int{1, 2})
 	pts, err := ExploreDWT(32, 5, cfgs, synth.TSMC65(), energy.Default65nm())

@@ -99,26 +99,3 @@ func TestExactMonotoneOnRandomDAGs(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestCompactPreservesExactCost: compacting an exact optimal schedule
-// never changes its cost (there is nothing to strip).
-func TestCompactPreservesExactCost(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomDAG(rng, 3+rng.Intn(3), 2)
-		if g.Validate() != nil {
-			return true
-		}
-		b := core.MinExistenceBudget(g) + 2
-		res, err := Solve(g, b)
-		if err != nil {
-			return true
-		}
-		out := core.Compact(g, res.Schedule)
-		stats, err := core.Simulate(g, b, out)
-		return err == nil && stats.Cost == res.Cost
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}

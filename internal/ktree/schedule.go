@@ -8,13 +8,12 @@ import (
 	"wrbpg/internal/core"
 	"wrbpg/internal/guard"
 	"wrbpg/internal/memdesign"
-	"wrbpg/internal/perm"
 	"wrbpg/internal/stepmemo"
 )
 
 // entry is one memoized Pt(v, ·) value. The chosen parent order is
 // stored as a row index into the shared permutation table of the
-// node's arity (perm.Table), so cells hold no per-cell slices; delta
+// node's arity (permTable), so cells hold no per-cell slices; delta
 // bit i set means the parent at position i of that row keeps its red
 // pebble while later parents are computed (δ_i = 1 in Eq. 6).
 type entry struct {
@@ -52,7 +51,7 @@ type Scheduler struct {
 func NewScheduler(t *Tree) *Scheduler {
 	for v := 0; v < t.G.Len(); v++ {
 		if k := t.G.InDegree(cdag.NodeID(v)); k > 0 {
-			perm.Table(k)
+			permTable(k)
 		}
 	}
 	s := &Scheduler{
@@ -135,7 +134,7 @@ func (s *Scheduler) pt(v cdag.NodeID, b cdag.Weight) (entry, cdag.Weight, cdag.W
 	// the local co-residency cutoff is enough.
 	lo, hi := s.exist[v], Inf
 	best := entry{cost: Inf}
-	for pi, order := range perm.Table(k) {
+	for pi, order := range permTable(k) {
 		for delta := uint16(0); delta < 1<<uint(k); delta++ {
 			skip := false
 			var cost, held cdag.Weight
@@ -245,7 +244,7 @@ func (s *Scheduler) gen(v cdag.NodeID, b cdag.Weight, sched *core.Schedule) erro
 		return nil
 	}
 	parents := g.Parents(v)
-	order := perm.Table(len(parents))[e.permIdx]
+	order := permTable(len(parents))[e.permIdx]
 	var held cdag.Weight
 	for i, oi := range order {
 		p := parents[oi]
@@ -291,7 +290,7 @@ func (s *Scheduler) moves(v cdag.NodeID, b cdag.Weight) int {
 	parents := g.Parents(v)
 	n := 1 + len(parents) // M3 v, M4 on every parent
 	var held cdag.Weight
-	for i, oi := range perm.Table(len(parents))[st.V.permIdx] {
+	for i, oi := range permTable(len(parents))[st.V.permIdx] {
 		p := parents[oi]
 		n += s.moves(p, b-held)
 		if st.V.delta&(1<<uint(i)) != 0 {
@@ -318,5 +317,5 @@ func (s *Scheduler) MinMemory(step cdag.Weight) (cdag.Weight, error) {
 // StrategyCount returns 2^k·k!, the number of per-node strategies the
 // DP enumerates for in-degree k — the quantity bounding Theorem 3.8.
 func StrategyCount(k int) int {
-	return perm.Count(k) << uint(k)
+	return permCount(k) << uint(k)
 }

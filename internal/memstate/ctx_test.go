@@ -5,27 +5,28 @@ import (
 	"errors"
 	"testing"
 
+	"wrbpg/internal/bitset"
 	"wrbpg/internal/cdag"
 	"wrbpg/internal/core"
 	"wrbpg/internal/guard"
 	"wrbpg/internal/ktree"
 )
 
-func ctxFixture(t *testing.T) (*ktree.Tree, cdag.NodeID, Bitset) {
+func ctxFixture(t *testing.T) (*ktree.Tree, cdag.NodeID, bitset.Set) {
 	t.Helper()
-	tr, err := ktree.FullTree(3, 3, func(d, i int) cdag.Weight { return 1 + cdag.Weight(i%2) })
+	tr, err := ktree.FullTree(2, 4, func(d, i int) cdag.Weight { return 1 + cdag.Weight(i%2) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr, tr.Root, NewBitset(tr.G.Sources()[0])
+	return tr, tr.Root, bitset.New(tr.G.Sources()[0])
 }
 
-// TestSessionMatchesOneShot: one warm KScheduler's guarded answers over
-// an out-of-order budget list must equal independent cold KScheduler
+// TestSessionMatchesOneShot: one warm Scheduler's guarded answers over
+// an out-of-order budget list must equal independent cold Scheduler
 // queries with the same (node, initial, reuse) arguments.
 func TestSessionMatchesOneShot(t *testing.T) {
 	tr, root, reuse := ctxFixture(t)
-	se, err := NewKScheduler(tr.G)
+	se, err := NewScheduler(tr.G)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,15 +34,15 @@ func TestSessionMatchesOneShot(t *testing.T) {
 	min := core.MinExistenceBudget(tr.G)
 	budgets := []cdag.Weight{min + 12, min, min + 5, min - 1, min + 12, min + 2}
 	for _, b := range budgets {
-		got, err := se.CostCtx(ctx, guard.Limits{}, root, b, Bitset{}, reuse)
+		got, err := se.CostCtx(ctx, guard.Limits{}, root, b, bitset.Set{}, reuse)
 		if err != nil {
 			t.Fatalf("CostCtx(%d): %v", b, err)
 		}
-		s, err := NewKScheduler(tr.G)
+		s, err := NewScheduler(tr.G)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := s.Cost(root, b, Bitset{}, reuse); got != want {
+		if want := s.Cost(root, b, bitset.Set{}, reuse); got != want {
 			t.Errorf("CostCtx(%d) = %d, cold Cost = %d", b, got, want)
 		}
 	}
@@ -51,17 +52,17 @@ func TestSessionMatchesOneShot(t *testing.T) {
 // probe through the scheduler's reused guard checker.
 func TestSessionWarmCostZeroAlloc(t *testing.T) {
 	tr, root, reuse := ctxFixture(t)
-	se, err := NewKScheduler(tr.G)
+	se, err := NewScheduler(tr.G)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 	b := core.MinExistenceBudget(tr.G) + 4
-	if _, err := se.CostCtx(ctx, guard.Limits{}, root, b, Bitset{}, reuse); err != nil {
+	if _, err := se.CostCtx(ctx, guard.Limits{}, root, b, bitset.Set{}, reuse); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		se.CostCtx(ctx, guard.Limits{}, root, b, Bitset{}, reuse) //nolint:errcheck
+		se.CostCtx(ctx, guard.Limits{}, root, b, bitset.Set{}, reuse) //nolint:errcheck
 	})
 	if allocs != 0 {
 		t.Errorf("warm CostCtx allocates %.1f allocs/op, want 0", allocs)
@@ -72,24 +73,24 @@ func TestSessionWarmCostZeroAlloc(t *testing.T) {
 // leaves the scheduler's memo unpoisoned.
 func TestSessionAbortThenReuse(t *testing.T) {
 	tr, root, reuse := ctxFixture(t)
-	se, err := NewKScheduler(tr.G)
+	se, err := NewScheduler(tr.G)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 	b := core.MinExistenceBudget(tr.G) + 6
-	if _, err := se.CostCtx(ctx, guard.Limits{MaxMemoEntries: 1}, root, b, Bitset{}, reuse); !errors.Is(err, guard.ErrBudgetExceeded) {
+	if _, err := se.CostCtx(ctx, guard.Limits{MaxMemoEntries: 1}, root, b, bitset.Set{}, reuse); !errors.Is(err, guard.ErrBudgetExceeded) {
 		t.Fatalf("limited query: got %v, want ErrBudgetExceeded", err)
 	}
-	got, err := se.CostCtx(ctx, guard.Limits{}, root, b, Bitset{}, reuse)
+	got, err := se.CostCtx(ctx, guard.Limits{}, root, b, bitset.Set{}, reuse)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewKScheduler(tr.G)
+	s, err := NewScheduler(tr.G)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := s.Cost(root, b, Bitset{}, reuse); got != want {
+	if want := s.Cost(root, b, bitset.Set{}, reuse); got != want {
 		t.Errorf("after abort, CostCtx(%d) = %d, want %d", b, got, want)
 	}
 }

@@ -11,13 +11,12 @@
 // adjustments thread the states through the two parents according to
 // their computation order exactly as in Eq. 8.
 //
-// This machinery is what turns the tree scheduler into a tiling
-// scheduler: tiles of the MVM graph are scheduled as binary-tree
-// chains whose accumulators and resident vector entries appear in I
-// and R (package mvm).
+// Section 4.3 builds the MVM tiling on these states; package mvm
+// prices its tiles in closed form, so this package stands as the
+// reproduction of Eq. 8 itself, pinned in docs/TRACEABILITY.md.
 //
-// States are packed Bitsets and memo keys are comparable structs
-// (see bitset.go), so a memoized Pm lookup performs zero allocations;
+// States are packed bitset.Sets and memo keys are comparable structs
+// (see memo.go), so a memoized Pm lookup performs zero allocations;
 // subtree restriction is a single mask intersection against
 // precomputed ancestor masks.
 package memstate
@@ -28,6 +27,7 @@ import (
 	"sort"
 	"strings"
 
+	"wrbpg/internal/bitset"
 	"wrbpg/internal/cdag"
 	"wrbpg/internal/guard"
 	"wrbpg/internal/stepmemo"
@@ -41,8 +41,8 @@ type Scheduler struct {
 	g    *cdag.Graph
 	tab  pmTable
 	memo stepmemo.Memo
-	ix   *setIndex
-	anc  []Bitset
+	ix   *bitset.Index
+	anc  []bitset.Set
 }
 
 // NewScheduler wraps a binary in-tree (every in-degree 0 or 2, unique
@@ -61,7 +61,7 @@ func NewScheduler(g *cdag.Graph) (*Scheduler, error) {
 	}
 	return &Scheduler{
 		g:    g,
-		ix:   newSetIndex(g.Len()),
+		ix:   bitset.NewIndex(g.Len()),
 		anc:  ancestorMasks(g),
 		memo: stepmemo.New(g.Len()),
 	}, nil
@@ -79,14 +79,14 @@ func (s *Scheduler) SetWeights(ds []cdag.WeightDelta) (invalidated, reused int64
 }
 
 // Restrict returns X_u = X ∩ (pred(u) ∪ {u}) — one mask intersection.
-func (s *Scheduler) Restrict(x Bitset, u cdag.NodeID) Bitset {
-	return x.and(s.anc[u])
+func (s *Scheduler) Restrict(x bitset.Set, u cdag.NodeID) bitset.Set {
+	return x.And(s.anc[u])
 }
 
 // Cost returns Pm(v, b, I_v, R_v) per Eq. 8. The caller's I and R are
 // restricted to v's subtree internally, so passing global states is
 // safe.
-func (s *Scheduler) Cost(v cdag.NodeID, b cdag.Weight, initial, reuse Bitset) cdag.Weight {
+func (s *Scheduler) Cost(v cdag.NodeID, b cdag.Weight, initial, reuse bitset.Set) cdag.Weight {
 	c, _, _ := s.pm(v, b, s.Restrict(initial, v), s.Restrict(reuse, v))
 	return c
 }
@@ -98,7 +98,7 @@ func (s *Scheduler) Cost(v cdag.NodeID, b cdag.Weight, initial, reuse Bitset) cd
 // (wrapped) when the query was aborted; limits are per query, and the
 // scheduler remains usable afterwards — partial results computed after
 // the abort are never memoized.
-func (s *Scheduler) CostCtx(ctx context.Context, lim guard.Limits, v cdag.NodeID, b cdag.Weight, initial, reuse Bitset) (cdag.Weight, error) {
+func (s *Scheduler) CostCtx(ctx context.Context, lim guard.Limits, v cdag.NodeID, b cdag.Weight, initial, reuse bitset.Set) (cdag.Weight, error) {
 	s.memo.Begin(ctx, lim)
 	defer s.memo.End()
 	c := s.Cost(v, b, initial, reuse)
@@ -114,8 +114,8 @@ func (s *Scheduler) CostCtx(ctx context.Context, lim guard.Limits, v cdag.NodeID
 // guard, node weights) intersected with the shifted intervals of the
 // sub-calls it consulted — on that intersection every consulted value
 // is constant, so the minimum is too.
-func (s *Scheduler) pm(v cdag.NodeID, b cdag.Weight, ini, reuse Bitset) (cdag.Weight, cdag.Weight, cdag.Weight) {
-	key := pmKey{v: v, ini: s.ix.handle(ini), reuse: s.ix.handle(reuse)}
+func (s *Scheduler) pm(v cdag.NodeID, b cdag.Weight, ini, reuse bitset.Set) (cdag.Weight, cdag.Weight, cdag.Weight) {
+	key := pmKey{v: v, ini: s.ix.Handle(ini), reuse: s.ix.Handle(reuse)}
 	if st := s.tab.get(&s.memo, key, b); st != nil {
 		s.memo.Hit()
 		return st.V, st.Lo, st.Hi
@@ -175,7 +175,7 @@ func (s *Scheduler) pm(v cdag.NodeID, b cdag.Weight, ini, reuse Bitset) (cdag.We
 		}
 		// W(R_p ∪ {p}): the kept parent's weight, not double-counted
 		// when the parent is itself in its reuse set.
-		unionW := func(x Bitset, p cdag.NodeID) cdag.Weight {
+		unionW := func(x bitset.Set, p cdag.NodeID) cdag.Weight {
 			w := x.Weight(g)
 			if !x.Has(p) {
 				w += g.Weight(p)
@@ -184,7 +184,7 @@ func (s *Scheduler) pm(v cdag.NodeID, b cdag.Weight, ini, reuse Bitset) (cdag.We
 		}
 		// sub evaluates one sub-call at budget b-shift and intersects
 		// its validity interval (shifted back) into [lo, hi].
-		sub := func(p cdag.NodeID, shift cdag.Weight, pi, pr Bitset) cdag.Weight {
+		sub := func(p cdag.NodeID, shift cdag.Weight, pi, pr bitset.Set) cdag.Weight {
 			c, slo, shi := s.pm(p, b-shift, pi, pr)
 			lo, hi = max(lo, slo+shift), min(hi, shi+shift)
 			return c
@@ -218,14 +218,14 @@ func (s *Scheduler) pm(v cdag.NodeID, b cdag.Weight, ini, reuse Bitset) (cdag.We
 // k-ary tree DP Pt for binary trees — the consistency property tested
 // in this package.
 func (s *Scheduler) PlainCost(v cdag.NodeID, b cdag.Weight) cdag.Weight {
-	return s.Cost(v, b, Bitset{}, Bitset{})
+	return s.Cost(v, b, bitset.Set{}, bitset.Set{})
 }
 
 // Root returns the unique sink of the tree.
 func (s *Scheduler) Root() cdag.NodeID { return s.g.Sinks()[0] }
 
 // Describe renders a state compactly for error messages and logs.
-func Describe(g *cdag.Graph, set Bitset) string {
+func Describe(g *cdag.Graph, set bitset.Set) string {
 	ids := set.Sorted()
 	parts := make([]string, len(ids))
 	for i, id := range ids {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"wrbpg/internal/bitset"
 	"wrbpg/internal/cdag"
 	"wrbpg/internal/core"
 	"wrbpg/internal/ktree"
@@ -86,7 +87,7 @@ func TestEmptyStatesMatchKtreeQuick(t *testing.T) {
 func TestInitialStateSkipsComputation(t *testing.T) {
 	tr, s := buildBinary(t, 2, func(d, i int) cdag.Weight { return 2 })
 	root := tr.Root
-	got := s.Cost(root, 100, NewBitset(root), Bitset{})
+	got := s.Cost(root, 100, bitset.New(root), bitset.Set{})
 	if got != 0 {
 		t.Errorf("Pm(v∈I, R=∅) = %d, want 0", got)
 	}
@@ -98,12 +99,12 @@ func TestInitialStateWithReuse(t *testing.T) {
 	tr, s := buildBinary(t, 2, func(d, i int) cdag.Weight { return 2 })
 	root := tr.Root
 	leaf := tr.G.Sources()[0]
-	got := s.Cost(root, 100, NewBitset(root), NewBitset(leaf))
+	got := s.Cost(root, 100, bitset.New(root), bitset.New(leaf))
 	if got != 2 {
 		t.Errorf("Pm = %d, want 2 (one leaf brought in)", got)
 	}
 	// If the reuse node is already in I, it costs nothing.
-	got = s.Cost(root, 100, NewBitset(root, leaf), NewBitset(leaf))
+	got = s.Cost(root, 100, bitset.New(root, leaf), bitset.New(leaf))
 	if got != 0 {
 		t.Errorf("Pm = %d, want 0 (reuse node already resident)", got)
 	}
@@ -116,12 +117,12 @@ func TestReuseTightensBudget(t *testing.T) {
 	root := tr.Root
 	leaf := tr.G.Sources()[0]
 	// Computing the root alone needs budget 3 (root + 2 leaves).
-	if got := s.Cost(root, 3, Bitset{}, Bitset{}); got >= Inf {
+	if got := s.Cost(root, 3, bitset.Set{}, bitset.Set{}); got >= Inf {
 		t.Fatalf("plain cost should be feasible at 3, got Inf")
 	}
 	// Keeping one leaf around afterwards does not change the guard
 	// (it is already a parent)...
-	if got := s.Cost(root, 3, Bitset{}, NewBitset(leaf)); got >= Inf {
+	if got := s.Cost(root, 3, bitset.Set{}, bitset.New(leaf)); got >= Inf {
 		t.Errorf("reuse of a parent should still fit in budget 3")
 	}
 }
@@ -133,14 +134,14 @@ func TestReuseOfDistantNodeRaisesGuard(t *testing.T) {
 	root := tr.Root
 	leaf := tr.G.Sources()[0] // a grandparent-level input, not a parent of root
 	// Plain: root + 2 mid nodes = 3.
-	if got := s.Cost(root, 3, Bitset{}, Bitset{}); got >= Inf {
+	if got := s.Cost(root, 3, bitset.Set{}, bitset.Set{}); got >= Inf {
 		t.Fatalf("plain cost should be feasible at 3")
 	}
 	// With leaf reuse the guard becomes 4.
-	if got := s.Cost(root, 3, Bitset{}, NewBitset(leaf)); got < Inf {
+	if got := s.Cost(root, 3, bitset.Set{}, bitset.New(leaf)); got < Inf {
 		t.Errorf("budget 3 with distant reuse should be infeasible, got %d", got)
 	}
-	if got := s.Cost(root, 4, Bitset{}, NewBitset(leaf)); got >= Inf {
+	if got := s.Cost(root, 4, bitset.Set{}, bitset.New(leaf)); got >= Inf {
 		t.Errorf("budget 4 with distant reuse should be feasible")
 	}
 }
@@ -151,15 +152,15 @@ func TestInitialStateReducesCost(t *testing.T) {
 	tr, s := buildBinary(t, 1, func(d, i int) cdag.Weight { return 1 })
 	root := tr.Root
 	ps := tr.G.Parents(root)
-	plain := s.Cost(root, 10, Bitset{}, Bitset{})
+	plain := s.Cost(root, 10, bitset.Set{}, bitset.Set{})
 	if plain != 2 {
 		t.Fatalf("plain cost = %d, want 2 (two leaf loads)", plain)
 	}
-	withI := s.Cost(root, 10, NewBitset(ps[0], ps[1]), Bitset{})
+	withI := s.Cost(root, 10, bitset.New(ps[0], ps[1]), bitset.Set{})
 	if withI != 0 {
 		t.Errorf("cost with resident parents = %d, want 0", withI)
 	}
-	half := s.Cost(root, 10, NewBitset(ps[0]), Bitset{})
+	half := s.Cost(root, 10, bitset.New(ps[0]), bitset.Set{})
 	if half != 1 {
 		t.Errorf("cost with one resident parent = %d, want 1", half)
 	}
@@ -171,9 +172,9 @@ func TestMonotoneInBudget(t *testing.T) {
 	root := tr.Root
 	leaf := tr.G.Sources()[2]
 	minB := core.MinExistenceBudget(tr.G)
-	prev := s.Cost(root, minB, Bitset{}, NewBitset(leaf))
+	prev := s.Cost(root, minB, bitset.Set{}, bitset.New(leaf))
 	for b := minB + 1; b <= minB+15; b++ {
-		cur := s.Cost(root, b, Bitset{}, NewBitset(leaf))
+		cur := s.Cost(root, b, bitset.Set{}, bitset.New(leaf))
 		if cur > prev {
 			t.Fatalf("not monotone at b=%d: %d > %d", b, cur, prev)
 		}
@@ -206,7 +207,7 @@ func TestReuseCostBounds(t *testing.T) {
 		leaf := leaves[rng.Intn(len(leaves))]
 		b := core.MinExistenceBudget(tr.G) + tr.G.Weight(leaf) + cdag.Weight(rng.Intn(4))
 		plain := s.PlainCost(tr.Root, b)
-		withR := s.Cost(tr.Root, b, Bitset{}, NewBitset(leaf))
+		withR := s.Cost(tr.Root, b, bitset.Set{}, bitset.New(leaf))
 		if plain >= Inf || withR >= Inf {
 			return true
 		}
@@ -228,17 +229,9 @@ func TestReuseCostBounds(t *testing.T) {
 
 func TestDescribe(t *testing.T) {
 	tr, _ := buildBinary(t, 1, func(d, i int) cdag.Weight { return 1 })
-	set := NewBitset(tr.G.Sources()[0], tr.Root)
+	set := bitset.New(tr.G.Sources()[0], tr.Root)
 	s := Describe(tr.G, set)
 	if s == "" || s == "{}" {
 		t.Errorf("Describe = %q", s)
-	}
-}
-
-func TestBitsetHelpers(t *testing.T) {
-	s := NewBitset(3, 1, 2)
-	ids := s.Sorted()
-	if len(ids) != 3 || ids[0] != 1 || ids[2] != 3 {
-		t.Errorf("Sorted = %v", ids)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"wrbpg/internal/bitset"
 	"wrbpg/internal/cdag"
 	"wrbpg/internal/core"
 	"wrbpg/internal/ktree"
@@ -40,7 +41,7 @@ func TestSetWeightsMatchesColdScheduler(t *testing.T) {
 		}
 		// Random states restricted to the root's subtree (the whole
 		// tree) — a couple of reuse nodes, sometimes an initial one.
-		ini, reuse := Bitset{}, Bitset{}
+		ini, reuse := bitset.Set{}, bitset.Set{}
 		if rng.Intn(2) == 0 {
 			ini = ini.With(all[rng.Intn(len(all))])
 		}
@@ -55,45 +56,6 @@ func TestSetWeightsMatchesColdScheduler(t *testing.T) {
 		for _, b := range []cdag.Weight{min - 1, min + 1, min + 4, min + 9} {
 			warm := s.Cost(tr.Root, b, ini, reuse)
 			if c := cold.Cost(tr.Root, b, ini, reuse); warm != c {
-				t.Fatalf("round %d budget %d: warm %d != cold %d after %v", round, b, warm, c, ds)
-			}
-		}
-	}
-}
-
-// TestKSetWeightsMatchesColdScheduler runs the same property through
-// the k-ary generalization (KScheduler) on a 3-ary tree.
-func TestKSetWeightsMatchesColdScheduler(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	tr, err := ktree.FullTree(3, 3, func(d, i int) cdag.Weight { return 1 + cdag.Weight(i%2) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewKScheduler(tr.G)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := tr.G.Len()
-	reuse := NewBitset(tr.G.Sources()[0])
-	for round := 0; round < 20; round++ {
-		ds := make([]cdag.WeightDelta, 1+rng.Intn(3))
-		for i := range ds {
-			ds[i] = cdag.WeightDelta{
-				Node:   cdag.NodeID(rng.Intn(n)),
-				Weight: 1 + cdag.Weight(rng.Intn(3)),
-			}
-		}
-		if _, _, err := s.SetWeights(ds); err != nil {
-			t.Fatalf("round %d: SetWeights(%v): %v", round, ds, err)
-		}
-		cold, err := NewKScheduler(cloneTree(t, tr, 3, 3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		min := core.MinExistenceBudget(tr.G)
-		for _, b := range []cdag.Weight{min - 1, min + 2, min + 6} {
-			warm := s.Cost(tr.Root, b, Bitset{}, reuse)
-			if c := cold.Cost(tr.Root, b, Bitset{}, reuse); warm != c {
 				t.Fatalf("round %d budget %d: warm %d != cold %d after %v", round, b, warm, c, ds)
 			}
 		}

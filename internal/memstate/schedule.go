@@ -3,6 +3,7 @@ package memstate
 import (
 	"fmt"
 
+	"wrbpg/internal/bitset"
 	"wrbpg/internal/cdag"
 	"wrbpg/internal/core"
 )
@@ -31,7 +32,7 @@ const (
 )
 
 // choices mirrors the memo of pm; it is filled lazily by pmChoice.
-func (s *Scheduler) pmChoice(v cdag.NodeID, b cdag.Weight, ini, reuse Bitset) choice {
+func (s *Scheduler) pmChoice(v cdag.NodeID, b cdag.Weight, ini, reuse bitset.Set) choice {
 	g := s.g
 	if ini.Has(v) || g.InDegree(v) == 0 {
 		return choiceNone
@@ -51,14 +52,14 @@ func (s *Scheduler) pmChoice(v cdag.NodeID, b cdag.Weight, ini, reuse Bitset) ch
 		}
 		return t
 	}
-	unionW := func(x Bitset, p cdag.NodeID) cdag.Weight {
+	unionW := func(x bitset.Set, p cdag.NodeID) cdag.Weight {
 		w := x.Weight(g)
 		if !x.Has(p) {
 			w += g.Weight(p)
 		}
 		return w
 	}
-	pm := func(p cdag.NodeID, pb cdag.Weight, pi, pr Bitset) cdag.Weight {
+	pm := func(p cdag.NodeID, pb cdag.Weight, pi, pr bitset.Set) cdag.Weight {
 		c, _, _ := s.pm(p, pb, pi, pr)
 		return c
 	}
@@ -87,7 +88,7 @@ func (s *Scheduler) pmChoice(v cdag.NodeID, b cdag.Weight, ini, reuse Bitset) ch
 // initial state blue as well — Section 4.1's assumption that reuse
 // values "have blue pebbles on them and do not need to be
 // recomputed".
-func (s *Scheduler) StartLabels(ini, reuse Bitset) []core.Label {
+func (s *Scheduler) StartLabels(ini, reuse bitset.Set) []core.Label {
 	labels := make([]core.Label, s.g.Len())
 	for _, v := range s.g.Sources() {
 		labels[v] = core.LabelBlue
@@ -107,7 +108,7 @@ func (s *Scheduler) StartLabels(ini, reuse Bitset) []core.Label {
 // computes v (unless v ∈ I) while honouring the initial and reuse
 // memory states. Replay it with core.SimulateFrom from a state built
 // with StartLabels.
-func (s *Scheduler) Schedule(v cdag.NodeID, b cdag.Weight, initial, reuse Bitset) (core.Schedule, error) {
+func (s *Scheduler) Schedule(v cdag.NodeID, b cdag.Weight, initial, reuse bitset.Set) (core.Schedule, error) {
 	ini := s.Restrict(initial, v)
 	r := s.Restrict(reuse, v)
 	if c, _, _ := s.pm(v, b, ini, r); c >= Inf {
@@ -137,7 +138,7 @@ func (s *Scheduler) Schedule(v cdag.NodeID, b cdag.Weight, initial, reuse Bitset
 // shadowed reports whether another initial-state node lies on the
 // path from m (exclusive) to v (inclusive) — in an in-tree the path
 // is the unique child chain.
-func (s *Scheduler) shadowed(m, v cdag.NodeID, ini Bitset) bool {
+func (s *Scheduler) shadowed(m, v cdag.NodeID, ini bitset.Set) bool {
 	cur := m
 	for cur != v {
 		cs := s.g.Children(cur)
@@ -157,7 +158,7 @@ func (s *Scheduler) shadowed(m, v cdag.NodeID, ini Bitset) bool {
 // whether a node already holds a blue pebble (sources and reuse nodes
 // outside the initial state start blue) and parent releases can tell
 // whether a parent must stay resident.
-func (s *Scheduler) gen(v cdag.NodeID, b cdag.Weight, ini, reuse, globalIni, globalReuse Bitset, out *core.Schedule) error {
+func (s *Scheduler) gen(v cdag.NodeID, b cdag.Weight, ini, reuse, globalIni, globalReuse bitset.Set, out *core.Schedule) error {
 	g := s.g
 	if ini.Has(v) {
 		// v already resident: only fetch missing reuse nodes, which

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"wrbpg/internal/bitset"
 	"wrbpg/internal/cdag"
 	"wrbpg/internal/core"
 	"wrbpg/internal/ktree"
@@ -12,7 +13,7 @@ import (
 
 // replay builds the starting state and runs the fragment, returning
 // the final state and stats.
-func replay(t *testing.T, s *Scheduler, b cdag.Weight, ini, reuse Bitset, frag core.Schedule) (*core.State, core.Stats) {
+func replay(t *testing.T, s *Scheduler, b cdag.Weight, ini, reuse bitset.Set, frag core.Schedule) (*core.State, core.Stats) {
 	t.Helper()
 	st, err := core.NewStateWithLabels(s.g, b, s.StartLabels(ini, reuse))
 	if err != nil {
@@ -42,7 +43,7 @@ func TestFragmentContract(t *testing.T) {
 		}
 		root := tr.Root
 		// Random initial state: maybe the root, maybe a mid node.
-		ini := Bitset{}
+		ini := bitset.Set{}
 		if rng.Intn(3) == 0 {
 			ini = ini.With(root)
 		}
@@ -51,7 +52,7 @@ func TestFragmentContract(t *testing.T) {
 			ini = ini.With(all[rng.Intn(len(all))])
 		}
 		// Random reuse: a couple of nodes.
-		reuse := Bitset{}
+		reuse := bitset.Set{}
 		for i := 0; i < rng.Intn(3); i++ {
 			reuse = reuse.With(all[rng.Intn(len(all))])
 		}
@@ -111,11 +112,11 @@ func TestFragmentPlainGenerousBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := tr.G.TotalWeight()
-	frag, err := s.Schedule(tr.Root, b, Bitset{}, Bitset{})
+	frag, err := s.Schedule(tr.Root, b, bitset.Set{}, bitset.Set{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats := replay(t, s, b, Bitset{}, Bitset{}, frag)
+	_, stats := replay(t, s, b, bitset.Set{}, bitset.Set{}, frag)
 	if want := s.PlainCost(tr.Root, b); stats.Cost != want {
 		t.Errorf("fragment cost %d != Pm %d", stats.Cost, want)
 	}
@@ -136,8 +137,8 @@ func TestFragmentRootInInitial(t *testing.T) {
 		t.Fatal(err)
 	}
 	leaf := tr.G.Sources()[1]
-	ini := NewBitset(tr.Root)
-	reuse := NewBitset(leaf)
+	ini := bitset.New(tr.Root)
+	reuse := bitset.New(leaf)
 	frag, err := s.Schedule(tr.Root, 10, ini, reuse)
 	if err != nil {
 		t.Fatal(err)
@@ -163,12 +164,12 @@ func TestFragmentResidentParents(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps := tr.G.Parents(tr.Root)
-	ini := NewBitset(ps[0], ps[1])
-	frag, err := s.Schedule(tr.Root, 10, ini, Bitset{})
+	ini := bitset.New(ps[0], ps[1])
+	frag, err := s.Schedule(tr.Root, 10, ini, bitset.Set{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, stats := replay(t, s, 10, ini, Bitset{}, frag)
+	st, stats := replay(t, s, 10, ini, bitset.Set{}, frag)
 	if stats.Cost != 0 {
 		t.Errorf("cost = %d, want 0", stats.Cost)
 	}
@@ -189,17 +190,17 @@ func TestFragmentReuseStaysThroughTightBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	leaf := tr.G.Sources()[0]
-	reuse := NewBitset(leaf)
+	reuse := bitset.New(leaf)
 	b := core.MinExistenceBudget(tr.G) + 1 // 4: tight but feasible with reuse
-	cost := s.Cost(tr.Root, b, Bitset{}, reuse)
+	cost := s.Cost(tr.Root, b, bitset.Set{}, reuse)
 	if cost >= Inf {
 		t.Skip("combination infeasible at this budget")
 	}
-	frag, err := s.Schedule(tr.Root, b, Bitset{}, reuse)
+	frag, err := s.Schedule(tr.Root, b, bitset.Set{}, reuse)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, stats := replay(t, s, b, Bitset{}, reuse, frag)
+	st, stats := replay(t, s, b, bitset.Set{}, reuse, frag)
 	if !st.Label(leaf).HasRed() {
 		t.Error("reuse leaf evicted")
 	}
@@ -218,7 +219,7 @@ func TestScheduleInfeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Schedule(tr.Root, 10, Bitset{}, Bitset{}); err == nil {
+	if _, err := s.Schedule(tr.Root, 10, bitset.Set{}, bitset.Set{}); err == nil {
 		t.Error("budget 10 < 15 should fail")
 	}
 }

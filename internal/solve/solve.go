@@ -33,7 +33,6 @@ import (
 	"wrbpg/internal/cdag"
 	"wrbpg/internal/core"
 	"wrbpg/internal/dwt"
-	"wrbpg/internal/exact"
 	"wrbpg/internal/guard"
 	"wrbpg/internal/ktree"
 	"wrbpg/internal/mvm"
@@ -536,23 +535,6 @@ func AnytimeCDAG(g *cdag.Graph) Problem {
 				Deduped:      res.Deduped,
 				Improvements: res.Improvements,
 				Workers:      res.Workers,
-			}
-			return res.Schedule, nil
-		},
-	}
-}
-
-// Exact wraps an arbitrary small CDAG: the optimal solver is the
-// exhaustive Dijkstra search (bounded by lim.MaxStates) and the
-// fallback is the greedy topological baseline.
-func Exact(g *cdag.Graph) Problem {
-	return Problem{
-		Name: "exact",
-		G:    g,
-		Optimal: func(ctx context.Context, lim guard.Limits, budget cdag.Weight) (core.Schedule, error) {
-			res, err := exact.SolveCtx(ctx, g, budget, lim)
-			if err != nil {
-				return nil, err
 			}
 			return res.Schedule, nil
 		},

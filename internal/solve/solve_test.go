@@ -9,6 +9,7 @@ import (
 	"wrbpg/internal/cdag"
 	"wrbpg/internal/core"
 	"wrbpg/internal/dwt"
+	"wrbpg/internal/exact"
 	"wrbpg/internal/guard"
 	"wrbpg/internal/ktree"
 	"wrbpg/internal/mvm"
@@ -147,7 +148,18 @@ func TestRunBudgetExhaustionDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := core.MinExistenceBudget(tr.G) + 8
-	out, err := Run(context.Background(), Exact(tr.G), budget,
+	p := Problem{
+		Name: "exact",
+		G:    tr.G,
+		Optimal: func(ctx context.Context, lim guard.Limits, budget cdag.Weight) (core.Schedule, error) {
+			res, err := exact.SolveCtx(ctx, tr.G, budget, lim)
+			if err != nil {
+				return nil, err
+			}
+			return res.Schedule, nil
+		},
+	}
+	out, err := Run(context.Background(), p, budget,
 		guard.Limits{MaxStates: 3, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
