@@ -130,10 +130,10 @@ soak-smoke:
 # surface as structured 400s, never panics, and a body the one-pass
 # scanner reads must decode to the same value through encoding/json.
 # FuzzPeerResponse does the same for a forwarder decoding a peer's
-# answer in either envelope, and FuzzResponseJSON holds the response
-# appenders to encoding/json's indented bytes. The core targets check
-# the schedule JSON codec against the reflective encoder and decoder,
-# and the packed codec for round trips and bounded decoding. FuzzRow
+# packed frame, and FuzzResponseJSON holds the response appenders to
+# encoding/json's indented bytes. The core targets check the schedule
+# JSON encoder against the reflective one and for round trips, and the
+# packed codec for round trips and bounded decoding. FuzzRow
 # holds the shared budget memo's rows to a random step function. One
 # -fuzz per invocation (a go test restriction).
 fuzz-smoke:

@@ -28,7 +28,6 @@ import (
 	"wrbpg/internal/guard"
 	"wrbpg/internal/obs"
 	"wrbpg/internal/serve"
-	"wrbpg/internal/solve"
 )
 
 func main() {
@@ -149,20 +148,6 @@ func run(args []string, stdout *os.File) error {
 		}
 		*writeTimeout = mt + 30*time.Second
 	}
-
-	// Surface degraded solves in the daemon log: a burst of fallbacks
-	// means the deadline or resource ceilings are too tight for the
-	// traffic mix.
-	restore := solve.SetHook(func(name string, out solve.Outcome, err error) {
-		switch {
-		case err != nil:
-			logger.Error("solve failed", "workload", name, "err", err)
-		case out.Source == solve.SourceFallback:
-			logger.Warn("solve degraded to baseline", "workload", name,
-				"reason", solve.FallbackReason(out.Err), "err", out.Err, "elapsed", out.Elapsed)
-		}
-	})
-	defer restore()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

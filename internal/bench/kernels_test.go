@@ -490,12 +490,9 @@ func perfKernels() []perfKernel {
 			}
 			return body, body()
 		}},
-		// A peer fill's serialization: the owner encodes the envelope
-		// carrying a full mvm(16,32) move list, the forwarder decodes it,
-		// as the packed frame new replicas exchange and as the JSON
-		// envelope older forwarders get.
-		{"PeerEnvelopeRoundTrip", peerEnvelopeRoundTrip(wire.EnvelopePacked)},
-		{"PeerEnvelopeRoundTripJSON", peerEnvelopeRoundTrip(wire.EnvelopeJSON)},
+		// A peer fill's serialization: the owner encodes the packed frame
+		// carrying a full mvm(16,32) move list, the forwarder decodes it.
+		{"PeerEnvelopeRoundTrip", peerEnvelopeRoundTrip},
 		// The wire layers of a schedule request, on the bodies wrbpgbench
 		// sends: a parametric hot-cache key, a hot-cache graph as a
 		// 20-node raw spec, and a 48-node cdag-anytime graph in the
@@ -642,31 +639,28 @@ func peerFillResult() (*wire.ScheduleResult, error) {
 }
 
 // peerEnvelopeRoundTrip is the setup of a kernel that encodes
-// peerFillResult's envelope in the given form, as the owner does, and
+// peerFillResult's envelope as a packed frame, as the owner does, and
 // decodes it, as the forwarder does.
-func peerEnvelopeRoundTrip(form string) func() (func() error, error) {
-	return func() (func() error, error) {
-		res, err := peerFillResult()
-		if err != nil {
-			return nil, err
-		}
-		env := &wire.PeerScheduleResponse{Result: res}
-		ct := wire.PeerContentType(form)
-		return func() error {
-			body, err := wire.AppendPeerResponse(nil, env, form)
-			if err != nil {
-				return err
-			}
-			back, err := wire.DecodePeerResponse(ct, body)
-			if err != nil {
-				return err
-			}
-			if len(back.Result.Schedule) != len(res.Schedule) {
-				return fmt.Errorf("bench: envelope round trip kept %d of %d moves", len(back.Result.Schedule), len(res.Schedule))
-			}
-			return nil
-		}, nil
+func peerEnvelopeRoundTrip() (func() error, error) {
+	res, err := peerFillResult()
+	if err != nil {
+		return nil, err
 	}
+	env := &wire.PeerScheduleResponse{Result: res}
+	return func() error {
+		body, err := wire.AppendPeerResponse(nil, env)
+		if err != nil {
+			return err
+		}
+		back, err := wire.DecodePeerResponse(wire.PeerMediaType, body)
+		if err != nil {
+			return err
+		}
+		if len(back.Result.Schedule) != len(res.Schedule) {
+			return fmt.Errorf("bench: envelope round trip kept %d of %d moves", len(back.Result.Schedule), len(res.Schedule))
+		}
+		return nil
+	}, nil
 }
 
 // wireDecode is the setup of a kernel that decodes the request body

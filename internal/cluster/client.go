@@ -44,15 +44,15 @@ const maxPeerBody = 32 << 20
 //   - result: the owner answered 200 (it solved, or hit its cache).
 //     When the forwarder propagated trace context (preq.TraceParent),
 //     trace carries the owner's span subtree alongside it. Fill asks
-//     for the packed frame and decodes whichever form the owner sent
-//     (wire.DecodePeerResponse), recording it as the envelope attribute
-//     of the span active in ctx;
+//     for the packed frame and decodes it (wire.DecodePeerResponse);
 //   - apiErr: the owner answered a structured API error — notably a
 //     429 carrying its Retry-After shed estimate, which cluster-aware
 //     shedding may propagate to the end client;
 //   - err: the transport failed (refused, reset, deadline) or the
-//     response was undecodable. The caller should treat the owner as
-//     suspect (ReportFillError) and solve locally.
+//     response was undecodable, a 200 that is not a packed frame (an
+//     owner from before the frame, a proxy page) included. The caller
+//     should treat the owner as suspect (ReportFillError) and solve
+//     locally.
 //
 // The caller bounds the round trip via ctx (the peer-timeout slice of
 // the request deadline).
@@ -83,9 +83,7 @@ func (c *Cluster) Fill(ctx context.Context, owner string, preq *wire.PeerSchedul
 		return nil, nil, nil, fmt.Errorf("cluster: read peer %s response: %w", owner, err)
 	}
 	if resp.StatusCode == http.StatusOK {
-		ct := resp.Header.Get("Content-Type")
-		obs.SetSpanAttr(ctx, "envelope", wire.PeerEnvelope(ct))
-		env, err := wire.DecodePeerResponse(ct, b)
+		env, err := wire.DecodePeerResponse(resp.Header.Get("Content-Type"), b)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("cluster: peer %s answered 200: %w", owner, err)
 		}
@@ -108,9 +106,9 @@ var (
 )
 
 // readBody reads a peer response whole: into one buffer of the
-// announced length, else growing (chunked bodies, older owners). A
-// body longer than limit is an error, refused before reading when its
-// length was announced.
+// announced length, else growing (chunked bodies). A body longer than
+// limit is an error, refused before reading when its length was
+// announced.
 func readBody(resp *http.Response, limit int64) ([]byte, error) {
 	n := resp.ContentLength
 	if n > limit {

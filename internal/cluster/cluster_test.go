@@ -171,7 +171,18 @@ func TestStartLoopProbes(t *testing.T) {
 	}
 }
 
+// TestFillDecodesResultAndErrors: Fill returns a packed frame's result
+// and trace, an owner's structured error as apiErr, and every other
+// answer (a JSON 200, a frame under the wrong media type, a proxy
+// page, a dead peer) as a transport-class error.
 func TestFillDecodesResultAndErrors(t *testing.T) {
+	frame, err := wire.AppendPeerResponse(nil, &wire.PeerScheduleResponse{
+		Result: &wire.ScheduleResult{Workload: "w", Source: "optimal", CostBits: 7},
+		Trace:  &obs.TraceExport{TraceID: "ab12", StartUS: 1, Spans: []*obs.SpanNode{{Name: "peer.serve", DurationUS: 5}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc(PeerPath, func(w http.ResponseWriter, r *http.Request) {
 		if r.Header.Get(HopHeader) == "" {
@@ -183,10 +194,17 @@ func TestFillDecodesResultAndErrors(t *testing.T) {
 		}
 		switch preq.Key {
 		case "ok":
+			w.Header().Set("Content-Type", wire.PeerMediaType)
+			w.Write(frame)
+		case "wrong-type":
+			w.Header().Set("Content-Type", "application/json")
+			w.Write(frame)
+		case "json":
+			// An owner from before the packed frame: the compact JSON
+			// envelope, or a bare ScheduleResult from before the envelope.
 			w.Header().Set("Content-Type", "application/json")
 			fmt.Fprint(w, `{"result":{"workload":"w","source":"optimal","cost_bits":7},"trace":{"trace_id":"ab12","start_unix_us":1,"spans":[{"name":"peer.serve","start_us":0,"duration_us":5}]}}`)
-		case "legacy":
-			// Pre-envelope owner: a bare ScheduleResult as the 200 body.
+		case "bare":
 			w.Header().Set("Content-Type", "application/json")
 			fmt.Fprint(w, `{"workload":"w","source":"optimal","cost_bits":7}`)
 		case "shed":
@@ -215,12 +233,13 @@ func TestFillDecodesResultAndErrors(t *testing.T) {
 		t.Fatalf("ok fill trace subtree = %+v, want the owner's peer.serve span", tex)
 	}
 
-	res, tex, apiErr, ferr = c.Fill(ctx, ts.URL, &wire.PeerScheduleRequest{Key: "legacy"})
-	if ferr != nil || apiErr != nil || res == nil || res.CostBits != 7 {
-		t.Fatalf("legacy bare-body fill: res=%+v apiErr=%v err=%v", res, apiErr, ferr)
-	}
-	if tex != nil {
-		t.Fatalf("legacy bare-body fill carried a trace subtree: %+v", tex)
+	// Any 200 that is not a packed frame is a transport-class failure,
+	// so the caller solves locally.
+	for _, key := range []string{"wrong-type", "json", "bare"} {
+		res, _, apiErr, ferr = c.Fill(ctx, ts.URL, &wire.PeerScheduleRequest{Key: key})
+		if res != nil || apiErr != nil || ferr == nil {
+			t.Fatalf("%s 200 should be a transport-class error, got res=%+v apiErr=%v err=%v", key, res, apiErr, ferr)
+		}
 	}
 
 	res, _, apiErr, ferr = c.Fill(ctx, ts.URL, &wire.PeerScheduleRequest{Key: "shed"})

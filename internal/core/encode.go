@@ -2,7 +2,6 @@ package core
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -138,22 +137,9 @@ func (s Schedule) MarshalJSON() ([]byte, error) {
 	return append(b, ']'), nil
 }
 
-// UnmarshalJSON decodes the array form. The canonical form MarshalJSON
-// writes, with any whitespace between tokens, is scanned directly into
-// a schedule of exactly its length; every other input goes through the
-// reflective decoder, so what is accepted and every error message are
-// the same either way.
+// UnmarshalJSON decodes the array form: any JSON that encoding/json
+// can read into a list of {kind, node} objects.
 func (s *Schedule) UnmarshalJSON(data []byte) error {
-	if out, ok := scanScheduleJSON(data); ok {
-		*s = out
-		return nil
-	}
-	return s.unmarshalJSONReflect(data)
-}
-
-// unmarshalJSONReflect is the general decoder: any JSON that
-// encoding/json can read into a []moveJSON.
-func (s *Schedule) unmarshalJSONReflect(data []byte) error {
 	var raw []moveJSON
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return err
@@ -175,120 +161,6 @@ func (s *Schedule) unmarshalJSONReflect(data []byte) error {
 	}
 	*s = out
 	return nil
-}
-
-// minMoveJSON is the length of the shortest canonical move.
-const minMoveJSON = len(`{"kind":"M1","node":0}`)
-
-// scanScheduleJSON reads the canonical form: an array of
-// {"kind":"M1".."M4","node":<int32>} objects with the keys spelled
-// exactly and in that order, whitespace allowed between tokens. ok is
-// false for any other input. Every '{' of an accepted input opens one
-// move, so counting them sizes the result once.
-func scanScheduleJSON(data []byte) (Schedule, bool) {
-	n := bytes.Count(data, []byte{'{'})
-	if n*minMoveJSON > len(data) {
-		return nil, false
-	}
-	sc := moveScanner{data: data}
-	if !sc.token("[") {
-		return nil, false
-	}
-	out := make(Schedule, 0, n)
-	if !sc.token("]") {
-		for {
-			m, ok := sc.move()
-			if !ok {
-				return nil, false
-			}
-			out = append(out, m)
-			if sc.token("]") {
-				break
-			}
-			if !sc.token(",") {
-				return nil, false
-			}
-		}
-	}
-	sc.ws()
-	return out, sc.pos == len(data)
-}
-
-// moveScanner is a cursor over canonical schedule JSON.
-type moveScanner struct {
-	data []byte
-	pos  int
-}
-
-// ws skips JSON whitespace.
-func (sc *moveScanner) ws() {
-	for sc.pos < len(sc.data) {
-		switch sc.data[sc.pos] {
-		case ' ', '\t', '\n', '\r':
-			sc.pos++
-		default:
-			return
-		}
-	}
-}
-
-// token skips whitespace and consumes lit if it comes next.
-func (sc *moveScanner) token(lit string) bool {
-	sc.ws()
-	end := sc.pos + len(lit)
-	if end > len(sc.data) || string(sc.data[sc.pos:end]) != lit {
-		return false
-	}
-	sc.pos = end
-	return true
-}
-
-// move reads one {"kind":"Mk","node":n} object.
-func (sc *moveScanner) move() (Move, bool) {
-	if !sc.token("{") || !sc.token(`"kind"`) || !sc.token(":") || !sc.token(`"M`) {
-		return Move{}, false
-	}
-	if sc.pos+2 > len(sc.data) || sc.data[sc.pos] < '1' || sc.data[sc.pos] > '4' || sc.data[sc.pos+1] != '"' {
-		return Move{}, false
-	}
-	kind := MoveKind(sc.data[sc.pos] - '0') // M1..M4 are 1..4
-	sc.pos += 2
-	if !sc.token(",") || !sc.token(`"node"`) || !sc.token(":") {
-		return Move{}, false
-	}
-	node, ok := sc.node()
-	if !ok || !sc.token("}") {
-		return Move{}, false
-	}
-	return Move{Kind: kind, Node: node}, true
-}
-
-// node reads a JSON integer that fits a NodeID.
-func (sc *moveScanner) node() (cdag.NodeID, bool) {
-	sc.ws()
-	neg := sc.pos < len(sc.data) && sc.data[sc.pos] == '-'
-	if neg {
-		sc.pos++
-	}
-	start := sc.pos
-	var v int64
-	for ; sc.pos < len(sc.data) && sc.data[sc.pos] >= '0' && sc.data[sc.pos] <= '9'; sc.pos++ {
-		if sc.pos-start == 10 { // more digits than any int32 has
-			return 0, false
-		}
-		v = v*10 + int64(sc.data[sc.pos]-'0')
-	}
-	digits := sc.pos - start
-	if digits == 0 || (digits > 1 && sc.data[start] == '0') {
-		return 0, false
-	}
-	if neg {
-		v = -v
-	}
-	if v < math.MinInt32 || v > math.MaxInt32 {
-		return 0, false
-	}
-	return cdag.NodeID(v), true
 }
 
 // AppendBinary appends the packed form of the schedule to b: a uvarint

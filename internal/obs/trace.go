@@ -169,20 +169,6 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return context.WithValue(ctx, ctxKey{}, active{tr: a.tr, spanID: sp.id}), sp
 }
 
-// SetSpanAttr annotates the context's active span, for code that runs
-// inside a span its caller started. A no-op when ctx carries no trace
-// or no active span.
-func SetSpanAttr(ctx context.Context, key, value string) {
-	a, ok := ctx.Value(ctxKey{}).(active)
-	if !ok || a.tr == nil || a.spanID < 0 {
-		return
-	}
-	a.tr.mu.Lock()
-	sp := a.tr.spans[a.spanID]
-	a.tr.mu.Unlock()
-	sp.SetAttr(key, value)
-}
-
 // newSpan appends a span under the trace lock.
 func (t *Trace) newSpan(name string, parent int) *Span {
 	t.mu.Lock()

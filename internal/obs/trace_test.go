@@ -76,30 +76,6 @@ func TestSpanTreeNesting(t *testing.T) {
 	}
 }
 
-// TestSetSpanAttr: SetSpanAttr lands on the span whose context it is
-// given, even through a derived context, and is a no-op without one.
-func TestSetSpanAttr(t *testing.T) {
-	SetSpanAttr(context.Background(), "k", "v") // untraced: must not panic
-	tr := NewTrace()
-	ctx := WithTrace(context.Background(), tr)
-	SetSpanAttr(ctx, "k", "v") // no active span: dropped
-	rctx, root := StartSpan(ctx, "request")
-	_, child := StartSpan(rctx, "child")
-	dctx, cancel := context.WithCancel(rctx)
-	SetSpanAttr(dctx, "envelope", "packed")
-	cancel()
-	child.End()
-	root.End()
-	tr.Finish()
-	r := tr.Tree().Spans[0]
-	if len(r.Attrs) != 1 || r.Attrs[0] != (Attr{Key: "envelope", Value: "packed"}) {
-		t.Errorf("request attrs = %v, want only envelope=packed", r.Attrs)
-	}
-	if attrs := r.Children[0].Attrs; len(attrs) != 0 {
-		t.Errorf("child attrs = %v, want none", attrs)
-	}
-}
-
 // TestSpanTreeProperty is a randomized structural test: build many
 // random span forests through the public context API and assert, for
 // each, that (a) every span lands under exactly the parent whose

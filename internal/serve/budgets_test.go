@@ -44,7 +44,7 @@ func decodeSweep(t *testing.T, body []byte) wire.SweepResponse {
 // with the single-solve endpoint, and the second identical sweep is a
 // session-pool hit that never touches the cold solver.
 func TestSweepWarmSession(t *testing.T) {
-	ts, _, solves := newTestServer(t, Options{})
+	ts, s := newTestServer(t, Options{})
 
 	// Bounds first, so the budget list brackets the existence bound.
 	var lb wire.LowerBoundResult
@@ -99,10 +99,8 @@ func TestSweepWarmSession(t *testing.T) {
 			sr.Items[2].CostBits, min+4, one.CostBits)
 	}
 
-	// Identical sweep again: session hit, no solver invocation (the
-	// solve hook only fires for Run, which sweeps never call — so
-	// instead assert via counters and the session disposition).
-	before := solves.Load()
+	// Identical sweep again: session hit, and no cold solve.
+	before := s.Stats().Solves
 	resp, body = postJSON(t, ts.URL+"/v1/schedule/sweep", sweepReq(budgets))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("second sweep: %d", resp.StatusCode)
@@ -110,7 +108,7 @@ func TestSweepWarmSession(t *testing.T) {
 	if sr2 := decodeSweep(t, body); sr2.Session != "hit" {
 		t.Fatalf("second sweep session = %q, want hit", sr2.Session)
 	}
-	if solves.Load() != before {
+	if s.Stats().Solves != before {
 		t.Errorf("warm sweep invoked the cold solver")
 	}
 
@@ -139,7 +137,7 @@ func TestSweepValidation(t *testing.T) { testBudgetListValidation(t, "/v1/schedu
 func TestPatchValidation(t *testing.T) { testBudgetListValidation(t, "/v1/schedule/patch") }
 
 func testBudgetListValidation(t *testing.T, path string) {
-	ts, _, _ := newTestServer(t, Options{MaxPatchDeltas: 2, MaxSweepBudgets: 4})
+	ts, _ := newTestServer(t, Options{MaxPatchDeltas: 2, MaxSweepBudgets: 4})
 	resp, body := postJSON(t, ts.URL+path, sweepReq([]int64{4096}))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("warming the base: %d\n%s", resp.StatusCode, body)
@@ -221,7 +219,7 @@ func testBudgetListValidation(t *testing.T, path string) {
 // evict LRU sessions; the pool never exceeds its cap and evicted shapes
 // rebuild as misses.
 func TestSweepSessionEviction(t *testing.T) {
-	ts, s, _ := newTestServer(t, Options{SweepSessions: 2})
+	ts, s := newTestServer(t, Options{SweepSessions: 2})
 	shapes := [][2]int{{2, 2}, {3, 2}, {2, 3}}
 	for _, sh := range shapes {
 		body := map[string]any{
@@ -252,7 +250,7 @@ func TestSweepSessionEviction(t *testing.T) {
 // and reports the memo cells the incremental engine reused; and every
 // answer agrees with /v1/schedule solving the patched instance cold.
 func TestPatchInlineAndByBaseKey(t *testing.T) {
-	ts, _, _ := newTestServer(t, Options{})
+	ts, _ := newTestServer(t, Options{})
 
 	var lb wire.LowerBoundResult
 	getJSON(t, ts.URL+"/v1/lowerbound?family=ktree&k=3&height=3", &lb)
@@ -329,7 +327,7 @@ func TestPatchInlineAndByBaseKey(t *testing.T) {
 		t.Fatalf("sweep after patch: session=%q base=%q changed=%d, want a hit on %q reverting 1 node",
 			sr.Session, sr.BaseKey, sr.ChangedNodes, pr.BaseKey)
 	}
-	ts2, _, _ := newTestServer(t, Options{})
+	ts2, _ := newTestServer(t, Options{})
 	_, body2 := postJSON(t, ts2.URL+"/v1/schedule/sweep", sweepReq(budgets))
 	fresh := decodeSweep(t, body2)
 	for i := range sr.Items {
@@ -364,7 +362,7 @@ func TestPatchInlineAndByBaseKey(t *testing.T) {
 // the session in between. The bounds are read under the session lock;
 // make patch-check runs this under -race.
 func TestPatchConcurrentSweepBounds(t *testing.T) {
-	ts, _, _ := newTestServer(t, Options{})
+	ts, _ := newTestServer(t, Options{})
 	var lb wire.LowerBoundResult
 	getJSON(t, ts.URL+"/v1/lowerbound?family=ktree&k=3&height=3", &lb)
 	budgets := []int64{lb.MinExistenceBits + 4, lb.MinExistenceBits + 9}
@@ -423,7 +421,7 @@ func TestPatchConcurrentSweepBounds(t *testing.T) {
 // TestPatchMetricsExposition: the patch and session-pool series appear
 // on /metrics in Prometheus exposition format.
 func TestPatchMetricsExposition(t *testing.T) {
-	ts, _, _ := newTestServer(t, Options{})
+	ts, _ := newTestServer(t, Options{})
 	if resp, body := postJSON(t, ts.URL+"/v1/schedule/patch",
 		patchReq([]int64{4096}, []map[string]any{{"node": 0, "weight_bits": 1}})); resp.StatusCode != http.StatusOK {
 		t.Fatalf("patch: %d\n%s", resp.StatusCode, body)

@@ -63,7 +63,7 @@ func postCDAG(t *testing.T, url string, spec *wire.GraphSpec, budget int64) (int
 // as the requester numbered it — the canonical relabeling is invisible
 // on the wire.
 func TestScheduleCDAGSpecEndToEnd(t *testing.T) {
-	ts, _, _ := newTestServer(t, Options{})
+	ts, _ := newTestServer(t, Options{})
 	spec := diamondSpec()
 	reqGraph, err := spec.Graph()
 	if err != nil {
@@ -99,7 +99,7 @@ func TestScheduleCDAGSpecEndToEnd(t *testing.T) {
 // of the same dataflow hits the first solve's cache entry, and its
 // move list is valid against its *own* numbering.
 func TestScheduleCDAGSpecIsomorphicHit(t *testing.T) {
-	ts, _, solves := newTestServer(t, Options{})
+	ts, s := newTestServer(t, Options{})
 	g1, err := diamondSpec().Graph()
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestScheduleCDAGSpecIsomorphicHit(t *testing.T) {
 	if status, _, raw := postCDAG(t, ts.URL, diamondSpec(), budget); status != http.StatusOK {
 		t.Fatalf("first solve: status %d: %s", status, raw)
 	}
-	after := solves.Load()
+	after := s.Stats().Solves
 	status, out, raw := postCDAG(t, ts.URL, renamedDiamondSpec(), budget)
 	if status != http.StatusOK {
 		t.Fatalf("isomorphic solve: status %d: %s", status, raw)
@@ -116,7 +116,7 @@ func TestScheduleCDAGSpecIsomorphicHit(t *testing.T) {
 	if out.Cache != "hit" {
 		t.Fatalf("isomorphic resubmission: cache=%q, want hit", out.Cache)
 	}
-	if solves.Load() != after {
+	if s.Stats().Solves != after {
 		t.Fatal("isomorphic resubmission invoked the solver")
 	}
 	g2, err := renamedDiamondSpec().Graph()
@@ -131,7 +131,7 @@ func TestScheduleCDAGSpecIsomorphicHit(t *testing.T) {
 // TestScheduleCDAGSpecBadRequests: malformed specs are structured 400s
 // naming the offending node or edge, and never reach the solver.
 func TestScheduleCDAGSpecBadRequests(t *testing.T) {
-	ts, _, solves := newTestServer(t, Options{})
+	ts, s := newTestServer(t, Options{})
 	cases := []struct {
 		name string
 		body string
@@ -165,8 +165,8 @@ func TestScheduleCDAGSpecBadRequests(t *testing.T) {
 			t.Errorf("%s: error %q does not name the offender %q", tc.name, e.Message, tc.want)
 		}
 	}
-	if solves.Load() != 0 {
-		t.Fatalf("malformed specs invoked the solver %d times", solves.Load())
+	if s.Stats().Solves != 0 {
+		t.Fatalf("malformed specs invoked the solver %d times", s.Stats().Solves)
 	}
 }
 
@@ -174,7 +174,7 @@ func TestScheduleCDAGSpecBadRequests(t *testing.T) {
 // graphs as a request body (POST, or GET with a body) and answers the
 // Proposition 2.3/2.4 bounds without solving.
 func TestLowerBoundCDAGBody(t *testing.T) {
-	ts, _, solves := newTestServer(t, Options{})
+	ts, s := newTestServer(t, Options{})
 	body := wire.Spec{Family: solve.FamilyCDAG, CDAG: diamondSpec()}
 	resp, raw := postJSON(t, ts.URL+"/v1/lowerbound", body)
 	if resp.StatusCode != http.StatusOK {
@@ -187,7 +187,7 @@ func TestLowerBoundCDAGBody(t *testing.T) {
 	if out.LowerBoundBits <= 0 || out.MinExistenceBits <= 0 || out.Nodes != 5 {
 		t.Fatalf("degenerate cdag bounds: %+v", out)
 	}
-	if solves.Load() != 0 {
+	if s.Stats().Solves != 0 {
 		t.Fatal("lowerbound must not solve")
 	}
 	// Malformed spec through the same path: structured 400.

@@ -67,9 +67,6 @@ func (s *Server) handlePeerSchedule(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, asWireErr(err))
 		return
 	}
-	// The answer is a packed frame when the forwarder asked for one, and
-	// the compact JSON envelope otherwise (older forwarders).
-	form := wire.PeerEnvelope(r.Header.Get("Accept"))
 	// Resume the forwarder's trace when it propagated context: the
 	// owner-side phases (cache, admission, solve) record under a
 	// "peer.serve" root carrying the same trace ID, the completed
@@ -86,7 +83,6 @@ func (s *Server) handlePeerSchedule(w http.ResponseWriter, r *http.Request) {
 		ctx, root = obs.StartSpan(obs.WithTrace(ctx, tr), "peer.serve")
 		root.SetAttr("origin", preq.Origin)
 		root.SetAttr("parent_span", strconv.Itoa(pspan))
-		root.SetAttr("envelope", form)
 		w.Header().Set(TraceIDHeader, tr.ID())
 	}
 	res, st, werr := s.scheduleAs(ctx, &preq.Req, true, preq.Key)
@@ -103,14 +99,14 @@ func (s *Server) handlePeerSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	// The body goes out with its length: the forwarder reads it into a
 	// single buffer of exactly that size.
-	body, err := wire.AppendPeerResponse(nil, &wire.PeerScheduleResponse{Result: res.Stamped(&st), Trace: tex}, form)
+	body, err := wire.AppendPeerResponse(nil, &wire.PeerScheduleResponse{Result: res.Stamped(&st), Trace: tex})
 	if err != nil {
 		s.logPeerServe(tr, preq.Origin, http.StatusInternalServerError)
 		s.writeErr(w, asWireErr(err))
 		return
 	}
 	s.logPeerServe(tr, preq.Origin, http.StatusOK)
-	w.Header().Set("Content-Type", wire.PeerContentType(form))
+	w.Header().Set("Content-Type", wire.PeerMediaType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(body) //nolint:errcheck // nothing useful to do mid-response
@@ -250,12 +246,6 @@ func (s *Server) peerFill(ctx context.Context, owner, key string, req *wire.Sche
 		// re-stamps cache disposition and key. ElapsedUS stays the
 		// owner's solve time — the same semantics a local solve reports.
 		fill.Cache, fill.CacheKey = "", ""
-		// Cached entries are encoded as they are, and a local solve's
-		// always has its move counts: an owner that sent none gets an
-		// empty map, which encodes as {} like the local one.
-		if fill.MoveKinds == nil {
-			fill.MoveKinds = map[string]int{}
-		}
 		// Cost accounting crosses the fleet with the fill: the owner's
 		// meter (its solve or cache disposition) survives, re-tiered as a
 		// peer answer one hop further from the client.

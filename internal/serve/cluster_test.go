@@ -8,14 +8,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"wrbpg/internal/cluster"
 	"wrbpg/internal/core"
 	"wrbpg/internal/obs"
 	"wrbpg/internal/serve/wire"
-	"wrbpg/internal/solve"
 )
 
 // swapHandler lets a fleet allocate listeners (and thus member URLs)
@@ -48,7 +46,15 @@ type testFleet struct {
 	ts       []*httptest.Server
 	servers  []*Server
 	clusters []*cluster.Cluster
-	solves   *atomic.Int64 // fleet-wide solver invocations (global hook)
+}
+
+// solves is the fleet-wide count of solver invocations.
+func (f *testFleet) solves() uint64 {
+	var n uint64
+	for _, s := range f.servers {
+		n += s.Stats().Solves
+	}
+	return n
 }
 
 // newTestFleet builds n replicas whose clusters all agree on the
@@ -56,11 +62,7 @@ type testFleet struct {
 // and ReportFillError deterministically.
 func newTestFleet(t *testing.T, n int, opts Options) *testFleet {
 	t.Helper()
-	var solves atomic.Int64
-	restore := solve.SetHook(func(name string, out solve.Outcome, err error) { solves.Add(1) })
-	t.Cleanup(restore)
-
-	f := &testFleet{solves: &solves}
+	f := &testFleet{}
 	swaps := make([]*swapHandler, n)
 	for i := 0; i < n; i++ {
 		swaps[i] = &swapHandler{}
@@ -152,7 +154,7 @@ func TestClusterPeerFillOwnerSolvesOnce(t *testing.T) {
 	if len(res.Schedule) == 0 {
 		t.Fatal("moves requested but absent from filled result")
 	}
-	if got := f.solves.Load(); got != 1 {
+	if got := f.solves(); got != 1 {
 		t.Fatalf("fleet solved %d times, want exactly 1 (owner only)", got)
 	}
 	if got := f.servers[owner].Stats().Solves; got != 1 {
@@ -186,7 +188,7 @@ func TestClusterPeerFillOwnerSolvesOnce(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("owner status %d: %s", resp.StatusCode, body)
 	}
-	if got := f.solves.Load(); got != 1 {
+	if got := f.solves(); got != 1 {
 		t.Fatalf("fleet solved %d times after warm traffic, want still 1", got)
 	}
 

@@ -40,7 +40,7 @@ func TestScheduleBodyGolden(t *testing.T) {
 			{Name: "y", WeightBits: 1},
 		}}}}},
 	}
-	ts, _, _ := newTestServer(t, Options{})
+	ts, _ := newTestServer(t, Options{})
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var lb wire.LowerBoundResult

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"wrbpg/internal/guard"
@@ -55,7 +57,7 @@ func spanNames(nodes []*obs.SpanNode, into map[string]*obs.SpanNode) {
 // and the chrome export is loadable JSON. Untraced requests get no
 // trace ID header.
 func TestTraceEndToEnd(t *testing.T) {
-	ts, _, _ := newTestServer(t, Options{})
+	ts, _ := newTestServer(t, Options{})
 	req := dwtRequest(16 * 16)
 
 	resp, body := postTraced(t, ts.URL+"/v1/schedule", req)
@@ -133,7 +135,7 @@ func TestTraceEndToEnd(t *testing.T) {
 // Prometheus 0.0.4 exposition with at least 15 distinct series, and
 // the request/cache counters reflect the traffic.
 func TestMetricsEndpoint(t *testing.T) {
-	ts, _, _ := newTestServer(t, Options{})
+	ts, _ := newTestServer(t, Options{})
 	req := dwtRequest(16 * 16)
 	postJSON(t, ts.URL+"/v1/schedule", req) // miss
 	postJSON(t, ts.URL+"/v1/schedule", req) // hit
@@ -191,7 +193,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // degradation must label the response with the machine-readable cause
 // and increment wrbpg_fallback_total{reason="budget"}.
 func TestFallbackReasonInBodyAndMetric(t *testing.T) {
-	ts, _, _ := newTestServer(t, Options{
+	ts, _ := newTestServer(t, Options{
 		Limits: guard.Limits{MaxMemoEntries: 1},
 	})
 	req := dwtRequest(16 * 16)
@@ -233,10 +235,59 @@ func TestFallbackReasonInBodyAndMetric(t *testing.T) {
 	}
 }
 
+// lockedBuffer collects log output written from handler goroutines.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestSolveDegradedLogged: a solve that degrades to the baseline logs
+// one Warn line naming the problem and the classified cause.
+func TestSolveDegradedLogged(t *testing.T) {
+	var buf lockedBuffer
+	ts, _ := newTestServer(t, Options{
+		Logger: slog.New(slog.NewJSONHandler(&buf, nil)),
+		Limits: guard.Limits{MaxMemoEntries: 1},
+	})
+	req := dwtRequest(16 * 16)
+	req.IncludeMoves = false
+	if resp, body := postJSON(t, ts.URL+"/v1/schedule", req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var warns []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if rec["msg"] == "solve degraded to baseline" {
+			warns = append(warns, rec)
+		}
+	}
+	if len(warns) != 1 {
+		t.Fatalf("%d degraded-solve lines, want 1:\n%s", len(warns), buf.String())
+	}
+	if w := warns[0]; w["level"] != "WARN" || w["workload"] != "dwt" || w["reason"] != "budget" || w["err"] == nil {
+		t.Fatalf("degraded-solve line %v, want level=WARN workload=dwt reason=budget and the error", w)
+	}
+}
+
 // TestSweepItemReason: sweep items that abort must carry the
 // machine-readable reason in their wire error.
 func TestSweepItemReason(t *testing.T) {
-	ts, _, _ := newTestServer(t, Options{
+	ts, _ := newTestServer(t, Options{
 		Limits: guard.Limits{MaxMemoEntries: 1},
 	})
 	resp, body := postJSON(t, ts.URL+"/v1/schedule/sweep", sweepReq([]int64{1 << 20}))
@@ -291,7 +342,7 @@ func TestDebugHandler(t *testing.T) {
 // response's cost.memo_misses is the memo-entry series' delta. Not
 // parallel: the solver counters are process-global.
 func TestColdSolveFeedsSolverCounters(t *testing.T) {
-	ts, _, _ := newTestServer(t, Options{})
+	ts, _ := newTestServer(t, Options{})
 	for _, c := range []struct {
 		spec wire.Spec
 		dp   bool

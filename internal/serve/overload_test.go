@@ -46,7 +46,7 @@ func pinSlots(t *testing.T, s *Server) func() {
 // tier — a 200 flagged fallback_cause="shed", not an error — and is
 // not cached.
 func TestOverloadDegradesToShedBaseline(t *testing.T) {
-	ts, s, _ := newTestServer(t, Options{MaxInflight: 1, MaxQueue: -1})
+	ts, s := newTestServer(t, Options{MaxInflight: 1, MaxQueue: -1})
 	release := pinSlots(t, s)
 	defer release()
 
@@ -88,7 +88,7 @@ func TestOverloadDegradesToShedBaseline(t *testing.T) {
 // solves take seconds, a queued-up request with a 100ms budget is
 // rejected up front — 429, Retry-After header, structured body.
 func TestOverloadDoomedRejectedWith429(t *testing.T) {
-	ts, s, solves := newTestServer(t, Options{MaxInflight: 1, MaxQueue: 8})
+	ts, s := newTestServer(t, Options{MaxInflight: 1, MaxQueue: 8})
 	for i := 0; i < 10; i++ {
 		s.adm.hold.Observe(5_000_000) // teach the estimator: ~5s holds
 	}
@@ -115,8 +115,8 @@ func TestOverloadDoomedRejectedWith429(t *testing.T) {
 	if werr.RetryAfterS < 1 || werr.RetryAfterS > 60 {
 		t.Fatalf("retry_after_s = %d, want in [1, 60]", werr.RetryAfterS)
 	}
-	if solves.Load() != 0 {
-		t.Fatalf("doomed request reached the solver (%d solves)", solves.Load())
+	if s.Stats().Solves != 0 {
+		t.Fatalf("doomed request reached the solver (%d solves)", s.Stats().Solves)
 	}
 
 	m := scrapeMetrics(t, ts.URL)
@@ -134,7 +134,7 @@ func TestOverloadDoomedRejectedWith429(t *testing.T) {
 // returns to zero, the shed is counted as canceled, and the next
 // request proceeds normally.
 func TestQueuedClientDisconnectReleasesSlot(t *testing.T) {
-	ts, s, _ := newTestServer(t, Options{MaxInflight: 1, MaxQueue: 4})
+	ts, s := newTestServer(t, Options{MaxInflight: 1, MaxQueue: 4})
 	release := pinSlots(t, s)
 	defer release()
 
@@ -210,7 +210,7 @@ func TestQueuedClientDisconnectReleasesSlot(t *testing.T) {
 // tier entirely (shed baseline, mode "breaker") instead of queueing
 // into a thrashing solver.
 func TestBreakerTripsOnFallbackStorm(t *testing.T) {
-	ts, s, solves := newTestServer(t, Options{
+	ts, s := newTestServer(t, Options{
 		Limits:            guard.Limits{MaxMemoEntries: 1}, // every optimal solve aborts → fallback
 		BreakerWindow:     4,
 		BreakerMinSamples: 4,
@@ -235,9 +235,9 @@ func TestBreakerTripsOnFallbackStorm(t *testing.T) {
 		t.Fatalf("breaker = %q after 4/4 fallbacks, want open", got)
 	}
 
-	// The fifth request skips the optimal tier: the solve hook fires
-	// for the degraded call only, and the shed is labeled breaker.
-	before := solves.Load()
+	// The fifth request skips the optimal tier: only the degraded call
+	// counts as a solve, and the shed is labeled breaker.
+	before := s.Stats().Solves
 	resp, body := postJSON(t, ts.URL+"/v1/schedule", dwtRequest(16*16+100))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("breaker-open: status %d: %s", resp.StatusCode, body)
@@ -249,7 +249,7 @@ func TestBreakerTripsOnFallbackStorm(t *testing.T) {
 	if res.Source != "fallback" || res.FallbackCause != "shed" {
 		t.Fatalf("breaker-open: source=%q cause=%q, want fallback/shed", res.Source, res.FallbackCause)
 	}
-	if got := solves.Load() - before; got != 1 {
+	if got := s.Stats().Solves - before; got != 1 {
 		t.Fatalf("breaker-open request invoked solve %d times, want 1 (degraded only)", got)
 	}
 
@@ -267,7 +267,7 @@ func TestBreakerTripsOnFallbackStorm(t *testing.T) {
 
 // TestReadyzStates walks /readyz through ok → overloaded → draining.
 func TestReadyzStates(t *testing.T) {
-	ts, s, _ := newTestServer(t, Options{MaxInflight: 1, MaxQueue: -1})
+	ts, s := newTestServer(t, Options{MaxInflight: 1, MaxQueue: -1})
 
 	var body map[string]any
 	resp := getJSON(t, ts.URL+"/readyz", &body)
@@ -304,7 +304,7 @@ func TestReadyzStates(t *testing.T) {
 // with the server saturated a sweep is rejected with a structured 429
 // (no degraded tier for sweeps).
 func TestSweepShedsWith429(t *testing.T) {
-	ts, s, _ := newTestServer(t, Options{MaxInflight: 1, MaxQueue: -1})
+	ts, s := newTestServer(t, Options{MaxInflight: 1, MaxQueue: -1})
 	release := pinSlots(t, s)
 	defer release()
 

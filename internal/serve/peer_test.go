@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -24,7 +23,7 @@ import (
 
 // postPeer sends preq to the peer endpoint at url the way a forwarder
 // does, asking for the accept media type, or for nothing when it is
-// empty (forwarders from before the packed frame).
+// empty.
 func postPeer(t *testing.T, url string, preq wire.PeerScheduleRequest, accept string) (*http.Response, []byte) {
 	t.Helper()
 	b, err := json.Marshal(preq)
@@ -56,14 +55,18 @@ func postPeer(t *testing.T, url string, preq wire.PeerScheduleRequest, accept st
 // run on a cache hit: the lookup time.
 var peerVolatile = regexp.MustCompile(`"elapsed_us":\d+`)
 
-// checkPeerGolden: the JSON envelope an owner sends a forwarder that
-// did not ask for the packed frame matches the recorded one byte for
-// byte, lookup time aside. The body is a cache hit, so its cost block
-// is fixed.
+// checkPeerGolden: the packed frame an owner sends matches the
+// recorded one byte for byte, lookup time aside. The body is a cache
+// hit, so its cost block is fixed. Only the JSON head is normalized;
+// the move section is bytes.
 func checkPeerGolden(t *testing.T, body []byte) {
 	t.Helper()
-	got := peerVolatile.ReplaceAll(body, []byte(`"elapsed_us":0`))
-	path := filepath.Join("testdata", "golden", "peer_envelope.json")
+	i := bytes.IndexByte(body, '\n')
+	if i < 0 {
+		t.Fatalf("peer body has no move section: %q", body)
+	}
+	got := append(peerVolatile.ReplaceAll(body[:i], []byte(`"elapsed_us":0`)), body[i:]...)
+	path := filepath.Join("testdata", "golden", "peer_frame.bin")
 	if *updateGolden {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
@@ -74,19 +77,19 @@ func checkPeerGolden(t *testing.T, body []byte) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("peer body differs from %s:\n%s", path, got)
+		t.Fatalf("peer body differs from %s:\n%q", path, got)
 	}
 }
 
-// fillTraced runs Fill inside a traced peer.fill span and returns the
-// span's envelope attribute with Fill's answer.
-func fillTraced(c *cluster.Cluster, owner string, preq *wire.PeerScheduleRequest) (res *wire.ScheduleResult, envelope string, apiErr *wire.Error, err error) {
+// fillTraced runs Fill inside a traced peer.fill span, as a forwarder
+// does, and returns its answer.
+func fillTraced(c *cluster.Cluster, owner string, preq *wire.PeerScheduleRequest) (*wire.ScheduleResult, *wire.Error, error) {
 	tr := obs.NewTrace()
 	ctx, sp := obs.StartSpan(obs.WithTrace(context.Background(), tr), "peer.fill")
-	res, _, apiErr, err = c.Fill(ctx, owner, preq)
+	res, _, apiErr, err := c.Fill(ctx, owner, preq)
 	sp.End()
 	tr.Finish()
-	return res, spanAttr(tr.Tree().Spans[0], "envelope"), apiErr, err
+	return res, apiErr, err
 }
 
 // spanAttr returns the value of n's key attribute, or "".
@@ -99,50 +102,55 @@ func spanAttr(n *obs.SpanNode, key string) string {
 	return ""
 }
 
-// indentedResult is a ScheduleResult as owners before the compact
-// envelope wrote it: two-space indented, one move field per line.
-const indentedResult = `{
-  "workload": "w",
-  "source": "optimal",
-  "budget_bits": 64,
-  "cost_bits": 7,
-  "peak_bits": 64,
-  "lower_bound_bits": 7,
-  "move_count": 3,
-  "move_kinds": {
-    "M1": 1,
-    "M2": 1,
-    "M3": 1,
-    "M4": 0
-  },
-  "schedule": [
-    {
-      "kind": "M1",
-      "node": 0
-    },
-    {
-      "kind": "M3",
-      "node": 2
-    },
-    {
-      "kind": "M2",
-      "node": 2
-    }
-  ],
-  "elapsed_us": 41,
-  "cost": {
-    "source_tier": "solve",
-    "solve_wall_us": 40
-  }
-}`
+// checkFillFallsBack: with c's one peer answering each of n unusable
+// 200s in turn (set selects the answer), every fill is a transport-class
+// error, and served, each counts peer_fill{outcome="error"} and is
+// answered by a local optimal solve.
+func checkFillFallsBack(t *testing.T, c *cluster.Cluster, peer string, n int, set func(i int)) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		set(i)
+		res, apiErr, err := fillTraced(c, peer, &wire.PeerScheduleRequest{Key: "k"})
+		if err == nil || apiErr != nil || res != nil {
+			t.Errorf("answer %d: res=%+v apiErr=%v err=%v, want a transport-class error", i, res, apiErr, err)
+		}
+	}
 
-// TestFillNegotiatesEnvelope is the mixed-version matrix of the peer
-// hop. A forwarder asks for the packed frame; an owner sends it only
-// when asked. So a new forwarder fills from a new owner (packed) and
-// from an old one (JSON, indented or bare included), an old forwarder
-// gets the JSON envelope it always got, and a malformed packed frame is
-// a transport-class failure the forwarder answers by solving locally.
-// Both ends record the form as the envelope attribute of their span.
+	s := New(Options{Cluster: c})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	i := 0
+	for b := int64(16 * 16); i < n && b < 16*16+512; b++ {
+		req := dwtRequest(b)
+		inst, err := req.Instance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, local := c.Route(inst.Key(b)); local {
+			continue
+		}
+		set(i)
+		i++
+		resp, body := postJSON(t, ts.URL+"/v1/schedule", req)
+		var res wire.ScheduleResult
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &res) != nil || res.Source != "optimal" {
+			t.Fatalf("budget %d: status %d: %s, want a local optimal answer", b, resp.StatusCode, body)
+		}
+	}
+	if i < n {
+		t.Fatal("not enough peer-owned budgets in range")
+	}
+	if st := s.Stats(); st.PeerFill["error"] != uint64(n) || st.Solves != uint64(n) {
+		t.Fatalf("peer_fill=%v solves=%d, want error=%d and %d local solves", st.PeerFill, st.Solves, n, n)
+	}
+}
+
+// TestFillNegotiatesEnvelope: the packed frame is the one 200 body of
+// the peer hop. A forwarder asks for it, and an owner sends it whether
+// or not it was asked. Any other 200 (a JSON envelope from an owner
+// that predates the frame, a frame under the wrong media type, a
+// malformed frame) is a transport-class failure the forwarder answers
+// by solving locally.
 func TestFillNegotiatesEnvelope(t *testing.T) {
 	f := newTestFleet(t, 2, Options{})
 	req := dwtRequest(16 * 16)
@@ -151,19 +159,16 @@ func TestFillNegotiatesEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	preq := wire.PeerScheduleRequest{Req: req, Key: inst.Key(req.BudgetBits), Origin: f.urls[0]}
-	// The first request solves at replica 1; the second is a cache hit,
-	// whose body is fixed but for its lookup time.
+	// The first request solves at replica 1; the later ones are cache
+	// hits, whose body is fixed but for its lookup time.
 	postPeer(t, f.urls[1], preq, "")
-	jsonResp, jsonBody := postPeer(t, f.urls[1], preq, "")
-	if jsonResp.StatusCode != http.StatusOK {
-		t.Fatalf("peer status %d: %s", jsonResp.StatusCode, jsonBody)
-	}
 
 	t.Run("old-forwarder", func(t *testing.T) {
-		if ct := jsonResp.Header.Get("Content-Type"); ct != "application/json" {
-			t.Fatalf("Content-Type %q without Accept, want application/json", ct)
+		resp, body := postPeer(t, f.urls[1], preq, "")
+		if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != wire.PeerMediaType {
+			t.Fatalf("status %d, Content-Type %q without Accept, want the packed frame: %q", resp.StatusCode, ct, body)
 		}
-		checkPeerGolden(t, jsonBody)
+		checkPeerGolden(t, body)
 	})
 
 	t.Run("packed-owner", func(t *testing.T) {
@@ -172,38 +177,34 @@ func TestFillNegotiatesEnvelope(t *testing.T) {
 		if resp.StatusCode != http.StatusOK || ct != wire.PeerMediaType {
 			t.Fatalf("status %d, Content-Type %q: %s", resp.StatusCode, ct, body)
 		}
+		want, err := wire.DecodePeerResponse(ct, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jsonBody, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if 4*len(body) > len(jsonBody) {
 			t.Errorf("packed frame is %d bytes, JSON envelope %d", len(body), len(jsonBody))
 		}
-		got, err := wire.DecodePeerResponse(ct, body)
-		if err != nil {
-			t.Fatal(err)
+		if len(want.Result.Schedule) == 0 || want.Result.MoveKinds.M3 == 0 {
+			t.Fatalf("frame decodes to %+v, want a full move list", want.Result)
 		}
-		want, err := wire.DecodePeerResponse("application/json", jsonBody)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.Result.ElapsedUS, want.Result.ElapsedUS = 0, 0
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("packed frame decodes to %+v, JSON envelope to %+v", got.Result, want.Result)
-		}
-		res, envelope, apiErr, err := fillTraced(f.clusters[0], f.urls[1], &preq)
+		res, apiErr, err := fillTraced(f.clusters[0], f.urls[1], &preq)
 		if err != nil || apiErr != nil {
 			t.Fatalf("fill: apiErr=%v err=%v", apiErr, err)
 		}
-		if envelope != wire.EnvelopePacked {
-			t.Errorf("fill: peer.fill envelope=%q, want packed", envelope)
-		}
-		res.ElapsedUS = 0
+		res.ElapsedUS, want.Result.ElapsedUS = 0, 0
 		if !reflect.DeepEqual(res, want.Result) {
-			t.Fatalf("fill result %+v, want the JSON envelope's %+v", res, want.Result)
+			t.Fatalf("fill result %+v, want the frame's %+v", res, want.Result)
 		}
 	})
 
 	t.Run("traced", func(t *testing.T) {
 		// Replica 0 has not seen the key: its miss is filled by replica
-		// 1 when replica 1 owns it, and the trace shows the form on both
-		// sides of the hop.
+		// 1 when replica 1 owns it, and the trace holds both sides of
+		// the hop.
 		req := f.reqOwnedBy(t, func(owner string) bool { return owner == f.urls[1] })
 		resp, body := postTraced(t, f.urls[0]+"/v1/schedule", req)
 		if resp.StatusCode != http.StatusOK {
@@ -213,62 +214,51 @@ func TestFillNegotiatesEnvelope(t *testing.T) {
 		getJSON(t, f.urls[0]+"/v1/trace/"+resp.Header.Get(TraceIDHeader), &ex)
 		spans := map[string]*obs.SpanNode{}
 		spanNames(ex.Spans, spans)
+		if sp := spans["peer.fill"]; sp == nil || spanAttr(sp, "outcome") != peerFilled {
+			t.Errorf("peer.fill span %+v, want outcome=filled", sp)
+		}
 		for _, name := range []string{"peer.fill", "peer.serve"} {
-			if sp := spans[name]; sp == nil || spanAttr(sp, "envelope") != wire.EnvelopePacked {
-				t.Errorf("%s span %+v, want envelope=packed", name, sp)
+			if sp := spans[name]; sp == nil || spanAttr(sp, "envelope") != "" {
+				t.Errorf("%s span %+v, want one without an envelope attribute", name, sp)
 			}
 		}
 	})
 
 	t.Run("json-owner", func(t *testing.T) {
-		var accept atomic.Value
-		fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			accept.Store(r.Header.Get("Accept"))
-			var p wire.PeerScheduleRequest
-			if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
-				t.Errorf("decode: %v", err)
-			}
-			w.Header().Set("Content-Type", "application/json")
-			switch p.Key {
-			case "compact":
-				w.Write(jsonBody)
-			case "indented":
-				fmt.Fprintf(w, "{\n  \"result\": %s\n}\n", strings.ReplaceAll(indentedResult, "\n", "\n  "))
-			case "bare":
-				// A pre-envelope result, sent chunked without a length.
-				half := len(indentedResult) / 2
-				fmt.Fprint(w, indentedResult[:half])
-				w.(http.Flusher).Flush()
-				fmt.Fprintln(w, indentedResult[half:])
-			}
-		}))
-		defer fake.Close()
-		c, err := cluster.New(cluster.Config{Self: "http://self.invalid", Peers: []string{fake.URL}})
+		// An owner from before the packed frame answers JSON whatever
+		// the forwarder asks for: the compact envelope, or a bare result
+		// sent chunked without a length. A frame under a JSON
+		// Content-Type is no better.
+		frame, err := wire.AppendPeerResponse(nil, &wire.PeerScheduleResponse{
+			Result: &wire.ScheduleResult{Workload: "w", Source: "optimal", CostBits: 7}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := core.Schedule{{Kind: core.M1, Node: 0}, {Kind: core.M3, Node: 2}, {Kind: core.M2, Node: 2}}
-		for _, key := range []string{"compact", "indented", "bare"} {
-			res, envelope, apiErr, err := fillTraced(c, fake.URL, &wire.PeerScheduleRequest{Key: key})
-			if err != nil || apiErr != nil || res == nil {
-				t.Fatalf("%s: res=%+v apiErr=%v err=%v", key, res, apiErr, err)
-			}
-			if a := accept.Load(); a != wire.PeerMediaType {
-				t.Errorf("%s: forwarder sent Accept %q, want %q", key, a, wire.PeerMediaType)
-			}
-			if envelope != wire.EnvelopeJSON {
-				t.Errorf("%s: peer.fill envelope=%q, want json", key, envelope)
-			}
-			if key == "compact" {
-				if len(res.Schedule) == 0 || len(res.Schedule) != res.MoveCount {
-					t.Errorf("compact: %d moves, move_count %d", len(res.Schedule), res.MoveCount)
-				}
-				continue
-			}
-			if !reflect.DeepEqual(res.Schedule, want) || res.CostBits != 7 || res.MoveKinds["M3"] != 1 ||
-				res.Cost == nil || res.Cost.SolveWallUS != 40 {
-				t.Fatalf("%s: decoded %+v, want the indented body's fields", key, res)
-			}
+		bodies := []string{
+			`{"result":{"workload":"w","source":"optimal","cost_bits":7,"move_count":0}}`,
+			`{"workload":"w","source":"optimal","cost_bits":7,"move_count":0}`,
+			string(frame),
+		}
+		var accept atomic.Value
+		var current atomic.Int32
+		fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			accept.Store(r.Header.Get("Accept"))
+			w.Header().Set("Content-Type", "application/json")
+			body := bodies[current.Load()]
+			half := len(body) / 2
+			io.WriteString(w, body[:half])
+			w.(http.Flusher).Flush()
+			io.WriteString(w, body[half:])
+		}))
+		defer fake.Close()
+		// No number of fill errors ejects the fake owner.
+		c, err := cluster.New(cluster.Config{Self: "http://self.invalid", Peers: []string{fake.URL}, Seed: 1, FailThreshold: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFillFallsBack(t, c, fake.URL, len(bodies), func(i int) { current.Store(int32(i)) })
+		if a := accept.Load(); a != wire.PeerMediaType {
+			t.Errorf("forwarder sent Accept %q, want %q", a, wire.PeerMediaType)
 		}
 	})
 
@@ -293,49 +283,10 @@ func TestFillNegotiatesEnvelope(t *testing.T) {
 			io.WriteString(w, bodies[current.Load()])
 		}))
 		defer fake.Close()
-		// No number of fill errors ejects the fake owner.
 		c, err := cluster.New(cluster.Config{Self: "http://self.invalid", Peers: []string{fake.URL}, Seed: 1, FailThreshold: 100})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, body := range bodies {
-			current.Store(int32(i))
-			res, envelope, apiErr, err := fillTraced(c, fake.URL, &wire.PeerScheduleRequest{Key: "k"})
-			if err == nil || apiErr != nil || res != nil {
-				t.Errorf("%q: res=%+v apiErr=%v err=%v, want a transport-class error", body, res, apiErr, err)
-			}
-			if envelope != wire.EnvelopePacked {
-				t.Errorf("%q: peer.fill envelope=%q, want packed", body, envelope)
-			}
-		}
-
-		// Served: every such fill counts as error and is solved locally.
-		s := New(Options{Cluster: c})
-		ts := httptest.NewServer(s.Handler())
-		defer ts.Close()
-		n := 0
-		for b := int64(16 * 16); n < len(bodies) && b < 16*16+512; b++ {
-			req := dwtRequest(b)
-			inst, err := req.Instance()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, local := c.Route(inst.Key(b)); local {
-				continue
-			}
-			current.Store(int32(n))
-			n++
-			resp, body := postJSON(t, ts.URL+"/v1/schedule", req)
-			var res wire.ScheduleResult
-			if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &res) != nil || res.Source != "optimal" {
-				t.Fatalf("budget %d: status %d: %s, want a local optimal answer", b, resp.StatusCode, body)
-			}
-		}
-		if n < len(bodies) {
-			t.Fatal("not enough peer-owned budgets in range")
-		}
-		if st := s.Stats(); st.PeerFill["error"] != uint64(n) || st.Solves != uint64(n) {
-			t.Fatalf("peer_fill=%v solves=%d, want error=%d and %d local solves", st.PeerFill, st.Solves, n, n)
-		}
+		checkFillFallsBack(t, c, fake.URL, len(bodies), func(i int) { current.Store(int32(i)) })
 	})
 }

@@ -682,8 +682,7 @@ func (s *Server) solveCold(ctx context.Context, req *wire.ScheduleRequest, inst 
 	ssp.SetAttr("source", out.Source.String())
 	ssp.End()
 	s.m.inflight.Add(-1)
-	fallback := out.Source == solve.SourceFallback
-	s.m.observeSolve(out.Elapsed, fallback, err != nil, solve.FallbackReason(out.Err))
+	fallback := s.observeSolve(p.Name, out, err)
 	if err != nil {
 		// Cancellation says nothing about solver health; anything else
 		// that reached the solver and failed counts as a degradation
@@ -755,13 +754,32 @@ func (s *Server) solveShed(ctx context.Context, p solve.Problem, label string, b
 	ssp.SetAttr("source", out.Source.String())
 	ssp.SetAttr("shed", "true")
 	ssp.End()
-	s.m.observeSolve(out.Elapsed, true, err != nil, solve.FallbackReason(out.Err))
+	s.observeSolve(p.Name, out, err)
 	if err != nil {
 		return nil, false, err
 	}
 	res := wire.NewScheduleResult(label, out, core.LowerBound(p.G), true)
 	res.Cost = costMeta(tier, 0, out.Elapsed, guard.SinkFrom(ctx))
 	return res, false, nil
+}
+
+// observeSolve records one solve of the named problem in the metrics
+// and logs it when it failed or degraded to the baseline: a burst of
+// fallbacks means the deadline or resource ceilings are too tight for
+// the traffic mix. It reports whether the answer is a fallback.
+func (s *Server) observeSolve(name string, out solve.Outcome, err error) (fallback bool) {
+	fallback = out.Source == solve.SourceFallback
+	s.m.observeSolve(out.Elapsed, fallback, err != nil, solve.FallbackReason(out.Err))
+	if s.log == nil {
+		return fallback
+	}
+	if err != nil {
+		s.log.Error("solve failed", "workload", name, "err", err)
+	} else if fallback {
+		s.log.Warn("solve degraded to baseline", "workload", name,
+			"reason", solve.FallbackReason(out.Err), "err", out.Err, "elapsed", out.Elapsed)
+	}
+	return fallback
 }
 
 // handleLowerBound serves /v1/lowerbound: the compulsory-I/O lower

@@ -9,30 +9,23 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"wrbpg/internal/core"
 	"wrbpg/internal/guard"
 	"wrbpg/internal/obs"
 	"wrbpg/internal/serve/wire"
-	"wrbpg/internal/solve"
 )
 
-// newTestServer returns an httptest server plus a counter of actual
-// solver invocations (via the solve facade's observation hook), so
-// tests can prove cache hits never touch the solver.
-func newTestServer(t *testing.T, opts Options) (*httptest.Server, *Server, *atomic.Int64) {
+// newTestServer returns an httptest server and the Server behind it,
+// whose Stats().Solves counts actual solver invocations, so tests can
+// prove cache hits never touch the solver.
+func newTestServer(t *testing.T, opts Options) (*httptest.Server, *Server) {
 	t.Helper()
-	var solves atomic.Int64
-	restore := solve.SetHook(func(name string, out solve.Outcome, err error) {
-		solves.Add(1)
-	})
-	t.Cleanup(restore)
 	s := New(opts)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	return ts, s, &solves
+	return ts, s
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
@@ -101,7 +94,7 @@ func dwtRequest(budget int64) wire.ScheduleRequest {
 // cache hit served without invoking the solver, the two schedules are
 // byte-identical, and /metrics reflects the hit/miss counts.
 func TestScheduleColdThenWarm(t *testing.T) {
-	ts, _, solves := newTestServer(t, Options{})
+	ts, s := newTestServer(t, Options{})
 	req := dwtRequest(16 * 16)
 
 	resp, body := postJSON(t, ts.URL+"/v1/schedule", req)
@@ -118,7 +111,7 @@ func TestScheduleColdThenWarm(t *testing.T) {
 	if len(cold.Schedule) == 0 {
 		t.Fatal("cold: moves requested but absent")
 	}
-	if got := solves.Load(); got != 1 {
+	if got := s.Stats().Solves; got != 1 {
 		t.Fatalf("cold: solver ran %d times, want 1", got)
 	}
 
@@ -133,7 +126,7 @@ func TestScheduleColdThenWarm(t *testing.T) {
 	if warm.Cache != "hit" {
 		t.Fatalf("warm: cache=%q, want hit", warm.Cache)
 	}
-	if got := solves.Load(); got != 1 {
+	if got := s.Stats().Solves; got != 1 {
 		t.Fatalf("warm: solver ran %d times, want still 1 (hit must not solve)", got)
 	}
 	if warm.CacheKey != cold.CacheKey || warm.CacheKey == "" {
@@ -167,7 +160,7 @@ func TestScheduleColdThenWarm(t *testing.T) {
 // TestScheduleValidation: malformed untrusted requests get structured
 // 400s — never panics, never 500s.
 func TestScheduleValidation(t *testing.T) {
-	ts, _, solves := newTestServer(t, Options{})
+	ts, s := newTestServer(t, Options{})
 	cases := []struct {
 		name string
 		body string
@@ -203,7 +196,7 @@ func TestScheduleValidation(t *testing.T) {
 			t.Errorf("%s: unstructured error body (decode err %v, body %+v)", tc.name, derr, e)
 		}
 	}
-	if got := solves.Load(); got != 0 {
+	if got := s.Stats().Solves; got != 0 {
 		t.Fatalf("validation cases invoked the solver %d times", got)
 	}
 }
@@ -215,7 +208,7 @@ func TestScheduleValidation(t *testing.T) {
 // value followed by whitespace, or cut off by the body-size cap after
 // it is complete, still decodes.
 func TestTrailingDataRejected(t *testing.T) {
-	ts, _, _ := newTestServer(t, Options{MaxBodyBytes: 256})
+	ts, _ := newTestServer(t, Options{MaxBodyBytes: 256})
 	bodies := map[string][]string{
 		"/v1/schedule":       {`{"family":"dwt","n":8,"d":3,"budget_bits":99}`, `{"Family":"dwt","n":8,"d":3,"budget_bits":99}`},
 		"/v1/schedule/sweep": {`{"family":"dwt","n":8,"d":3,"budgets_bits":[99]}`, `{"Family":"dwt","n":8,"d":3,"budgets_bits":[99]}`},
@@ -259,7 +252,7 @@ func TestTrailingDataRejected(t *testing.T) {
 // cacheable) and caches by content — node names don't affect the key,
 // weights do.
 func TestScheduleCDAGFamily(t *testing.T) {
-	ts, _, _ := newTestServer(t, Options{})
+	ts, _ := newTestServer(t, Options{})
 	graph := func(name string) json.RawMessage {
 		return json.RawMessage(fmt.Sprintf(
 			`{"nodes":[{"w":8,"name":%q},{"w":8},{"w":16,"parents":[0,1]}]}`, name))
@@ -293,7 +286,7 @@ func TestScheduleCDAGFamily(t *testing.T) {
 // run one solve between them (singleflight, then the cache), and every
 // one of them succeeds.
 func TestScheduleConcurrentDedup(t *testing.T) {
-	ts, _, solves := newTestServer(t, Options{})
+	ts, s := newTestServer(t, Options{})
 	body, err := json.Marshal(dwtRequest(16 * 16))
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +319,7 @@ func TestScheduleConcurrentDedup(t *testing.T) {
 	if ok != n {
 		t.Fatalf("%d of %d identical requests answered 200", ok, n)
 	}
-	if got := solves.Load(); got != 1 {
+	if got := s.Stats().Solves; got != 1 {
 		t.Fatalf("identical concurrent requests ran the solver %d times, want 1", got)
 	}
 }
@@ -334,7 +327,7 @@ func TestScheduleConcurrentDedup(t *testing.T) {
 // TestUnknownPathStructured404: a path no endpoint serves, a retired
 // one included, answers a structured JSON 404 like every other error.
 func TestUnknownPathStructured404(t *testing.T) {
-	ts, _, _ := newTestServer(t, Options{})
+	ts, _ := newTestServer(t, Options{})
 	for _, c := range []struct{ method, path string }{
 		{http.MethodPost, "/v1/nope"},
 		{http.MethodGet, "/statsz"},
@@ -367,7 +360,7 @@ func TestUnknownPathStructured404(t *testing.T) {
 // flagged in the response and NOT cached, so a later request retries
 // the optimal solver.
 func TestFallbackFlaggedAndNotCached(t *testing.T) {
-	ts, srv, _ := newTestServer(t, Options{
+	ts, srv := newTestServer(t, Options{
 		// A memo ceiling of 1 forces guard.ErrBudgetExceeded on the
 		// first DP cell — deterministic degradation without timing.
 		Limits: guard.Limits{MaxMemoEntries: 1},
@@ -402,7 +395,7 @@ func TestFallbackFlaggedAndNotCached(t *testing.T) {
 // TestLowerBoundEndpoint: GET /v1/lowerbound answers without solving,
 // and rejects malformed queries with 400s.
 func TestLowerBoundEndpoint(t *testing.T) {
-	ts, _, solves := newTestServer(t, Options{})
+	ts, s := newTestServer(t, Options{})
 	var out wire.LowerBoundResult
 	resp := getJSON(t, ts.URL+"/v1/lowerbound?family=dwt&n=32&d=4", &out)
 	if resp.StatusCode != http.StatusOK {
@@ -411,7 +404,7 @@ func TestLowerBoundEndpoint(t *testing.T) {
 	if out.LowerBoundBits <= 0 || out.MinExistenceBits <= 0 || out.Nodes == 0 {
 		t.Fatalf("degenerate bounds: %+v", out)
 	}
-	if solves.Load() != 0 {
+	if s.Stats().Solves != 0 {
 		t.Fatal("lowerbound must not solve")
 	}
 	for _, q := range []string{
@@ -427,7 +420,7 @@ func TestLowerBoundEndpoint(t *testing.T) {
 
 // TestHealthz: liveness plus method checks on the POST endpoints.
 func TestHealthzAndMethods(t *testing.T) {
-	ts, _, _ := newTestServer(t, Options{})
+	ts, _ := newTestServer(t, Options{})
 	var h map[string]any
 	if resp := getJSON(t, ts.URL+"/healthz", &h); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d", resp.StatusCode)
@@ -446,7 +439,7 @@ func TestHealthzAndMethods(t *testing.T) {
 // TestCacheEvictionVisibleInStats: a tiny cache evicts and
 // Stats().Cache reports it.
 func TestCacheEvictionVisibleInStats(t *testing.T) {
-	ts, srv, _ := newTestServer(t, Options{CacheShards: 1, CachePerShard: 1})
+	ts, srv := newTestServer(t, Options{CacheShards: 1, CachePerShard: 1})
 	budgets := []int64{16 * 16, 17 * 16, 18 * 16}
 	for _, b := range budgets {
 		if resp, body := postJSON(t, ts.URL+"/v1/schedule", dwtRequest(b)); resp.StatusCode != 200 {

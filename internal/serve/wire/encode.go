@@ -7,7 +7,6 @@
 package wire
 
 import (
-	"slices"
 	"strconv"
 	"unicode/utf8"
 
@@ -56,7 +55,12 @@ func (r *ScheduleResult) AppendStamped(dst []byte, st *Stamp) []byte {
 	o.num("lower_bound_bits", r.LowerBoundBits)
 	o.num("move_count", int64(r.MoveCount))
 	o.key("move_kinds")
-	o.counts(r.MoveKinds)
+	o.open('{')
+	o.num("M1", int64(r.MoveKinds.M1))
+	o.num("M2", int64(r.MoveKinds.M2))
+	o.num("M3", int64(r.MoveKinds.M3))
+	o.num("M4", int64(r.MoveKinds.M4))
+	o.close('}')
 	if a := r.Anytime; a != nil {
 		o.key("anytime")
 		o.open('{')
@@ -217,29 +221,6 @@ func (o *jsonOut) strOmit(k, v string) {
 	if v != "" {
 		o.str(k, v)
 	}
-}
-
-// counts writes a map[string]int value: its keys sorted, as
-// encoding/json orders them.
-func (o *jsonOut) counts(m map[string]int) {
-	if m == nil {
-		o.b = append(o.b, "null"...)
-		return
-	}
-	var buf [8]string
-	keys := buf[:0]
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	o.open('{')
-	for _, k := range keys {
-		o.elem()
-		o.b = appendString(o.b, k)
-		o.b = append(o.b, ": "...)
-		o.b = strconv.AppendInt(o.b, int64(m[k]), 10)
-	}
-	o.close('}')
 }
 
 // cost writes the cost member, which is omitted when c is nil.

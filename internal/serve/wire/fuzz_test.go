@@ -183,19 +183,22 @@ func FuzzPeerRequest(f *testing.F) {
 }
 
 // FuzzPeerResponse exercises the forwarder's decoder of a peer's 200
-// body under both content types: a hostile or corrupt owner yields an
-// error or an envelope with a result, never a panic. A packed frame
-// that decodes carries exactly move_count moves and survives a
-// re-encode.
+// body: a hostile or corrupt owner yields an error or an envelope with
+// a result, never a panic. A frame that decodes carries exactly
+// move_count moves and survives a re-encode. Each seed envelope goes in
+// both as a frame and as a JSON body.
 func FuzzPeerResponse(f *testing.F) {
 	for _, env := range peerEnvelopeSeeds() {
-		for _, form := range []string{EnvelopePacked, EnvelopeJSON} {
-			b, err := AppendPeerResponse(nil, env, form)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(b)
+		frame, err := AppendPeerResponse(nil, env)
+		if err != nil {
+			f.Fatal(err)
 		}
+		envelope, err := json.Marshal(env)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+		f.Add(envelope)
 	}
 	f.Add([]byte(`{"workload":"w","source":"optimal","move_count":0}`))
 	f.Add([]byte("{\"result\":{\"move_count\":2}}\n\x02\x00"))
@@ -204,28 +207,23 @@ func FuzzPeerResponse(f *testing.F) {
 	f.Add([]byte("\n\x00"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, ct := range []string{PeerMediaType, "application/json"} {
-			env, err := DecodePeerResponse(ct, data)
-			if err != nil {
-				continue
-			}
-			if env.Result == nil {
-				t.Fatalf("%s %q: no error and no result", ct, data)
-			}
-			if ct != PeerMediaType {
-				continue
-			}
-			if len(env.Result.Schedule) != env.Result.MoveCount {
-				t.Fatalf("%q: %d moves, move_count %d", data, len(env.Result.Schedule), env.Result.MoveCount)
-			}
-			again, err := AppendPeerResponse(nil, env, EnvelopePacked)
-			if err != nil {
-				t.Fatalf("%q: decoded envelope does not re-encode: %v", data, err)
-			}
-			back, err := DecodePeerResponse(ct, again)
-			if err != nil || !reflect.DeepEqual(back, env) {
-				t.Fatalf("%q: re-encoded as %q, decodes to %+v, %v", data, again, back, err)
-			}
+		env, err := DecodePeerResponse(PeerMediaType, data)
+		if err != nil {
+			return
+		}
+		if env.Result == nil {
+			t.Fatalf("%q: no error and no result", data)
+		}
+		if len(env.Result.Schedule) != env.Result.MoveCount {
+			t.Fatalf("%q: %d moves, move_count %d", data, len(env.Result.Schedule), env.Result.MoveCount)
+		}
+		again, err := AppendPeerResponse(nil, env)
+		if err != nil {
+			t.Fatalf("%q: decoded envelope does not re-encode: %v", data, err)
+		}
+		back, err := DecodePeerResponse(PeerMediaType, again)
+		if err != nil || !reflect.DeepEqual(back, env) {
+			t.Fatalf("%q: re-encoded as %q, decodes to %+v, %v", data, again, back, err)
 		}
 	})
 }
@@ -335,14 +333,8 @@ func (f *fuzzValues) cost() *CostMeta {
 func (f *fuzzValues) scheduleResult() *ScheduleResult {
 	r := &ScheduleResult{Workload: f.str(), Source: f.str(), FallbackReason: f.str(), FallbackCause: f.str(),
 		BudgetBits: f.num(), CostBits: f.num(), PeakBits: f.num(), LowerBoundBits: f.num(), MoveCount: int(f.num())}
-	switch f.byte() % 3 {
-	case 1:
-		r.MoveKinds = map[string]int{}
-	case 2:
-		r.MoveKinds = map[string]int{"M1": int(f.num()), "M2": int(f.num()), "M3": int(f.num()), "M4": int(f.num())}
-		for range f.byte() % 4 {
-			r.MoveKinds[f.str()] = int(f.num())
-		}
+	if f.flag() {
+		r.MoveKinds = MoveKinds{M1: int(f.num()), M2: int(f.num()), M3: int(f.num()), M4: int(f.num())}
 	}
 	if f.flag() {
 		r.Anytime = &AnytimeResult{Complete: f.flag(), SeedCostBits: f.num(), Expanded: f.num(),

@@ -18,7 +18,7 @@ func peerEnvelopeSeeds() []*PeerScheduleResponse {
 		Workload: "Equal DWT(4,2)", Source: "optimal",
 		BudgetBits: 64, CostBits: 48, PeakBits: 40, LowerBoundBits: 48,
 		MoveCount: 4,
-		MoveKinds: map[string]int{"M1": 1, "M2": 1, "M3": 1, "M4": 1},
+		MoveKinds: MoveKinds{M1: 1, M2: 1, M3: 1, M4: 1},
 		Schedule:  core.Schedule{{Kind: core.M1, Node: 0}, {Kind: core.M3, Node: 300}, {Kind: core.M2, Node: 300}, {Kind: core.M4, Node: 0}},
 		ElapsedUS: 17, CacheKey: "dwt/ab", Cache: "miss",
 		Cost: &CostMeta{SourceTier: TierSolve, SolveWallUS: 15, MemoMisses: 3},
@@ -27,46 +27,42 @@ func peerEnvelopeSeeds() []*PeerScheduleResponse {
 	anytime.Source, anytime.FallbackReason, anytime.FallbackCause = "anytime", "search hit <deadline>", "deadline"
 	anytime.Anytime = &AnytimeResult{Complete: true, SeedCostBits: 50, Expanded: 9, Workers: 2}
 	empty := *res
-	empty.MoveCount, empty.MoveKinds, empty.Schedule = 0, map[string]int{}, nil
+	empty.MoveCount, empty.MoveKinds, empty.Schedule = 0, MoveKinds{}, nil
 	tex := &obs.TraceExport{TraceID: "ab12", StartUS: 1, Spans: []*obs.SpanNode{{Name: "peer.serve", DurationUS: 5,
-		Attrs: []obs.Attr{{Key: "envelope", Value: "packed"}}, Children: []*obs.SpanNode{{Name: "cache", StartUS: 1, DurationUS: 3}}}}}
+		Attrs: []obs.Attr{{Key: "origin", Value: "http://a"}}, Children: []*obs.SpanNode{{Name: "cache", StartUS: 1, DurationUS: 3}}}}}
 	return []*PeerScheduleResponse{{Result: res}, {Result: res, Trace: tex}, {Result: &anytime}, {Result: &empty}}
 }
 
+// TestPeerEnvelope: a body decodes only under the frame's media type,
+// matched case-insensitively and with parameters ignored.
 func TestPeerEnvelope(t *testing.T) {
-	for mediaTypes, want := range map[string]string{
-		"":                                EnvelopeJSON,
-		"application/json":                EnvelopeJSON,
-		"application/json; charset=utf-8": EnvelopeJSON,
-		"*/*":                             EnvelopeJSON,
-		"application/x-wrbpg-peer2":       EnvelopeJSON,
-		PeerMediaType:                     EnvelopePacked,
-		"Application/X-Wrbpg-Peer; v=1":   EnvelopePacked,
-		"application/json;q=0.5, application/x-wrbpg-peer": EnvelopePacked,
-	} {
-		if got := PeerEnvelope(mediaTypes); got != want {
-			t.Errorf("PeerEnvelope(%q) = %s, want %s", mediaTypes, got, want)
-		}
+	frame, err := AppendPeerResponse(nil, peerEnvelopeSeeds()[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if PeerContentType(EnvelopePacked) != PeerMediaType || PeerContentType(EnvelopeJSON) != "application/json" {
-		t.Error("PeerContentType does not name each form's media type")
+	for ct, want := range map[string]bool{
+		PeerMediaType:                     true,
+		"Application/X-Wrbpg-Peer; v=1":   true,
+		" application/x-wrbpg-peer ":      true,
+		"":                                false,
+		"application/json":                false,
+		"application/json; charset=utf-8": false,
+		"*/*":                             false,
+		"text/html":                       false,
+		"application/x-wrbpg-peer2":       false,
+		"application/json, application/x-wrbpg-peer": false,
+	} {
+		if _, err := DecodePeerResponse(ct, frame); (err == nil) != want {
+			t.Errorf("Content-Type %q: err=%v, want decoded=%v", ct, err, want)
+		}
 	}
 }
 
-// TestPeerResponseForms: the JSON form is json.Marshal of the envelope
-// byte for byte; the packed form is that envelope without the move
-// list, a newline, and the packed moves; both decode to the envelope.
+// TestPeerResponseForms: the packed frame is the envelope without
+// the move list as compact JSON, a newline, and the packed moves, and
+// it decodes to the envelope.
 func TestPeerResponseForms(t *testing.T) {
 	for i, env := range peerEnvelopeSeeds() {
-		want, err := json.Marshal(env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := AppendPeerResponse([]byte("x"), env, EnvelopeJSON)
-		if err != nil || !bytes.Equal(got, append([]byte("x"), want...)) {
-			t.Fatalf("seed %d: JSON form %s, %v; want x%s", i, got, err, want)
-		}
-
 		noMoves := *env.Result
 		noMoves.Schedule = nil
 		head, err := json.Marshal(&PeerScheduleResponse{Result: &noMoves, Trace: env.Trace})
@@ -77,28 +73,25 @@ func TestPeerResponseForms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		packed, err := AppendPeerResponse(nil, env, EnvelopePacked)
-		if wantPacked := append(append(head, '\n'), moves...); err != nil || !bytes.Equal(packed, wantPacked) {
+		packed, err := AppendPeerResponse([]byte("x"), env)
+		if wantPacked := append(append(append([]byte("x"), head...), '\n'), moves...); err != nil || !bytes.Equal(packed, wantPacked) {
 			t.Fatalf("seed %d: packed form %q, %v; want %q", i, packed, err, wantPacked)
 		}
-
-		for ct, body := range map[string][]byte{PeerMediaType: packed, "application/json": want} {
-			back, err := DecodePeerResponse(ct, body)
-			if err != nil {
-				t.Fatalf("seed %d, %s: %v", i, ct, err)
-			}
-			if !reflect.DeepEqual(back, env) {
-				t.Fatalf("seed %d, %s: decoded %+v, want %+v", i, ct, back.Result, env.Result)
-			}
+		back, err := DecodePeerResponse(PeerMediaType, packed[1:])
+		if err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(back, env) {
+			t.Fatalf("seed %d: decoded %+v, want %+v", i, back.Result, env.Result)
 		}
 	}
-	if _, err := AppendPeerResponse(nil, &PeerScheduleResponse{}, EnvelopePacked); err == nil {
+	if _, err := AppendPeerResponse(nil, &PeerScheduleResponse{}); err == nil {
 		t.Error("an envelope without a result encoded")
 	}
 }
 
-// TestDecodePeerResponseRejects: malformed packed frames and bodies
-// that are neither an envelope nor a result are errors.
+// TestDecodePeerResponseRejects: malformed packed frames are errors,
+// and so are the JSON bodies owners from before the frame sent.
 func TestDecodePeerResponseRejects(t *testing.T) {
 	one, err := core.Schedule{{Kind: core.M2, Node: 9}}.AppendBinary(nil)
 	if err != nil {
@@ -119,14 +112,18 @@ func TestDecodePeerResponseRejects(t *testing.T) {
 			t.Errorf("%s: decoded %+v", name, env.Result)
 		}
 	}
+	envelope, err := json.Marshal(peerEnvelopeSeeds()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, body := range map[string]string{
-		"empty":             "",
-		"not JSON":          "<html>proxy error</html>",
-		"empty object":      "{}",
-		"bare, no workload": `{"source":"optimal"}`,
+		"JSON envelope": string(envelope),
+		"bare result":   `{"workload":"w","source":"optimal","move_count":0}`,
+		"proxy page":    "<html>proxy error</html>",
+		"empty":         "",
 	} {
 		if env, err := DecodePeerResponse("application/json", []byte(body)); err == nil {
-			t.Errorf("%s: decoded %+v", name, env.Result)
+			t.Errorf("%s as application/json: decoded %+v", name, env.Result)
 		}
 	}
 }

@@ -190,8 +190,8 @@ type ScheduleResult struct {
 	PeakBits       int64 `json:"peak_bits"`
 	LowerBoundBits int64 `json:"lower_bound_bits"`
 	// MoveCount is the schedule length; MoveKinds counts M1–M4.
-	MoveCount int            `json:"move_count"`
-	MoveKinds map[string]int `json:"move_kinds"`
+	MoveCount int       `json:"move_count"`
+	MoveKinds MoveKinds `json:"move_kinds"`
 	// Anytime carries the branch-and-bound search report when Source is
 	// "anytime" (the general-DAG tier).
 	Anytime *AnytimeResult `json:"anytime,omitempty"`
@@ -209,6 +209,14 @@ type ScheduleResult struct {
 	// Cost is the per-request cost accounting block, stamped by wrbpgd
 	// (absent from the CLI's -json output).
 	Cost *CostMeta `json:"cost,omitempty"`
+}
+
+// MoveKinds counts a schedule's moves of each kind.
+type MoveKinds struct {
+	M1 int `json:"M1"`
+	M2 int `json:"M2"`
+	M3 int `json:"M3"`
+	M4 int `json:"M4"`
 }
 
 // CostMeta is the per-request cost accounting block: where a response
@@ -282,11 +290,11 @@ func NewScheduleResult(label string, out solve.Outcome, lb cdag.Weight, includeM
 		PeakBits:       int64(out.Stats.PeakRedWeight),
 		LowerBoundBits: int64(lb),
 		MoveCount:      len(out.Schedule),
-		MoveKinds: map[string]int{
-			"M1": out.Stats.Moves[core.M1],
-			"M2": out.Stats.Moves[core.M2],
-			"M3": out.Stats.Moves[core.M3],
-			"M4": out.Stats.Moves[core.M4],
+		MoveKinds: MoveKinds{
+			M1: out.Stats.Moves[core.M1],
+			M2: out.Stats.Moves[core.M2],
+			M3: out.Stats.Moves[core.M3],
+			M4: out.Stats.Moves[core.M4],
 		},
 		ElapsedUS: out.Elapsed.Microseconds(),
 	}
@@ -311,15 +319,11 @@ func NewScheduleResult(label string, out solve.Outcome, lb cdag.Weight, includeM
 	return r
 }
 
-// Clone returns a shallow-plus-maps copy, so per-request fields
+// Clone returns a copy with its own cost block, so per-request fields
 // (Cache, ElapsedUS, Cost) can be stamped without mutating a cached
 // result.
 func (r *ScheduleResult) Clone() *ScheduleResult {
 	cp := *r
-	cp.MoveKinds = make(map[string]int, len(r.MoveKinds))
-	for k, v := range r.MoveKinds {
-		cp.MoveKinds[k] = v
-	}
 	if r.Cost != nil {
 		c := *r.Cost
 		cp.Cost = &c
@@ -438,12 +442,11 @@ type PeerScheduleRequest struct {
 	TraceParent string `json:"-"`
 }
 
-// PeerScheduleResponse is the 200 body of POST /v1/peer/schedule, as a
-// packed frame or as JSON (AppendPeerResponse). When
-// the forwarder propagated trace context, Trace carries the owner's
-// span subtree for the forwarder to graft under its peer.fill span, so
-// GET /v1/trace/{id} on the forwarder shows the complete cross-replica
-// tree.
+// PeerScheduleResponse is the 200 body of POST /v1/peer/schedule, sent
+// as a packed frame (AppendPeerResponse). When the forwarder propagated
+// trace context, Trace carries the owner's span subtree for the
+// forwarder to graft under its peer.fill span, so GET /v1/trace/{id} on
+// the forwarder shows the complete cross-replica tree.
 type PeerScheduleResponse struct {
 	Result *ScheduleResult  `json:"result"`
 	Trace  *obs.TraceExport `json:"trace,omitempty"`

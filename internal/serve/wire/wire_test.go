@@ -60,11 +60,12 @@ func TestScheduleRequestInstanceRoundTrip(t *testing.T) {
 }
 
 func TestCloneIsolation(t *testing.T) {
-	r := &ScheduleResult{Workload: "x", MoveKinds: map[string]int{"M1": 1}}
+	r := &ScheduleResult{Workload: "x", MoveKinds: MoveKinds{M1: 1}, Cost: &CostMeta{SourceTier: TierSolve}}
 	c := r.Clone()
 	c.Cache = "hit"
-	c.MoveKinds["M1"] = 99
-	if r.Cache != "" || r.MoveKinds["M1"] != 1 {
+	c.MoveKinds.M1 = 99
+	c.Cost.SourceTier = TierCache
+	if r.Cache != "" || r.MoveKinds.M1 != 1 || r.Cost.SourceTier != TierSolve {
 		t.Fatal("Clone shares state with the original")
 	}
 }

@@ -137,33 +137,3 @@ func TestInstanceBuildAndSolve(t *testing.T) {
 		}
 	}
 }
-
-// TestSetHook: the installed hook observes outcomes and restore
-// reinstates the previous state.
-func TestSetHook(t *testing.T) {
-	var seen []string
-	restore := SetHook(func(name string, out Outcome, err error) {
-		seen = append(seen, name+":"+out.Source.String())
-	})
-	defer restore()
-
-	in := Instance{Family: FamilyDWT, N: 16, D: 4, Cfg: equalCfg()}
-	p, g, err := in.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget := core.MinExistenceBudget(g) + 64
-	if _, err := Run(context.Background(), p, budget, guard.Limits{Deadline: time.Minute}); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 1 || seen[0] != "dwt:optimal" {
-		t.Fatalf("hook observed %v, want [dwt:optimal]", seen)
-	}
-	restore()
-	if _, err := Run(context.Background(), p, budget, guard.Limits{Deadline: time.Minute}); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 1 {
-		t.Fatal("hook fired after restore")
-	}
-}

@@ -25,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"wrbpg/internal/anytime"
@@ -174,29 +173,6 @@ type optResult struct {
 	panicked bool
 }
 
-// Hook observes every completed Run: the problem name, its outcome
-// (source, stats, elapsed time, degradation reason) and the terminal
-// error, if any. Serving layers install one to feed their metrics
-// (fallback counters, solve-latency histograms) without threading an
-// observer through every call site.
-type Hook func(name string, out Outcome, err error)
-
-// hook holds the installed observer; nil means no observation.
-var hook atomic.Pointer[Hook]
-
-// SetHook installs h as the process-wide Run observer and returns a
-// restore function reinstating the previous hook. h must be safe for
-// concurrent use; SetHook(nil) clears the hook.
-func SetHook(h Hook) (restore func()) {
-	var prev *Hook
-	if h == nil {
-		prev = hook.Swap(nil)
-	} else {
-		prev = hook.Swap(&h)
-	}
-	return func() { hook.Store(prev) }
-}
-
 // Run attempts p.Optimal under ctx and lim and degrades to the
 // baseline scheduler when the attempt times out, exhausts its resource
 // limits, panics, or returns an invalid schedule. The fallback runs
@@ -204,15 +180,6 @@ func SetHook(h Hook) (restore func()) {
 // fails too, Run returns an error wrapping both causes. Cancellation
 // of ctx itself is returned as guard.ErrCanceled without fallback.
 func Run(ctx context.Context, p Problem, budget cdag.Weight, lim guard.Limits) (Outcome, error) {
-	out, err := run(ctx, p, budget, lim)
-	if h := hook.Load(); h != nil {
-		(*h)(p.Name, out, err)
-	}
-	return out, err
-}
-
-// run is Run without the observation hook.
-func run(ctx context.Context, p Problem, budget cdag.Weight, lim guard.Limits) (Outcome, error) {
 	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
@@ -343,20 +310,10 @@ func fallback(p Problem, budget cdag.Weight) (core.Schedule, error) {
 // Degraded runs only the baseline scheduler — the overload answer of a
 // serving layer whose admission control decided this request cannot
 // afford (or must not touch) the optimal tier. The schedule is still
-// Simulate-validated, the Outcome is flagged SourceFallback with
-// Err = ErrShed (FallbackReason "shed"), and the observation hook
-// fires exactly as for Run, so shed solves land in the same fallback
-// metrics and logs as deadline degradations.
+// Simulate-validated, and the Outcome is flagged SourceFallback with
+// Err = ErrShed (FallbackReason "shed"), so shed solves land in the
+// same fallback metrics and logs as deadline degradations.
 func Degraded(ctx context.Context, p Problem, budget cdag.Weight) (Outcome, error) {
-	out, err := degraded(ctx, p, budget)
-	if h := hook.Load(); h != nil {
-		(*h)(p.Name, out, err)
-	}
-	return out, err
-}
-
-// degraded is Degraded without the observation hook.
-func degraded(ctx context.Context, p Problem, budget cdag.Weight) (Outcome, error) {
 	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
