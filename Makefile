@@ -134,7 +134,9 @@ soak-smoke:
 # encoding/json's indented bytes. The core targets check the schedule
 # JSON encoder against the reflective one and for round trips, and the
 # packed codec for round trips and bounded decoding. FuzzRow
-# holds the shared budget memo's rows to a random step function. One
+# holds the shared budget memo's rows to a random step function, and
+# FuzzPtMatchesReference holds the k-ary tree DP to its plain
+# every-strategy form on a decoded tree, budget and weight patch. One
 # -fuzz per invocation (a go test restriction).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzScheduleRequest -fuzztime=10s -run '^$$' ./internal/serve/wire/
@@ -146,6 +148,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzScheduleJSON -fuzztime=10s -run '^$$' ./internal/core/
 	$(GO) test -fuzz=FuzzScheduleBinary -fuzztime=10s -run '^$$' ./internal/core/
 	$(GO) test -fuzz=FuzzRow -fuzztime=10s -run '^$$' ./internal/stepmemo/
+	$(GO) test -fuzz=FuzzPtMatchesReference -fuzztime=10s -run '^$$' ./internal/ktree/
 
 # Race-enabled general-DAG gate: the full anytime search suite
 # (property bounds, monotone trajectories, fault injection, the

@@ -205,6 +205,7 @@ func perfKernels() []perfKernel {
 		}},
 		{"ColdSolveDWT", coldSolveKernel(coldDWT)},
 		{"ColdSolveKTree", coldSolveKernel(coldKTree)},
+		{"ColdSolveKTree3", coldSolveKernel(coldKTree3)},
 		{"ColdSolveMVM", coldSolveKernel(coldMVM)},
 		// The schedcache pair measures the serving layer's cache around
 		// a realistic key population: a hit must stay allocation-light
@@ -581,11 +582,13 @@ func BenchmarkKernels(b *testing.B) {
 }
 
 // The largest shape of each family in wrbpgbench's cold-solve and
-// fleet-3 workloads, under the Equal weighting.
+// fleet-3 workloads, under the Equal weighting, and the k = 3 tree
+// that the cold-solve and session-mix ktree bases also solve.
 var (
-	coldDWT   = solve.Instance{Family: solve.FamilyDWT, N: 128, D: 7, Cfg: Configs()[0]}
-	coldKTree = solve.Instance{Family: solve.FamilyKTree, K: 2, Height: 8, Cfg: Configs()[0]}
-	coldMVM   = solve.Instance{Family: solve.FamilyMVM, M: 16, N: 32, Cfg: Configs()[0]}
+	coldDWT    = solve.Instance{Family: solve.FamilyDWT, N: 128, D: 7, Cfg: Configs()[0]}
+	coldKTree  = solve.Instance{Family: solve.FamilyKTree, K: 2, Height: 8, Cfg: Configs()[0]}
+	coldKTree3 = solve.Instance{Family: solve.FamilyKTree, K: 3, Height: 4, Cfg: Configs()[0]}
+	coldMVM    = solve.Instance{Family: solve.FamilyMVM, M: 16, N: 32, Cfg: Configs()[0]}
 )
 
 // coldBuild returns the setup of a kernel that builds in through

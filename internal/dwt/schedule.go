@@ -116,7 +116,25 @@ func (s *Scheduler) SetWeights(ds []cdag.WeightDelta) (invalidated, reused int64
 // strategies' sub-calls, shifted by the red weight held while that
 // sub-call ran. On the intersection every consulted value is
 // constant, so the minimum and the chosen strategy are too.
+//
+// Leaves and budgets below the cutoff are O(1) answers: they are
+// returned before the memo probe, and never stored or ticked.
 func (s *Scheduler) p(v cdag.NodeID, b cdag.Weight) (entry, cdag.Weight, cdag.Weight) {
+	g := s.dg.G
+	if g.IsSource(v) {
+		w := g.Weight(v)
+		if w > b {
+			return entry{cost: Inf, choice: stratLeaf}, -Inf, w - 1
+		}
+		return entry{cost: w, choice: stratLeaf}, w, Inf
+	}
+	ps := g.Parents(v)
+	p1, p2 := ps[0], ps[1]
+	w1, w2 := g.Weight(p1), g.Weight(p2)
+	lo, hi := g.Weight(v)+w1+w2, Inf
+	if lo > b {
+		return entry{cost: Inf, choice: stratKeepP1}, -Inf, lo - 1
+	}
 	if st := s.memo.Find(v, b); st != nil {
 		s.memo.Hit()
 		return st.V, st.Lo, st.Hi
@@ -125,21 +143,6 @@ func (s *Scheduler) p(v cdag.NodeID, b cdag.Weight) (entry, cdag.Weight, cdag.We
 	// above untouched, and an all-warm solve finishes in microseconds.
 	if s.memo.Tick() {
 		return entry{cost: Inf}, b, b
-	}
-	g := s.dg.G
-	if g.IsSource(v) {
-		w := g.Weight(v)
-		if w > b {
-			return s.memo.Store(v, b, -Inf, w-1, entry{cost: Inf, choice: stratLeaf})
-		}
-		return s.memo.Store(v, b, w, Inf, entry{cost: w, choice: stratLeaf})
-	}
-	ps := g.Parents(v)
-	p1, p2 := ps[0], ps[1]
-	w1, w2 := g.Weight(p1), g.Weight(p2)
-	lo, hi := g.Weight(v)+w1+w2, Inf
-	if lo > b {
-		return s.memo.Store(v, b, -Inf, lo-1, entry{cost: Inf, choice: stratKeepP1})
 	}
 	// sub returns P(p, b−shift) and narrows [lo, hi] by its interval.
 	sub := func(p cdag.NodeID, shift cdag.Weight) cdag.Weight {
@@ -325,16 +328,17 @@ func (s *Scheduler) order(v cdag.NodeID, e entry) (first, second cdag.NodeID, sp
 
 // moves returns the number of moves gen emits for (v, b), read from
 // the memo that MinCost(b) filled, so Schedule can size its result
-// exactly. It reads cells without counting memo hits. A cell the memo
-// lacks (a store that the resource limits refused) counts no moves:
-// the result only sizes the schedule, which then grows as needed.
+// exactly. Sources are answered first, as they are never memoized. It
+// reads cells without counting memo hits. A cell the memo lacks (a
+// store that the resource limits refused) counts no moves: the result
+// only sizes the schedule, which then grows as needed.
 func (s *Scheduler) moves(v cdag.NodeID, b cdag.Weight) int {
+	if s.dg.G.IsSource(v) {
+		return 1
+	}
 	st := s.memo.Find(v, b)
 	if st == nil {
 		return 0
-	}
-	if st.V.choice == stratLeaf {
-		return 1
 	}
 	first, second, spill := s.order(v, st.V)
 	n := s.moves(first, b) + 3 // M3 v, M4 on both parents

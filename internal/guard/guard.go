@@ -62,9 +62,9 @@ func (l Limits) Unlimited() bool {
 	return l.MaxMemoEntries == 0 && l.MaxStates == 0 && l.Deadline == 0
 }
 
-// tickMask throttles context polling: the Done channel is consulted
-// once every tickMask+1 Tick calls, keeping checkpoints to a counter
-// increment in the common case.
+// tickMask throttles context polling: the context is consulted on a
+// query's first Tick and then once every tickMask+1 calls, keeping
+// checkpoints to a counter increment in the common case.
 const tickMask = 255
 
 // Counts is the observation side of a Checker: cheap solver-progress
@@ -193,8 +193,10 @@ func (c *Checker) trip(err error) error {
 
 // Tick is the periodic cancellation checkpoint: call it once per DP
 // cell / search iteration. It returns non-nil once the solve must
-// abort. The context is polled once every 256 calls, so a checkpoint
-// normally costs a counter increment.
+// abort. The context is polled on the first call after New or Reset,
+// so a query with only a few cold cells still sees a dead context,
+// and then once every 256 calls, so a checkpoint normally costs a
+// counter increment.
 func (c *Checker) Tick() error {
 	if c == nil {
 		return nil
@@ -203,20 +205,15 @@ func (c *Checker) Tick() error {
 		return c.err
 	}
 	c.ticks++
-	if c.ticks&tickMask != 0 {
+	if c.ticks&tickMask != 1 {
 		return nil
 	}
-	return c.poll()
-}
-
-// poll consults the context immediately (no throttling).
-func (c *Checker) poll() error {
-	select {
-	case <-c.ctx.Done():
-		return c.trip(Wrap(c.ctx.Err()))
-	default:
-		return nil
+	// ctx.Err, not a select on Done: the first Done call on a fresh
+	// cancelable context allocates its channel.
+	if err := c.ctx.Err(); err != nil {
+		return c.trip(Wrap(err))
 	}
+	return nil
 }
 
 // NoteHit records one warm memo hit. It sits on the warmest solver

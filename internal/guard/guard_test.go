@@ -54,6 +54,29 @@ func TestTickCancellation(t *testing.T) {
 	}
 }
 
+// TestFirstTickPollsCanceled: a query whose context is already dead
+// trips on its first checkpoint, so a solve with fewer cold cells than
+// the poll stride still aborts; Reset restarts the stride.
+func TestFirstTickPollsCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c := New(ctx, Limits{})
+	defer c.Release()
+	if err := c.Tick(); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("first Tick under a canceled context = %v, want ErrCanceled", err)
+	}
+	live, stop := context.WithCancel(context.Background())
+	c.Reset(live, Limits{})
+	if err := c.Tick(); err != nil {
+		t.Fatalf("first Tick after Reset under a live context = %v", err)
+	}
+	stop()
+	c.Reset(live, Limits{})
+	if err := c.Tick(); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("first Tick after Reset under a canceled context = %v, want ErrCanceled", err)
+	}
+}
+
 func TestDeadlineFromLimits(t *testing.T) {
 	c := New(context.Background(), Limits{Deadline: time.Millisecond})
 	defer c.Release()

@@ -7,9 +7,11 @@ import (
 // MinCostFullStrategySet evaluates the k-ary DP over the full
 // 2^k·k! strategy set of Eq. 3 — including the four dominated
 // spill-then-also-reload-the-other entries that Eq. 4 prunes for the
-// binary case. It always returns the same value as
-// Scheduler.MinCost; the ablation benchmark measures what the
-// pruning and the skip-source-spill shortcut save.
+// binary case — with one memo probe per parent of every strategy. It
+// always returns the same value as Scheduler.MinCost; the ablation
+// benchmark measures what the Scheduler's shortcuts save: the
+// skip-source-spill and keep-last skips, making each distinct
+// sub-call once per cell, and the budget-interval memo.
 func MinCostFullStrategySet(t *Tree, b cdag.Weight) cdag.Weight {
 	g := t.G
 	memo := map[cdag.NodeID]map[cdag.Weight]cdag.Weight{}

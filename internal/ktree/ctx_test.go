@@ -86,3 +86,24 @@ func TestSessionAbortThenReuse(t *testing.T) {
 		t.Errorf("after abort, CostCtx(%d) = %d, want %d", b, got, want)
 	}
 }
+
+// TestCostCtxCanceledSmallQuery: a cold query with only a few cells
+// still honours a context that is dead before it starts, and the
+// scheduler answers correctly once the context is live again.
+func TestCostCtxCanceledSmallQuery(t *testing.T) {
+	tr := ctxTree(t)
+	se := NewScheduler(tr)
+	b := 2 * core.MinExistenceBudget(tr.G)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if c, err := se.CostCtx(canceled, guard.Limits{}, b); !errors.Is(err, guard.ErrCanceled) {
+		t.Fatalf("CostCtx under a canceled context = %d, %v; want ErrCanceled", c, err)
+	}
+	got, err := se.CostCtx(context.Background(), guard.Limits{}, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := NewScheduler(tr).MinCost(b); got != want {
+		t.Errorf("after cancellation, CostCtx(%d) = %d, want %d", b, got, want)
+	}
+}

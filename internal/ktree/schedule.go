@@ -42,6 +42,13 @@ type Scheduler struct {
 	// with a maximally wide interval, which is what keeps budget
 	// sweeps cheap near the existence boundary.
 	exist []cdag.Weight
+	// subs is the sub-result scratch of the cells in flight: the cell
+	// at recursion depth d (the root is depth 0) owns the stride-wide
+	// window at d·stride, and each of its slots holds the value of one
+	// distinct sub-call (see pt). Only one cell per depth is ever in
+	// flight, so the windows never collide and no cell allocates.
+	subs   []cdag.Weight
+	stride int
 }
 
 // NewScheduler returns a scheduler for the tree. The k! permutation
@@ -54,10 +61,15 @@ func NewScheduler(t *Tree) *Scheduler {
 			permTable(k)
 		}
 	}
+	stride := t.K << uint(t.K)
 	s := &Scheduler{
 		t:     t,
 		memo:  stepmemo.NewRows[entry](t.G.Len()),
 		exist: make([]cdag.Weight, t.G.Len()),
+		// Sources have no cell, so the deepest cell sits one above the
+		// deepest leaf.
+		subs:   make([]cdag.Weight, height(t.G, t.Root)*stride),
+		stride: stride,
 	}
 	// Node IDs are topological by construction, so one forward pass
 	// sees every parent before its child.
@@ -65,6 +77,15 @@ func NewScheduler(t *Tree) *Scheduler {
 		s.setExist(cdag.NodeID(v))
 	}
 	return s
+}
+
+// height returns the number of edges on the longest leaf-to-v path.
+func height(g *cdag.Graph, v cdag.NodeID) int {
+	h := 0
+	for _, p := range g.Parents(v) {
+		h = max(h, 1+height(g, p))
+	}
+	return h
 }
 
 // setExist recomputes v's existence bound from its parents' bounds.
@@ -93,20 +114,55 @@ func (s *Scheduler) SetWeights(ds []cdag.WeightDelta) (invalidated, reused int64
 	return s.memo.Patch(s.t.G, ds, "ktree", nil, s.setExist)
 }
 
-// pt computes Pt(v, b) of Eq. 6, minimizing over parent permutations
-// σ and keep/spill vectors δ. Configurations that spill a source
-// parent are skipped: re-ordering the source to the end of the
-// permutation with δ=1 is always at least 2·w cheaper (sources
-// already hold blue pebbles), so the minimum is unchanged and the
-// generator never writes a blue pebble onto a node that has one.
+// unset marks a sub-result slot that no strategy has consulted yet;
+// every real value is a cost ≥ 0 or Inf.
+const unset cdag.Weight = -1
+
+// sub returns Pt(p, b) with the budget interval on which it holds.
+// The two O(1) cases are answered here, without probing the memo,
+// storing a step or ticking the guard: below p's existence bound the
+// value is Inf on (−Inf, exist[p]−1], and a source costs its one load
+// w on [w, Inf]. Every other cell is pt's, at recursion depth d.
+func (s *Scheduler) sub(p cdag.NodeID, b cdag.Weight, d int) (cdag.Weight, cdag.Weight, cdag.Weight) {
+	if b < s.exist[p] {
+		return Inf, -Inf, s.exist[p] - 1
+	}
+	if g := s.t.G; g.IsSource(p) {
+		w := g.Weight(p)
+		return w, w, Inf
+	}
+	e, lo, hi := s.pt(p, b, d)
+	return e.cost, lo, hi
+}
+
+// pt computes Pt(v, b) of Eq. 6 for a non-source v at a budget
+// b ≥ exist[v], minimizing over parent permutations σ and keep/spill
+// vectors δ, and taking the first strict minimum in (σ, δ) order.
+// Two families of configurations are skipped because they are
+// strictly dominated, so neither the minimum nor its argmin changes:
+//
+//   - Spilling a source parent: re-ordering the source to the end of
+//     the permutation with δ=1 is always at least 2·w cheaper
+//     (sources already hold blue pebbles), so the generator never
+//     writes a blue pebble onto a node that has one.
+//   - Spilling σ's last parent: nothing is computed after it, so the
+//     keep-last twin makes the same sub-calls and costs exactly 2·w
+//     less (weights are positive). The k!·2^(k−1) configurations left
+//     are the δ with the top bit set.
+//
+// A parent's sub-budget b − held depends only on which other parents
+// are held before it, so a cell makes at most k·2^(k−1) distinct
+// sub-calls however many configurations share them. Each is made
+// once, the first time the enumeration consults it, and its value
+// kept in the cell's scratch window at slot (parent index, held set).
 //
 // Alongside the entry, pt returns the budget interval [lo, hi] on
 // which it is valid: a cold cell starts from the feasibility cutoff
-// and narrows by every child interval it consults (shifted by the
-// red-pebble weight held while that child was queried). On the
+// and narrows by every sub-call interval it consults (shifted by the
+// red-pebble weight held while that sub-call ran). On the
 // intersection every configuration evaluates identically, so both
 // the minimum and the argmin are constant there.
-func (s *Scheduler) pt(v cdag.NodeID, b cdag.Weight) (entry, cdag.Weight, cdag.Weight) {
+func (s *Scheduler) pt(v cdag.NodeID, b cdag.Weight, d int) (entry, cdag.Weight, cdag.Weight) {
 	if st := s.memo.Find(v, b); st != nil {
 		s.memo.Hit()
 		return st.V, st.Lo, st.Hi
@@ -117,48 +173,48 @@ func (s *Scheduler) pt(v cdag.NodeID, b cdag.Weight) (entry, cdag.Weight, cdag.W
 		return entry{cost: Inf}, b, b
 	}
 	g := s.t.G
-	// The whole infeasible region is one O(1) step: Pt(v, b) is finite
-	// exactly when b reaches the subtree existence bound.
-	if b < s.exist[v] {
-		return s.memo.Store(v, b, -Inf, s.exist[v]-1, entry{cost: Inf})
-	}
-	if g.IsSource(v) {
-		w := g.Weight(v)
-		return s.memo.Store(v, b, w, Inf, entry{cost: w})
-	}
 	parents := g.Parents(v)
 	k := len(parents)
-	// Every feasible configuration consults all k children, whose
+	subs := s.subs[d*s.stride:][:k<<uint(k)]
+	for i := range subs {
+		subs[i] = unset
+	}
+	// Every feasible configuration consults all k parents, whose
 	// intervals start no lower than their own existence bounds, so the
 	// narrowing below keeps lo ≥ exist[v] automatically; starting from
 	// the local co-residency cutoff is enough.
 	lo, hi := s.exist[v], Inf
 	best := entry{cost: Inf}
 	for pi, order := range permTable(k) {
-		for delta := uint16(0); delta < 1<<uint(k); delta++ {
-			skip := false
+		for delta := uint16(1) << uint(k-1); delta < 1<<uint(k); delta++ {
 			var cost, held cdag.Weight
-			for i := 0; i < k && !skip; i++ {
-				p := parents[order[i]]
+			var set int // parent indices held so far, as bits
+			i := 0
+			for ; i < k; i++ {
+				j := int(order[i])
+				p := parents[j]
 				keep := delta&(1<<uint(i)) != 0
 				if !keep && g.IsSource(p) {
-					skip = true // dominated; see doc comment
+					break // dominated; see doc comment
+				}
+				c := &subs[j<<uint(k)|set]
+				if *c == unset {
+					var slo, shi cdag.Weight
+					*c, slo, shi = s.sub(p, b-held, d+1)
+					lo, hi = max(lo, slo+held), min(hi, shi+held)
+				}
+				if *c >= Inf {
 					break
 				}
-				sub, slo, shi := s.pt(p, b-held)
-				lo, hi = max(lo, slo+held), min(hi, shi+held)
-				if sub.cost >= Inf {
-					skip = true
-					break
-				}
-				cost += sub.cost
+				cost += *c
 				if keep {
 					held += g.Weight(p)
+					set |= 1 << uint(j)
 				} else {
 					cost += 2 * g.Weight(p)
 				}
 			}
-			if skip || cost >= best.cost {
+			if i < k || cost >= best.cost {
 				continue
 			}
 			best = entry{cost: cost, permIdx: int32(pi), delta: delta}
@@ -171,11 +227,11 @@ func (s *Scheduler) pt(v cdag.NodeID, b cdag.Weight) (entry, cdag.Weight, cdag.W
 // tree under budget b: w_root + Pt(root, b) (Eq. 7), or Inf when no
 // valid schedule exists.
 func (s *Scheduler) MinCost(b cdag.Weight) cdag.Weight {
-	e, _, _ := s.pt(s.t.Root, b)
-	if e.cost >= Inf {
+	c, _, _ := s.sub(s.t.Root, b, 0)
+	if c >= Inf {
 		return Inf
 	}
-	return e.cost + s.t.G.Weight(s.t.Root)
+	return c + s.t.G.Weight(s.t.Root)
 }
 
 // CostCtx is MinCost under a cancellation context and resource
@@ -221,7 +277,7 @@ func (s *Scheduler) Schedule(b cdag.Weight) (core.Schedule, error) {
 		return nil, fmt.Errorf("ktree: no valid schedule under budget %d (existence bound %d)", b, core.MinExistenceBudget(s.t.G))
 	}
 	sched := make(core.Schedule, 0, s.moves(s.t.Root, b)+2)
-	if err := s.gen(s.t.Root, b, &sched); err != nil {
+	if err := s.gen(s.t.Root, b, 0, &sched); err != nil {
 		return nil, err
 	}
 	sched = sched.Append(
@@ -232,23 +288,26 @@ func (s *Scheduler) Schedule(b cdag.Weight) (core.Schedule, error) {
 }
 
 // gen emits the moves realizing Pt(v, b): red pebble on v at the end,
-// no other red pebbles in v's subtree.
-func (s *Scheduler) gen(v cdag.NodeID, b cdag.Weight, sched *core.Schedule) error {
+// no other red pebbles in v's subtree. d is v's recursion depth.
+func (s *Scheduler) gen(v cdag.NodeID, b cdag.Weight, d int, sched *core.Schedule) error {
 	g := s.t.G
-	e, _, _ := s.pt(v, b)
-	if e.cost >= Inf {
+	if b < s.exist[v] {
 		return fmt.Errorf("ktree: internal error: infeasible subproblem node %d budget %d", v, b)
 	}
 	if g.IsSource(v) {
 		*sched = sched.Append(core.Move{Kind: core.M1, Node: v})
 		return nil
 	}
+	e, _, _ := s.pt(v, b, d)
+	if e.cost >= Inf { // only an aborted query leaves a feasible cell at Inf
+		return fmt.Errorf("ktree: internal error: infeasible subproblem node %d budget %d", v, b)
+	}
 	parents := g.Parents(v)
 	order := permTable(len(parents))[e.permIdx]
 	var held cdag.Weight
 	for i, oi := range order {
 		p := parents[oi]
-		if err := s.gen(p, b-held, sched); err != nil {
+		if err := s.gen(p, b-held, d+1, sched); err != nil {
 			return err
 		}
 		if e.delta&(1<<uint(i)) != 0 {
@@ -275,17 +334,18 @@ func (s *Scheduler) gen(v cdag.NodeID, b cdag.Weight, sched *core.Schedule) erro
 
 // moves returns the number of moves gen emits for (v, b), read from
 // the memo that MinCost(b) filled, so Schedule can size its result
-// exactly. It reads cells without counting memo hits. A cell the memo
-// lacks (a store that the resource limits refused) counts no moves:
-// the result only sizes the schedule, which then grows as needed.
+// exactly. Sources are answered first, as they are never memoized. It
+// reads cells without counting memo hits. A cell the memo lacks (a
+// store that the resource limits refused) counts no moves: the result
+// only sizes the schedule, which then grows as needed.
 func (s *Scheduler) moves(v cdag.NodeID, b cdag.Weight) int {
 	g := s.t.G
+	if g.IsSource(v) {
+		return 1
+	}
 	st := s.memo.Find(v, b)
 	if st == nil {
 		return 0
-	}
-	if g.IsSource(v) {
-		return 1
 	}
 	parents := g.Parents(v)
 	n := 1 + len(parents) // M3 v, M4 on every parent
@@ -314,8 +374,9 @@ func (s *Scheduler) MinMemory(step cdag.Weight) (cdag.Weight, error) {
 	return b, nil
 }
 
-// StrategyCount returns 2^k·k!, the number of per-node strategies the
-// DP enumerates for in-degree k — the quantity bounding Theorem 3.8.
+// StrategyCount returns 2^k·k!, the number of per-node strategies of
+// Eq. 6 for in-degree k — the quantity bounding Theorem 3.8. The DP
+// evaluates the half that keeps σ's last parent (see pt).
 func StrategyCount(k int) int {
 	return permCount(k) << uint(k)
 }
