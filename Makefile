@@ -106,7 +106,7 @@ metrics-lint:
 # graph that shares a topology copies it first, and two collections
 # empty the table (docs/PERFORMANCE.md §topology reuse).
 patch-check:
-	$(GO) test -race -run 'SetWeights|Patch|Topology' ./internal/stepmemo/ ./internal/cdag/ ./internal/dwt/ ./internal/ktree/ ./internal/memstate/ ./internal/solve/ ./internal/serve/ ./cmd/wrbpg/
+	$(GO) test -race -run 'SetWeights|Patch|Topology' ./internal/stepmemo/ ./internal/cdag/ ./internal/dwt/ ./internal/ktree/ ./internal/solve/ ./internal/serve/ ./cmd/wrbpg/
 
 # Race-enabled cluster gate: a 3-replica in-process fleet (consistent-
 # hash ring, peer fill, cross-replica singleflight) under round-robin

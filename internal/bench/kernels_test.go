@@ -402,60 +402,6 @@ func perfKernels() []perfKernel {
 				return nil
 			}, nil
 		}},
-		{"MemstatePatchResolveWarm", func() (func() error, error) {
-			tr, err := ktree.FullTree(2, 5, func(d, i int) cdag.Weight { return 1 + cdag.Weight(i%2) })
-			if err != nil {
-				return nil, err
-			}
-			se, err := memstate.NewScheduler(tr.G)
-			if err != nil {
-				return nil, err
-			}
-			node := tr.G.Sources()[0]
-			w := tr.G.Weight(node)
-			b := core.MinExistenceBudget(tr.G) + 4
-			deltas := [2][]cdag.WeightDelta{
-				{{Node: node, Weight: w + 1}},
-				{{Node: node, Weight: w}},
-			}
-			ctx := context.Background()
-			var lim guard.Limits
-			var i int
-			body := func() error {
-				if _, _, err := se.SetWeights(deltas[i&1]); err != nil {
-					return err
-				}
-				i++
-				_, err := se.CostCtx(ctx, lim, tr.Root, b, bitset.Set{}, bitset.Set{})
-				return err
-			}
-			if err := body(); err != nil {
-				return nil, err
-			}
-			return body, body()
-		}},
-		{"MemstatePatchResolveCold", func() (func() error, error) {
-			tr, err := ktree.FullTree(2, 5, func(d, i int) cdag.Weight { return 1 + cdag.Weight(i%2) })
-			if err != nil {
-				return nil, err
-			}
-			node := tr.G.Sources()[0]
-			w := tr.G.Weight(node)
-			b := core.MinExistenceBudget(tr.G) + 4
-			var i int
-			return func() error {
-				if err := tr.G.TrySetWeight(node, w+cdag.Weight(i&1)); err != nil {
-					return err
-				}
-				i++
-				s, err := memstate.NewScheduler(tr.G)
-				if err != nil {
-					return err
-				}
-				s.PlainCost(tr.Root, b)
-				return nil
-			}, nil
-		}},
 		{"ServePatchWarm", func() (func() error, error) {
 			// The full serving patch core — session-pool hit, delta diff
 			// with dependency-tracked invalidation, 16 warm budget queries

@@ -77,7 +77,7 @@ func NewScheduler(dg *Graph) (*Scheduler, error) {
 	}
 	return &Scheduler{
 		dg:     dg,
-		memo:   stepmemo.NewRows[entry](dg.G.Len()),
+		memo:   stepmemo.NewRows[entry](dg.G),
 		roots:  dg.Roots(),
 		pruned: pruned,
 		exist:  core.MinExistenceBudget(dg.G),
@@ -91,7 +91,7 @@ func (s *Scheduler) Graph() *Graph { return s.dg }
 // exactly the memo rows whose value can change: P(v, b) depends only
 // on weights inside v's subtree (Lemma 3.3), so a change at u stales
 // the rows of u and its descendants and nothing else
-// (stepmemo.Memo.Patch). Deltas are validated (positive weights,
+// (stepmemo.Rows.Patch). Deltas are validated (positive weights,
 // in-range nodes, the Lemma 3.2 weight assumption must still hold
 // afterwards) and the graph is reverted unchanged on any error. It
 // returns the number of budget intervals cleared and the number

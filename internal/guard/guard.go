@@ -46,7 +46,7 @@ var (
 // Limits bounds a single solve. The zero value imposes no bounds.
 type Limits struct {
 	// MaxMemoEntries caps the number of memoized DP cells a scheduler
-	// may create (dwt, ktree, memstate). 0 = unlimited.
+	// may create (dwt, ktree). 0 = unlimited.
 	MaxMemoEntries int
 	// MaxStates caps the number of distinct game states the exact
 	// Dijkstra search may track. 0 = unlimited.

@@ -25,7 +25,7 @@ type refScheduler struct {
 
 func newRefScheduler(t *Tree) *refScheduler {
 	g := t.G
-	r := &refScheduler{t: t, memo: stepmemo.NewRows[entry](g.Len()), exist: make([]cdag.Weight, g.Len())}
+	r := &refScheduler{t: t, memo: stepmemo.NewRows[entry](g), exist: make([]cdag.Weight, g.Len())}
 	for v := range r.exist {
 		id := cdag.NodeID(v)
 		e := g.Weight(id)

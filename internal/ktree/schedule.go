@@ -64,7 +64,7 @@ func NewScheduler(t *Tree) *Scheduler {
 	stride := t.K << uint(t.K)
 	s := &Scheduler{
 		t:     t,
-		memo:  stepmemo.NewRows[entry](t.G.Len()),
+		memo:  stepmemo.NewRows[entry](t.G),
 		exist: make([]cdag.Weight, t.G.Len()),
 		// Sources have no cell, so the deepest cell sits one above the
 		// deepest leaf.
@@ -106,7 +106,7 @@ func (s *Scheduler) setExist(v cdag.NodeID) {
 // SetWeights applies weight deltas to the tree and invalidates exactly
 // the memo rows whose value can change: Pt(v, b) depends only on
 // weights inside v's subtree (Eq. 6), so only the changed nodes' root
-// chains go stale (stepmemo.Memo.Patch). Their exist bounds are
+// chains go stale (stepmemo.Rows.Patch). Their exist bounds are
 // recomputed bottom-up, and the tree is reverted unchanged on any
 // validation error. It returns the number of budget intervals cleared
 // and the number surviving, which also feed TakeCounts.

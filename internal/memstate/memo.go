@@ -48,9 +48,8 @@ func (k pmKey) hash() uint64 {
 // probing, specialized to pmKey, whose slots hold stepmemo rows.
 // Probing a flat slot array with an inlined integer hash skips the
 // runtime's generic hashing and bucket walk. The zero value is an
-// empty table; there is no deletion — a patch bumps the generations
-// of the changed nodes' root chains (stepmemo.Memo.Patch), and their
-// rows read as empty until their next store resets them in place.
+// empty table. There is no deletion: a Scheduler memoizes one
+// weighting of its tree.
 type pmTable struct {
 	mask  uint64
 	n     int
@@ -63,9 +62,9 @@ type pmSlot struct {
 	full bool
 }
 
-// get returns k's memoized step covering budget b under the current
-// generation of k's node, or nil. It allocates nothing.
-func (t *pmTable) get(m *stepmemo.Memo, k pmKey, b cdag.Weight) *stepmemo.Step[cdag.Weight] {
+// get returns k's memoized step covering budget b, or nil. It
+// allocates nothing.
+func (t *pmTable) get(k pmKey, b cdag.Weight) *stepmemo.Step[cdag.Weight] {
 	if t.slots == nil {
 		return nil
 	}
@@ -75,19 +74,9 @@ func (t *pmTable) get(m *stepmemo.Memo, k pmKey, b cdag.Weight) *stepmemo.Step[c
 			return nil
 		}
 		if s.key == k {
-			return s.row.Find(m.Gen(k.v), b)
+			return s.row.Find(b)
 		}
 	}
-}
-
-// store memoizes cost on [lo, hi] for k, computed at the uncovered
-// budget b, unless m.Admit refuses it, and returns the triple a Pm
-// cell returns (as stepmemo.Rows.Store does).
-func (t *pmTable) store(m *stepmemo.Memo, k pmKey, b, lo, hi, cost cdag.Weight) (cdag.Weight, cdag.Weight, cdag.Weight) {
-	if m.Admit() {
-		t.row(k).Store(m, k.v, b, stepmemo.Step[cdag.Weight]{Lo: lo, Hi: hi, V: cost})
-	}
-	return cost, lo, hi
 }
 
 // row returns k's row, claiming an empty slot for it first if needed.

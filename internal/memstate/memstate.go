@@ -22,14 +22,12 @@
 package memstate
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"wrbpg/internal/bitset"
 	"wrbpg/internal/cdag"
-	"wrbpg/internal/guard"
 	"wrbpg/internal/stepmemo"
 )
 
@@ -38,15 +36,15 @@ const Inf = stepmemo.Inf
 
 // Scheduler evaluates Pm on a binary in-tree.
 type Scheduler struct {
-	g    *cdag.Graph
-	tab  pmTable
-	memo stepmemo.Memo
-	ix   *bitset.Index
-	anc  []bitset.Set
+	g   *cdag.Graph
+	tab pmTable
+	ix  *bitset.Index
+	anc []bitset.Set
 }
 
 // NewScheduler wraps a binary in-tree (every in-degree 0 or 2, unique
-// sink); Eq. 8 is stated for k = 2.
+// sink); Eq. 8 is stated for k = 2. The scheduler memoizes g's weights
+// as they are: after changing one, build a new scheduler.
 func NewScheduler(g *cdag.Graph) (*Scheduler, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -59,23 +57,7 @@ func NewScheduler(g *cdag.Graph) (*Scheduler, error) {
 			return nil, fmt.Errorf("memstate: node %d has in-degree %d; Eq. 8 requires a binary tree", v, d)
 		}
 	}
-	return &Scheduler{
-		g:    g,
-		ix:   bitset.NewIndex(g.Len()),
-		anc:  ancestorMasks(g),
-		memo: stepmemo.New(g.Len()),
-	}, nil
-}
-
-// SetWeights applies weight deltas to the tree and invalidates (via
-// generation stamps) exactly the memo cells whose subtree contains a
-// changed node: Pm(v, ·, I, R) depends only on weights inside v's
-// subtree (Eq. 8), so only the changed nodes' root chains go stale
-// (stepmemo.Memo.Patch). The graph is reverted unchanged on any
-// error. It returns the number of intervals invalidated and the
-// number surviving.
-func (s *Scheduler) SetWeights(ds []cdag.WeightDelta) (invalidated, reused int64, err error) {
-	return s.memo.Patch(s.g, ds, "memstate", nil, nil)
+	return &Scheduler{g: g, ix: bitset.NewIndex(g.Len()), anc: ancestorMasks(g)}, nil
 }
 
 // Restrict returns X_u = X ∩ (pred(u) ∪ {u}) — one mask intersection.
@@ -91,23 +73,6 @@ func (s *Scheduler) Cost(v cdag.NodeID, b cdag.Weight, initial, reuse bitset.Set
 	return c
 }
 
-// CostCtx is Cost under a cancellation context and resource limits,
-// guarded by the scheduler's reusable checker, so a warm query
-// allocates nothing when lim carries no deadline. It returns
-// guard.ErrCanceled / guard.ErrDeadline / guard.ErrBudgetExceeded
-// (wrapped) when the query was aborted; limits are per query, and the
-// scheduler remains usable afterwards — partial results computed after
-// the abort are never memoized.
-func (s *Scheduler) CostCtx(ctx context.Context, lim guard.Limits, v cdag.NodeID, b cdag.Weight, initial, reuse bitset.Set) (cdag.Weight, error) {
-	s.memo.Begin(ctx, lim)
-	defer s.memo.End()
-	c := s.Cost(v, b, initial, reuse)
-	if err := s.memo.Err(); err != nil {
-		return 0, fmt.Errorf("memstate: %w", err)
-	}
-	return c, nil
-}
-
 // pm returns Pm(v, b, I, R) together with the budget interval
 // [lo, hi] ∋ b on which that value holds. Every case below derives
 // its interval from quantities independent of b (the co-residency
@@ -116,15 +81,8 @@ func (s *Scheduler) CostCtx(ctx context.Context, lim guard.Limits, v cdag.NodeID
 // is constant, so the minimum is too.
 func (s *Scheduler) pm(v cdag.NodeID, b cdag.Weight, ini, reuse bitset.Set) (cdag.Weight, cdag.Weight, cdag.Weight) {
 	key := pmKey{v: v, ini: s.ix.Handle(ini), reuse: s.ix.Handle(reuse)}
-	if st := s.tab.get(&s.memo, key, b); st != nil {
-		s.memo.Hit()
+	if st := s.tab.get(key, b); st != nil {
 		return st.V, st.Lo, st.Hi
-	}
-	// Cancellation checkpoint on the cold path only: warm hits return
-	// above untouched. The tripped return carries an empty-width
-	// interval so enclosing cells cannot widen around a poisoned value.
-	if s.memo.Tick() {
-		return Inf, b, b
 	}
 	g := s.g
 	// Budget guard: v, its parents and its reuse set must co-reside.
@@ -211,7 +169,8 @@ func (s *Scheduler) pm(v cdag.NodeID, b cdag.Weight, ini, reuse bitset.Set) (cda
 			cost = Inf
 		}
 	}
-	return s.tab.store(&s.memo, key, b, lo, hi, cost)
+	s.tab.row(key).Store(b, stepmemo.Step[cdag.Weight]{Lo: lo, Hi: hi, V: cost})
+	return cost, lo, hi
 }
 
 // PlainCost returns Pm with empty states, which coincides with the

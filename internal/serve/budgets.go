@@ -146,7 +146,7 @@ func (s *Server) budgetList(ctx context.Context, rt budgetRoute, req *wire.Patch
 	s.m.inflight.Add(-1)
 	ws.pts = pts
 	if err != nil {
-		// A rejected delta list, a session build failure or a whole-request
+		// A rejected delta list or instance, or a whole-request
 		// cancellation; per-budget aborts land on their items instead.
 		return nil, asWireErr(err)
 	}
@@ -239,10 +239,10 @@ func (s *Server) resolveBase(req *wire.PatchRequest) (solve.Instance, string, *w
 // the warm base session for baseKey — the instance's BaseShapeKey —
 // move it to the instance's delta state under the entry lock, and
 // answer every budget against the surviving memo cells, appending to
-// out. The error is a rejected delta list as a 400 *wire.Error (the
-// session keeps its state), a session build failure, or
-// guard.ErrCanceled for a whole-request cancellation; per-budget
-// aborts are reported on their CostPoint.
+// out. The error is a rejected delta list or an instance no session
+// can be built for (a shape its family cannot build, or family cdag),
+// both as 400 *wire.Errors, or guard.ErrCanceled for a whole-request
+// cancellation; per-budget aborts are reported on their CostPoint.
 func (s *Server) PatchCosts(ctx context.Context, inst *solve.Instance, baseKey string, budgets []cdag.Weight, out []solve.CostPoint) ([]solve.CostPoint, PatchOutcome, error) {
 	_, asp := obs.StartSpan(ctx, "session.acquire")
 	ent, state, err := s.sessions.Do(baseKey, func() (*sessionEntry, bool, error) {
@@ -250,7 +250,7 @@ func (s *Server) PatchCosts(ctx context.Context, inst *solve.Instance, baseKey s
 		base.Deltas = nil
 		se, err := solve.NewSession(base)
 		if err != nil {
-			return nil, false, err
+			return nil, false, wire.Errorf(http.StatusBadRequest, "%v", err)
 		}
 		return &sessionEntry{inst: base, se: se}, true, nil
 	})

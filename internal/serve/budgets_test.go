@@ -450,3 +450,52 @@ func TestPatchMetricsExposition(t *testing.T) {
 		}
 	}
 }
+
+// TestBudgetListUnbuildableIsBadRequest: an instance no session can be
+// built for, a shape its family cannot build or a general DAG (which
+// has no DP), is the client's error on both budget-list routes: a
+// structured 400 naming the cause, counted as a bad request and never
+// as an availability-bad request of the SLO.
+func TestBudgetListUnbuildableIsBadRequest(t *testing.T) {
+	ts, s := newTestServer(t, Options{})
+	cases := []struct {
+		name string
+		body map[string]any
+		want string
+	}{
+		{"dwt n=3 d=2", map[string]any{"family": "dwt", "n": 3, "d": 2, "budgets_bits": []int64{100}},
+			"must be a positive multiple of 2^d=4"},
+		{"dwt n=6 d=3", map[string]any{"family": "dwt", "n": 6, "d": 3, "budgets_bits": []int64{100}},
+			"must be a positive multiple of 2^d=8"},
+		{"cdag", map[string]any{"family": "cdag", "cdag": diamondSpec(), "budgets_bits": []int64{64, 128}},
+			"one /v1/schedule request per budget"},
+	}
+	before := scrapeMetrics(t, ts.URL)["wrbpg_http_bad_requests_total"]
+	var sent float64
+	for _, path := range []string{"/v1/schedule/sweep", "/v1/schedule/patch"} {
+		for _, tc := range cases {
+			resp, body := postJSON(t, ts.URL+path, tc.body)
+			sent++
+			var we wire.Error
+			if err := json.Unmarshal(body, &we); err != nil {
+				t.Fatalf("%s %s: unstructured body %s", path, tc.name, body)
+			}
+			if resp.StatusCode != http.StatusBadRequest || we.Status != http.StatusBadRequest || !strings.Contains(we.Message, tc.want) {
+				t.Errorf("%s %s: %d %+v, want a 400 containing %q", path, tc.name, resp.StatusCode, we, tc.want)
+			}
+		}
+	}
+	if d := scrapeMetrics(t, ts.URL)["wrbpg_http_bad_requests_total"] - before; d != sent {
+		t.Errorf("wrbpg_http_bad_requests_total rose by %v, want %v", d, sent)
+	}
+	for _, o := range s.slo.Report().Objectives {
+		if o.Name != "availability" {
+			continue
+		}
+		for _, w := range o.Windows {
+			if w.Total != uint64(sent) || w.Bad != 0 {
+				t.Errorf("availability %s: %d of %d requests bad, want 0 of %v", w.Window, w.Bad, w.Total, sent)
+			}
+		}
+	}
+}

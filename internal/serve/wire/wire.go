@@ -336,8 +336,10 @@ func (r *ScheduleResult) Clone() *ScheduleResult {
 // /v1/schedule/sweep and POST /v1/schedule/patch (a sweep is a patch
 // with no deltas). The base instance is named either by base_key,
 // resolved against the resident session pool, or inline, which always
-// works and warms the pool for later base_key calls. The response
-// carries per-budget costs only; fetch move lists via /v1/schedule.
+// works and warms the pool for later base_key calls. Only the DP
+// families have sessions: family cdag is refused as a 400. The
+// response carries per-budget costs only; fetch move lists via
+// /v1/schedule.
 type PatchRequest struct {
 	// BaseKey is the content-addressed identity of the base instance
 	// (solve.Instance.BaseShapeKey). Mutually exclusive with an inline

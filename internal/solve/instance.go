@@ -280,7 +280,8 @@ func (in *Instance) RequestSchedule(s core.Schedule) core.Schedule {
 	return out
 }
 
-// build constructs the family-typed graph of a validated instance;
+// build constructs the family-typed graph of a validated DP-family
+// instance (Build answers cdag itself and NewSession refuses it);
 // Build wraps it as a Problem and NewSession as a warm session. The
 // parametric families take their topology from the shape table and
 // fill in only the weights. The incremental families apply any weight
@@ -338,8 +339,6 @@ func (in *Instance) build() (family, error) {
 			return f, err
 		}
 		f.g, f.mvm = g.G, g
-	case FamilyCDAG:
-		f.g = in.G
 	default:
 		return f, fmt.Errorf("solve: unknown family %q", in.Family)
 	}

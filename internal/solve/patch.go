@@ -2,7 +2,7 @@
 // session's graph to a declarative target weight state (base weights
 // plus a canonical delta list), computing the minimal set of actual
 // weight writes against the current state, handing them to the family
-// scheduler's dependency-tracked invalidation (stepmemo.Memo.Patch: the
+// scheduler's dependency-tracked invalidation (stepmemo.Rows.Patch: the
 // changed nodes' descendant cone, their root chains in the in-tree
 // families), and leaving every untouched memo cell warm —
 // so the next query re-solves a single-node change in a small fraction

@@ -20,7 +20,6 @@ import (
 	"math"
 	"runtime/debug"
 
-	"wrbpg/internal/anytime"
 	"wrbpg/internal/cdag"
 	"wrbpg/internal/core"
 	"wrbpg/internal/guard"
@@ -89,10 +88,9 @@ func (s *Session) flush() { s.fc.Record(s.sv.TakeCounts()) }
 // NewSession builds the instance's graph once and the family's guarded
 // solver over it, the same solver a one-shot Build runs. The graph's
 // topology comes from the shape table, so a session shares it with
-// every cold solve and session of its shape. For FamilyCDAG
-// there is no reusable memo, so every budget query is a cold (but
-// guarded) anytime search — the Session still provides the uniform
-// surface.
+// every cold solve and session of its shape. FamilyCDAG is refused:
+// a session answers optimal DP costs, and a general DAG has no DP, so
+// each of its budgets is one anytime search (one /v1/schedule call).
 //
 // For the incremental families the *base* graph (deltas stripped) is
 // built first and any instance deltas are then applied through PatchTo,
@@ -101,6 +99,9 @@ func (s *Session) flush() { s.fc.Record(s.sv.TakeCounts()) }
 func NewSession(inst Instance) (*Session, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
+	}
+	if inst.Family == FamilyCDAG {
+		return nil, errors.New("solve: a budget list answers optimal DP costs and family cdag has no DP; send one /v1/schedule request per budget")
 	}
 	base := inst
 	base.Deltas = nil
@@ -122,36 +123,6 @@ func NewSession(inst Instance) (*Session, error) {
 	}
 	return s, nil
 }
-
-// anytimeSolver is the general-DAG tier's solver: every budget query is
-// an anytime search (the exact Dijkstra solver stays available as a
-// library for certification, but cannot answer within serving
-// deadlines on arbitrary graphs), which flushes its own counts. Costs
-// are upper bounds unless the search reports Complete; they are still
-// monotone enough for sweeps because every query seeds from the same
-// baselines.
-type anytimeSolver struct{ g *cdag.Graph }
-
-func (a anytimeSolver) CostCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) (cdag.Weight, error) {
-	res, err := anytime.Search(ctx, a.g, b, lim, anytime.Options{})
-	if errors.Is(err, anytime.ErrInfeasible) {
-		return infCost, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	return res.Cost, nil
-}
-
-func (a anytimeSolver) ScheduleCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) (core.Schedule, error) {
-	res, err := anytime.Search(ctx, a.g, b, lim, anytime.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return res.Schedule, nil
-}
-
-func (anytimeSolver) TakeCounts() guard.Counts { return guard.Counts{} }
 
 func snapshotWeights(g *cdag.Graph) []cdag.Weight {
 	w := make([]cdag.Weight, g.Len())

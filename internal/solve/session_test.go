@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wrbpg/internal/cdag"
@@ -210,5 +211,18 @@ func TestSessionSweepDeadlinePerItem(t *testing.T) {
 	cold := coldSweep(t, inst, budgets)
 	if !reflect.DeepEqual(after, cold) {
 		t.Errorf("session answers after deadline aborts differ from cold solves")
+	}
+}
+
+// TestSessionRefusesCDAG: a session answers optimal DP costs, so a
+// general DAG, which has no DP, is refused with a pointer to the
+// per-budget route instead of a session of anytime incumbents.
+func TestSessionRefusesCDAG(t *testing.T) {
+	se, err := NewSession(Instance{Family: FamilyCDAG, G: cdag.Random(7, 48)})
+	if err == nil {
+		t.Fatalf("NewSession(cdag) = %v, want an error", se)
+	}
+	if want := "one /v1/schedule request per budget"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("NewSession(cdag) error %q does not contain %q", err, want)
 	}
 }

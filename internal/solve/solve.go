@@ -347,9 +347,8 @@ func Degraded(ctx context.Context, p Problem, budget cdag.Weight) (Outcome, erro
 	}, nil
 }
 
-// solver is the guarded query surface every family's optimal tier
-// shares: dwt.Scheduler, ktree.Scheduler, mvm.Session, and for cdag
-// the anytime search. Queries accumulate solver-progress counts in the
+// solver is the guarded query surface every DP family's optimal tier
+// shares: dwt.Scheduler, ktree.Scheduler and mvm.Session. Queries accumulate solver-progress counts in the
 // solver; whoever drives it flushes them with TakeCounts.
 type solver interface {
 	CostCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) (cdag.Weight, error)
@@ -379,8 +378,7 @@ type family struct {
 }
 
 // newSolver returns a fresh solver for the family and the counter set
-// its counts flush into: nil for cdag, whose anytime search flushes
-// its own.
+// its counts flush into.
 func (f family) newSolver() (solver, *guard.FamilyCounters, error) {
 	switch {
 	case f.dwt != nil:
@@ -391,10 +389,8 @@ func (f family) newSolver() (solver, *guard.FamilyCounters, error) {
 		return s, dwtCounters, nil
 	case f.tree != nil:
 		return ktree.NewScheduler(f.tree), ktreeCounters, nil
-	case f.mvm != nil:
-		return mvm.NewSession(f.mvm), mvmCounters, nil
 	}
-	return anytimeSolver{f.g}, nil, nil
+	return mvm.NewSession(f.mvm), mvmCounters, nil
 }
 
 // problem wraps the family as a Problem: every optimal attempt runs on

@@ -70,8 +70,7 @@ func checkRow(t *testing.T, r *Row[cdag.Weight], f stepFn) {
 // sub-interval of the function's maximal step there (a cell's derived
 // interval is an intersection, often narrower than the true step).
 // Find must miss or agree with the function, and the row must stay
-// sorted and disjoint. Byte 255 in a query's first position bumps the
-// generation, after which every Find must miss.
+// sorted and disjoint.
 func FuzzRow(f *testing.F) {
 	f.Add([]byte{3, 5, 9, 20, 7, 0, 0, 30, 2, 1, 12, 0, 9, 255, 0, 0, 12, 0, 0})
 	f.Add([]byte{1, 40, 60, 3, 3, 200, 1, 1, 41, 0, 0, 39, 0, 0})
@@ -90,17 +89,9 @@ func FuzzRow(f *testing.F) {
 		}
 		data = data[k:]
 		var r Row[cdag.Weight]
-		var gen uint32
 		for ; len(data) >= 3; data = data[3:] {
-			if data[0] == 255 {
-				gen++
-				if s := r.Find(gen, 0); s != nil {
-					t.Fatalf("stale row answered %+v after a generation bump", *s)
-				}
-				continue
-			}
 			b := cdag.Weight(int8(data[0]))
-			if s := r.Find(gen, b); s != nil {
+			if s := r.Find(b); s != nil {
 				if s.Lo > b || s.Hi < b {
 					t.Fatalf("Find(%d) returned %+v, which does not cover it", b, *s)
 				}
@@ -116,11 +107,11 @@ func FuzzRow(f *testing.F) {
 			if d := cdag.Weight(data[2] % 16); hi-d >= b {
 				hi -= d
 			}
-			stored, _ := r.insert(gen, b, Step[cdag.Weight]{Lo: lo, Hi: hi, V: fn.at(b)})
+			stored, _ := r.Store(b, Step[cdag.Weight]{Lo: lo, Hi: hi, V: fn.at(b)})
 			if !stored {
-				t.Fatalf("insert at uncovered budget %d stored nothing", b)
+				t.Fatalf("store at uncovered budget %d stored nothing", b)
 			}
-			if s := r.Find(gen, b); s == nil || s.V != fn.at(b) {
+			if s := r.Find(b); s == nil || s.V != fn.at(b) {
 				t.Fatalf("budget %d not answered right after its insert", b)
 			}
 			checkRow(t, &r, fn)
@@ -132,25 +123,37 @@ func FuzzRow(f *testing.F) {
 // the gap around its query budget, and the clip is reported.
 func TestRowClipsToGap(t *testing.T) {
 	var r Row[cdag.Weight]
-	r.insert(0, 0, Step[cdag.Weight]{Lo: 0, Hi: 9, V: 1})
-	r.insert(0, 30, Step[cdag.Weight]{Lo: 30, Hi: 39, V: 1})
-	stored, clipped := r.insert(0, 20, Step[cdag.Weight]{Lo: 5, Hi: 35, V: 1})
+	r.Store(0, Step[cdag.Weight]{Lo: 0, Hi: 9, V: 1})
+	r.Store(30, Step[cdag.Weight]{Lo: 30, Hi: 39, V: 1})
+	stored, clipped := r.Store(20, Step[cdag.Weight]{Lo: 5, Hi: 35, V: 1})
 	if !stored || !clipped {
-		t.Fatalf("insert: stored=%v clipped=%v, want true true", stored, clipped)
+		t.Fatalf("Store: stored=%v clipped=%v, want true true", stored, clipped)
 	}
 	if got := r.steps[1]; got.Lo != 10 || got.Hi != 29 {
 		t.Fatalf("middle step %+v, want [10, 29]", got)
 	}
-	if stored, _ := r.insert(0, 5, Step[cdag.Weight]{Lo: 3, Hi: 8, V: 1}); stored {
+	if stored, _ := r.Store(5, Step[cdag.Weight]{Lo: 3, Hi: 8, V: 1}); stored {
 		t.Fatalf("a step inside an existing one was stored: %+v", r.steps)
 	}
 }
 
-// TestRowsSlabWindows: a row outgrowing its slab window moves to its
-// own slice and never overwrites its neighbour's steps.
+// TestRowsSlabWindows: every non-source row owns a slab window of
+// rowSlots steps and a row outgrowing it moves to its own slice without
+// overwriting its neighbour's steps; a source owns no window, and a
+// store into its row is found again.
 func TestRowsSlabWindows(t *testing.T) {
-	m := NewRows[int](3)
-	m.Store(2, 0, 0, 0, 20)
+	g := chain()
+	m := NewRows[int](g)
+	for v := range m.rows {
+		want := rowSlots
+		if g.IsSource(cdag.NodeID(v)) {
+			want = 0
+		}
+		if c := cap(m.rows[v].steps); c != want {
+			t.Fatalf("node %d: window of %d steps, want %d", v, c, want)
+		}
+	}
+	m.Store(3, 0, 0, 0, 30)
 	for b := cdag.Weight(0); b < 5; b++ {
 		m.Store(1, b, b, b, 10+int(b))
 	}
@@ -159,21 +162,25 @@ func TestRowsSlabWindows(t *testing.T) {
 			t.Fatalf("node 1 budget %d: %+v", b, s)
 		}
 	}
-	if s := m.Find(2, 0); s == nil || s.V != 20 {
+	if s := m.Find(3, 0); s == nil || s.V != 30 {
 		t.Fatalf("neighbour row clobbered: %+v", s)
 	}
 	if s := m.Find(0, 0); s != nil {
-		t.Fatalf("empty row answered %+v", *s)
+		t.Fatalf("empty source row answered %+v", *s)
 	}
-	if m.live != 6 {
-		t.Fatalf("live = %d, want 6", m.live)
+	m.Store(2, 4, 4, 7, 20)
+	if s := m.Find(2, 6); s == nil || s.V != 20 {
+		t.Fatalf("source row store not found again: %+v", s)
+	}
+	if m.live != 7 {
+		t.Fatalf("live = %d, want 7", m.live)
 	}
 }
 
 // TestStoreRefusedAfterTrip: once the guard trips, no step is stored,
 // and the memo-entry budget trips it when exhausted.
 func TestStoreRefusedAfterTrip(t *testing.T) {
-	m := NewRows[int](1)
+	m := NewRows[int](chain())
 	m.Begin(context.Background(), guard.Limits{MaxMemoEntries: 1})
 	m.Store(0, 0, 0, 0, 1)
 	m.Store(0, 1, 1, 1, 1)
@@ -204,13 +211,13 @@ func fill(m *Rows[int]) {
 	}
 }
 
-// TestPatchInvalidatesCone: a change stales the changed node and its
-// descendants (here its root chain), reports the cleared and surviving
-// step counts (and notes them in the observation counts), and visits
-// the dirtied nodes in ascending ID order.
+// TestPatchInvalidatesCone: a change empties the rows of the changed
+// node and its descendants (here its root chain), reports the cleared
+// and surviving step counts (and notes them in the observation counts),
+// and visits the dirtied nodes in ascending ID order.
 func TestPatchInvalidatesCone(t *testing.T) {
 	g := chain()
-	m := NewRows[int](g.Len())
+	m := NewRows[int](g)
 	fill(&m)
 	var seen []cdag.NodeID
 	inv, reused, err := m.Patch(g, []cdag.WeightDelta{{Node: 1, Weight: 3}, {Node: 0, Weight: 2}}, "test", nil,
@@ -232,19 +239,24 @@ func TestPatchInvalidatesCone(t *testing.T) {
 	if g.Weight(0) != 2 || g.Weight(1) != 3 {
 		t.Fatalf("weights not applied: %d %d", g.Weight(0), g.Weight(1))
 	}
-	// A stale row is reset by its next store, not appended to.
+	for _, v := range []cdag.NodeID{0, 1, 3} {
+		if n := len(m.rows[v].steps); n != 0 {
+			t.Fatalf("node %d kept %d steps after the patch", v, n)
+		}
+	}
+	// An emptied row takes new steps in place.
 	m.Store(3, 0, 0, 4, 9)
 	if s := m.Find(3, 0); s == nil || s.V != 9 || len(m.rows[3].steps) != 1 {
-		t.Fatalf("stale row not reset on store: %+v", m.rows[3].steps)
+		t.Fatalf("emptied row after store: %+v", m.rows[3].steps)
 	}
 }
 
 // TestPatchRevertsOnError: a failing delta list or validation leaves
-// every weight, generation and live count as it was, and notes no
+// every weight, row and live count as it was, and notes no
 // invalidation.
 func TestPatchRevertsOnError(t *testing.T) {
 	g := chain()
-	m := NewRows[int](g.Len())
+	m := NewRows[int](g)
 	fill(&m)
 	reject := func() error { return errLemma }
 	for _, tc := range []struct {
@@ -261,8 +273,8 @@ func TestPatchRevertsOnError(t *testing.T) {
 			t.Fatalf("Patch(%v) = %v, want error starting %q", tc.ds, err, tc.want)
 		}
 		for v := 0; v < g.Len(); v++ {
-			if g.Weight(cdag.NodeID(v)) != 1 || m.Gen(cdag.NodeID(v)) != 0 || m.Find(cdag.NodeID(v), 1) == nil {
-				t.Fatalf("after failed %v: node %d weight %d gen %d", tc.ds, v, g.Weight(cdag.NodeID(v)), m.Gen(cdag.NodeID(v)))
+			if g.Weight(cdag.NodeID(v)) != 1 || m.Find(cdag.NodeID(v), 1) == nil {
+				t.Fatalf("after failed %v: node %d weight %d, row %+v", tc.ds, v, g.Weight(cdag.NodeID(v)), m.rows[v].steps)
 			}
 		}
 		if m.live != 4 {
@@ -282,12 +294,12 @@ var errLemma = errors.New("weight assumption violated")
 // current and its rows would survive the patch).
 func TestPatchEpochWraparound(t *testing.T) {
 	g := chain()
-	m := NewRows[int](g.Len())
+	m := NewRows[int](g)
 	if _, _, err := m.Patch(g, []cdag.WeightDelta{{Node: 0, Weight: 2}}, "test", nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if m.epoch != 1 || m.nodes[0].mark != 1 {
-		t.Fatalf("epoch %d mark %d, want 1 1", m.epoch, m.nodes[0].mark)
+	if m.epoch != 1 || m.marks[0] != 1 {
+		t.Fatalf("epoch %d mark %d, want 1 1", m.epoch, m.marks[0])
 	}
 	m.epoch = math.MaxUint32 - 1
 	if _, _, err := m.Patch(g, []cdag.WeightDelta{{Node: 2, Weight: 2}}, "test", nil, nil); err != nil {
@@ -313,7 +325,7 @@ func TestPatchEpochWraparound(t *testing.T) {
 
 // TestWarmFindZeroAlloc: a warm Find allocates nothing.
 func TestWarmFindZeroAlloc(t *testing.T) {
-	m := NewRows[int](4)
+	m := NewRows[int](chain())
 	fill(&m)
 	if n := testing.AllocsPerRun(100, func() {
 		if m.Find(2, 7) == nil {
