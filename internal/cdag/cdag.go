@@ -349,6 +349,19 @@ func (g *Graph) TopoOrder() []NodeID {
 	return out
 }
 
+// ValidateWeights checks Validate's weight invariant alone: every node
+// weight is positive. It is the whole check a graph made by
+// WithWeights needs once its source's adjacency has passed Validate,
+// and its error for a node is the one Validate gives.
+func (g *Graph) ValidateWeights() error {
+	for v, w := range g.weights {
+		if w <= 0 {
+			return fmt.Errorf("cdag: node %d has non-positive weight %d", v, w)
+		}
+	}
+	return nil
+}
+
 // Validate checks structural invariants: positive weights, acyclicity,
 // edge endpoints in range, and disjoint sources/sinks (the WRBPG
 // assumes A(G) ∩ Z(G) = ∅, i.e. no isolated nodes).

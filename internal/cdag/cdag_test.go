@@ -297,3 +297,27 @@ func TestBuilderInvariantsQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestValidateWeights: ValidateWeights gives Validate's error for the
+// first non-positive weight and checks nothing else, so it passes a
+// graph whose only fault is structural.
+func TestValidateWeights(t *testing.T) {
+	g := &Graph{}
+	a := g.AddNode(2, "a")
+	b := g.AddNode(3, "b")
+	g.AddNode(1, "c", a, b)
+	if err := g.ValidateWeights(); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []Weight{0, -4} {
+		h := g.WithWeights([]Weight{2, bad, bad})
+		err, verr := h.ValidateWeights(), h.Validate()
+		if err == nil || verr == nil || err.Error() != verr.Error() {
+			t.Fatalf("weight %d: ValidateWeights %v, Validate %v", bad, err, verr)
+		}
+	}
+	g.AddNode(5, "isolated")
+	if g.Validate() == nil || g.ValidateWeights() != nil {
+		t.Fatal("an isolated node must fail Validate alone")
+	}
+}

@@ -139,8 +139,9 @@ func NewTopology(n, d int) (*Topology, error) {
 // Graph returns DWT(n, d) with weight wf(i, j) on v^i_j. The graph
 // shares t's adjacency, names and layer table and owns only its
 // weights, so SetWeight and the schedulers' SetWeights change it
-// alone; its namer keeps t reachable for as long as it lives. It is
-// validated like any built graph.
+// alone; its namer keeps t reachable for as long as it lives.
+// NewTopology validated the shared adjacency, so only the weights are
+// checked here.
 func (t *Topology) Graph(wf WeightFunc) (*Graph, error) {
 	w := make([]cdag.Weight, t.g.Len())
 	for i, l := range t.layers {
@@ -149,7 +150,7 @@ func (t *Topology) Graph(wf WeightFunc) (*Graph, error) {
 		}
 	}
 	g := t.g.WithWeights(w)
-	if err := g.Validate(); err != nil {
+	if err := g.ValidateWeights(); err != nil {
 		return nil, fmt.Errorf("dwt: %w", err)
 	}
 	return &Graph{G: g, N: t.n, D: t.d, Layers: t.layers}, nil

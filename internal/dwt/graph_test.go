@@ -285,3 +285,37 @@ func TestNamesMatchFormulas(t *testing.T) {
 		}
 	}
 }
+
+// TestTopologyGraphRejectsNonPositiveWeight: Topology.Graph checks
+// only the weights, and still refuses a non-positive one, on an input
+// or an inner node, with the error a full Validate gives.
+func TestTopologyGraphRejectsNonPositiveWeight(t *testing.T) {
+	topo, err := NewTopology(16, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range [][2]int{{1, 5}, {3, 2}} {
+		for _, bad := range []cdag.Weight{0, -1} {
+			wf := func(layer, index int) cdag.Weight {
+				if layer == at[0] && index == at[1] {
+					return bad
+				}
+				return 16
+			}
+			_, err := topo.Graph(wf)
+			w := make([]cdag.Weight, topo.g.Len())
+			for i, l := range topo.layers {
+				for j, v := range l {
+					w[v] = wf(i+1, j+1)
+				}
+			}
+			verr := topo.g.WithWeights(w).Validate()
+			if err == nil || verr == nil || err.Error() != "dwt: "+verr.Error() {
+				t.Fatalf("weight %d at %v: Graph error %v, Validate error %v", bad, at, err, verr)
+			}
+		}
+	}
+	if _, err := topo.Graph(equalWeights); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -63,9 +63,6 @@ type Scheduler struct {
 // NewScheduler validates the weight assumption of Lemma 3.2 and
 // returns a scheduler for the graph.
 func NewScheduler(dg *Graph) (*Scheduler, error) {
-	if err := dg.CheckWeightAssumption(); err != nil {
-		return nil, err
-	}
 	// Pruned (even-index, layer > 1) nodes in ID order, mirroring
 	// Graph.PrunedNodes without its map.
 	var pruned []cdag.NodeID
@@ -75,13 +72,33 @@ func NewScheduler(dg *Graph) (*Scheduler, error) {
 			pruned = append(pruned, l[j-1])
 		}
 	}
-	return &Scheduler{
-		dg:     dg,
+	s := &Scheduler{
 		memo:   stepmemo.NewRows[entry](dg.G),
 		roots:  dg.Roots(),
 		pruned: pruned,
-		exist:  core.MinExistenceBudget(dg.G),
-	}, nil
+	}
+	if err := s.Reset(dg); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Reset points the scheduler at dg, a DWT graph of the same shape as
+// the one it was built for (the same n and d, as every Graph of one
+// Topology has), under any weights. It first checks the Lemma 3.2
+// weight assumption, and on failure it returns the error and leaves
+// the scheduler as it was. Otherwise it empties the memo, keeping its
+// capacity, and refreshes the existence bound, so the next query
+// answers exactly as a NewScheduler(dg) would, without allocating.
+// roots and pruned depend on the shape alone and are kept.
+func (s *Scheduler) Reset(dg *Graph) error {
+	if err := dg.CheckWeightAssumption(); err != nil {
+		return err
+	}
+	s.dg = dg
+	s.memo.Reset()
+	s.exist = core.MinExistenceBudget(dg.G)
+	return nil
 }
 
 // Graph returns the scheduled DWT graph.

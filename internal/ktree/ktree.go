@@ -143,8 +143,10 @@ func (t *Topology) name(v cdag.NodeID) string {
 // depth 0 being the root and index counting from 0 within a depth. The
 // tree shares t's adjacency and names and owns only its weights, so
 // SetWeight and the scheduler's SetWeights change it alone; its namer
-// keeps t reachable for as long as it lives. It passes New's checks
-// like any tree.
+// keeps t reachable for as long as it lives. NewTopology built and
+// validated an in-tree of in-degree k whose root is the last ID, so
+// only the weights are checked here; the Tree is the one New would
+// return.
 func (t *Topology) Tree(wf func(depth, index int) cdag.Weight) (*Tree, error) {
 	w := make([]cdag.Weight, t.g.Len())
 	// IDs run level by level from the leaves up, as NewTopology adds
@@ -157,7 +159,11 @@ func (t *Topology) Tree(wf func(depth, index int) cdag.Weight) (*Tree, error) {
 		}
 		size *= t.k
 	}
-	return New(t.g.WithWeights(w))
+	g := t.g.WithWeights(w)
+	if err := g.ValidateWeights(); err != nil {
+		return nil, err
+	}
+	return &Tree{G: g, Root: cdag.NodeID(len(w) - 1), K: t.k}, nil
 }
 
 // Random builds a random in-tree with the given number of internal

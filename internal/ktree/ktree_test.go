@@ -373,3 +373,47 @@ func TestFullTreeNamesMatchFormulas(t *testing.T) {
 		}
 	}
 }
+
+// TestTopologyTreeMatchesNew: Topology.Tree checks only the weights of
+// the tree it makes, so that tree must be the one New derives from the
+// same graph: the same root and arity, for every k up to MaxK at small
+// heights. A non-positive weight is still refused, with New's error.
+func TestTopologyTreeMatchesNew(t *testing.T) {
+	for k := 1; k <= MaxK; k++ {
+		for h := 1; h <= 3; h++ {
+			topo, err := NewTopology(k, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := topo.Tree(func(d, i int) cdag.Weight { return cdag.Weight(1 + (d+i)%3) })
+			if err != nil {
+				t.Fatalf("k=%d h=%d: %v", k, h, err)
+			}
+			want, err := New(tr.G)
+			if err != nil {
+				t.Fatalf("k=%d h=%d: New refuses the tree: %v", k, h, err)
+			}
+			if tr.Root != want.Root || tr.K != want.K {
+				t.Fatalf("k=%d h=%d: Tree gives root %d arity %d, New root %d arity %d", k, h, tr.Root, tr.K, want.Root, want.K)
+			}
+			for _, bad := range []cdag.Weight{0, -3} {
+				wf := func(d, i int) cdag.Weight {
+					if d == h && i == k-1 {
+						return bad
+					}
+					return 1
+				}
+				_, err := topo.Tree(wf)
+				w := make([]cdag.Weight, topo.g.Len())
+				for v := range w {
+					w[v] = 1
+				}
+				w[k-1] = bad // leaf k−1: the leaves take the first IDs
+				_, nerr := New(topo.g.WithWeights(w))
+				if err == nil || nerr == nil || err.Error() != nerr.Error() {
+					t.Fatalf("k=%d h=%d weight %d: Tree error %v, New error %v", k, h, bad, err, nerr)
+				}
+			}
+		}
+	}
+}

@@ -71,12 +71,29 @@ func NewScheduler(t *Tree) *Scheduler {
 		subs:   make([]cdag.Weight, height(t.G, t.Root)*stride),
 		stride: stride,
 	}
-	// Node IDs are topological by construction, so one forward pass
-	// sees every parent before its child.
+	s.fillExist()
+	return s
+}
+
+// Reset points the scheduler at t, a tree of the same shape as the one
+// it was built for (the same adjacency, as every Tree of one Topology
+// has), under any weights. It empties the memo, keeping its capacity,
+// and recomputes the existence bounds, so the next query answers
+// exactly as a NewScheduler(t) would, without allocating. The permutation
+// tables and the cell scratch depend on the shape alone and are kept.
+func (s *Scheduler) Reset(t *Tree) {
+	s.t = t
+	s.memo.Reset()
+	s.fillExist()
+}
+
+// fillExist computes every node's existence bound. Node IDs are
+// topological by construction, so one forward pass sees every parent
+// before its child.
+func (s *Scheduler) fillExist() {
 	for v := range s.exist {
 		s.setExist(cdag.NodeID(v))
 	}
-	return s
 }
 
 // height returns the number of edges on the longest leaf-to-v path.

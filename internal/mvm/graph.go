@@ -135,8 +135,9 @@ func NewTopology(m, n int) (*Topology, error) {
 // Graph returns MVM(m, n) with the input weight of cfg on x and A and
 // its node weight on the products and accumulators. The graph shares
 // t's adjacency, names and tables and owns its weights and its cached
-// lower bound; its namer keeps t reachable for as long as it lives. It
-// is validated like any built graph.
+// lower bound; its namer keeps t reachable for as long as it lives.
+// NewTopology validated the shared adjacency, so only the weights are
+// checked here.
 func (t *Topology) Graph(cfg wcfg.Config) (*Graph, error) {
 	w := make([]cdag.Weight, t.g.Len())
 	// The inputs take the first n(m+1) IDs (NewTopology's S_1).
@@ -150,7 +151,7 @@ func (t *Topology) Graph(cfg wcfg.Config) (*Graph, error) {
 		}
 	}
 	g := t.g.WithWeights(w)
-	if err := g.Validate(); err != nil {
+	if err := g.ValidateWeights(); err != nil {
 		return nil, fmt.Errorf("mvm: %w", err)
 	}
 	return &Graph{G: g, M: t.m, N: t.n, Cfg: cfg, X: t.x, A: t.a, Prod: t.prod, Acc: t.acc,

@@ -196,3 +196,25 @@ func TestNamesMatchFormulas(t *testing.T) {
 		}
 	}
 }
+
+// TestTopologyGraphRejectsNonPositiveWeight: Topology.Graph checks
+// only the weights, and still refuses a configuration that makes an
+// input or a node weight non-positive.
+func TestTopologyGraphRejectsNonPositiveWeight(t *testing.T) {
+	topo, err := NewTopology(4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []wcfg.Config{
+		{Name: "Custom", WordBits: 16, InputWords: 0, NodeWords: 1},
+		{Name: "Custom", WordBits: 16, InputWords: 1, NodeWords: -1},
+		{Name: "Custom", WordBits: 0, InputWords: 1, NodeWords: 1},
+	} {
+		if _, err := topo.Graph(cfg); err == nil {
+			t.Fatalf("%+v: Graph accepted non-positive weights", cfg)
+		}
+	}
+	if _, err := topo.Graph(wcfg.Equal(16)); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -284,14 +284,15 @@ func (in *Instance) RequestSchedule(s core.Schedule) core.Schedule {
 // instance (Build answers cdag itself and NewSession refuses it);
 // Build wraps it as a Problem and NewSession as a warm session. The
 // parametric families take their topology from the shape table and
-// fill in only the weights. The incremental families apply any weight
-// deltas after construction, so the cold path solves exactly the graph
-// a patched session holds.
+// fill in only the weights; dwt and ktree also take their entry's
+// scheduler pool, which only Build's Problem draws on. The incremental
+// families apply any weight deltas after construction, so the cold
+// path solves exactly the graph a patched session holds.
 func (in *Instance) build() (family, error) {
 	f := family{name: in.Family}
 	switch in.Family {
 	case FamilyDWT:
-		t, err := topology(shapeKey{FamilyDWT, in.N, in.D}, dwt.NewTopology)
+		t, pool, err := topology(shapeKey{FamilyDWT, in.N, in.D}, dwt.NewTopology)
 		if err != nil {
 			return f, err
 		}
@@ -310,9 +311,9 @@ func (in *Instance) build() (family, error) {
 				return f, err
 			}
 		}
-		f.g, f.layers, f.dwt = g.G, g.Layers, g
+		f.g, f.layers, f.dwt, f.pool = g.G, g.Layers, g, pool
 	case FamilyKTree:
-		t, err := topology(shapeKey{FamilyKTree, in.K, in.Height}, ktree.NewTopology)
+		t, pool, err := topology(shapeKey{FamilyKTree, in.K, in.Height}, ktree.NewTopology)
 		if err != nil {
 			return f, err
 		}
@@ -328,9 +329,9 @@ func (in *Instance) build() (family, error) {
 		if err := in.applyDeltas(tr.G); err != nil {
 			return f, err
 		}
-		f.g, f.tree = tr.G, tr
+		f.g, f.tree, f.pool = tr.G, tr, pool
 	case FamilyMVM:
-		t, err := topology(shapeKey{FamilyMVM, in.M, in.N}, mvm.NewTopology)
+		t, _, err := topology(shapeKey{FamilyMVM, in.M, in.N}, mvm.NewTopology)
 		if err != nil {
 			return f, err
 		}

@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"wrbpg/internal/anytime"
@@ -375,6 +376,9 @@ type family struct {
 	dwt    *dwt.Graph
 	tree   *ktree.Tree
 	mvm    *mvm.Graph
+	// pool, for a dwt or ktree graph built over the shape table, is its
+	// entry's pool of idle schedulers of the shape; nil otherwise.
+	pool *sync.Pool
 }
 
 // newSolver returns a fresh solver for the family and the counter set
@@ -393,20 +397,54 @@ func (f family) newSolver() (solver, *guard.FamilyCounters, error) {
 	return mvm.NewSession(f.mvm), mvmCounters, nil
 }
 
+// pooled returns a solver for the family and its counter set: an idle
+// scheduler of the shape, re-pointed at f's graph, when the pool holds
+// one, and a fresh solver otherwise. Reset leaves the scheduler as
+// NewScheduler would build it, so the answer and the counts are the
+// same either way.
+func (f family) pooled() (solver, *guard.FamilyCounters, error) {
+	if f.pool != nil {
+		switch s := f.pool.Get().(type) {
+		case *dwt.Scheduler:
+			if err := s.Reset(f.dwt); err != nil {
+				return nil, nil, err
+			}
+			return s, dwtCounters, nil
+		case *ktree.Scheduler:
+			s.Reset(f.tree)
+			return s, ktreeCounters, nil
+		}
+	}
+	return f.newSolver()
+}
+
 // problem wraps the family as a Problem: every optimal attempt runs on
-// a fresh solver and flushes its counts once.
+// a solver of its own, flushes its counts once, and then, if the
+// solver returned, hands it to the shape's pool. A panicking solver is
+// dropped, and one whose attempt Run abandoned at its deadline stays
+// with its goroutine until it returns.
 func (f family) problem() Problem {
 	return Problem{
 		Name:   f.name,
 		G:      f.g,
 		Layers: f.layers,
 		Optimal: func(ctx context.Context, lim guard.Limits, budget cdag.Weight) (core.Schedule, error) {
-			s, fc, err := f.newSolver()
+			s, fc, err := f.pooled()
 			if err != nil {
 				return nil, err
 			}
-			defer func() { fc.Record(s.TakeCounts()) }()
-			return s.ScheduleCtx(ctx, lim, budget)
+			returned := false
+			defer func() {
+				// Flush first: once back in the pool, the scheduler is
+				// another solve's to take.
+				fc.Record(s.TakeCounts())
+				if returned && f.pool != nil {
+					f.pool.Put(s)
+				}
+			}()
+			sched, err := s.ScheduleCtx(ctx, lim, budget)
+			returned = true
+			return sched, err
 		},
 	}
 }

@@ -3,7 +3,10 @@
 // every cold solve and session of that shape. A topology depends on
 // the family and its two shape parameters alone, so a request for a
 // known shape under any weight configuration or delta list skips the
-// graph construction and only allocates and fills its weights.
+// graph construction and only allocates and fills its weights. The
+// layout of a DP's budget memo depends on the shape alone too, so each
+// entry also pools the idle dwt or ktree schedulers of its shape, and
+// a cold solve re-points one at its graph instead of building one.
 
 package solve
 
@@ -37,10 +40,16 @@ type shapeKey struct {
 // weak-to-strong conversion, which the runtime stalls around the end
 // of every mark phase. A sync.Pool drops what no Get has taken across
 // two collections, so keep never pins an idle shape.
+//
+// solvers holds the shape's idle schedulers (*dwt.Scheduler or
+// *ktree.Scheduler; mvm solves take none). A scheduler holds its last
+// graph, and so the topology, strongly, but as a sync.Pool it too
+// drops what two collections find idle.
 type shapeEntry struct {
-	key  shapeKey
-	topo any
-	keep sync.Pool
+	key     shapeKey
+	topo    any
+	keep    sync.Pool
+	solvers sync.Pool
 }
 
 // shapes is the process-wide shape table.
@@ -63,13 +72,15 @@ func (k shapeKey) slot() int {
 	return int(h % shapeSlots)
 }
 
-// topology returns the family topology of shape k: the table's, while
-// a graph of the shape is alive or a request has used it since the
-// collection before last, and otherwise a new one from
-// build(k.a, k.b), whose entry then takes the slot. Topologies are
-// immutable, so any number of requests share one. A build error is
-// returned and the slot is left as it was.
-func topology[T any](k shapeKey, build func(a, b int) (*T, error)) (*T, error) {
+// topology returns the family topology of shape k with the scheduler
+// pool of its entry: the table's, while a graph of the shape is alive
+// or a request has used it since the collection before last, and
+// otherwise a new one from build(k.a, k.b), whose entry then takes the
+// slot. Topologies are immutable, so any number of requests share one;
+// an entry holds one topology for its life, so every scheduler in its
+// pool was built over that topology. A build error is returned and the
+// slot is left as it was.
+func topology[T any](k shapeKey, build func(a, b int) (*T, error)) (*T, *sync.Pool, error) {
 	slot := &shapes[k.slot()]
 	e := slot.Load()
 	if e != nil && e.key == k {
@@ -79,15 +90,15 @@ func topology[T any](k shapeKey, build func(a, b int) (*T, error)) (*T, error) {
 		}
 		if t != nil {
 			e.keep.Put(t)
-			return t, nil
+			return t, &e.solvers, nil
 		}
 	}
 	t, err := build(k.a, k.b)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	e = &shapeEntry{key: k, topo: weak.Make(t)}
 	e.keep.Put(t)
 	slot.Store(e)
-	return t, nil
+	return t, &e.solvers, nil
 }

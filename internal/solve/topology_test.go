@@ -2,12 +2,14 @@ package solve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 	"weak"
 
 	"wrbpg/internal/cdag"
@@ -356,16 +358,28 @@ func liveTopology(e *shapeEntry) bool {
 
 // TestTopologyTableEmptiesAfterTwoGCs: the table holds a built shape's
 // topology while a graph of the shape is alive, and once none is, two
-// collections leave no topology in it.
+// collections leave no topology in it. Every shape is solved cold a few
+// times first, so the dwt and ktree entries' pools hold schedulers,
+// which hold their last graph and so the topology: the pools do not pin
+// a shape past the two collections either.
 func TestTopologyTableEmptiesAfterTwoGCs(t *testing.T) {
 	func() {
 		var graphs []*cdag.Graph
 		var keys []shapeKey
 		for _, in := range []Instance{{Family: FamilyDWT, N: 40, D: 3}, {Family: FamilyKTree, K: 5, Height: 2}, {Family: FamilyMVM, M: 7, N: 9}} {
-			in.Cfg = topologyConfigs()[5]
-			_, g, err := in.Build()
-			if err != nil {
-				t.Fatal(err)
+			var g *cdag.Graph
+			for _, c := range []int{5, 17, 40} {
+				in.Cfg = topologyConfigs()[c]
+				p, pg, err := in.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The tile search needs about twice the existence bound.
+				g = pg
+				out, err := Run(context.Background(), p, core.MinExistenceBudget(g)*5/2, guard.Limits{})
+				if err != nil || out.Source != SourceOptimal {
+					t.Fatalf("%s: cold solve answered %v (%v)", in.Label(), out.Source, err)
+				}
 			}
 			graphs = append(graphs, g)
 			switch in.Family {
@@ -391,6 +405,144 @@ func TestTopologyTableEmptiesAfterTwoGCs(t *testing.T) {
 	for i := range shapes {
 		if e := shapes[i].Load(); e != nil && liveTopology(e) {
 			t.Errorf("slot %d still holds %v after two collections", i, e.key)
+		}
+	}
+}
+
+// coldShapes lists the dwt and ktree shapes of wrbpgbench's cold-solve
+// workload, the shapes whose cold solves draw on the scheduler pool.
+func coldShapes() []Instance {
+	return []Instance{
+		{Family: FamilyDWT, N: 64, D: 6}, {Family: FamilyDWT, N: 128, D: 7},
+		{Family: FamilyKTree, K: 3, Height: 4}, {Family: FamilyKTree, K: 2, Height: 8},
+	}
+}
+
+// repoint re-points s, a scheduler of f's shape, at f's graph, as
+// family.pooled does for a scheduler it takes from the pool.
+func repoint(t *testing.T, s solver, f family) {
+	t.Helper()
+	switch s := s.(type) {
+	case *dwt.Scheduler:
+		if err := s.Reset(f.dwt); err != nil {
+			t.Fatal(err)
+		}
+	case *ktree.Scheduler:
+		s.Reset(f.tree)
+	default:
+		t.Fatalf("solver of type %T has no Reset", s)
+	}
+}
+
+// pooledAbort re-points s at f and runs one cold solve on it that the
+// guard aborts, by a canceled context (kind 1), a passed deadline
+// (kind 2) or the memo-entry limit (kind 3), then flushes its counts
+// as family.problem does. Kind 0 leaves s as it is.
+func pooledAbort(t *testing.T, s solver, f family, kind int) {
+	t.Helper()
+	if kind == 0 {
+		return
+	}
+	repoint(t, s, f)
+	b := 2 * core.MinExistenceBudget(f.g)
+	ctx, lim, want := context.Background(), guard.Limits{}, error(nil)
+	switch kind {
+	case 1:
+		c, cancel := context.WithCancel(ctx)
+		cancel()
+		ctx, want = c, guard.ErrCanceled
+	case 2:
+		c, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
+		defer cancel()
+		ctx, want = c, guard.ErrDeadline
+	case 3:
+		lim.MaxMemoEntries, want = 3, guard.ErrBudgetExceeded
+	}
+	if _, err := s.ScheduleCtx(ctx, lim, b); !errors.Is(err, want) {
+		t.Fatalf("aborted solve (kind %d): err %v, want %v", kind, err, want)
+	}
+	s.TakeCounts()
+}
+
+// TestTopologyPooledSchedulerMatchesFresh: a scheduler re-pointed at
+// an instance's graph, as a cold solve takes one from its shape's
+// pool, answers exactly as a fresh one. Over the dwt and ktree shapes
+// of cold-solve, several weight configurations, delta lists and
+// budgets, one scheduler per shape serves every case, some right after
+// a solve of its own that a canceled context, a passed deadline or the
+// memo-entry limit aborted. Its schedules are byte-identical to a
+// fresh scheduler's, their Simulate stats equal, and its counts equal
+// the fresh solve's, so a cold solve reports no reused or invalidated
+// cells. Run, which draws on the real pool, gives the same schedules.
+func TestTopologyPooledSchedulerMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	cfgs := topologyConfigs()
+	for _, shape := range coldShapes() {
+		var pooled solver
+		var prev family
+		abort := 0
+		for c := 3; c < len(cfgs); c += 12 {
+			base := shape
+			base.Cfg = cfgs[c]
+			bf, err := base.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			patched := base
+			patched.Deltas = patchTargets(rng, bf.g.Sources(), 6)
+			for _, in := range []Instance{base, patched} {
+				f, err := in.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				exist := core.MinExistenceBudget(f.g)
+				for _, b := range []cdag.Weight{exist - 1, exist, exist * 5 / 4, exist*3/2 + 1, 2 * exist, f.g.TotalWeight()} {
+					label := fmt.Sprintf("%s deltas=%v budget %d", in.Label(), in.Deltas, b)
+					fresh, _, err := f.newSolver()
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, werr := fresh.ScheduleCtx(context.Background(), guard.Limits{}, b)
+					wantCounts := fresh.TakeCounts()
+					if pooled == nil {
+						if pooled, _, err = f.newSolver(); err != nil {
+							t.Fatal(err)
+						}
+						prev = f
+					}
+					// The abort runs on the weighting pooled last served.
+					pooledAbort(t, pooled, prev, abort%4)
+					abort++
+					repoint(t, pooled, f)
+					prev = f
+					got, gerr := pooled.ScheduleCtx(context.Background(), guard.Limits{}, b)
+					gotCounts := pooled.TakeCounts()
+					if (werr == nil) != (gerr == nil) || !slices.Equal(got, want) {
+						t.Fatalf("%s: pooled %d moves (%v), fresh %d moves (%v)", label, len(got), gerr, len(want), werr)
+					}
+					if gotCounts != wantCounts || gotCounts.CellsReused != 0 || gotCounts.CellsInvalidated != 0 {
+						t.Fatalf("%s: pooled counts %+v, fresh %+v", label, gotCounts, wantCounts)
+					}
+					if werr != nil {
+						continue
+					}
+					ws, err := core.Simulate(f.g, b, want)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if gs, err := core.Simulate(f.g, b, got); err != nil || gs != ws {
+						t.Fatalf("%s: pooled stats %+v (%v), fresh %+v", label, gs, err, ws)
+					}
+					p, _, err := in.Build()
+					if err != nil {
+						t.Fatal(err)
+					}
+					out, err := Run(context.Background(), p, b, guard.Limits{})
+					if err != nil || out.Source != SourceOptimal || !slices.Equal(out.Schedule, want) || out.Stats != ws {
+						t.Fatalf("%s: Run answered %v with %d moves (%v), fresh %d moves", label, out.Source, len(out.Schedule), err, len(want))
+					}
+				}
+			}
 		}
 	}
 }

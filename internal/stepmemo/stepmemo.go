@@ -160,6 +160,17 @@ func NewRows[V any](g *cdag.Graph) Rows[V] {
 	return Rows[V]{rows: rows, marks: make([]uint32, n)}
 }
 
+// Reset empties every row, keeping its capacity, so the memo answers
+// for a new weighting of the same graph shape as a fresh NewRows would,
+// without allocating. It notes no invalidation: a reset memo starts
+// cold, it is not a patch. Observation counts not yet taken are kept.
+func (r *Rows[V]) Reset() {
+	for i := range r.rows {
+		r.rows[i].steps = r.rows[i].steps[:0]
+	}
+	r.live = 0
+}
+
 // Begin resets the memo's reusable checker under ctx and lim and
 // installs it as the guard of one query; defer End right after it, so
 // a panicking query cannot leave its guard installed. Limits are per

@@ -251,6 +251,46 @@ func TestPatchInvalidatesCone(t *testing.T) {
 	}
 }
 
+// TestRowsResetEmptiesKeepingCapacity: Reset empties every row, keeps
+// each row's capacity (a slab window, or the heap slice a row outgrew
+// it into), zeroes the live count, notes no invalidation, and leaves
+// the memo storing and finding as a new one does, without allocating.
+func TestRowsResetEmptiesKeepingCapacity(t *testing.T) {
+	m := NewRows[int](chain())
+	fill(&m)
+	for b := cdag.Weight(1); b <= 4; b++ {
+		m.Store(1, b, b, b, int(b)) // node 1 outgrows its window
+	}
+	caps := make([]int, len(m.rows))
+	for v := range m.rows {
+		caps[v] = cap(m.rows[v].steps)
+	}
+	m.Reset()
+	for v := range m.rows {
+		if n, c := len(m.rows[v].steps), cap(m.rows[v].steps); n != 0 || c != caps[v] {
+			t.Fatalf("node %d: %d steps, capacity %d after Reset; want 0 and %d", v, n, c, caps[v])
+		}
+	}
+	if m.live != 0 {
+		t.Fatalf("live = %d after Reset", m.live)
+	}
+	if c := m.TakeCounts(); c.CellsInvalidated != 0 || c.CellsReused != 0 {
+		t.Fatalf("Reset noted an invalidation: %+v", c)
+	}
+	if a := testing.AllocsPerRun(10, func() {
+		m.Reset()
+		m.Store(3, 0, 0, Inf, 30)
+		for b := cdag.Weight(1); b <= 4; b++ {
+			m.Store(1, b, b, b, int(b))
+		}
+	}); a != 0 {
+		t.Fatalf("refilling a reset memo allocates %.1f allocs/op, want 0", a)
+	}
+	if s := m.Find(1, 3); s == nil || s.V != 3 || m.Find(0, 0) != nil || m.live != 5 {
+		t.Fatalf("after refill: step %+v, live %d", s, m.live)
+	}
+}
+
 // TestPatchRevertsOnError: a failing delta list or validation leaves
 // every weight, row and live count as it was, and notes no
 // invalidation.
