@@ -109,8 +109,10 @@ func (l Label) String() string {
 	}
 }
 
-// HasRed reports whether the label includes a red pebble.
-func (l Label) HasRed() bool { return l == LabelRed || l == LabelBoth }
+// HasRed reports whether the label includes a red pebble. A label is
+// a set of two pebble bits, LabelRed and LabelBlue, so it is one bit
+// test.
+func (l Label) HasRed() bool { return l&LabelRed != 0 }
 
 // HasBlue reports whether the label includes a blue pebble.
-func (l Label) HasBlue() bool { return l == LabelBlue || l == LabelBoth }
+func (l Label) HasBlue() bool { return l&LabelBlue != 0 }

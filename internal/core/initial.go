@@ -34,26 +34,8 @@ func NewStateWithLabels(g *cdag.Graph, budget cdag.Weight, labels []Label) (*Sta
 func SimulateFrom(st *State, s Schedule) (Stats, error) {
 	var stats Stats
 	stats.PeakRedWeight = st.RedWeight()
-	for i, m := range s {
-		c, err := st.Apply(m)
-		if err != nil {
-			re := err.(*RuleError)
-			re.Index = i
-			return stats, re
-		}
-		stats.Cost += c
-		switch m.Kind {
-		case M1:
-			stats.InputCost += c
-		case M2:
-			stats.OutputCost += c
-		case M3:
-			stats.Computations++
-		}
-		stats.Moves[m.Kind]++
-		if st.RedWeight() > stats.PeakRedWeight {
-			stats.PeakRedWeight = st.RedWeight()
-		}
+	if i, f := st.replay(s, &stats); f != legal {
+		return stats, st.ruleError(s[i], f, i)
 	}
 	return stats, nil
 }

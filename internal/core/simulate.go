@@ -30,27 +30,9 @@ type Stats struct {
 // move sequences, Simulate certifies them.
 func Simulate(g *cdag.Graph, budget cdag.Weight, s Schedule) (Stats, error) {
 	st := NewState(g, budget)
-	var stats Stats
-	for i, m := range s {
-		c, err := st.Apply(m)
-		if err != nil {
-			re := err.(*RuleError)
-			re.Index = i
-			return stats, re
-		}
-		stats.Cost += c
-		switch m.Kind {
-		case M1:
-			stats.InputCost += c
-		case M2:
-			stats.OutputCost += c
-		case M3:
-			stats.Computations++
-		}
-		stats.Moves[m.Kind]++
-		if st.RedWeight() > stats.PeakRedWeight {
-			stats.PeakRedWeight = st.RedWeight()
-		}
+	stats, err := SimulateFrom(st, s)
+	if err != nil {
+		return stats, err
 	}
 	if !st.Done() {
 		for v := 0; v < g.Len(); v++ {

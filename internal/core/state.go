@@ -62,71 +62,155 @@ func (e *RuleError) Error() string {
 // weighted I/O cost incurred by the move (w_v for M1/M2, zero for
 // M3/M4) or a *RuleError if the move is illegal in the current state.
 func (s *State) Apply(m Move) (cdag.Weight, error) {
-	v := m.Node
-	if v < 0 || int(v) >= len(s.labels) {
-		return 0, &RuleError{Move: m, Index: -1, Reason: "node out of range"}
+	var stats Stats
+	if _, f := s.replay(Schedule{m}, &stats); f != legal {
+		return 0, s.ruleError(m, f, -1)
 	}
-	w := s.g.Weight(v)
-	l := s.labels[v]
-	switch m.Kind {
-	case M1:
-		if !l.HasBlue() {
-			return 0, &RuleError{Move: m, Index: -1, Reason: "M1 requires a blue pebble on the node"}
+	return stats.Cost, nil
+}
+
+// fault names the rule of the game a move breaks; legal is none.
+type fault uint8
+
+const (
+	legal fault = iota
+	outOfRange
+	m1NoBlue
+	m1HasRed
+	m2NoRed
+	m2HasBlue
+	m3HasRed
+	m3Source
+	m3ParentNotRed
+	m4NoRed
+	overBudget
+	unknownKind
+)
+
+// replay applies the moves of sched in order, accumulating their
+// statistics into stats, until one is illegal; it returns that move's
+// position and the rule it breaks, leaving the state as it was before
+// the move, or len(sched) and legal. It is the game's one rule checker,
+// Apply included: a legal move costs a few label bit tests and no
+// error value, and ruleError describes only the move that fails.
+func (s *State) replay(sched Schedule, stats *Stats) (int, fault) {
+	g, labels, budget := s.g, s.labels, s.budget
+	red, peak := s.redWeight, stats.PeakRedWeight
+	i, f := 0, legal
+	for ; i < len(sched); i++ {
+		m := sched[i]
+		v := m.Node
+		if v < 0 || int(v) >= len(labels) {
+			f = outOfRange
+			break
 		}
-		if l.HasRed() {
-			return 0, &RuleError{Move: m, Index: -1, Reason: "M1 on a node that already holds a red pebble"}
+		l := labels[v]
+		switch m.Kind {
+		case M1:
+			w := g.Weight(v)
+			switch {
+			case l&LabelBlue == 0:
+				f = m1NoBlue
+			case l&LabelRed != 0:
+				f = m1HasRed
+			case red+w > budget:
+				f = overBudget
+			default:
+				labels[v] = LabelBoth
+				red += w
+				stats.Cost += w
+				stats.InputCost += w
+			}
+		case M2:
+			switch {
+			case l&LabelRed == 0:
+				f = m2NoRed
+			case l&LabelBlue != 0:
+				f = m2HasBlue
+			default:
+				labels[v] = LabelBoth
+				w := g.Weight(v)
+				stats.Cost += w
+				stats.OutputCost += w
+			}
+		case M3:
+			ps := g.Parents(v)
+			switch {
+			case l&LabelRed != 0:
+				f = m3HasRed
+			case len(ps) == 0:
+				f = m3Source
+			default:
+				for _, p := range ps {
+					if labels[p]&LabelRed == 0 {
+						f = m3ParentNotRed
+						break
+					}
+				}
+				w := g.Weight(v)
+				if f == legal && red+w > budget {
+					f = overBudget
+				}
+				if f == legal {
+					labels[v] = l | LabelRed
+					red += w
+					stats.Computations++
+				}
+			}
+		case M4:
+			if l&LabelRed == 0 {
+				f = m4NoRed
+			} else {
+				labels[v] = l &^ LabelRed
+				red -= g.Weight(v)
+			}
+		default:
+			f = unknownKind
 		}
-		if s.redWeight+w > s.budget {
-			return 0, &RuleError{Move: m, Index: -1, Reason: fmt.Sprintf("weighted red constraint violated: %d+%d > budget %d", s.redWeight, w, s.budget)}
+		if f != legal {
+			break
 		}
-		s.labels[v] = LabelBoth
-		s.redWeight += w
-		return w, nil
-	case M2:
-		if !l.HasRed() {
-			return 0, &RuleError{Move: m, Index: -1, Reason: "M2 requires a red pebble on the node"}
-		}
-		if l.HasBlue() {
-			return 0, &RuleError{Move: m, Index: -1, Reason: "M2 on a node that already holds a blue pebble"}
-		}
-		s.labels[v] = LabelBoth
-		return w, nil
-	case M3:
-		if l.HasRed() {
-			return 0, &RuleError{Move: m, Index: -1, Reason: "M3 on a node that already holds a red pebble"}
-		}
-		if s.g.IsSource(v) {
-			return 0, &RuleError{Move: m, Index: -1, Reason: "M3 on a source node (inputs are not computed)"}
-		}
-		for _, p := range s.g.Parents(v) {
-			if !s.labels[p].HasRed() {
-				return 0, &RuleError{Move: m, Index: -1, Reason: fmt.Sprintf("M3 requires red pebbles on all parents; parent %d is %s", p, s.labels[p])}
+		stats.Moves[m.Kind]++
+		peak = max(peak, red)
+	}
+	s.redWeight, stats.PeakRedWeight = red, peak
+	return i, f
+}
+
+// ruleError describes the fault replay reported for m, which the state
+// is still in, at schedule position i (-1 when applied ad hoc).
+func (s *State) ruleError(m Move, f fault, i int) *RuleError {
+	e := &RuleError{Move: m, Index: i}
+	switch f {
+	case outOfRange:
+		e.Reason = "node out of range"
+	case m1NoBlue:
+		e.Reason = "M1 requires a blue pebble on the node"
+	case m1HasRed:
+		e.Reason = "M1 on a node that already holds a red pebble"
+	case m2NoRed:
+		e.Reason = "M2 requires a red pebble on the node"
+	case m2HasBlue:
+		e.Reason = "M2 on a node that already holds a blue pebble"
+	case m3HasRed:
+		e.Reason = "M3 on a node that already holds a red pebble"
+	case m3Source:
+		e.Reason = "M3 on a source node (inputs are not computed)"
+	case m3ParentNotRed:
+		for _, p := range s.g.Parents(m.Node) {
+			if l := s.labels[p]; !l.HasRed() {
+				e.Reason = fmt.Sprintf("M3 requires red pebbles on all parents; parent %d is %s", p, l)
+				break
 			}
 		}
-		if s.redWeight+w > s.budget {
-			return 0, &RuleError{Move: m, Index: -1, Reason: fmt.Sprintf("weighted red constraint violated: %d+%d > budget %d", s.redWeight, w, s.budget)}
-		}
-		if l.HasBlue() {
-			s.labels[v] = LabelBoth
-		} else {
-			s.labels[v] = LabelRed
-		}
-		s.redWeight += w
-		return 0, nil
-	case M4:
-		if !l.HasRed() {
-			return 0, &RuleError{Move: m, Index: -1, Reason: "M4 requires a red pebble on the node"}
-		}
-		if l.HasBlue() {
-			s.labels[v] = LabelBlue
-		} else {
-			s.labels[v] = LabelNone
-		}
-		s.redWeight -= w
-		return 0, nil
+	case m4NoRed:
+		e.Reason = "M4 requires a red pebble on the node"
+	case overBudget:
+		e.Reason = fmt.Sprintf("weighted red constraint violated: %d+%d > budget %d", s.redWeight, s.g.Weight(m.Node), s.budget)
 	default:
-		return 0, &RuleError{Move: m, Index: -1, Reason: "unknown move kind"}
+		e.Reason = "unknown move kind"
 	}
+	return e
 }
 
 // Done reports whether the stopping condition holds: every sink node

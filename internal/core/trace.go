@@ -13,11 +13,10 @@ func OccupancyTrace(g *cdag.Graph, budget cdag.Weight, s Schedule) ([]cdag.Weigh
 	st := NewState(g, budget)
 	out := make([]cdag.Weight, 0, len(s)+1)
 	out = append(out, 0)
-	for i, m := range s {
-		if _, err := st.Apply(m); err != nil {
-			re := err.(*RuleError)
-			re.Index = i
-			return nil, re
+	var stats Stats
+	for i := range s {
+		if _, f := st.replay(s[i:i+1], &stats); f != legal {
+			return nil, st.ruleError(s[i], f, i)
 		}
 		out = append(out, st.RedWeight())
 	}

@@ -28,7 +28,7 @@ type refScheduler struct {
 func newRefScheduler(t *testing.T, dg *Graph) *refScheduler {
 	t.Helper()
 	s := mustScheduler(t, dg)
-	return &refScheduler{dg: dg, memo: stepmemo.NewRows[entry](dg.G), roots: s.roots, pruned: s.pruned, exist: s.exist}
+	return &refScheduler{dg: dg, memo: stepmemo.NewRows[entry](dg.G, func(cdag.NodeID) bool { return true }), roots: s.roots, pruned: s.pruned, exist: s.exist}
 }
 
 func (r *refScheduler) p(v cdag.NodeID, b cdag.Weight) (entry, cdag.Weight, cdag.Weight) {

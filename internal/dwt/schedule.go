@@ -73,7 +73,7 @@ func NewScheduler(dg *Graph) (*Scheduler, error) {
 		}
 	}
 	s := &Scheduler{
-		memo:   stepmemo.NewRows[entry](dg.G),
+		memo:   stepmemo.NewRows[entry](dg.G, func(v cdag.NodeID) bool { return !dg.G.IsSource(v) }),
 		roots:  dg.Roots(),
 		pruned: pruned,
 	}
@@ -250,6 +250,11 @@ func (s *Scheduler) ScheduleCtx(ctx context.Context, lim guard.Limits, b cdag.We
 // ScheduleCtx and SetWeights accumulated since the last call, for
 // metric export.
 func (s *Scheduler) TakeCounts() guard.Counts { return s.memo.TakeCounts() }
+
+// Detach drops the last query's context and counts sink, so a
+// scheduler idle in a pool keeps no finished request reachable. Call
+// it after TakeCounts; the next guarded query re-arms the checker.
+func (s *Scheduler) Detach() { s.memo.Detach() }
 
 // Schedule generates a minimum weighted WRBPG schedule for budget b
 // (Algorithm 1: PebbleDWT). The returned schedule always passes

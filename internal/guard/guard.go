@@ -164,6 +164,19 @@ func (c *Checker) Release() {
 	}
 }
 
+// Detach frees the deadline timer, if any, and drops the context and
+// counts sink of the last solve, keeping the observation counts, so an
+// idle checker keeps no finished request's context reachable. Call it
+// after the last TakeCounts of that solve: the flush tees into the
+// sink. Reset re-arms the checker. Safe on nil.
+func (c *Checker) Detach() {
+	if c == nil {
+		return
+	}
+	c.Release()
+	c.ctx, c.cancel, c.sink = context.Background(), nil, nil
+}
+
 // Context returns the (possibly deadline-narrowed) context the checker
 // polls, for handing to worker pools. Background for a nil checker.
 func (c *Checker) Context() context.Context {

@@ -2,6 +2,7 @@ package ktree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"wrbpg/internal/cdag"
@@ -95,28 +96,112 @@ func TestSetWeightsRevertsOnError(t *testing.T) {
 	}
 }
 
-// TestSetWeightsInvalidatesOnlyRootChain: in an in-tree, a leaf
-// weight change dirties exactly the leaf-to-root chain; everything
-// else survives and is reported as reused.
+// sameSubtree reports whether the subtrees rooted at u and v have the
+// same shape and weights, parents compared in order.
+func sameSubtree(g *cdag.Graph, u, v cdag.NodeID) bool {
+	pu, pv := g.Parents(u), g.Parents(v)
+	if g.Weight(u) != g.Weight(v) || len(pu) != len(pv) {
+		return false
+	}
+	for j := range pu {
+		if !sameSubtree(g, pu[j], pv[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkReps fails unless every node's representative roots a subtree
+// equal to the node's own.
+func checkReps(t *testing.T, s *Scheduler) {
+	t.Helper()
+	for v, r := range s.rep {
+		if !sameSubtree(s.t.G, cdag.NodeID(v), r) {
+			t.Fatalf("node %d shares the cells of node %d, whose subtree differs", v, r)
+		}
+	}
+}
+
+// coveredBudgets returns, per node, the budgets in bs at which v's own
+// memo row holds a step.
+func coveredBudgets(s *Scheduler, bs []cdag.Weight) [][]cdag.Weight {
+	out := make([][]cdag.Weight, s.t.G.Len())
+	for v := range out {
+		for _, b := range bs {
+			if s.memo.Find(cdag.NodeID(v), b) != nil {
+				out[v] = append(out[v], b)
+			}
+		}
+	}
+	return out
+}
+
+// TestSetWeightsInvalidatesOnlyRootChain: in an in-tree, a leaf weight
+// change empties exactly the rows on the leaf-to-root chain. Every
+// other row keeps each step it held, the invalidated and reused counts
+// add up to the steps live before the patch, every node is left with
+// a representative whose subtree is its own, and a node keeps its
+// representative unless the chain holds it or that representative. On
+// a uniform tree the class representatives are the leftmost chain, so
+// patching the first leaf empties every live row, while patching the
+// last leaf empties the root's alone and keeps the shared cells warm.
 func TestSetWeightsInvalidatesOnlyRootChain(t *testing.T) {
-	tr, err := FullTree(3, 3, func(d, i int) cdag.Weight { return 2 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewScheduler(tr)
-	b := core.MinExistenceBudget(tr.G) + 4
-	s.MinCost(b)
-	leaf := tr.G.Sources()[0]
-	inv, reused, err := s.SetWeights([]cdag.WeightDelta{{Node: leaf, Weight: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inv <= 0 || reused <= 0 {
-		t.Fatalf("leaf patch: inv=%d reused=%d, want both > 0", inv, reused)
-	}
-	// The chain has height+1 nodes; the other ~4/5 of the tree must
-	// keep strictly more intervals than the chain lost.
-	if reused < inv {
-		t.Errorf("leaf patch invalidated %d but only %d survived; expected most of the memo to stay warm", inv, reused)
+	for _, first := range []bool{true, false} {
+		tr, err := FullTree(3, 3, func(d, i int) cdag.Weight { return 2 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := tr.G
+		s := NewScheduler(tr)
+		b := core.MinExistenceBudget(g) + 4
+		s.MinCost(b)
+		var bs []cdag.Weight
+		for x := core.MinExistenceBudget(g) - 1; x <= g.TotalWeight()+1; x++ {
+			bs = append(bs, x)
+		}
+		before := coveredBudgets(s, bs)
+		_, live, err := s.SetWeights(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps := slices.Clone(s.rep)
+		leaf := g.Sources()[0]
+		if !first {
+			leaf = g.Sources()[len(g.Sources())-1]
+		}
+		chain := map[cdag.NodeID]bool{}
+		for v := leaf; ; v = g.Children(v)[0] {
+			chain[v] = true
+			if v == tr.Root {
+				break
+			}
+		}
+		inv, reused, err := s.SetWeights([]cdag.WeightDelta{{Node: leaf, Weight: 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inv <= 0 || inv+reused != live {
+			t.Fatalf("leaf %d patch: inv=%d reused=%d, want inv > 0 and a sum of %d live steps", leaf, inv, reused, live)
+		}
+		if first && reused != 0 {
+			t.Errorf("first-leaf patch kept %d steps, want 0: every representative lies on its chain", reused)
+		}
+		if !first && reused <= inv {
+			t.Errorf("last-leaf patch invalidated %d but only %d survived; expected the shared cells to stay warm", inv, reused)
+		}
+		after := coveredBudgets(s, bs)
+		for v := range after {
+			id := cdag.NodeID(v)
+			switch {
+			case chain[id] && len(after[v]) > 0:
+				t.Errorf("leaf %d patch: chain node %d still holds steps at budgets %v", leaf, v, after[v])
+			case !chain[id] && !slices.Equal(after[v], before[v]):
+				t.Errorf("leaf %d patch: off-chain node %d covers %v, had %v", leaf, v, after[v], before[v])
+			case !chain[id] && !chain[reps[v]] && s.rep[v] != reps[v]:
+				t.Errorf("leaf %d patch: node %d moved from representative %d to %d", leaf, v, reps[v], s.rep[v])
+			}
+		}
+		checkReps(t, s)
+		matchReference(t, s, newRefScheduler(tr), b)
 	}
 }

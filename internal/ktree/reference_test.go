@@ -25,7 +25,7 @@ type refScheduler struct {
 
 func newRefScheduler(t *Tree) *refScheduler {
 	g := t.G
-	r := &refScheduler{t: t, memo: stepmemo.NewRows[entry](g), exist: make([]cdag.Weight, g.Len())}
+	r := &refScheduler{t: t, memo: stepmemo.NewRows[entry](g, func(cdag.NodeID) bool { return true }), exist: make([]cdag.Weight, g.Len())}
 	for v := range r.exist {
 		id := cdag.NodeID(v)
 		e := g.Weight(id)
@@ -261,6 +261,89 @@ func TestPtMatchesReferenceAfterSetWeights(t *testing.T) {
 	}
 }
 
+// sharedTrees returns full trees whose equal subtrees share class
+// cells: weights fixed per depth, and weights drawn from {1, 2}.
+func sharedTrees(t *testing.T, rng *rand.Rand) []*Tree {
+	t.Helper()
+	var trees []*Tree
+	for _, kh := range [][2]int{{2, 3}, {2, 4}, {3, 2}, {3, 3}, {4, 2}} {
+		perDepth := make([]cdag.Weight, kh[1]+1)
+		for d := range perDepth {
+			perDepth[d] = 1 + cdag.Weight(rng.Intn(4))
+		}
+		for _, wf := range []func(int, int) cdag.Weight{
+			func(d, _ int) cdag.Weight { return perDepth[d] },
+			func(int, int) cdag.Weight { return 1 + cdag.Weight(rng.Intn(2)) },
+		} {
+			tr, err := FullTree(kh[0], kh[1], wf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trees = append(trees, tr)
+		}
+	}
+	return trees
+}
+
+// sharedRoots returns the representatives that other nodes share,
+// with the first node sharing each, so a patch of either lies on the
+// root chain of a class's cells or of one of its members.
+func sharedRoots(s *Scheduler) []cdag.NodeID {
+	var out []cdag.NodeID
+	seen := map[cdag.NodeID]bool{}
+	for v, r := range s.rep {
+		if r != cdag.NodeID(v) && !seen[r] {
+			seen[r] = true
+			out = append(out, r, cdag.NodeID(v))
+		}
+	}
+	return out
+}
+
+// TestSetWeightsSharedCellsMatchReference holds the class-shared memo
+// to the reference on trees full of equal subtrees: cold schedulers,
+// one warm scheduler over every budget, a pooled scheduler Reset to the
+// tree, and a warm scheduler through patch → revert sequences on the
+// representatives' root chains and their members', each answering every
+// budget with the reference's cost and schedule.
+func TestSetWeightsSharedCellsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	trees := sharedTrees(t, rng)
+	for ti, tr := range trees {
+		t.Run(fmt.Sprintf("tree%d_k%d_n%d", ti, tr.K, tr.G.Len()), func(t *testing.T) {
+			ref := newRefScheduler(tr)
+			s := NewScheduler(tr)
+			if len(sharedRoots(s)) == 0 {
+				t.Fatal("no two subtrees share a class")
+			}
+			pooled := NewScheduler(trees[ti^1])
+			pooled.MinCost(core.MinExistenceBudget(trees[ti^1].G))
+			pooled.Reset(tr)
+			for i, b := range referenceBudgets(rng, tr) {
+				matchReference(t, s, ref, b)
+				matchReference(t, pooled, ref, b)
+				if i%4 == 0 {
+					matchReference(t, NewScheduler(tr), ref, b)
+				}
+			}
+			checkReps(t, s)
+			for _, v := range sharedRoots(s) {
+				w := tr.G.Weight(v)
+				for _, nw := range []cdag.Weight{w%3 + 1, w} {
+					if _, _, err := s.SetWeights([]cdag.WeightDelta{{Node: v, Weight: nw}}); err != nil {
+						t.Fatalf("SetWeights(%d: %d): %v", v, nw, err)
+					}
+					checkReps(t, s)
+					ref := newRefScheduler(tr)
+					for _, b := range referenceBudgets(rng, tr) {
+						matchReference(t, s, ref, b)
+					}
+				}
+			}
+		})
+	}
+}
+
 // byteStream reads a fuzz input one byte at a time, then zeros.
 type byteStream []byte
 
@@ -302,12 +385,18 @@ func decodeTree(data *byteStream) (*Tree, error) {
 }
 
 // FuzzPtMatchesReference decodes a tree, a budget and one weight patch
-// from the input and holds Scheduler to the reference before and
-// after the patch.
+// from the input and holds Scheduler to the reference before the
+// patch, after it and after its revert.
 func FuzzPtMatchesReference(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 3, 2, 5, 1, 0, 7, 3, 4, 9, 2, 1, 1, 0, 6})
 	f.Add([]byte{3, 5, 3, 1, 1, 0, 2, 6, 4, 7, 1, 0, 3, 2, 5, 8, 1, 1, 4, 2, 200, 3, 5})
+	// Uniform weights, so equal subtrees share class cells and the patch
+	// lands on the first leaf, whose root chain holds every class's row:
+	// a full binary tree of weight-1 nodes, and a full ternary tree of
+	// weight-2 nodes.
+	f.Add([]byte{1, 2, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 1, 0, 1, 0, 0, 5, 0, 3})
+	f.Add([]byte{2, 3, 2, 1, 1, 1, 1, 2, 0, 1, 0, 1, 0, 1, 1, 2, 0, 1, 0, 1, 0, 1, 1, 2, 1, 0, 1, 0, 1, 0, 1, 9, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := byteStream(data)
 		tr, err := decodeTree(&in)
@@ -319,9 +408,12 @@ func FuzzPtMatchesReference(f *testing.F) {
 		s := NewScheduler(tr)
 		matchReference(t, s, newRefScheduler(tr), b)
 		d := cdag.WeightDelta{Node: cdag.NodeID(in.next() % tr.G.Len()), Weight: 1 + cdag.Weight(in.next()%8)}
-		if _, _, err := s.SetWeights([]cdag.WeightDelta{d}); err != nil {
-			t.Fatal(err)
+		undo := cdag.WeightDelta{Node: d.Node, Weight: tr.G.Weight(d.Node)}
+		for _, d := range []cdag.WeightDelta{d, undo} {
+			if _, _, err := s.SetWeights([]cdag.WeightDelta{d}); err != nil {
+				t.Fatal(err)
+			}
+			matchReference(t, s, newRefScheduler(tr), b)
 		}
-		matchReference(t, s, newRefScheduler(tr), b)
 	})
 }

@@ -3,6 +3,7 @@ package ktree
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"wrbpg/internal/cdag"
 	"wrbpg/internal/core"
@@ -27,12 +28,27 @@ type entry struct {
 // query with the memo's one reusable checker. It is not safe for
 // concurrent use.
 //
-// The memo stores, per node, the steps of Pt(v, ·) as a sorted list
-// of disjoint budget intervals (package stepmemo). A warm hit is one
-// binary search over a short slice: no map, no allocation.
+// The memo stores the steps of Pt(v, ·) as a sorted list of disjoint
+// budget intervals (package stepmemo) in the row of v's class
+// representative rep[v], so subtrees of one shape and weighting share
+// their cells. A warm hit is one binary search over a short slice: no
+// map, no allocation.
 type Scheduler struct {
 	t    *Tree
 	memo stepmemo.Rows[entry]
+	// rep[v] is the node whose memo row holds v's cells. Pt(v, ·)
+	// depends only on v's subtree (Eq. 6), so v may read and store the
+	// cells of any node whose subtree has the same shape and weights:
+	// classify sets rep[v] to the smallest such node, and SetWeights
+	// points every node whose class a patch may have split back at its
+	// own row. A row only ever holds Pt of its own node's current
+	// subtree, since Patch empties the row of every node whose subtree
+	// changed. Equal classes enumerate identically, so the cost, the
+	// argmin and every schedule are those of a per-node memo.
+	rep []cdag.NodeID
+	// shared[r] reports that some node other than r may read r's row,
+	// so a patch that dirties r must look for r's class members.
+	shared []bool
 	// exist[v] is the subtree existence bound: Pt(v, b) is finite iff
 	// b ≥ exist[v]. The all-spill strategy computes every subtree node
 	// with only itself and its parents resident, so the bound is the
@@ -63,15 +79,22 @@ func NewScheduler(t *Tree) *Scheduler {
 	}
 	stride := t.K << uint(t.K)
 	s := &Scheduler{
-		t:     t,
-		memo:  stepmemo.NewRows[entry](t.G),
-		exist: make([]cdag.Weight, t.G.Len()),
+		t:      t,
+		rep:    make([]cdag.NodeID, t.G.Len()),
+		shared: make([]bool, t.G.Len()),
+		exist:  make([]cdag.Weight, t.G.Len()),
 		// Sources have no cell, so the deepest cell sits one above the
 		// deepest leaf.
 		subs:   make([]cdag.Weight, height(t.G, t.Root)*stride),
 		stride: stride,
 	}
 	s.fillExist()
+	s.classify()
+	// Only the class representatives' rows are stored into until a
+	// patch splits a class, so only they get slab windows.
+	s.memo = stepmemo.NewRows[entry](t.G, func(v cdag.NodeID) bool {
+		return s.rep[v] == v && !t.G.IsSource(v)
+	})
 	return s
 }
 
@@ -85,6 +108,81 @@ func (s *Scheduler) Reset(t *Tree) {
 	s.t = t
 	s.memo.Reset()
 	s.fillExist()
+	s.classify()
+}
+
+// classTable is classify's open-addressed hash table: slot i holds a
+// class representative's ID plus one, or 0 when empty. It is scratch,
+// drawn from classTables for one pass, so no scheduler keeps one.
+type classTable struct{ slots []int32 }
+
+var classTables = sync.Pool{New: func() any { return new(classTable) }}
+
+// classify sets every rep[v] to the smallest node whose subtree has
+// v's shape and weights, by hash-consing: two nodes are in one class
+// iff they have equal weights and their parents, in order, are in
+// equal classes. Node IDs are topological, so one forward pass sees
+// every parent's class first, and the first node of a class to reach
+// the table is its smallest. The previous node's class is tried before
+// the table: the builders number each level's nodes consecutively, and
+// a level's nodes usually share one class.
+func (s *Scheduler) classify() {
+	g := s.t.G
+	n := g.Len()
+	ct := classTables.Get().(*classTable)
+	bits := 1
+	for 1<<bits < 2*n {
+		bits++
+	}
+	if cap(ct.slots) < 1<<bits {
+		ct.slots = make([]int32, 1<<bits)
+	}
+	slots := ct.slots[:1<<bits]
+	clear(slots)
+	clear(s.shared)
+	mask := uint64(len(slots) - 1)
+	for v := range n {
+		id := cdag.NodeID(v)
+		if v > 0 && s.sameClass(s.rep[v-1], id) {
+			s.rep[v] = s.rep[v-1]
+			s.shared[s.rep[v]] = true
+			continue
+		}
+		h := uint64(g.Weight(id))
+		for _, p := range g.Parents(id) {
+			h = (h ^ uint64(s.rep[p])) * 0x9e3779b97f4a7c15
+		}
+		for i := (h * 0x9e3779b97f4a7c15) >> (64 - bits); ; i = (i + 1) & mask {
+			r := slots[i]
+			if r == 0 {
+				slots[i] = int32(v) + 1
+				s.rep[v] = id
+				break
+			}
+			if r := cdag.NodeID(r - 1); s.sameClass(r, id) {
+				s.rep[v] = r
+				s.shared[r] = true
+				break
+			}
+		}
+	}
+	classTables.Put(ct)
+}
+
+// sameClass reports whether r and v have equal weights and their
+// parents, in order, have equal representatives.
+func (s *Scheduler) sameClass(r, v cdag.NodeID) bool {
+	g := s.t.G
+	pr, pv := g.Parents(r), g.Parents(v)
+	if g.Weight(r) != g.Weight(v) || len(pr) != len(pv) {
+		return false
+	}
+	for j, p := range pv {
+		if s.rep[p] != s.rep[pr[j]] {
+			return false
+		}
+	}
+	return true
 }
 
 // fillExist computes every node's existence bound. Node IDs are
@@ -125,10 +223,30 @@ func (s *Scheduler) setExist(v cdag.NodeID) {
 // weights inside v's subtree (Eq. 6), so only the changed nodes' root
 // chains go stale (stepmemo.Rows.Patch). Their exist bounds are
 // recomputed bottom-up, and the tree is reverted unchanged on any
-// validation error. It returns the number of budget intervals cleared
-// and the number surviving, which also feed TakeCounts.
+// validation error. A node on those chains, or one whose representative
+// is, may no longer share its representative's subtree, so it falls
+// back to its own row, which holds only cells of its current subtree.
+// The members of a dirtied representative are looked for only when
+// one had any. It returns the number of budget intervals cleared and
+// the number surviving, which also feed TakeCounts.
 func (s *Scheduler) SetWeights(ds []cdag.WeightDelta) (invalidated, reused int64, err error) {
-	return s.memo.Patch(s.t.G, ds, "ktree", nil, s.setExist)
+	split := false
+	invalidated, reused, err = s.memo.Patch(s.t.G, ds, "ktree", nil, func(v cdag.NodeID) {
+		s.setExist(v)
+		split = split || s.shared[v]
+		s.rep[v], s.shared[v] = v, false
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	if split {
+		for v, r := range s.rep {
+			if s.memo.Dirtied(r) {
+				s.rep[v] = cdag.NodeID(v)
+			}
+		}
+	}
+	return invalidated, reused, nil
 }
 
 // unset marks a sub-result slot that no strategy has consulted yet;
@@ -180,7 +298,8 @@ func (s *Scheduler) sub(p cdag.NodeID, b cdag.Weight, d int) (cdag.Weight, cdag.
 // intersection every configuration evaluates identically, so both
 // the minimum and the argmin are constant there.
 func (s *Scheduler) pt(v cdag.NodeID, b cdag.Weight, d int) (entry, cdag.Weight, cdag.Weight) {
-	if st := s.memo.Find(v, b); st != nil {
+	r := s.rep[v]
+	if st := s.memo.Find(r, b); st != nil {
 		s.memo.Hit()
 		return st.V, st.Lo, st.Hi
 	}
@@ -237,7 +356,7 @@ func (s *Scheduler) pt(v cdag.NodeID, b cdag.Weight, d int) (entry, cdag.Weight,
 			best = entry{cost: cost, permIdx: int32(pi), delta: delta}
 		}
 	}
-	return s.memo.Store(v, b, lo, hi, best)
+	return s.memo.Store(r, b, lo, hi, best)
 }
 
 // MinCost returns the minimum weighted schedule cost for the whole
@@ -286,6 +405,11 @@ func (s *Scheduler) ScheduleCtx(ctx context.Context, lim guard.Limits, b cdag.We
 // metric export.
 func (s *Scheduler) TakeCounts() guard.Counts { return s.memo.TakeCounts() }
 
+// Detach drops the last query's context and counts sink, so a
+// scheduler idle in a pool keeps no finished request reachable. Call
+// it after TakeCounts; the next guarded query re-arms the checker.
+func (s *Scheduler) Detach() { s.memo.Detach() }
+
 // Schedule generates an optimal schedule under budget b; it always
 // passes core.Simulate with cost MinCost(b), and its capacity is its
 // length.
@@ -293,7 +417,7 @@ func (s *Scheduler) Schedule(b cdag.Weight) (core.Schedule, error) {
 	if s.MinCost(b) >= Inf {
 		return nil, fmt.Errorf("ktree: no valid schedule under budget %d (existence bound %d)", b, core.MinExistenceBudget(s.t.G))
 	}
-	sched := make(core.Schedule, 0, s.moves(s.t.Root, b)+2)
+	sched := make(core.Schedule, 0, s.moves(s.t.Root, b, 0)+2)
 	if err := s.gen(s.t.Root, b, 0, &sched); err != nil {
 		return nil, err
 	}
@@ -351,26 +475,31 @@ func (s *Scheduler) gen(v cdag.NodeID, b cdag.Weight, d int, sched *core.Schedul
 
 // moves returns the number of moves gen emits for (v, b), read from
 // the memo that MinCost(b) filled, so Schedule can size its result
-// exactly. Sources are answered first, as they are never memoized. It
-// reads cells without counting memo hits. A cell the memo lacks (a
-// store that the resource limits refused) counts no moves: the result
-// only sizes the schedule, which then grows as needed.
-func (s *Scheduler) moves(v cdag.NodeID, b cdag.Weight) int {
+// exactly. d is v's recursion depth. Sources are answered first, as
+// they are never memoized. It reads cells without counting memo hits.
+// A cell the memo lacks is computed here, as gen would compute it: a
+// patch that split a class empties its representative's row while the
+// cells that consulted it stay warm in other rows. One that an aborted
+// query leaves at Inf counts no moves: the result only sizes the
+// schedule, which then grows as needed.
+func (s *Scheduler) moves(v cdag.NodeID, b cdag.Weight, d int) int {
 	g := s.t.G
 	if g.IsSource(v) {
 		return 1
 	}
-	st := s.memo.Find(v, b)
-	if st == nil {
+	var e entry
+	if st := s.memo.Find(s.rep[v], b); st != nil {
+		e = st.V
+	} else if e, _, _ = s.pt(v, b, d); e.cost >= Inf {
 		return 0
 	}
 	parents := g.Parents(v)
 	n := 1 + len(parents) // M3 v, M4 on every parent
 	var held cdag.Weight
-	for i, oi := range permTable(len(parents))[st.V.permIdx] {
+	for i, oi := range permTable(len(parents))[e.permIdx] {
 		p := parents[oi]
-		n += s.moves(p, b-held)
-		if st.V.delta&(1<<uint(i)) != 0 {
+		n += s.moves(p, b-held, d+1)
+		if e.delta&(1<<uint(i)) != 0 {
 			held += g.Weight(p)
 		} else {
 			n += 3 // M2, M4 and the reload M1

@@ -6,7 +6,9 @@ import (
 	"context"
 	"runtime"
 	"testing"
+	"weak"
 
+	"wrbpg/internal/cdag"
 	"wrbpg/internal/core"
 	"wrbpg/internal/guard"
 )
@@ -67,4 +69,55 @@ func TestTopologyColdSolveRecyclesScheduler(t *testing.T) {
 			last = s
 		}
 	}
+}
+
+// requestCtx is a request context the test can hold a weak pointer to.
+type requestCtx struct{ context.Context }
+
+// TestTopologyIdleSchedulerKeepsNoContext: once a cold dwt or ktree
+// solve has put its scheduler back in its shape's pool, the finished
+// request's context and counts sink are unreachable: a collection
+// clears weak pointers to both while the scheduler still sits in the
+// pool. One P makes the pool's per-P caches one, and the race detector
+// drops pooled items at random, so the test runs with GOMAXPROCS 1 and
+// without it.
+func TestTopologyIdleSchedulerKeepsNoContext(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, shape := range coldShapes() {
+		k := shapeKey{shape.Family, shape.N, shape.D}
+		if shape.Family == FamilyKTree {
+			k = shapeKey{shape.Family, shape.K, shape.Height}
+		}
+		in := shape
+		in.Cfg = equalCfg()
+		p, g, err := in.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wctx, wsink := solveWeakly(t, p, core.MinExistenceBudget(g)*3/2)
+		runtime.GC()
+		if wctx.Value() != nil || wsink.Value() != nil {
+			t.Errorf("%s: an idle pooled scheduler keeps the finished request's context (%v) or sink (%v) reachable", in.Label(), wctx.Value() != nil, wsink.Value() != nil)
+		}
+		if s := shapes[k.slot()].Load().solvers.Get(); s == nil {
+			t.Fatalf("%s: the shape's pool is empty after one collection, so the check proves nothing", in.Label())
+		}
+		runtime.KeepAlive(g)
+	}
+}
+
+// solveWeakly runs one cold solve of p under a request context that
+// carries a counts sink and returns weak pointers to both.
+func solveWeakly(t *testing.T, p Problem, budget cdag.Weight) (weak.Pointer[requestCtx], weak.Pointer[guard.CountsSink]) {
+	t.Helper()
+	sink := new(guard.CountsSink)
+	ctx := &requestCtx{guard.WithSink(context.Background(), sink)}
+	out, err := Run(ctx, p, budget, guard.Limits{})
+	if err != nil || out.Source != SourceOptimal {
+		t.Fatalf("cold solve answered %v (%v)", out.Source, err)
+	}
+	if sink.Snapshot().MemoEntries == 0 {
+		t.Fatal("the solve flushed no counts into the request's sink")
+	}
+	return weak.Make(ctx), weak.Make(sink)
 }

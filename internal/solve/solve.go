@@ -436,9 +436,12 @@ func (f family) problem() Problem {
 			returned := false
 			defer func() {
 				// Flush first: once back in the pool, the scheduler is
-				// another solve's to take.
+				// another solve's to take. An idle scheduler keeps no
+				// context, so the finished request's context, sink and
+				// trace values are not kept reachable by the pool.
 				fc.Record(s.TakeCounts())
 				if returned && f.pool != nil {
+					s.(interface{ Detach() }).Detach()
 					f.pool.Put(s)
 				}
 			}()

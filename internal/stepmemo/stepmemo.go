@@ -18,7 +18,9 @@
 // key in its own hash table keyed by node and memory states. Rows.Patch
 // applies weight deltas and empties, on the spot, exactly the rows
 // whose value can change: that is the memo's only invalidation.
-// Sources own no slab window, since neither DP stores a source cell.
+// Only rows the DP stores into own a slab window: not sources, which
+// neither DP stores, nor the rows of ktree nodes that share their
+// class representative's.
 package stepmemo
 
 import (
@@ -123,8 +125,9 @@ type Rows[V any] struct {
 	// live is the number of steps stored across all rows; Patch
 	// reports it as the reused count.
 	live int64
-	// marks[v] equal to epoch means v was already emptied by the
-	// current patch, so shared descendants are walked once.
+	// marks[v] equal to epoch means v was emptied by the current (or,
+	// between patches, the last) patch, so shared descendants are
+	// walked once and Dirtied can answer afterwards.
 	marks []uint32
 	epoch uint32
 	saved []cdag.Weight
@@ -132,28 +135,30 @@ type Rows[V any] struct {
 	dirty []cdag.NodeID
 }
 
-// rowSlots is the number of steps each non-source row holds before it
+// rowSlots is the number of steps each windowed row holds before it
 // moves to a heap slice of its own.
 const rowSlots = 2
 
-// NewRows returns the memo for g. Every non-source row starts as a
-// private window of rowSlots steps cut from one slab, capped so that a
-// row outgrowing it moves to a heap slice of its own instead of
-// overwriting its neighbour's window. The DPs answer a source without
-// the memo, so a source row starts empty with no capacity; a store
-// into it still works, on the heap.
-func NewRows[V any](g *cdag.Graph) Rows[V] {
+// NewRows returns the memo for g. Every row that stored reports the DP
+// stores into starts as a private window of rowSlots steps cut from
+// one slab, capped so that a row outgrowing it moves to a heap slice
+// of its own instead of overwriting its neighbour's window. Every
+// other row starts empty with no capacity; a store into it still
+// works, on the heap. dwt passes its non-source nodes, since it
+// answers a source without the memo, and ktree its class
+// representatives, whose rows every member of the class shares.
+func NewRows[V any](g *cdag.Graph, stored func(cdag.NodeID) bool) Rows[V] {
 	n := g.Len()
-	inner := 0
+	windows := 0
 	for v := 0; v < n; v++ {
-		if !g.IsSource(cdag.NodeID(v)) {
-			inner++
+		if stored(cdag.NodeID(v)) {
+			windows++
 		}
 	}
 	rows := make([]Row[V], n)
-	slab := make([]Step[V], rowSlots*inner)
+	slab := make([]Step[V], rowSlots*windows)
 	for v := range rows {
-		if !g.IsSource(cdag.NodeID(v)) {
+		if stored(cdag.NodeID(v)) {
 			rows[v].steps, slab = slab[:0:rowSlots], slab[rowSlots:]
 		}
 	}
@@ -197,9 +202,19 @@ func (r *Rows[V]) Err() error { return r.q.Err() }
 // last query's context (guard.Checker.TakeCounts).
 func (r *Rows[V]) TakeCounts() guard.Counts { return r.q.TakeCounts() }
 
+// Detach drops the last query's context and counts sink from the
+// memo's checker (guard.Checker.Detach), so an idle memo keeps no
+// finished request reachable. Call it after TakeCounts.
+func (r *Rows[V]) Detach() { r.q.Detach() }
+
 // Find returns v's step covering budget b, or nil.
 func (r *Rows[V]) Find(v cdag.NodeID, b cdag.Weight) *Step[V] {
 	return r.rows[v].Find(b)
+}
+
+// Dirtied reports whether the last successful Patch emptied v's row.
+func (r *Rows[V]) Dirtied(v cdag.NodeID) bool {
+	return r.epoch != 0 && r.marks[v] == r.epoch
 }
 
 // Hit records one warm memo hit.

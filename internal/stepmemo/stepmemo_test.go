@@ -143,7 +143,7 @@ func TestRowClipsToGap(t *testing.T) {
 // store into its row is found again.
 func TestRowsSlabWindows(t *testing.T) {
 	g := chain()
-	m := NewRows[int](g)
+	m := NewRows[int](g, inner(g))
 	for v := range m.rows {
 		want := rowSlots
 		if g.IsSource(cdag.NodeID(v)) {
@@ -180,7 +180,8 @@ func TestRowsSlabWindows(t *testing.T) {
 // TestStoreRefusedAfterTrip: once the guard trips, no step is stored,
 // and the memo-entry budget trips it when exhausted.
 func TestStoreRefusedAfterTrip(t *testing.T) {
-	m := NewRows[int](chain())
+	g := chain()
+	m := NewRows[int](g, inner(g))
 	m.Begin(context.Background(), guard.Limits{MaxMemoEntries: 1})
 	m.Store(0, 0, 0, 0, 1)
 	m.Store(0, 1, 1, 1, 1)
@@ -195,6 +196,12 @@ func TestStoreRefusedAfterTrip(t *testing.T) {
 
 // chain builds the in-tree 0 → 1 → 3 with a side source 2 → 3, all
 // weights 1.
+// inner is the stored predicate of a DP that answers sources without
+// the memo.
+func inner(g *cdag.Graph) func(cdag.NodeID) bool {
+	return func(v cdag.NodeID) bool { return !g.IsSource(v) }
+}
+
 func chain() *cdag.Graph {
 	g := &cdag.Graph{}
 	a := g.AddNode(1, "a")
@@ -217,7 +224,7 @@ func fill(m *Rows[int]) {
 // and visits the dirtied nodes in ascending ID order.
 func TestPatchInvalidatesCone(t *testing.T) {
 	g := chain()
-	m := NewRows[int](g)
+	m := NewRows[int](g, inner(g))
 	fill(&m)
 	var seen []cdag.NodeID
 	inv, reused, err := m.Patch(g, []cdag.WeightDelta{{Node: 1, Weight: 3}, {Node: 0, Weight: 2}}, "test", nil,
@@ -256,7 +263,8 @@ func TestPatchInvalidatesCone(t *testing.T) {
 // it into), zeroes the live count, notes no invalidation, and leaves
 // the memo storing and finding as a new one does, without allocating.
 func TestRowsResetEmptiesKeepingCapacity(t *testing.T) {
-	m := NewRows[int](chain())
+	g := chain()
+	m := NewRows[int](g, inner(g))
 	fill(&m)
 	for b := cdag.Weight(1); b <= 4; b++ {
 		m.Store(1, b, b, b, int(b)) // node 1 outgrows its window
@@ -296,7 +304,7 @@ func TestRowsResetEmptiesKeepingCapacity(t *testing.T) {
 // invalidation.
 func TestPatchRevertsOnError(t *testing.T) {
 	g := chain()
-	m := NewRows[int](g)
+	m := NewRows[int](g, inner(g))
 	fill(&m)
 	reject := func() error { return errLemma }
 	for _, tc := range []struct {
@@ -334,7 +342,7 @@ var errLemma = errors.New("weight assumption violated")
 // current and its rows would survive the patch).
 func TestPatchEpochWraparound(t *testing.T) {
 	g := chain()
-	m := NewRows[int](g)
+	m := NewRows[int](g, inner(g))
 	if _, _, err := m.Patch(g, []cdag.WeightDelta{{Node: 0, Weight: 2}}, "test", nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +373,8 @@ func TestPatchEpochWraparound(t *testing.T) {
 
 // TestWarmFindZeroAlloc: a warm Find allocates nothing.
 func TestWarmFindZeroAlloc(t *testing.T) {
-	m := NewRows[int](chain())
+	g := chain()
+	m := NewRows[int](g, inner(g))
 	fill(&m)
 	if n := testing.AllocsPerRun(100, func() {
 		if m.Find(2, 7) == nil {
