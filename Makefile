@@ -129,9 +129,14 @@ soak-smoke:
 # Short fuzz pass over the wire request decoders: malformed bodies must
 # surface as structured 400s, never panics, and a body the one-pass
 # scanner reads must decode to the same value through encoding/json.
-# FuzzPeerResponse does the same for a forwarder decoding a peer's
-# packed frame, and FuzzResponseJSON holds the response appenders to
-# encoding/json's indented bytes. The core targets check the schedule
+# The peer hop's codec is held to encoding/json both ways:
+# FuzzPeerRequest re-encodes every decoded fill request and compares
+# AppendPeerRequest with json.Marshal, FuzzPeerResponse decodes a
+# peer's packed frame with and without moves asked for and checks that
+# every head the scanner reads unmarshals to the same envelope, and
+# FuzzResponseJSON holds the response appenders to encoding/json's
+# indented bytes and the frame head to json.Marshal's compact ones.
+# The core targets check the schedule
 # JSON encoder against the reflective one and for round trips, and the
 # packed codec for round trips and bounded decoding. FuzzRow
 # holds the shared budget memo's rows to a random step function, and

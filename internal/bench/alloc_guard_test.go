@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wrbpg/internal/core"
+	"wrbpg/internal/serve/wire"
 	"wrbpg/internal/solve"
 )
 
@@ -38,6 +39,33 @@ func TestScheduleCodecAllocs(t *testing.T) {
 	}
 	if len(back) != len(s) || cap(back) != len(s) {
 		t.Errorf("packed decode len %d cap %d, want exactly %d", len(back), cap(back), len(s))
+	}
+}
+
+// TestPeerFrameAllocs pins the lean peer hop's codec, for a dwt(64,6)
+// cold answer without moves. The owner appends the frame into a sized
+// buffer without allocating; the forwarder's decode allocates the
+// envelope, the result, its cost block and the result's two strings
+// that are not shared constants (the workload label and the cache
+// key); and the fill request is one buffer, sized once.
+func TestPeerFrameAllocs(t *testing.T) {
+	preq, res, st, err := leanPeerFill()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := wire.AppendPeerFrame(nil, res, st, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, len(frame))
+	if a := testing.AllocsPerRun(20, func() { wire.AppendPeerFrame(buf, res, st, nil) }); a != 0 {
+		t.Errorf("AppendPeerFrame into a sized buffer: %.1f allocs/op, want 0", a)
+	}
+	if a := testing.AllocsPerRun(20, func() { wire.DecodePeerResponse(wire.PeerMediaType, frame, false) }); a > 5 {
+		t.Errorf("DecodePeerResponse of a frame without moves: %.1f allocs/op, want at most 5", a)
+	}
+	if a := testing.AllocsPerRun(20, func() { wire.MarshalPeerRequest(preq) }); a > 1 {
+		t.Errorf("MarshalPeerRequest: %.1f allocs/op, want at most 1", a)
 	}
 }
 

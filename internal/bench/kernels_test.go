@@ -440,6 +440,10 @@ func perfKernels() []perfKernel {
 		// A peer fill's serialization: the owner encodes the packed frame
 		// carrying a full mvm(16,32) move list, the forwarder decodes it.
 		{"PeerEnvelopeRoundTrip", peerEnvelopeRoundTrip},
+		// A fill without moves, as fleet-3 runs it: the forwarder encodes
+		// the fill request, the owner the frame of a dwt(64,6) cold
+		// answer, and the forwarder decodes the frame.
+		{"PeerFillCodec", peerFillCodec},
 		// The wire layers of a schedule request, on the bodies wrbpgbench
 		// sends: a parametric hot-cache key, a hot-cache graph as a
 		// 20-node raw spec, and a 48-node cdag-anytime graph in the
@@ -601,12 +605,60 @@ func peerEnvelopeRoundTrip() (func() error, error) {
 		if err != nil {
 			return err
 		}
-		back, err := wire.DecodePeerResponse(wire.PeerMediaType, body)
+		back, err := wire.DecodePeerResponse(wire.PeerMediaType, body, true)
 		if err != nil {
 			return err
 		}
 		if len(back.Result.Schedule) != len(res.Schedule) {
 			return fmt.Errorf("bench: envelope round trip kept %d of %d moves", len(back.Result.Schedule), len(res.Schedule))
+		}
+		return nil
+	}, nil
+}
+
+// leanPeerFill is a fill of a dwt(64,6) cold answer without moves:
+// the forwarder's request, and the owner's shared entry and stamp.
+func leanPeerFill() (*wire.PeerScheduleRequest, *wire.ScheduleResult, *wire.Stamp, error) {
+	in := solve.Instance{Family: solve.FamilyDWT, N: 64, D: 6, Cfg: Configs()[0]}
+	out, g, err := coldSolve(in)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	res := wire.NewScheduleResult(in.Label(), out, core.LowerBound(g), true)
+	res.Cost = &wire.CostMeta{SourceTier: wire.TierSolve, SolveWallUS: 61, MemoMisses: 137}
+	key := in.Key(int64(out.Budget))
+	preq := &wire.PeerScheduleRequest{
+		Req: wire.ScheduleRequest{Spec: wire.Spec{Family: solve.FamilyDWT, N: 64, D: 6,
+			Weights: wire.WeightSpec{WordBits: 16, InputWords: 1, NodeWords: 1}},
+			BudgetBits: int64(out.Budget), TimeoutMS: 1000},
+		Key: key, Origin: "http://127.0.0.1:40123",
+	}
+	st := &wire.Stamp{Cache: "miss", CacheKey: key, ElapsedUS: res.ElapsedUS, Cost: res.Cost}
+	return preq, res, st, nil
+}
+
+// peerFillCodec is the setup of a kernel that runs both ends' codec of
+// one lean peer fill: request encode, frame encode, frame decode.
+func peerFillCodec() (func() error, error) {
+	preq, res, st, err := leanPeerFill()
+	if err != nil {
+		return nil, err
+	}
+	var frame []byte
+	return func() error {
+		if _, err := wire.MarshalPeerRequest(preq); err != nil {
+			return err
+		}
+		frame, err = wire.AppendPeerFrame(frame[:0], res, st, nil)
+		if err != nil {
+			return err
+		}
+		env, err := wire.DecodePeerResponse(wire.PeerMediaType, frame, false)
+		if err != nil {
+			return err
+		}
+		if env.Result.CostBits != res.CostBits || env.Result.Schedule != nil {
+			return fmt.Errorf("bench: lean fill decoded as %+v", env.Result)
 		}
 		return nil
 	}, nil

@@ -45,6 +45,8 @@ const maxPeerBody = 32 << 20
 //     When the forwarder propagated trace context (preq.TraceParent),
 //     trace carries the owner's span subtree alongside it. Fill asks
 //     for the packed frame and decodes it (wire.DecodePeerResponse);
+//     the result carries its moves only when preq.Req.IncludeMoves
+//     asked for them;
 //   - apiErr: the owner answered a structured API error — notably a
 //     429 carrying its Retry-After shed estimate, which cluster-aware
 //     shedding may propagate to the end client;
@@ -57,7 +59,7 @@ const maxPeerBody = 32 << 20
 // The caller bounds the round trip via ctx (the peer-timeout slice of
 // the request deadline).
 func (c *Cluster) Fill(ctx context.Context, owner string, preq *wire.PeerScheduleRequest) (*wire.ScheduleResult, *obs.TraceExport, *wire.Error, error) {
-	body, err := json.Marshal(preq)
+	body, err := wire.MarshalPeerRequest(preq)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("cluster: encode peer request: %w", err)
 	}
@@ -83,7 +85,7 @@ func (c *Cluster) Fill(ctx context.Context, owner string, preq *wire.PeerSchedul
 		return nil, nil, nil, fmt.Errorf("cluster: read peer %s response: %w", owner, err)
 	}
 	if resp.StatusCode == http.StatusOK {
-		env, err := wire.DecodePeerResponse(resp.Header.Get("Content-Type"), b)
+		env, err := wire.DecodePeerResponse(resp.Header.Get("Content-Type"), b, preq.Req.IncludeMoves)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("cluster: peer %s answered 200: %w", owner, err)
 		}

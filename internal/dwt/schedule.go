@@ -122,6 +122,10 @@ func (s *Scheduler) SetWeights(ds []cdag.WeightDelta) (invalidated, reused int64
 	return invalidated, reused, err
 }
 
+// Exist returns the existence bound (Prop 2.3) of the current
+// weights, below which MinCost is Inf.
+func (s *Scheduler) Exist() cdag.Weight { return s.exist }
+
 // p computes P(v, b): the minimum weighted cost to place a red pebble
 // on v, starting from blue pebbles on the subtree's inputs, using at
 // most b red weight inside the subtree, and leaving no other red

@@ -249,6 +249,11 @@ func (s *Scheduler) SetWeights(ds []cdag.WeightDelta) (invalidated, reused int64
 	return invalidated, reused, nil
 }
 
+// Exist returns the tree's existence bound (Prop 2.3) under its
+// current weights: the root's subtree bound, which SetWeights keeps
+// current.
+func (s *Scheduler) Exist() cdag.Weight { return s.exist[s.t.Root] }
+
 // unset marks a sub-result slot that no strategy has consulted yet;
 // every real value is a cost ≥ 0 or Inf.
 const unset cdag.Weight = -1

@@ -41,6 +41,11 @@ func (se *Session) Graph() *Graph { return se.g }
 // observation counters (memo hits, states, …) for metric export.
 func (se *Session) TakeCounts() guard.Counts { return se.ck.TakeCounts() }
 
+// Detach drops the last query's context and counts sink, so an idle
+// session keeps no finished request reachable. Call it after
+// TakeCounts; the next search re-arms the checker.
+func (se *Session) Detach() { se.ck.Detach() }
+
 // search returns the memoized best configuration for the budget,
 // running the guarded candidate sweep on a miss. Aborted sweeps are
 // never memoized (no-poison), so the session stays reusable after a

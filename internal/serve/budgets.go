@@ -271,6 +271,9 @@ func (s *Server) PatchCosts(ctx context.Context, inst *solve.Instance, baseKey s
 	lim.Deadline = 0
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
+	// Detached before the unlock: an idle session keeps no finished
+	// request's context or sink reachable.
+	defer ent.se.Detach()
 	if po.Stats, err = ent.se.PatchTo(inst.Deltas); err != nil {
 		return out, po, wire.Errorf(http.StatusBadRequest, "%v", err)
 	}

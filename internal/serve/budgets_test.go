@@ -2,15 +2,22 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"weak"
 
+	"wrbpg/internal/cdag"
+	"wrbpg/internal/guard"
 	"wrbpg/internal/serve/wire"
+	"wrbpg/internal/solve"
+	"wrbpg/internal/wcfg"
 )
 
 // sweepReq is the canonical test sweep: a small ktree instance with
@@ -497,5 +504,43 @@ func TestBudgetListUnbuildableIsBadRequest(t *testing.T) {
 				t.Errorf("availability %s: %d of %d requests bad, want 0 of %v", w.Window, w.Bad, w.Total, sent)
 			}
 		}
+	}
+}
+
+// requestCtx is a request context the test can hold a weak pointer to.
+type requestCtx struct{ context.Context }
+
+// TestPatchCostsIdleSessionKeepsNoContext: once PatchCosts has answered,
+// the warm session idle in the pool keeps the finished request's
+// context and counts sink unreachable: a collection clears weak
+// pointers to both while the session is still pooled. Each family with
+// sessions is checked, patched where it can be.
+func TestPatchCostsIdleSessionKeepsNoContext(t *testing.T) {
+	s := New(Options{})
+	cfg := wcfg.Equal(16)
+	for _, inst := range []solve.Instance{
+		{Family: solve.FamilyKTree, K: 2, Height: 4, Cfg: cfg, Deltas: []cdag.WeightDelta{{Node: 0, Weight: 24}}},
+		{Family: solve.FamilyDWT, N: 16, D: 4, Cfg: cfg, Deltas: []cdag.WeightDelta{{Node: 1, Weight: 24}}},
+		{Family: solve.FamilyMVM, M: 6, N: 8, Cfg: cfg},
+	} {
+		t.Run(inst.Family, func(t *testing.T) {
+			baseKey := inst.BaseShapeKey()
+			wctx, wsink := func() (weak.Pointer[requestCtx], weak.Pointer[guard.CountsSink]) {
+				sink := new(guard.CountsSink)
+				ctx := &requestCtx{guard.WithSink(context.Background(), sink)}
+				pts, _, err := s.PatchCosts(ctx, &inst, baseKey, []cdag.Weight{1 << 20}, nil)
+				if err != nil || len(pts) != 1 || !pts[0].Feasible {
+					t.Fatalf("PatchCosts answered %+v, %v", pts, err)
+				}
+				return weak.Make(ctx), weak.Make(sink)
+			}()
+			runtime.GC()
+			if wctx.Value() != nil || wsink.Value() != nil {
+				t.Errorf("an idle pooled session keeps the finished request's context (%v) or sink (%v) reachable", wctx.Value() != nil, wsink.Value() != nil)
+			}
+			if _, ok := s.sessions.Get(baseKey); !ok {
+				t.Fatal("the session left the pool, so the check proves nothing")
+			}
+		})
 	}
 }

@@ -97,20 +97,29 @@ func (s *Server) handlePeerSchedule(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, werr)
 		return
 	}
-	// The body goes out with its length: the forwarder reads it into a
-	// single buffer of exactly that size.
-	body, err := wire.AppendPeerResponse(nil, &wire.PeerScheduleResponse{Result: res.Stamped(&st), Trace: tex})
+	// The frame is written from the shared entry and this request's
+	// stamp into a pooled buffer, and goes out with its length: the
+	// forwarder reads it into a single buffer of exactly that size.
+	bp := getBody()
+	defer putBody(bp)
+	body, err := wire.AppendPeerFrame(*bp, res, &st, tex)
 	if err != nil {
 		s.logPeerServe(tr, preq.Origin, http.StatusInternalServerError)
 		s.writeErr(w, asWireErr(err))
 		return
 	}
+	*bp = body
 	s.logPeerServe(tr, preq.Origin, http.StatusOK)
-	w.Header().Set("Content-Type", wire.PeerMediaType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	h := w.Header()
+	h["Content-Type"] = peerContentType
+	h["Content-Length"] = []string{strconv.Itoa(len(body))}
 	w.WriteHeader(http.StatusOK)
 	w.Write(body) //nolint:errcheck // nothing useful to do mid-response
 }
+
+// peerContentType is the Content-Type of a peer frame, shared so that
+// setting it allocates nothing.
+var peerContentType = []string{wire.PeerMediaType}
 
 // logPeerServe emits the owner-side structured line for one served
 // peer fill, correlated by trace_id when the forwarder propagated one.
@@ -171,11 +180,10 @@ func (s *Server) peerFill(ctx context.Context, owner, key string, req *wire.Sche
 	fctx, cancel := context.WithTimeout(pctx, timeout)
 	defer cancel()
 
+	// The fill carries moves only when this client asked for them. An
+	// entry filled without them is refilled by the first include_moves
+	// request that meets it (scheduleAs).
 	fwd := *req
-	// The filled entry joins the local cache, so it must carry the full
-	// move list for future include_moves hits; the per-request stamping
-	// strips moves the end client did not ask for.
-	fwd.IncludeMoves = true
 	fwd.TimeoutMS = timeout.Milliseconds()
 	fill, sub, apiErr, ferr := s.cluster.Fill(fctx, owner, &wire.PeerScheduleRequest{
 		Req: fwd, Key: key, Origin: s.cluster.Self(),

@@ -597,3 +597,137 @@ func TestClusterStatsMergesMetrics(t *testing.T) {
 		t.Fatalf("peerless /v1/cluster/stats: %d, want 404", resp.StatusCode)
 	}
 }
+
+// scheduleAnswer is the part of a /v1/schedule answer the moves-on-
+// demand tests read: the move list as the bytes sent, and the stamp.
+type scheduleAnswer struct {
+	Schedule json.RawMessage `json:"schedule"`
+	Source   string          `json:"source"`
+	Cache    string          `json:"cache"`
+	Cost     wire.CostMeta   `json:"cost"`
+}
+
+func postSchedule(t *testing.T, url string, req wire.ScheduleRequest) scheduleAnswer {
+	t.Helper()
+	resp, body := postJSON(t, url+"/v1/schedule", req)
+	var a scheduleAnswer
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &a) != nil {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	return a
+}
+
+// movesOnDemandRequests are one request of each family at a budget
+// from which budgets are scanned for one the ring gives replica 1. The
+// cdag graph is submitted with its nodes out of canonical order, so
+// its moves are remapped to the requester's numbering on the way out,
+// and at its total weight, where the search completes on its seed and
+// every replica answers with the same schedule.
+func movesOnDemandRequests(t *testing.T) map[string]wire.ScheduleRequest {
+	t.Helper()
+	reqs := map[string]wire.ScheduleRequest{
+		"dwt":   {Spec: wire.Spec{Family: "dwt", N: 32, D: 4}},
+		"ktree": {Spec: wire.Spec{Family: "ktree", K: 2, Height: 4}},
+		"mvm":   {Spec: wire.Spec{Family: "mvm", M: 6, N: 8}},
+		"cdag":  {Spec: wire.Spec{Family: "cdag", CDAG: diamondSpec()}},
+	}
+	for name, req := range reqs {
+		inst, err := req.Instance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, g, err := inst.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.BudgetBits = 2 * int64(core.MinExistenceBudget(g))
+		if name == "cdag" {
+			req.BudgetBits = int64(g.TotalWeight())
+		}
+		reqs[name] = req
+	}
+	return reqs
+}
+
+// ownedByReplica1 returns req at the first budget from its own whose
+// key the ring assigns to replica 1.
+func (f *testFleet) ownedByReplica1(t *testing.T, req wire.ScheduleRequest) wire.ScheduleRequest {
+	t.Helper()
+	for i := 0; i < 512; i++ {
+		if f.ownerOf(t, req) == 1 {
+			return req
+		}
+		req.BudgetBits++
+	}
+	t.Fatal("no budget in range produced a key owned by replica 1")
+	return req
+}
+
+// TestClusterPeerFillMovesOnDemand: a fill carries moves only when its
+// client asked for them. A forwarder's miss without include_moves is
+// filled without moves; the first include_moves request for the key
+// refills from the owner, answers as a miss with the peer's cost block,
+// and its moves are byte-identical to a single node's, cdag remap
+// included; the next is a local hit with the same moves, and the owner
+// solved once.
+func TestClusterPeerFillMovesOnDemand(t *testing.T) {
+	f := newTestFleet(t, 2, Options{})
+	single, _ := newTestServer(t, Options{})
+	for name, req := range movesOnDemandRequests(t) {
+		t.Run(name, func(t *testing.T) {
+			req := f.ownedByReplica1(t, req)
+			lean, full := req, req
+			lean.IncludeMoves, full.IncludeMoves = false, true
+			want := postSchedule(t, single.URL, full)
+			if len(want.Schedule) == 0 {
+				t.Fatalf("single node answered %+v without moves", want)
+			}
+			solves := [2]uint64{f.servers[0].Stats().Solves, f.servers[1].Stats().Solves}
+
+			a := postSchedule(t, f.urls[0], lean)
+			if a.Cache != "miss" || a.Cost.SourceTier != wire.TierPeer || a.Schedule != nil {
+				t.Fatalf("lean fill: cache %q, tier %q, schedule %s; want a peer miss without moves", a.Cache, a.Cost.SourceTier, a.Schedule)
+			}
+			a = postSchedule(t, f.urls[0], full)
+			if a.Cache != "miss" || a.Cost.SourceTier != wire.TierPeer || a.Cost.PeerHops != 1 {
+				t.Fatalf("refill: cache %q, cost %+v; want a peer miss", a.Cache, a.Cost)
+			}
+			if !bytes.Equal(a.Schedule, want.Schedule) || a.Source != want.Source {
+				t.Fatalf("refill answered %s moves %s, a single node %s moves %s", a.Source, a.Schedule, want.Source, want.Schedule)
+			}
+			for _, r := range []wire.ScheduleRequest{full, lean} {
+				a = postSchedule(t, f.urls[0], r)
+				if a.Cache != "hit" || (r.IncludeMoves && !bytes.Equal(a.Schedule, want.Schedule)) || (!r.IncludeMoves && a.Schedule != nil) {
+					t.Fatalf("include_moves=%t after the refill: cache %q, moves %s", r.IncludeMoves, a.Cache, a.Schedule)
+				}
+			}
+			if d0, d1 := f.servers[0].Stats().Solves-solves[0], f.servers[1].Stats().Solves-solves[1]; d0 != 0 || d1 != 1 {
+				t.Fatalf("forwarder solved %d times and owner %d, want 0 and 1", d0, d1)
+			}
+		})
+	}
+
+	t.Run("traced", func(t *testing.T) {
+		// A traced fill without moves: the head carries the owner's
+		// span subtree, which the forwarder grafts under peer.fill.
+		req := f.ownedByReplica1(t, dwtRequest(16*16+64))
+		req.IncludeMoves = false
+		resp, body := postTraced(t, f.urls[0]+"/v1/schedule", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		var ex obs.TraceExport
+		getJSON(t, f.urls[0]+"/v1/trace/"+resp.Header.Get(TraceIDHeader), &ex)
+		spans := map[string]*obs.SpanNode{}
+		spanNames(ex.Spans, spans)
+		fill := spans["peer.fill"]
+		if fill == nil || spanAttr(fill, "outcome") != peerFilled {
+			t.Fatalf("peer.fill span %+v, want outcome=filled", fill)
+		}
+		under := map[string]*obs.SpanNode{}
+		spanNames(fill.Children, under)
+		if under["peer.serve"] == nil || under["solve"] == nil {
+			t.Fatalf("peer.fill holds %v, want the owner's peer.serve subtree with its solve", fill.Children)
+		}
+	})
+}

@@ -177,7 +177,7 @@ func TestFillNegotiatesEnvelope(t *testing.T) {
 		if resp.StatusCode != http.StatusOK || ct != wire.PeerMediaType {
 			t.Fatalf("status %d, Content-Type %q: %s", resp.StatusCode, ct, body)
 		}
-		want, err := wire.DecodePeerResponse(ct, body)
+		want, err := wire.DecodePeerResponse(ct, body, true)
 		if err != nil {
 			t.Fatal(err)
 		}

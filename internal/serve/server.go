@@ -543,13 +543,24 @@ func (s *Server) scheduleAs(ctx context.Context, req *wire.ScheduleRequest, peer
 	}
 
 	cctx, sp := obs.StartSpan(ctx, "cache")
-	cached, state, err := s.cache.Do(key, func() (*wire.ScheduleResult, bool, error) {
+	fill := func() (*wire.ScheduleResult, bool, error) {
 		// The counts sink rides the solve context: every guard.Checker
 		// the request drives (one-shot solvers, anytime workers) tees its
 		// TakeCounts delta here, feeding the response's CostMeta without
 		// any solver API change.
 		return s.solveCold(guard.WithSink(cctx, &guard.CountsSink{}), req, &inst, key, budget, peerCall)
-	})
+	}
+	cached, state, err := s.cache.Do(key, fill)
+	if err == nil && req.IncludeMoves && len(cached.Schedule) != cached.MoveCount {
+		// A peer filled the entry for a request that did not ask for
+		// moves. This one did: it refills through the ladder, answers as
+		// a miss, and its answer replaces the entry.
+		var cacheable bool
+		if cached, cacheable, err = fill(); err == nil && cacheable {
+			s.cache.Put(key, cached)
+		}
+		state = schedcache.Miss
+	}
 	sp.SetAttr("disposition", state.String())
 	sp.End()
 	if err != nil {

@@ -5,6 +5,8 @@
 // included. Any other body goes to encoding/json with unknown fields
 // disallowed, so which bodies are accepted, what they decode to and
 // every error message are the same either way; only the cost differs.
+// The head of a peer's packed frame is scanned the same way, with
+// json.Unmarshal as its general decoder (scanPeerHead).
 
 package wire
 
@@ -160,21 +162,31 @@ func (sc *scanner) span() (start, end int, ok bool) {
 	return 0, 0, false
 }
 
-// knownStrings are values whose decoded strings are shared constants
-// instead of fresh allocations.
-var knownStrings = []string{
-	solve.FamilyDWT, solve.FamilyKTree, solve.FamilyMVM, solve.FamilyCDAG,
-	"equal", "da", "double", "double-accumulator",
-}
+// knownStrings are request values whose decoded strings are shared
+// constants instead of fresh allocations; resultStrings are the same
+// for a peer's answer.
+var (
+	knownStrings = []string{
+		solve.FamilyDWT, solve.FamilyKTree, solve.FamilyMVM, solve.FamilyCDAG,
+		"equal", "da", "double", "double-accumulator",
+	}
+	resultStrings = []string{
+		"optimal", "anytime", "fallback", "hit", "miss", "shared",
+		TierCache, TierShared, TierPeer, TierSession, TierSolve, TierDegraded, TierBreaker,
+	}
+)
 
 // text reads a string into *dst.
-func (sc *scanner) text(dst *string) bool {
+func (sc *scanner) text(dst *string) bool { return sc.textOf(dst, knownStrings) }
+
+// textOf reads a string into *dst, sharing it when it is in known.
+func (sc *scanner) textOf(dst *string, known []string) bool {
 	s, e, ok := sc.span()
 	if !ok {
 		return false
 	}
 	b := sc.data[s:e]
-	for _, k := range knownStrings {
+	for _, k := range known {
 		if string(b) == k {
 			*dst = k
 			return true
@@ -373,6 +385,127 @@ func (sc *scanner) peerRequest(r *PeerScheduleRequest) bool {
 			return sc.text(&r.Key)
 		case "origin":
 			return sc.text(&r.Origin)
+		}
+		return false
+	})
+}
+
+// scanPeerHead decodes the head of a packed peer frame into env, which
+// must be zero, when it takes the plain form without a trace member;
+// otherwise it reports false and the caller decodes the head with
+// json.Unmarshal, which then decodes it exactly as the scanner would
+// have.
+func scanPeerHead(head []byte, env *PeerScheduleResponse) bool {
+	sc := scanner{data: head}
+	return sc.object(func(key []byte) bool {
+		if string(key) != "result" {
+			return false
+		}
+		env.Result = new(ScheduleResult)
+		return sc.result(env.Result)
+	}) && sc.end()
+}
+
+// result reads a ScheduleResult without a move list.
+func (sc *scanner) result(r *ScheduleResult) bool {
+	return sc.object(func(key []byte) bool {
+		switch string(key) {
+		case "workload":
+			return sc.text(&r.Workload)
+		case "source":
+			return sc.textOf(&r.Source, resultStrings)
+		case "fallback_reason":
+			return sc.text(&r.FallbackReason)
+		case "fallback_cause":
+			return sc.text(&r.FallbackCause)
+		case "budget_bits":
+			return sc.int64v(&r.BudgetBits)
+		case "cost_bits":
+			return sc.int64v(&r.CostBits)
+		case "peak_bits":
+			return sc.int64v(&r.PeakBits)
+		case "lower_bound_bits":
+			return sc.int64v(&r.LowerBoundBits)
+		case "move_count":
+			return sc.intv(&r.MoveCount)
+		case "move_kinds":
+			return sc.moveKinds(&r.MoveKinds)
+		case "anytime":
+			r.Anytime = new(AnytimeResult)
+			return sc.anytime(r.Anytime)
+		case "elapsed_us":
+			return sc.int64v(&r.ElapsedUS)
+		case "cache_key":
+			return sc.text(&r.CacheKey)
+		case "cache":
+			return sc.textOf(&r.Cache, resultStrings)
+		case "cost":
+			r.Cost = new(CostMeta)
+			return sc.cost(r.Cost)
+		}
+		return false
+	})
+}
+
+func (sc *scanner) moveKinds(k *MoveKinds) bool {
+	return sc.object(func(key []byte) bool {
+		switch string(key) {
+		case "M1":
+			return sc.intv(&k.M1)
+		case "M2":
+			return sc.intv(&k.M2)
+		case "M3":
+			return sc.intv(&k.M3)
+		case "M4":
+			return sc.intv(&k.M4)
+		}
+		return false
+	})
+}
+
+func (sc *scanner) anytime(a *AnytimeResult) bool {
+	return sc.object(func(key []byte) bool {
+		switch string(key) {
+		case "complete":
+			return sc.boolv(&a.Complete)
+		case "seed_cost_bits":
+			return sc.int64v(&a.SeedCostBits)
+		case "expanded":
+			return sc.int64v(&a.Expanded)
+		case "pruned":
+			return sc.int64v(&a.Pruned)
+		case "deduped":
+			return sc.int64v(&a.Deduped)
+		case "improvements":
+			return sc.int64v(&a.Improvements)
+		case "workers":
+			return sc.intv(&a.Workers)
+		}
+		return false
+	})
+}
+
+func (sc *scanner) cost(c *CostMeta) bool {
+	return sc.object(func(key []byte) bool {
+		switch string(key) {
+		case "source_tier":
+			return sc.textOf(&c.SourceTier, resultStrings)
+		case "queue_wait_us":
+			return sc.int64v(&c.QueueWaitUS)
+		case "solve_wall_us":
+			return sc.int64v(&c.SolveWallUS)
+		case "states_expanded":
+			return sc.int64v(&c.StatesExpanded)
+		case "memo_hits":
+			return sc.int64v(&c.MemoHits)
+		case "memo_misses":
+			return sc.int64v(&c.MemoMisses)
+		case "cells_invalidated":
+			return sc.int64v(&c.CellsInvalidated)
+		case "cells_reused":
+			return sc.int64v(&c.CellsReused)
+		case "peer_hops":
+			return sc.intv(&c.PeerHops)
 		}
 		return false
 	})

@@ -2,7 +2,8 @@
 // themselves as the exact bytes json.Encoder with SetIndent("", "  ")
 // writes for them, trailing newline included, in one pass over the
 // fields: no reflection, no second pass to indent, no intermediate
-// buffer.
+// buffer. The same field writers emit json.Marshal's compact layout
+// for the peer hop (peer.go).
 
 package wire
 
@@ -25,25 +26,29 @@ type Stamp struct {
 	Schedule  core.Schedule
 }
 
-// Stamped returns a Clone of r that carries st's fields, its cost
-// block copied too; neither r nor st is written.
-func (r *ScheduleResult) Stamped(st *Stamp) *ScheduleResult {
-	cp := *r
-	cp.Cache, cp.CacheKey, cp.ElapsedUS, cp.Cost, cp.Schedule = st.Cache, st.CacheKey, st.ElapsedUS, st.Cost, st.Schedule
-	return cp.Clone()
-}
-
 // AppendJSON appends r as json.Encoder with SetIndent("", "  ")
 // writes it.
 func (r *ScheduleResult) AppendJSON(dst []byte) []byte {
-	st := Stamp{Cache: r.Cache, CacheKey: r.CacheKey, ElapsedUS: r.ElapsedUS, Cost: r.Cost, Schedule: r.Schedule}
+	st := r.ownStamp()
 	return r.AppendStamped(dst, &st)
+}
+
+// ownStamp is the stamp of r's own fields.
+func (r *ScheduleResult) ownStamp() Stamp {
+	return Stamp{Cache: r.Cache, CacheKey: r.CacheKey, ElapsedUS: r.ElapsedUS, Cost: r.Cost, Schedule: r.Schedule}
 }
 
 // AppendStamped appends r with st's fields in place of its own, as
 // AppendJSON would append such a copy of r.
 func (r *ScheduleResult) AppendStamped(dst []byte, st *Stamp) []byte {
 	o := jsonOut{b: dst}
+	o.result(r, st, st.Schedule)
+	return append(o.b, '\n')
+}
+
+// result writes r as an object with st's fields in place of its own
+// and sched as its move list, omitted when empty.
+func (o *jsonOut) result(r *ScheduleResult, st *Stamp, sched core.Schedule) {
 	o.open('{')
 	o.str("workload", r.Workload)
 	o.str("source", r.Source)
@@ -73,10 +78,10 @@ func (r *ScheduleResult) AppendStamped(dst []byte, st *Stamp) []byte {
 		o.num("workers", int64(a.Workers))
 		o.close('}')
 	}
-	if len(st.Schedule) > 0 {
+	if len(sched) > 0 {
 		o.key("schedule")
 		o.open('[')
-		for _, m := range st.Schedule {
+		for _, m := range sched {
 			o.elem()
 			o.open('{')
 			o.key("kind")
@@ -93,7 +98,6 @@ func (r *ScheduleResult) AppendStamped(dst []byte, st *Stamp) []byte {
 	o.strOmit("cache", st.Cache)
 	o.cost(st.Cost)
 	o.close('}')
-	return append(o.b, '\n')
 }
 
 // AppendJSON appends r as json.Encoder with SetIndent("", "  ")
@@ -146,10 +150,12 @@ func (r *PatchResponse) AppendJSON(dst []byte) []byte {
 
 // jsonOut appends indented JSON in the layout of json.Indent with two
 // spaces a level: a member or element per line, and an empty object or
-// array as {} or [].
+// array as {} or []. A compact jsonOut appends json.Marshal's layout
+// instead: no whitespace at all.
 type jsonOut struct {
-	b     []byte
-	depth int
+	b       []byte
+	depth   int
+	compact bool
 	// empty reports that the innermost open object or array has no
 	// member yet.
 	empty bool
@@ -171,6 +177,9 @@ func (o *jsonOut) close(c byte) {
 }
 
 func (o *jsonOut) newline() {
+	if o.compact {
+		return
+	}
 	o.b = append(o.b, '\n')
 	for range o.depth {
 		o.b = append(o.b, "  "...)
@@ -191,7 +200,11 @@ func (o *jsonOut) key(k string) {
 	o.elem()
 	o.b = append(o.b, '"')
 	o.b = append(o.b, k...)
-	o.b = append(o.b, `": `...)
+	if o.compact {
+		o.b = append(o.b, `":`...)
+	} else {
+		o.b = append(o.b, `": `...)
+	}
 }
 
 func (o *jsonOut) num(k string, v int64) {

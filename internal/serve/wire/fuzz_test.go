@@ -7,7 +7,10 @@
 // validation surface without paying graph-construction time or memory.
 // Their decode step is differential: a body the scanner accepts must
 // decode to the same value through encoding/json. FuzzResponseJSON
-// holds the response appenders to encoding/json's bytes.
+// holds the response appenders to encoding/json's bytes, and the peer
+// targets hold the peer hop's codec to encoding/json both ways: the
+// fill request appender to json.Marshal, and the frame head scanner to
+// json.Unmarshal.
 //
 // Run continuously with:
 //
@@ -28,6 +31,7 @@ import (
 
 	"wrbpg/internal/cdag"
 	"wrbpg/internal/core"
+	"wrbpg/internal/obs"
 	"wrbpg/internal/solve"
 )
 
@@ -148,7 +152,9 @@ func FuzzCDAGRequest(f *testing.F) {
 // peer endpoint runs the same pipeline as the public one but with the
 // forwarder's envelope (inner request + expected key + origin), so the
 // envelope layer must reject garbage as a structured 400 and never let
-// a hostile peer body panic a replica.
+// a hostile peer body panic a replica. Every envelope that decodes
+// re-encodes through AppendPeerRequest to json.Marshal's bytes, the
+// encoding a forwarder sends.
 func FuzzPeerRequest(f *testing.F) {
 	f.Add([]byte(`{"req":{"family":"dwt","n":32,"d":4,"budget_bits":2048,"include_moves":true,"timeout_ms":125},"key":"sha256:ab","origin":"http://replica-0:8080"}`))
 	f.Add([]byte(`{"req":{"family":"ktree","k":2,"height":5,"budget_bits":4096}}`))
@@ -157,11 +163,20 @@ func FuzzPeerRequest(f *testing.F) {
 	f.Add([]byte(`{"req":{"family":"dwt","n":-1,"d":0,"budget_bits":-5},"key":"zz"}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`null`))
+	f.Add([]byte(`{"req":{"family":"mvm","m":16,"n":32,"weights":{"name":"da","word_bits":16,"input_words":1,"node_words":2},"deltas":[{"node":3,"weight_bits":24},{"node":1,"weight_bits":-1}],"budget_bits":900,"timeout_ms":75,"include_moves":false},"key":"sha256:cd","origin":"http://r-2"}`))
+	f.Add([]byte(`{"req":{"family":"cdag","budget_bits":64,"graph":{"nodes":[{"w":8,"name":"a<b>&c"},{"w":8,"parents":[]},{"w":16,"name":"out \"q\" \u2028","parents":[0,1]}]}},"key":"k\u00e9\n","origin":"http://x/?a=1&b=<2>"}`))
+	f.Add([]byte(`{"req":{"family":"cdag","budget_bits":64,"cdag":{"nodes":[{"name":"x\\y","weight_bits":8,"deps":[]},{"name":"o<>","weight_bits":16,"deps":["x\\y"]}]},"include_moves":true},"key":"sha256:ef"}`))
+	f.Add([]byte(`{"req":{"family":"cdag","budget_bits":64,"cdag":{"nodes":null}}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var preq PeerScheduleRequest
 		if !decodeLikeServer(t, data, &preq) {
 			return // handler answers 400 before the envelope exists
+		}
+		want, werr := json.Marshal(&preq)
+		got, err := AppendPeerRequest([]byte("x"), &preq)
+		if (err != nil) != (werr != nil) || (err == nil && !bytes.Equal(got, append([]byte("x"), want...))) {
+			t.Fatalf("%q: AppendPeerRequest gives %q, %v; json.Marshal %q, %v", data, got, err, want, werr)
 		}
 		inst, err := preq.Req.Instance()
 		if err != nil {
@@ -185,11 +200,19 @@ func FuzzPeerRequest(f *testing.F) {
 // FuzzPeerResponse exercises the forwarder's decoder of a peer's 200
 // body: a hostile or corrupt owner yields an error or an envelope with
 // a result, never a panic. A frame that decodes carries exactly
-// move_count moves and survives a re-encode. Each seed envelope goes in
-// both as a frame and as a JSON body.
+// move_count moves when they were asked for and none otherwise, and
+// survives a re-encode. Its head decodes as json.Unmarshal decodes it:
+// a head the scanner reads must unmarshal to the same envelope. Each
+// seed envelope goes in as a frame with its moves, as one without, and
+// as a JSON body.
 func FuzzPeerResponse(f *testing.F) {
 	for _, env := range peerEnvelopeSeeds() {
 		frame, err := AppendPeerResponse(nil, env)
+		if err != nil {
+			f.Fatal(err)
+		}
+		r := env.Result
+		lean, err := AppendPeerFrame(nil, r, &Stamp{Cache: r.Cache, CacheKey: r.CacheKey, ElapsedUS: r.ElapsedUS, Cost: r.Cost}, env.Trace)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -198,6 +221,7 @@ func FuzzPeerResponse(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(frame)
+		f.Add(lean)
 		f.Add(envelope)
 	}
 	f.Add([]byte(`{"workload":"w","source":"optimal","move_count":0}`))
@@ -205,25 +229,47 @@ func FuzzPeerResponse(f *testing.F) {
 	f.Add([]byte("{\"result\":null}\n\x00"))
 	f.Add([]byte("{}\n"))
 	f.Add([]byte("\n\x00"))
+	f.Add([]byte("{\"result\":{\"workload\":\"a\\u003cb\\u003e \\\"q\\\"\",\"Source\":\"optimal\",\"move_count\":-0,\"anytime\":null,\"x\":1}}\n\x00"))
+	f.Add([]byte("{\"result\":{\"workload\":\"w\",\"cost_bits\":7,\"cost_bits\":8,\"cost\":{\"peer_hops\":1e2}}}\n\x00"))
+	f.Add([]byte("{\"result\":{\"workload\":\"w\",\"move_kinds\":{\"M1\":1,\"M2\":2,\"M3\":3,\"M4\":4},\"anytime\":{\"complete\":true,\"workers\":2},\"cost\":{\"source_tier\":\"solve\",\"memo_misses\":9}} , \"trace\":{\"trace_id\":\"ab\",\"spans\":[]}}\n\x00"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		env, err := DecodePeerResponse(PeerMediaType, data)
-		if err != nil {
-			return
+		head, _, _ := bytes.Cut(data, []byte{'\n'})
+		var scanned PeerScheduleResponse
+		if scanPeerHead(head, &scanned) {
+			var want PeerScheduleResponse
+			if err := json.Unmarshal(head, &want); err != nil || !reflect.DeepEqual(&scanned, &want) {
+				t.Fatalf("%q: scanned as %+v, json.Unmarshal gives %+v, %v", head, scanned.Result, want.Result, err)
+			}
 		}
-		if env.Result == nil {
-			t.Fatalf("%q: no error and no result", data)
-		}
-		if len(env.Result.Schedule) != env.Result.MoveCount {
-			t.Fatalf("%q: %d moves, move_count %d", data, len(env.Result.Schedule), env.Result.MoveCount)
-		}
-		again, err := AppendPeerResponse(nil, env)
-		if err != nil {
-			t.Fatalf("%q: decoded envelope does not re-encode: %v", data, err)
-		}
-		back, err := DecodePeerResponse(PeerMediaType, again)
-		if err != nil || !reflect.DeepEqual(back, env) {
-			t.Fatalf("%q: re-encoded as %q, decodes to %+v, %v", data, again, back, err)
+		for _, withMoves := range []bool{false, true} {
+			env, err := DecodePeerResponse(PeerMediaType, data, withMoves)
+			if err != nil {
+				continue
+			}
+			if env.Result == nil {
+				t.Fatalf("%q: no error and no result", data)
+			}
+			want := 0
+			if withMoves {
+				want = env.Result.MoveCount
+			}
+			if len(env.Result.Schedule) != want {
+				t.Fatalf("%q: %d moves, move_count %d, include_moves %t", data, len(env.Result.Schedule), env.Result.MoveCount, withMoves)
+			}
+			again, err := AppendPeerResponse(nil, env)
+			if err != nil {
+				t.Fatalf("%q: decoded envelope does not re-encode: %v", data, err)
+			}
+			// A trace's empty lists do not survive the round trip (they
+			// are omitempty), so the trace is held to its re-encoding.
+			back, err := DecodePeerResponse(PeerMediaType, again, withMoves)
+			if err != nil || !reflect.DeepEqual(back.Result, env.Result) {
+				t.Fatalf("%q: re-encoded as %q, decodes to %+v, %v", data, again, back, err)
+			}
+			if twice, err := AppendPeerResponse(nil, back); err != nil || !bytes.Equal(twice, again) {
+				t.Fatalf("%q: re-encoded as %q, then as %q, %v", data, again, twice, err)
+			}
 		}
 	})
 }
@@ -352,6 +398,25 @@ func (f *fuzzValues) scheduleResult() *ScheduleResult {
 	return r
 }
 
+// trace is nil or a small span tree whose strings come from the input.
+func (f *fuzzValues) trace() *obs.TraceExport {
+	if !f.flag() {
+		return nil
+	}
+	tr := &obs.TraceExport{TraceID: f.str(), StartUS: f.num()}
+	for range f.byte() % 3 {
+		sp := &obs.SpanNode{Name: f.str(), StartUS: f.num(), DurationUS: f.num()}
+		if f.flag() {
+			sp.Attrs = []obs.Attr{{Key: f.str(), Value: f.str()}}
+		}
+		if f.flag() {
+			sp.Children = []*obs.SpanNode{{Name: f.str(), DurationUS: f.num()}}
+		}
+		tr.Spans = append(tr.Spans, sp)
+	}
+	return tr
+}
+
 func (f *fuzzValues) patchResponse() *PatchResponse {
 	r := &PatchResponse{Workload: f.str(), BaseKey: f.str(), PatchKey: f.str(),
 		LowerBoundBits: f.num(), MinExistenceBits: f.num()}
@@ -383,16 +448,37 @@ func indentJSON(t *testing.T, v any) []byte {
 	return buf.Bytes()
 }
 
+// packedHead is the reference for a packed frame's head: the shape the
+// frame encoder marshalled with encoding/json before it wrote the head
+// itself. Its Schedule field is shallower than the one promoted from
+// the embedded result, so it hides that one, and being nil it is
+// omitted.
+type packedHead struct {
+	Result struct {
+		*ScheduleResult
+		Schedule *struct{} `json:"schedule,omitempty"`
+	} `json:"result"`
+	Trace *obs.TraceExport `json:"trace,omitempty"`
+}
+
 // FuzzResponseJSON checks the response appenders against encoding/json:
 // for any ScheduleResult, stamped or not, and any PatchResponse, the
 // appended bytes equal what json.Encoder with SetIndent("", "  ")
-// writes, appended after whatever the buffer already held.
+// writes, appended after whatever the buffer already held. A packed
+// frame's head, with or without a trace, equals json.Marshal of
+// packedHead, and its move section is the stamp's packed moves.
 func FuzzResponseJSON(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x05dwt-8\x07optimal\x00\x00\x01\x10\x01\x20\x01\x30\x01\x08\x01\x09\x02\x01\x01\x01\x02\x01\x03\x01\x04\x00\x01\x01\x02\x05\x01\x07"))
 	f.Add([]byte("\x08<a>&b\xe2\x80\xa8\x06\x01\x1f\x7f\xff\"\\\x04\xe2\x80\xa9x\x03\xc3(\x03\x0a\x0d\x09\x02\x03\x02\x08\x0c"))
 	f.Add(bytes.Repeat([]byte{0xff, 0x03, 0x01, 0x02, '<'}, 40))
 	f.Add(bytes.Repeat([]byte{0x02, 0x01, 0x80, 0x7f, 0x00}, 60))
+	// An anytime block, a stamp with a move, and a trace with HTML and
+	// escaped strings.
+	f.Add([]byte("\x00\x01w\x07anytime\x00\x00\x01\x10\x01\x20\x01\x30\x01\x08\x01\x09\x01\x01\x01\x01\x02\x01\x03\x01\x04" +
+		"\x01\x01\x01\x32\x01\x09\x01\x02\x01\x01\x01\x01\x01\x02\x00\x01\x09\x00\x04miss\x01\x05solve\x00\x00\x00\x00\x00\x00\x00\x00" +
+		"\x03hit\x03a&b\x01\x02\x01\x04<i\">\x00\x00\x00\x00\x00\x00\x00\x00\x01\x01\x05" +
+		"\x01\x02ab\x01\x01\x02\x01x\x00\x01\x03\x01\x01k\x03v\n<\x01\x01c\x00\x01y\x00\x01\x03\x01\x01k\x03v\n<\x01\x01c\x00"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fv := fuzzValues{b: data}
@@ -409,6 +495,17 @@ func FuzzResponseJSON(f *testing.F) {
 		cp.Cache, cp.CacheKey, cp.ElapsedUS, cp.Cost, cp.Schedule = st.Cache, st.CacheKey, st.ElapsedUS, st.Cost, st.Schedule
 		if got, want := r.AppendStamped(nil, &st), indentJSON(t, &cp); !bytes.Equal(got, want) {
 			t.Fatalf("ScheduleResult.AppendStamped:\n%s\nwant\n%s", got, want)
+		}
+		var ref packedHead
+		ref.Result.ScheduleResult, ref.Trace = &cp, fv.trace()
+		head, err := json.Marshal(&ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moves, merr := st.Schedule.AppendBinary(nil)
+		frame, err := AppendPeerFrame(prefix[:len(prefix):len(prefix)], r, &st, ref.Trace)
+		if want := append(append(append(prefix, head...), '\n'), moves...); (err != nil) != (merr != nil) || (err == nil && !bytes.Equal(frame, want)) {
+			t.Fatalf("AppendPeerFrame: %q, %v\nwant %q, %v", frame, err, want, merr)
 		}
 		p := fv.patchResponse()
 		if got, want := p.AppendJSON(nil), indentJSON(t, p); !bytes.Equal(got, want) {

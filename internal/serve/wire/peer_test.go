@@ -52,7 +52,7 @@ func TestPeerEnvelope(t *testing.T) {
 		"application/x-wrbpg-peer2":       false,
 		"application/json, application/x-wrbpg-peer": false,
 	} {
-		if _, err := DecodePeerResponse(ct, frame); (err == nil) != want {
+		if _, err := DecodePeerResponse(ct, frame, true); (err == nil) != want {
 			t.Errorf("Content-Type %q: err=%v, want decoded=%v", ct, err, want)
 		}
 	}
@@ -60,7 +60,9 @@ func TestPeerEnvelope(t *testing.T) {
 
 // TestPeerResponseForms: the packed frame is the envelope without
 // the move list as compact JSON, a newline, and the packed moves, and
-// it decodes to the envelope.
+// it decodes to the envelope. A frame for a fill that did not ask for
+// moves has the same head and an empty move section, and decodes to
+// the envelope without its moves.
 func TestPeerResponseForms(t *testing.T) {
 	for i, env := range peerEnvelopeSeeds() {
 		noMoves := *env.Result
@@ -77,12 +79,25 @@ func TestPeerResponseForms(t *testing.T) {
 		if wantPacked := append(append(append([]byte("x"), head...), '\n'), moves...); err != nil || !bytes.Equal(packed, wantPacked) {
 			t.Fatalf("seed %d: packed form %q, %v; want %q", i, packed, err, wantPacked)
 		}
-		back, err := DecodePeerResponse(PeerMediaType, packed[1:])
+		back, err := DecodePeerResponse(PeerMediaType, packed[1:], true)
 		if err != nil {
 			t.Fatalf("seed %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(back, env) {
 			t.Fatalf("seed %d: decoded %+v, want %+v", i, back.Result, env.Result)
+		}
+
+		st := Stamp{Cache: noMoves.Cache, CacheKey: noMoves.CacheKey, ElapsedUS: noMoves.ElapsedUS, Cost: noMoves.Cost}
+		lean, err := AppendPeerFrame(nil, env.Result, &st, env.Trace)
+		if wantLean := append(append([]byte(nil), head...), '\n', 0); err != nil || !bytes.Equal(lean, wantLean) {
+			t.Fatalf("seed %d: frame without moves %q, %v; want %q", i, lean, err, wantLean)
+		}
+		back, err = DecodePeerResponse(PeerMediaType, lean, false)
+		if err != nil {
+			t.Fatalf("seed %d without moves: %v", i, err)
+		}
+		if !reflect.DeepEqual(back, &PeerScheduleResponse{Result: &noMoves, Trace: env.Trace}) {
+			t.Fatalf("seed %d without moves: decoded %+v, want %+v", i, back.Result, &noMoves)
 		}
 	}
 	if _, err := AppendPeerResponse(nil, &PeerScheduleResponse{}); err == nil {
@@ -107,10 +122,26 @@ func TestDecodePeerResponseRejects(t *testing.T) {
 		"count mismatch":    head("2") + "\n" + string(one),
 		"trailing bytes":    head("1") + "\n" + string(one) + "\x00",
 		"node beyond int32": head("1") + "\n\x01\x80\x80\x80\x80\x80\x01",
+		"no moves":          head("1") + "\n\x00",
+		"empty section":     head("1") + "\n",
 	} {
-		if env, err := DecodePeerResponse(PeerMediaType, []byte(body)); err == nil {
+		if env, err := DecodePeerResponse(PeerMediaType, []byte(body), true); err == nil {
 			t.Errorf("%s: decoded %+v", name, env.Result)
 		}
+	}
+	// A fill that did not ask for moves takes only an empty move
+	// section, whatever move_count says.
+	for name, body := range map[string]string{
+		"moves":          head("1") + "\n" + string(one),
+		"section absent": head("1") + "\n",
+		"trailing bytes": head("1") + "\n\x00\x00",
+	} {
+		if env, err := DecodePeerResponse(PeerMediaType, []byte(body), false); err == nil {
+			t.Errorf("%s without moves asked: decoded %+v", name, env.Result)
+		}
+	}
+	if env, err := DecodePeerResponse(PeerMediaType, []byte(head("1")+"\n\x00"), false); err != nil || env.Result.MoveCount != 1 || env.Result.Schedule != nil {
+		t.Errorf("empty section without moves asked: %+v, %v", env, err)
 	}
 	envelope, err := json.Marshal(peerEnvelopeSeeds()[0])
 	if err != nil {
@@ -122,7 +153,7 @@ func TestDecodePeerResponseRejects(t *testing.T) {
 		"proxy page":    "<html>proxy error</html>",
 		"empty":         "",
 	} {
-		if env, err := DecodePeerResponse("application/json", []byte(body)); err == nil {
+		if env, err := DecodePeerResponse("application/json", []byte(body), true); err == nil {
 			t.Errorf("%s as application/json: decoded %+v", name, env.Result)
 		}
 	}

@@ -425,9 +425,10 @@ type PatchResponse struct {
 // forwards again — so ring disagreement costs at most one wasted hop.
 type PeerScheduleRequest struct {
 	// Req is the schedule request exactly as the forwarder would solve
-	// it locally (the forwarder sets include_moves so the filled cache
-	// entry keeps the full move list, and timeout_ms to its peer-fill
-	// deadline slice).
+	// it locally, include_moves as its client sent it (the owner's frame
+	// then carries moves only when asked; a filled entry without them is
+	// refilled by the first include_moves request that meets it), and
+	// timeout_ms set to the forwarder's peer-fill deadline slice.
 	Req ScheduleRequest `json:"req"`
 	// Key is the forwarder's content-addressed key for Req at its
 	// budget. The owner recomputes the key and rejects a mismatch with
@@ -445,7 +446,7 @@ type PeerScheduleRequest struct {
 }
 
 // PeerScheduleResponse is the 200 body of POST /v1/peer/schedule, sent
-// as a packed frame (AppendPeerResponse). When the forwarder propagated
+// as a packed frame (AppendPeerFrame). When the forwarder propagated
 // trace context, Trace carries the owner's span subtree for the
 // forwarder to graft under its peer.fill span, so GET /v1/trace/{id} on
 // the forwarder shows the complete cross-replica tree.

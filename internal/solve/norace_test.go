@@ -71,9 +71,6 @@ func TestTopologyColdSolveRecyclesScheduler(t *testing.T) {
 	}
 }
 
-// requestCtx is a request context the test can hold a weak pointer to.
-type requestCtx struct{ context.Context }
-
 // TestTopologyIdleSchedulerKeepsNoContext: once a cold dwt or ktree
 // solve has put its scheduler back in its shape's pool, the finished
 // request's context and counts sink are unreachable: a collection

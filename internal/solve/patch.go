@@ -25,7 +25,6 @@ import (
 	"fmt"
 
 	"wrbpg/internal/cdag"
-	"wrbpg/internal/core"
 )
 
 // PatchStats reports what one PatchTo / Patch call did.
@@ -100,15 +99,27 @@ func (s *Session) PatchTo(target []cdag.WeightDelta) (PatchStats, error) {
 		if s.patch == nil {
 			return PatchStats{}, fmt.Errorf("solve: family %q does not support incremental patching", s.inst.Family)
 		}
+		// Weights moved, so the cached bounds must too. Prop 2.4 sums
+		// source and sink weights, so a write moves it by new − old once
+		// for each of those roles its node has; the family solver keeps
+		// the existence bound current itself.
+		var dlb cdag.Weight
+		for _, d := range ch {
+			dw := d.Weight - s.g.Weight(d.Node)
+			if s.g.IsSource(d.Node) {
+				dlb += dw
+			}
+			if s.g.IsSink(d.Node) {
+				dlb += dw
+			}
+		}
 		inv, reused, err := s.patch.SetWeights(ch)
 		if err != nil {
 			return PatchStats{}, err
 		}
 		st.Invalidated, st.Reused = inv, reused
-		// Weights moved, so the cached bounds must too (both are
-		// allocation-free single passes over the graph).
-		s.lb = core.LowerBound(s.g)
-		s.minExist = core.MinExistenceBudget(s.g)
+		s.lb += dlb
+		s.minExist = s.patch.Exist()
 		s.flush()
 	}
 	s.cur = append(s.cur[:0], target...)

@@ -3,11 +3,13 @@ package solve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"wrbpg/internal/cdag"
+	"wrbpg/internal/core"
 	"wrbpg/internal/dwt"
 	"wrbpg/internal/guard"
 	"wrbpg/internal/par"
@@ -82,6 +84,63 @@ func TestSessionPatchToMatchesColdSolves(t *testing.T) {
 						t.Fatalf("round %d: no weights changed but %d cells invalidated", round, st.Invalidated)
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestPatchToBoundsMatchRecompute: the bounds a session keeps across
+// patches, Prop 2.4 updated from the applied deltas and Prop 2.3 read
+// from the family solver, equal a full recomputation on the patched
+// graph after every step of random patch → revert sequences that write
+// sources, sinks and interior nodes. A patch the family refuses leaves
+// both unchanged.
+func TestPatchToBoundsMatchRecompute(t *testing.T) {
+	for _, inst := range []Instance{
+		{Family: FamilyKTree, K: 2, Height: 4, Cfg: equalCfg()},
+		{Family: FamilyKTree, K: 3, Height: 3, Cfg: equalCfg()},
+		{Family: FamilyDWT, N: 16, D: 4, Cfg: equalCfg()},
+		{Family: FamilyDWT, N: 32, D: 3, Cfg: equalCfg(), Deltas: []cdag.WeightDelta{{Node: 0, Weight: 7}}},
+	} {
+		t.Run(inst.Label(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			s, err := NewSession(inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := s.Graph()
+			check := func(step string) {
+				t.Helper()
+				if lb, min := core.LowerBound(g), core.MinExistenceBudget(g); s.LowerBound() != lb || s.MinExistence() != min {
+					t.Fatalf("%s: session bounds lb=%d min=%d, recomputed lb=%d min=%d", step, s.LowerBound(), s.MinExistence(), lb, min)
+				}
+			}
+			check("new session")
+			applied := 0
+			for round := 0; round < 60; round++ {
+				ds := make([]cdag.WeightDelta, 1+rng.Intn(4))
+				for i := range ds {
+					ds[i] = cdag.WeightDelta{Node: cdag.NodeID(rng.Intn(g.Len())), Weight: 1 + cdag.Weight(rng.Intn(40))}
+				}
+				target := cdag.CanonicalDeltas(ds)
+				patch := s.PatchTo
+				if rng.Intn(3) == 0 {
+					patch = s.Patch
+				}
+				// A refused patch must leave the bounds as they were.
+				if st, err := patch(target); err == nil && st.Changed > 0 {
+					applied++
+				}
+				check(fmt.Sprintf("round %d patch %v", round, target))
+				if rng.Intn(2) == 0 {
+					if _, err := s.PatchTo(nil); err != nil {
+						t.Fatalf("round %d: revert: %v", round, err)
+					}
+					check(fmt.Sprintf("round %d revert", round))
+				}
+			}
+			if applied < 20 {
+				t.Fatalf("only %d of 60 patches changed a weight", applied)
 			}
 		})
 	}

@@ -77,13 +77,21 @@ type Session struct {
 
 // patcher is the weight patch of the incremental families' solvers
 // (dwt and ktree Scheduler.SetWeights), which also notes its
-// invalidation counts in the solver's counts.
+// invalidation counts in the solver's counts, and the existence bound
+// (Prop 2.3) those solvers keep current through it.
 type patcher interface {
 	SetWeights(ds []cdag.WeightDelta) (invalidated, reused int64, err error)
+	Exist() cdag.Weight
 }
 
 // flush records the accumulated solver counts since the last flush.
 func (s *Session) flush() { s.fc.Record(s.sv.TakeCounts()) }
+
+// Detach drops the last query's context and counts sink from the
+// family solver, so a session idle in a pool keeps no finished request
+// reachable, and the next patch's counts flush into no finished
+// request's sink. The next query re-arms the solver.
+func (s *Session) Detach() { s.sv.Detach() }
 
 // NewSession builds the instance's graph once and the family's guarded
 // solver over it, the same solver a one-shot Build runs. The graph's

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"weak"
 
 	"wrbpg/internal/cdag"
 	"wrbpg/internal/guard"
@@ -224,5 +226,49 @@ func TestSessionRefusesCDAG(t *testing.T) {
 	}
 	if want := "one /v1/schedule request per budget"; !strings.Contains(err.Error(), want) {
 		t.Fatalf("NewSession(cdag) error %q does not contain %q", err, want)
+	}
+}
+
+// requestCtx is a request context the test can hold a weak pointer to.
+type requestCtx struct{ context.Context }
+
+// TestSessionDetachKeepsNoContext: a warm session keeps its last
+// query's context and counts sink reachable until Detach, and none
+// after it: a collection then clears weak pointers to both while the
+// session is still alive. Each family's session is checked, and each
+// still answers after it.
+func TestSessionDetachKeepsNoContext(t *testing.T) {
+	for _, inst := range []Instance{
+		{Family: FamilyKTree, K: 2, Height: 4, Cfg: equalCfg()},
+		{Family: FamilyDWT, N: 16, D: 4, Cfg: equalCfg()},
+		{Family: FamilyMVM, M: 6, N: 8, Cfg: equalCfg()},
+	} {
+		t.Run(inst.Family, func(t *testing.T) {
+			s, err := NewSession(inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			budgets := []cdag.Weight{s.MinExistence() * 2}
+			wctx, wsink := func() (weak.Pointer[requestCtx], weak.Pointer[guard.CountsSink]) {
+				sink := new(guard.CountsSink)
+				ctx := &requestCtx{guard.WithSink(context.Background(), sink)}
+				if _, err := s.SweepCosts(ctx, guard.Limits{}, budgets, nil); err != nil {
+					t.Fatal(err)
+				}
+				return weak.Make(ctx), weak.Make(sink)
+			}()
+			runtime.GC()
+			if wctx.Value() == nil || wsink.Value() == nil {
+				t.Fatal("the session dropped its last query's context before Detach, so the check proves nothing")
+			}
+			s.Detach()
+			runtime.GC()
+			if wctx.Value() != nil || wsink.Value() != nil {
+				t.Errorf("a detached session keeps the finished query's context (%v) or sink (%v) reachable", wctx.Value() != nil, wsink.Value() != nil)
+			}
+			if pts, err := s.SweepCosts(context.Background(), guard.Limits{}, budgets, nil); err != nil || !pts[0].Feasible {
+				t.Fatalf("detached session answered %+v, %v", pts, err)
+			}
+		})
 	}
 }

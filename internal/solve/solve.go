@@ -355,6 +355,9 @@ type solver interface {
 	CostCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) (cdag.Weight, error)
 	ScheduleCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) (core.Schedule, error)
 	TakeCounts() guard.Counts
+	// Detach drops the last query's context and counts sink; call it
+	// after TakeCounts.
+	Detach()
 }
 
 // Each family's solver counter set, resolved once: a flush is a few
@@ -441,7 +444,7 @@ func (f family) problem() Problem {
 				// trace values are not kept reachable by the pool.
 				fc.Record(s.TakeCounts())
 				if returned && f.pool != nil {
-					s.(interface{ Detach() }).Detach()
+					s.Detach()
 					f.pool.Put(s)
 				}
 			}()
