@@ -112,8 +112,12 @@ patch-check:
 # hash ring, peer fill, cross-replica singleflight) under round-robin
 # load, then a kill-one soak. Acceptance: near-zero duplicate cold
 # solves fleet-wide and zero 5xx while a replica dies (docs/CLUSTER.md).
+# Then the ring, health and peer-fill unit suites, the frame transport
+# among them: concurrent fills on one connection, a fill's deadline, a
+# connection reset, drain, and goroutines settling after a stop.
 cluster-check:
 	$(GO) test -race -run TestClusterFleet -v ./cmd/wrbpgload/
+	$(GO) test -race -run 'Cluster|Fill|Peer' ./internal/cluster/ ./internal/serve/
 
 # 30-second chaos soak: wrbpgload drives an in-process server with a
 # panic injected into every 5th solver work item; the run must produce
@@ -136,6 +140,10 @@ soak-smoke:
 # every head the scanner reads unmarshals to the same envelope, and
 # FuzzResponseJSON holds the response appenders to encoding/json's
 # indented bytes and the frame head to json.Marshal's compact ones.
+# FuzzFrameReader reads any byte stream as the peer hop's transport
+# frames: truncated or oversized frames and bad length fields must be
+# refused without a panic, and every frame read re-encodes to its
+# bytes.
 # The core targets check the schedule
 # JSON encoder against the reflective one and for round trips, and the
 # packed codec for round trips and bounded decoding. FuzzRow
@@ -150,6 +158,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzPeerRequest -fuzztime=10s -run '^$$' ./internal/serve/wire/
 	$(GO) test -fuzz=FuzzPeerResponse -fuzztime=10s -run '^$$' ./internal/serve/wire/
 	$(GO) test -fuzz=FuzzResponseJSON -fuzztime=10s -run '^$$' ./internal/serve/wire/
+	$(GO) test -fuzz=FuzzFrameReader -fuzztime=10s -run '^$$' ./internal/cluster/
 	$(GO) test -fuzz=FuzzScheduleJSON -fuzztime=10s -run '^$$' ./internal/core/
 	$(GO) test -fuzz=FuzzScheduleBinary -fuzztime=10s -run '^$$' ./internal/core/
 	$(GO) test -fuzz=FuzzRow -fuzztime=10s -run '^$$' ./internal/stepmemo/

@@ -47,7 +47,8 @@ func TestScheduleCodecAllocs(t *testing.T) {
 // buffer without allocating; the forwarder's decode allocates the
 // envelope, the result, its cost block and the result's two strings
 // that are not shared constants (the workload label and the cache
-// key); and the fill request is one buffer, sized once.
+// key); and the fill request appends into a reused buffer, as the
+// forwarder's pooled frame buffer, without allocating.
 func TestPeerFrameAllocs(t *testing.T) {
 	preq, res, st, err := leanPeerFill()
 	if err != nil {
@@ -64,8 +65,12 @@ func TestPeerFrameAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(20, func() { wire.DecodePeerResponse(wire.PeerMediaType, frame, false) }); a > 5 {
 		t.Errorf("DecodePeerResponse of a frame without moves: %.1f allocs/op, want at most 5", a)
 	}
-	if a := testing.AllocsPerRun(20, func() { wire.MarshalPeerRequest(preq) }); a > 1 {
-		t.Errorf("MarshalPeerRequest: %.1f allocs/op, want at most 1", a)
+	reqBuf, err := wire.AppendPeerRequest(nil, preq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(20, func() { wire.AppendPeerRequest(reqBuf[:0], preq) }); a != 0 {
+		t.Errorf("AppendPeerRequest into a reused buffer: %.1f allocs/op, want 0", a)
 	}
 }
 

@@ -4,11 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
+	"net/http"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"wrbpg/internal/bitset"
 	"wrbpg/internal/cdag"
+	"wrbpg/internal/cluster"
 	"wrbpg/internal/core"
 	"wrbpg/internal/dwt"
 	"wrbpg/internal/guard"
@@ -444,6 +449,11 @@ func perfKernels() []perfKernel {
 		// the fill request, the owner the frame of a dwt(64,6) cold
 		// answer, and the forwarder decodes the frame.
 		{"PeerFillCodec", peerFillCodec},
+		// Layer cluster.peer_fill: the same fill sent by a forwarder's
+		// cluster.Fill to an owner, two in-process cluster-mode servers
+		// on loopback. The owner answers from its cache, so the kernel
+		// is the hop's transport and both ends' codec and handler.
+		{"PeerFillLoopback", peerFillLoopback},
 		// The wire layers of a schedule request, on the bodies wrbpgbench
 		// sends: a parametric hot-cache key, a hot-cache graph as a
 		// 20-node raw spec, and a 48-node cdag-anytime graph in the
@@ -644,9 +654,9 @@ func peerFillCodec() (func() error, error) {
 	if err != nil {
 		return nil, err
 	}
-	var frame []byte
+	var req, frame []byte
 	return func() error {
-		if _, err := wire.MarshalPeerRequest(preq); err != nil {
+		if req, err = wire.AppendPeerRequest(req[:0], preq); err != nil {
 			return err
 		}
 		frame, err = wire.AppendPeerFrame(frame[:0], res, st, nil)
@@ -662,6 +672,76 @@ func peerFillCodec() (func() error, error) {
 		}
 		return nil
 	}, nil
+}
+
+// peerFillLoopback is the setup of a kernel that times one
+// leanPeerFill fill over loopback, under a deadline as the serving
+// layer's fills run.
+func peerFillLoopback() (func() error, error) {
+	preq, res, _, err := leanPeerFill()
+	if err != nil {
+		return nil, err
+	}
+	fwd, owner, err := loopbackPair()
+	if err != nil {
+		return nil, err
+	}
+	body := func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		got, _, apiErr, err := fwd.Fill(ctx, owner, preq)
+		switch {
+		case err != nil:
+			return err
+		case apiErr != nil:
+			return apiErr
+		case got.CostBits != res.CostBits:
+			return fmt.Errorf("bench: loopback fill answered cost %d, want %d", got.CostBits, res.CostBits)
+		}
+		return nil
+	}
+	// The first fill solves at the owner; the timed ones hit its cache.
+	return body, body()
+}
+
+// loopback is the forwarder and owner pair every PeerFillLoopback run
+// shares: servers started once, for the life of the test binary.
+var loopback struct {
+	once  sync.Once
+	fwd   *cluster.Cluster
+	owner string
+	err   error
+}
+
+// loopbackPair returns a forwarder's cluster and the URL of the owner
+// it fills from, two cluster-mode servers on loopback listeners.
+func loopbackPair() (*cluster.Cluster, string, error) {
+	loopback.once.Do(func() {
+		var lns [2]net.Listener
+		var urls [2]string
+		for i := range lns {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				loopback.err = err
+				return
+			}
+			lns[i], urls[i] = ln, "http://"+ln.Addr().String()
+		}
+		for i, ln := range lns {
+			c, err := cluster.New(cluster.Config{Self: urls[i], Peers: []string{urls[1-i]}})
+			if err != nil {
+				loopback.err = err
+				return
+			}
+			hs := &http.Server{Handler: serve.New(serve.Options{Cluster: c}).Handler(), ReadHeaderTimeout: 10 * time.Second}
+			go hs.Serve(ln) //nolint:errcheck // serves until the test binary exits
+			if i == 0 {
+				loopback.fwd = c
+			}
+		}
+		loopback.owner = urls[1]
+	})
+	return loopback.fwd, loopback.owner, loopback.err
 }
 
 // wireDecode is the setup of a kernel that decodes the request body

@@ -3,16 +3,18 @@
 // cache miss whose key the ring assigns elsewhere, it calls Fill
 // against the owner instead of cold-solving, bounded by a slice of the
 // request deadline, and falls back to the local solver on any error.
+// Fills travel on the frame transport (frame.go, peerconn.go,
+// peerserver.go); Get, the stats fan-out, is plain HTTP.
 
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 
 	"wrbpg/internal/obs"
 	"wrbpg/internal/serve/wire"
@@ -28,14 +30,15 @@ const (
 	// TraceParentHeader propagates the forwarder's trace context
 	// ("traceid:spanid", obs.TraceParent) on a peer fill, so the owner
 	// resumes the same trace and returns its span subtree in the
-	// response envelope.
+	// response envelope. A request frame carries it in its trace-parent
+	// field, and the owner serves the frame with it as this header.
 	TraceParentHeader = "X-Wrbpg-Trace-Parent"
 	// PeerPath is the internal peer-fill endpoint.
 	PeerPath = "/v1/peer/schedule"
 )
 
-// maxPeerBody bounds a peer response read (schedules with full move
-// lists are well under this).
+// maxPeerBody bounds a frame body read, either way, and a GET
+// response read (schedules with full move lists are well under this).
 const maxPeerBody = 32 << 20
 
 // Fill asks owner to answer preq. Exactly one of result/apiErr/err is
@@ -43,71 +46,55 @@ const maxPeerBody = 32 << 20
 //
 //   - result: the owner answered 200 (it solved, or hit its cache).
 //     When the forwarder propagated trace context (preq.TraceParent),
-//     trace carries the owner's span subtree alongside it. Fill asks
-//     for the packed frame and decodes it (wire.DecodePeerResponse);
-//     the result carries its moves only when preq.Req.IncludeMoves
-//     asked for them;
+//     trace carries the owner's span subtree alongside it. The 200 body
+//     must be a packed frame (wire.DecodePeerResponse); the result
+//     carries its moves only when preq.Req.IncludeMoves asked for them;
 //   - apiErr: the owner answered a structured API error — notably a
 //     429 carrying its Retry-After shed estimate, which cluster-aware
 //     shedding may propagate to the end client;
-//   - err: the transport failed (refused, reset, deadline) or the
-//     response was undecodable, a 200 that is not a packed frame (an
-//     owner from before the frame, a proxy page) included. The caller
-//     should treat the owner as suspect (ReportFillError) and solve
-//     locally.
+//   - err: the transport failed (refused, reset, deadline, an owner
+//     that refuses the frame upgrade) or the response was undecodable,
+//     a 200 that is not a packed frame (an owner from before the frame,
+//     a proxy page) included. The caller should treat the owner as
+//     suspect (ReportFillError) and solve locally.
 //
-// The caller bounds the round trip via ctx (the peer-timeout slice of
-// the request deadline).
+// The fill travels as one request frame on the connection this
+// replica keeps to owner (frame.go), dialled and upgraded on first use
+// and again after it breaks. The caller bounds the round trip via ctx
+// (the peer-timeout slice of the request deadline); a ctx without a
+// deadline gets PeerTimeout plus two seconds.
 func (c *Cluster) Fill(ctx context.Context, owner string, preq *wire.PeerScheduleRequest) (*wire.ScheduleResult, *obs.TraceExport, *wire.Error, error) {
-	body, err := wire.MarshalPeerRequest(preq)
+	if _, ok := ctx.Deadline(); !ok {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.peerTimeout+2*time.Second)
+		defer cancel()
+	}
+	f, err := c.roundTrip(ctx, owner, preq)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("cluster: encode peer request: %w", err)
+		if cerr := ctx.Err(); cerr != nil {
+			err = cerr
+		}
+		return nil, nil, nil, fmt.Errorf("cluster: peer %s fill: %w", owner, err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, owner+PeerPath, bytes.NewReader(body))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	// The header values are shared read-only slices: http.Header.Set
-	// would allocate one per header per fill.
-	req.Header["Content-Type"] = jsonContentType
-	req.Header["Accept"] = acceptPacked
-	req.Header[HopHeader] = hopMark
-	if preq.TraceParent != "" {
-		req.Header.Set(TraceParentHeader, preq.TraceParent)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	defer resp.Body.Close()
-	b, err := readBody(resp, maxPeerBody)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("cluster: read peer %s response: %w", owner, err)
-	}
-	if resp.StatusCode == http.StatusOK {
-		env, err := wire.DecodePeerResponse(resp.Header.Get("Content-Type"), b, preq.Req.IncludeMoves)
+	// Both decoders copy what they keep, so the body's buffer is reused.
+	defer putFrameBuf(f.buf)
+	if f.status == http.StatusOK {
+		env, err := wire.DecodePeerResponse(f.ctype, f.body, preq.Req.IncludeMoves)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("cluster: peer %s answered 200: %w", owner, err)
 		}
 		return env.Result, env.Trace, nil, nil
 	}
 	var we wire.Error
-	if err := json.Unmarshal(b, &we); err != nil || we.Status == 0 {
+	if err := json.Unmarshal(f.body, &we); err != nil || we.Status == 0 {
 		// Not a structured API error (proxy page, truncation): surface as
 		// a transport-class failure so the caller solves locally.
-		return nil, nil, nil, fmt.Errorf("cluster: peer %s answered %d with unstructured body", owner, resp.StatusCode)
+		return nil, nil, nil, fmt.Errorf("cluster: peer %s answered %d with unstructured body", owner, f.status)
 	}
 	return nil, nil, &we, nil
 }
 
-// Fill's request header values.
-var (
-	jsonContentType = []string{"application/json"}
-	acceptPacked    = []string{wire.PeerMediaType}
-	hopMark         = []string{"1"}
-)
-
-// readBody reads a peer response whole: into one buffer of the
+// readBody reads a GET response whole: into one buffer of the
 // announced length, else growing (chunked bodies). A body longer than
 // limit is an error, refused before reading when its length was
 // announced.

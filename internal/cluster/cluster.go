@@ -55,9 +55,10 @@ type Config struct {
 	// from the ring (default 2 — one blip never re-rings the fleet);
 	// a single successful probe re-admits it.
 	FailThreshold int
-	// Client overrides the HTTP client used for probes and peer fills
-	// (tests); default is an http.Client with a PeerTimeout-scaled
-	// timeout.
+	// Client overrides the HTTP client used for the /readyz probes and
+	// the GET fan-out (Get) (tests); default is an http.Client with a
+	// PeerTimeout-scaled timeout. Peer fills do not use it: they travel
+	// on the frame transport's own connection to each owner.
 	Client Doer
 }
 
@@ -82,6 +83,12 @@ type Cluster struct {
 
 	mu    sync.Mutex
 	peers map[string]*peerState
+
+	// connMu guards the frame transport's connections, one slot per
+	// owner, and stopped, set once Start's context ends.
+	connMu  sync.Mutex
+	slots   map[string]*peerSlot
+	stopped bool
 
 	ejections    atomic.Uint64
 	readmissions atomic.Uint64
@@ -116,6 +123,7 @@ func New(cfg Config) (*Cluster, error) {
 		interval:    cfg.HealthInterval,
 		failsAfter:  cfg.FailThreshold,
 		peers:       make(map[string]*peerState),
+		slots:       make(map[string]*peerSlot),
 	}
 	c.ring.Add(self)
 	for _, p := range cfg.Peers {
@@ -186,9 +194,12 @@ func (c *Cluster) Health() HealthReport {
 	return rep
 }
 
-// Start runs the health loop until ctx is canceled. It returns
-// immediately for a peerless cluster — there is nothing to probe.
+// Start runs the health loop until ctx is canceled, and then closes
+// the fill connections to every owner; fills after that fail as
+// transport errors and solve locally. It returns immediately for a
+// peerless cluster — there is nothing to probe.
 func (c *Cluster) Start(ctx context.Context) {
+	context.AfterFunc(ctx, c.closeConns)
 	c.mu.Lock()
 	n := len(c.peers)
 	c.mu.Unlock()

@@ -184,7 +184,7 @@ func TestFillDecodesResultAndErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc(PeerPath, func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle(PeerPath, NewPeerServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Header.Get(HopHeader) == "" {
 			t.Error("Fill did not set the hop header")
 		}
@@ -215,7 +215,7 @@ func TestFillDecodesResultAndErrors(t *testing.T) {
 			w.WriteHeader(http.StatusBadGateway)
 			fmt.Fprint(w, "<html>proxy error</html>")
 		}
-	})
+	})))
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
@@ -288,10 +288,10 @@ func TestReadBodyLimit(t *testing.T) {
 
 	// Through Fill: an owner announcing more than maxPeerBody is a
 	// transport-class error naming the size, not a decode error.
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewServer(NewPeerServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Length", strconv.Itoa(maxPeerBody+1))
 		w.WriteHeader(http.StatusOK)
-	}))
+	})))
 	defer ts.Close()
 	c, err := New(Config{Self: "http://self:1", Peers: []string{ts.URL}, Client: ts.Client()})
 	if err != nil {

@@ -42,11 +42,13 @@ const (
 )
 
 // handlePeerSchedule serves POST /v1/peer/schedule, the internal
-// replica-to-replica fill protocol. It is the regular schedule path
-// with peer semantics: never forward again (loop guard), never degrade
-// to a baseline answer on queue saturation — shed with 429 +
-// Retry-After instead, because the forwarder still holds the request's
-// real deadline budget and can solve locally or propagate the shed.
+// replica-to-replica fill protocol, whether a fill arrives as a plain
+// POST or as a frame on a connection a forwarder upgraded here. It is
+// the regular schedule path with peer semantics: never forward again
+// (loop guard), never degrade to a baseline answer on queue saturation
+// — shed with 429 + Retry-After instead, because the forwarder still
+// holds the request's real deadline budget and can solve locally or
+// propagate the shed.
 func (s *Server) handlePeerSchedule(w http.ResponseWriter, r *http.Request) {
 	if s.cluster == nil {
 		s.writeErr(w, wire.Errorf(http.StatusNotFound, "cluster mode disabled (no -peers)"))
@@ -59,6 +61,13 @@ func (s *Server) handlePeerSchedule(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get(cluster.HopHeader) == "" {
 		s.writeErr(w, wire.Errorf(http.StatusBadRequest,
 			"peer endpoint requires the %s header; external clients should use /v1/schedule", cluster.HopHeader))
+		return
+	}
+	if cluster.IsUpgrade(r) {
+		// A forwarder's handshake: its fills arrive as frames on this
+		// connection, each served through the handler chain back into
+		// this route.
+		s.peers.Upgrade(w, r)
 		return
 	}
 	s.m.reqPeer.Inc()

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"wrbpg/internal/cluster"
@@ -41,11 +43,14 @@ func (sh *swapHandler) set(h http.Handler) {
 }
 
 // testFleet is an n-replica in-process cluster over httptest listeners.
+// upgrades counts, per replica, the connections forwarders upgraded to
+// the frame transport.
 type testFleet struct {
 	urls     []string
 	ts       []*httptest.Server
 	servers  []*Server
 	clusters []*cluster.Cluster
+	upgrades []*atomic.Int64
 }
 
 // solves is the fleet-wide count of solver invocations.
@@ -66,8 +71,16 @@ func newTestFleet(t *testing.T, n int, opts Options) *testFleet {
 	swaps := make([]*swapHandler, n)
 	for i := 0; i < n; i++ {
 		swaps[i] = &swapHandler{}
-		ts := httptest.NewServer(swaps[i])
+		ts := httptest.NewUnstartedServer(swaps[i])
+		n := new(atomic.Int64)
+		ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+			if st == http.StateHijacked {
+				n.Add(1)
+			}
+		}
+		ts.Start()
 		t.Cleanup(ts.Close)
+		f.upgrades = append(f.upgrades, n)
 		f.ts = append(f.ts, ts)
 		f.urls = append(f.urls, ts.URL)
 	}
@@ -85,6 +98,8 @@ func newTestFleet(t *testing.T, n int, opts Options) *testFleet {
 		o := opts
 		o.Cluster = c
 		s := New(o)
+		// Upgraded peer connections outlive ts.Close; the drain ends them.
+		t.Cleanup(s.BeginDrain)
 		swaps[i].set(s.Handler())
 		f.servers = append(f.servers, s)
 		f.clusters = append(f.clusters, c)
@@ -398,7 +413,7 @@ func TestClusterPeerDownFallsBackLocal(t *testing.T) {
 // (with a clamped Retry-After) once its own queue is saturated.
 func TestClusterShedPropagation(t *testing.T) {
 	// Fake owner: always sheds peer fills, looks healthy to probes.
-	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	fake := httptest.NewServer(cluster.NewPeerServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == cluster.PeerPath {
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusTooManyRequests)
@@ -406,7 +421,7 @@ func TestClusterShedPropagation(t *testing.T) {
 			return
 		}
 		w.WriteHeader(http.StatusOK)
-	}))
+	})))
 	defer fake.Close()
 
 	c, err := cluster.New(cluster.Config{Self: "http://self.invalid", Peers: []string{fake.URL}, Seed: 1})

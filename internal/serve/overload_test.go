@@ -184,8 +184,19 @@ func TestQueuedClientDisconnectReleasesSlot(t *testing.T) {
 	if got := s.adm.depth.Value(); got != 0 {
 		t.Fatalf("depth gauge = %d after disconnect, want 0", got)
 	}
-	if n := scrapeMetrics(t, ts.URL)[`wrbpg_shed_total{mode="canceled"}`]; n != 1 {
-		t.Fatalf("shed[canceled] = %v, want 1", n)
+	// The queue slot is given back (Acquire's deferred decrement) before
+	// solveCold counts the shed, so the counter is polled under the
+	// same deadline.
+	var canceled float64
+	for {
+		canceled = scrapeMetrics(t, ts.URL)[`wrbpg_shed_total{mode="canceled"}`]
+		if canceled != 0 || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if canceled != 1 {
+		t.Fatalf("shed[canceled] = %v, want 1", canceled)
 	}
 
 	// Capacity restored: the next identical request solves optimally.

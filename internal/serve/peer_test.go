@@ -241,7 +241,7 @@ func TestFillNegotiatesEnvelope(t *testing.T) {
 		}
 		var accept atomic.Value
 		var current atomic.Int32
-		fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fake := httptest.NewServer(cluster.NewPeerServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			accept.Store(r.Header.Get("Accept"))
 			w.Header().Set("Content-Type", "application/json")
 			body := bodies[current.Load()]
@@ -249,7 +249,7 @@ func TestFillNegotiatesEnvelope(t *testing.T) {
 			io.WriteString(w, body[:half])
 			w.(http.Flusher).Flush()
 			io.WriteString(w, body[half:])
-		}))
+		})))
 		defer fake.Close()
 		// No number of fill errors ejects the fake owner.
 		c, err := cluster.New(cluster.Config{Self: "http://self.invalid", Peers: []string{fake.URL}, Seed: 1, FailThreshold: 100})
@@ -278,10 +278,10 @@ func TestFillNegotiatesEnvelope(t *testing.T) {
 			head(3) + "\n" + "\x03\x00",           // count beyond the input
 		}
 		var current atomic.Int32
-		fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fake := httptest.NewServer(cluster.NewPeerServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", wire.PeerMediaType)
 			io.WriteString(w, bodies[current.Load()])
-		}))
+		})))
 		defer fake.Close()
 		c, err := cluster.New(cluster.Config{Self: "http://self.invalid", Peers: []string{fake.URL}, Seed: 1, FailThreshold: 100})
 		if err != nil {

@@ -23,7 +23,8 @@
 //	POST /v1/schedule        solve one instance (cache-backed)
 //	POST /v1/schedule/sweep  a budget list, one warm solver session
 //	POST /v1/schedule/patch  the same, named a patch (deltas expected)
-//	POST /v1/peer/schedule   a replica's cache-miss fill (cluster mode)
+//	POST /v1/peer/schedule   a replica's cache-miss fill (cluster mode), or
+//	                         the upgrade to a connection of fill frames
 //	GET  /v1/lowerbound      Proposition 2.3/2.4 bounds, no solve
 //	GET  /v1/trace/{id}      span tree of a traced request
 //	GET  /v1/slo             SLO burn rates per window
@@ -235,6 +236,11 @@ type Server struct {
 	draining atomic.Bool
 	// cluster is the replica fleet view (nil outside cluster mode).
 	cluster *cluster.Cluster
+	// handler is every endpoint behind the tracing and request-obs
+	// middleware; peers serves the peer fills that arrive as frames on
+	// upgraded connections through it.
+	handler http.Handler
+	peers   *cluster.PeerServer
 	reg     *obs.Registry
 	m       *metrics
 	traces  *obs.TraceStore
@@ -278,11 +284,15 @@ func New(opts Options) *Server {
 		s.m.wsAllocs.Inc()
 		return &sweepWorkspace{}
 	}
+	s.handler = s.newHandler()
+	s.peers = cluster.NewPeerServer(s.handler)
 	return s
 }
 
 // Handler returns the HTTP handler serving every endpoint.
-func (s *Server) Handler() http.Handler {
+func (s *Server) Handler() http.Handler { return s.handler }
+
+func (s *Server) newHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/schedule", s.handleSchedule)
 	mux.HandleFunc("/v1/schedule/sweep", s.handleBudgets)
@@ -907,9 +917,15 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 // BeginDrain flips /readyz to "draining" (503) so load balancers stop
 // routing new work before the listener closes; in-flight requests are
-// unaffected. The daemon calls it on SIGINT/SIGTERM ahead of
-// http.Server.Shutdown.
-func (s *Server) BeginDrain() { s.draining.Store(true) }
+// unaffected. It also stops taking peer fills as frames: upgraded
+// connections, which outlive http.Server.Close and Shutdown, close
+// once their in-flight frames are answered, and new upgrades are
+// refused, so forwarders solve locally. The daemon calls it on
+// SIGINT/SIGTERM ahead of http.Server.Shutdown.
+func (s *Server) BeginDrain() {
+	s.draining.Store(true)
+	s.peers.Drain()
+}
 
 // String describes the server configuration for startup logs.
 func (s *Server) String() string {

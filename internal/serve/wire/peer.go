@@ -189,9 +189,3 @@ func (o *jsonOut) graphSpec(s *GraphSpec) {
 	}
 	o.close('}')
 }
-
-// MarshalPeerRequest encodes p as json.Marshal does, into one buffer
-// that holds a request without a graph at its first size.
-func MarshalPeerRequest(p *PeerScheduleRequest) ([]byte, error) {
-	return AppendPeerRequest(make([]byte, 0, 256+len(p.Key)+len(p.Origin)+40*len(p.Req.Deltas)), p)
-}
