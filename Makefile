@@ -30,11 +30,11 @@ race:
 	$(GO) test -race -cpu 1,4 ./...
 
 # Race-enabled fault-injection and degradation tests: worker panics,
-# injected faults, cancellation, fallback paths, and the family
-# solvers' abort-then-reuse checks of their reusable guard checkers
-# (docs/ROBUSTNESS.md).
+# injected faults, cancellation, fallback paths, and the abort-then-
+# reuse checks of the family solvers' and the tree DP engine's reusable
+# guard checkers (docs/ROBUSTNESS.md).
 race-fault:
-	$(GO) test -race -run 'Fault|Panic|Ctx|Cancel|Deadline|Degrad|Hung|Budget|Abort' ./internal/par/ ./internal/solve/ ./internal/guard/ ./internal/dwt/ ./internal/ktree/ ./internal/memstate/ ./internal/mvm/
+	$(GO) test -race -run 'Fault|Panic|Ctx|Cancel|Deadline|Degrad|Hung|Budget|Abort' ./internal/par/ ./internal/solve/ ./internal/guard/ ./internal/stepmemo/ ./internal/dwt/ ./internal/ktree/ ./internal/memstate/ ./internal/mvm/
 
 bench-smoke:
 	$(GO) test -short -bench=. -benchtime=1x -run '^$$' ./...
@@ -147,10 +147,13 @@ soak-smoke:
 # The core targets check the schedule
 # JSON encoder against the reflective one and for round trips, and the
 # packed codec for round trips and bounded decoding. FuzzRow
-# holds the shared budget memo's rows to a random step function, and
+# holds the shared budget memo's rows to a random step function,
 # FuzzPtMatchesReference holds the k-ary tree DP to its plain
-# every-strategy form on a decoded tree, budget and weight patch. One
-# -fuzz per invocation (a go test restriction).
+# every-strategy form on a decoded tree, budget and weight patch, and
+# FuzzPMatchesReference holds the DWT DP to its plain form on a decoded
+# DWT graph under Lemma 3.2 weights, budget and weight patch, cold,
+# after a Reset and through patch → revert. One -fuzz per invocation
+# (a go test restriction).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzScheduleRequest -fuzztime=10s -run '^$$' ./internal/serve/wire/
 	$(GO) test -fuzz=FuzzCDAGRequest -fuzztime=10s -run '^$$' ./internal/serve/wire/
@@ -163,6 +166,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzScheduleBinary -fuzztime=10s -run '^$$' ./internal/core/
 	$(GO) test -fuzz=FuzzRow -fuzztime=10s -run '^$$' ./internal/stepmemo/
 	$(GO) test -fuzz=FuzzPtMatchesReference -fuzztime=10s -run '^$$' ./internal/ktree/
+	$(GO) test -fuzz=FuzzPMatchesReference -fuzztime=10s -run '^$$' ./internal/dwt/
 
 # Race-enabled general-DAG gate: the full anytime search suite
 # (property bounds, monotone trajectories, fault injection, the

@@ -25,10 +25,23 @@ type refScheduler struct {
 	exist  cdag.Weight
 }
 
+// entry is one reference cell: its cost and its strategy, stratLeaf
+// at an input.
+type entry struct {
+	cost   cdag.Weight
+	choice strategy
+}
+
+const stratLeaf strategy = -1
+
 func newRefScheduler(t *testing.T, dg *Graph) *refScheduler {
 	t.Helper()
-	s := mustScheduler(t, dg)
-	return &refScheduler{dg: dg, memo: stepmemo.NewRows[entry](dg.G, func(cdag.NodeID) bool { return true }), roots: s.roots, pruned: s.pruned, exist: s.exist}
+	mustScheduler(t, dg) // the weights must meet Lemma 3.2
+	var pruned []cdag.NodeID
+	for v := range dg.PrunedNodes() {
+		pruned = append(pruned, v)
+	}
+	return &refScheduler{dg: dg, memo: stepmemo.NewRows[entry](dg.G, func(cdag.NodeID) bool { return true }), roots: dg.Roots(), pruned: pruned, exist: core.MinExistenceBudget(dg.G)}
 }
 
 func (r *refScheduler) p(v cdag.NodeID, b cdag.Weight) (entry, cdag.Weight, cdag.Weight) {
@@ -295,4 +308,186 @@ func TestPMatchesReferenceAfterSetWeights(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sharedGraphs returns DWT graphs whose layers share class cells:
+// the Equal and Double Accumulator weightings, and random Lemma 3.2
+// weights fixed per layer (one average and one coefficient weight).
+func sharedGraphs(t *testing.T, rng *rand.Rand) []referenceGraph {
+	t.Helper()
+	var out []referenceGraph
+	for _, nd := range [][2]int{{8, 2}, {8, 3}, {16, 3}, {16, 4}, {24, 3}} {
+		for _, cfg := range []wcfg.Config{wcfg.Equal(4), wcfg.DoubleAccumulator(4)} {
+			out = append(out, referenceGraph{fmt.Sprintf("%s_%d_%d", cfg.Name, nd[0], nd[1]), buildOrFatal(t, nd[0], nd[1], ConfigWeights(cfg))})
+		}
+		avg := make([]cdag.Weight, nd[1]+1)
+		coef := make([]cdag.Weight, nd[1]+1)
+		for i := range avg {
+			avg[i] = 1 + cdag.Weight(rng.Intn(8))
+			coef[i] = 1 + cdag.Weight(rng.Int63n(int64(avg[i])))
+		}
+		out = append(out, referenceGraph{fmt.Sprintf("layers_%d_%d", nd[0], nd[1]), buildOrFatal(t, nd[0], nd[1], func(layer, j int) cdag.Weight {
+			if layer > 1 && j%2 == 0 {
+				return coef[layer-1]
+			}
+			return avg[layer-1]
+		})})
+	}
+	return out
+}
+
+// sharedRoots returns the representatives that other nodes share,
+// with the first node sharing each.
+func sharedRoots(s *Scheduler) []cdag.NodeID {
+	var out []cdag.NodeID
+	seen := map[cdag.NodeID]bool{}
+	for v := range s.Graph().G.Len() {
+		if r := s.Rep(cdag.NodeID(v)); r != cdag.NodeID(v) && !seen[r] {
+			seen[r] = true
+			out = append(out, r, cdag.NodeID(v))
+		}
+	}
+	return out
+}
+
+// sameSubtree reports whether the subtrees rooted at u and v have the
+// same shape and weights, parents compared in order.
+func sameSubtree(g *cdag.Graph, u, v cdag.NodeID) bool {
+	pu, pv := g.Parents(u), g.Parents(v)
+	if g.Weight(u) != g.Weight(v) || len(pu) != len(pv) {
+		return false
+	}
+	for j := range pu {
+		if !sameSubtree(g, pu[j], pv[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkReps fails unless every node's representative roots a subtree
+// equal to the node's own: all that P reads.
+func checkReps(t *testing.T, s *Scheduler) {
+	t.Helper()
+	g := s.Graph().G
+	for v := range g.Len() {
+		if r := s.Rep(cdag.NodeID(v)); !sameSubtree(g, cdag.NodeID(v), r) {
+			t.Fatalf("node %d shares the cells of node %d, whose subtree differs", v, r)
+		}
+	}
+}
+
+// TestSetWeightsSharedCellsMatchReference holds the class-shared memo
+// to the reference on DWT graphs whose layers share classes: cold
+// schedulers, one warm scheduler over every budget, a pooled scheduler
+// Reset to the graph, and a warm scheduler through patch → revert
+// sequences on every shared representative and its first member, each
+// answering every budget with the reference's cost and schedule.
+// Patches that would break Lemma 3.2 are refused and change nothing.
+func TestSetWeightsSharedCellsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	graphs := sharedGraphs(t, rng)
+	for gi, rg := range graphs {
+		t.Run(rg.name, func(t *testing.T) {
+			g := rg.g
+			ref := newRefScheduler(t, g)
+			s := mustScheduler(t, g)
+			if len(sharedRoots(s)) == 0 {
+				t.Fatal("no two nodes share a class")
+			}
+			other := graphs[gi/3*3+(gi+1)%3] // same shape, other weights
+			pooled := mustScheduler(t, other.g)
+			pooled.MinCost(core.MinExistenceBudget(other.g.G))
+			if err := pooled.Reset(g); err != nil {
+				t.Fatal(err)
+			}
+			for i, b := range referenceBudgets(rng, g) {
+				matchReference(t, s, ref, b)
+				matchReference(t, pooled, ref, b)
+				if i%4 == 0 {
+					matchReference(t, mustScheduler(t, g), ref, b)
+				}
+			}
+			checkReps(t, s)
+			for _, v := range sharedRoots(s) {
+				w := g.G.Weight(v)
+				for _, nw := range []cdag.Weight{w%3 + 1, w} {
+					s.SetWeights([]cdag.WeightDelta{{Node: v, Weight: nw}}) //nolint:errcheck // a refused delta is a no-op
+					checkReps(t, s)
+					ref := newRefScheduler(t, g)
+					for _, b := range referenceBudgets(rng, g) {
+						matchReference(t, s, ref, b)
+					}
+				}
+			}
+		})
+	}
+}
+
+// decodeGraph builds a small DWT(n, d) with every choice read from
+// data: d in [1, 3], n a multiple of 2^d up to 3·2^d, and weights in
+// [1, 8] with each coefficient no heavier than its paired average.
+func decodeGraph(data *byteStream) (*Graph, error) {
+	d := 1 + data.next()%3
+	n := (1 + data.next()%3) << d
+	g, err := Build(n, d, func(int, int) cdag.Weight { return 1 })
+	if err != nil {
+		return nil, err
+	}
+	for i, l := range g.Layers {
+		for j, v := range l {
+			w := 1 + cdag.Weight(data.next()%8)
+			if i > 0 && j%2 == 1 {
+				w = 1 + cdag.Weight(data.next())%g.G.Weight(l[j-1])
+			}
+			g.G.SetWeight(v, w)
+		}
+	}
+	return g, nil
+}
+
+// byteStream reads a fuzz input one byte at a time, then zeros.
+type byteStream []byte
+
+func (s *byteStream) next() int {
+	if len(*s) == 0 {
+		return 0
+	}
+	c := (*s)[0]
+	*s = (*s)[1:]
+	return int(c)
+}
+
+// FuzzPMatchesReference decodes a DWT graph under Lemma 3.2 weights, a
+// budget and one weight patch from the input, and holds Scheduler to
+// the reference cold, after a Reset from another weighting of the
+// shape, after the patch (a refused one changes nothing) and after its
+// revert.
+func FuzzPMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4, 6, 2, 6, 4})
+	f.Add([]byte{2, 1, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := byteStream(data)
+		g, err := decodeGraph(&in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exist, total := core.MinExistenceBudget(g.G), g.G.TotalWeight()
+		b := exist - 1 + cdag.Weight(in.next())%(total-exist+2)
+		s := mustScheduler(t, g)
+		matchReference(t, s, newRefScheduler(t, g), b)
+		pooled := mustScheduler(t, buildOrFatal(t, g.N, g.D, ConfigWeights(wcfg.DoubleAccumulator(4))))
+		pooled.MinCost(b)
+		if err := pooled.Reset(g); err != nil {
+			t.Fatal(err)
+		}
+		matchReference(t, pooled, newRefScheduler(t, g), b)
+		d := cdag.WeightDelta{Node: cdag.NodeID(in.next() % g.G.Len()), Weight: 1 + cdag.Weight(in.next()%8)}
+		undo := cdag.WeightDelta{Node: d.Node, Weight: g.G.Weight(d.Node)}
+		for _, d := range []cdag.WeightDelta{d, undo} {
+			s.SetWeights([]cdag.WeightDelta{d}) //nolint:errcheck // a refused delta is a no-op
+			matchReference(t, s, newRefScheduler(t, g), b)
+		}
+	})
 }

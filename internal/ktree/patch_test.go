@@ -115,20 +115,20 @@ func sameSubtree(g *cdag.Graph, u, v cdag.NodeID) bool {
 // equal to the node's own.
 func checkReps(t *testing.T, s *Scheduler) {
 	t.Helper()
-	for v, r := range s.rep {
-		if !sameSubtree(s.t.G, cdag.NodeID(v), r) {
+	for v := range s.t.G.Len() {
+		if r := s.Rep(cdag.NodeID(v)); !sameSubtree(s.t.G, cdag.NodeID(v), r) {
 			t.Fatalf("node %d shares the cells of node %d, whose subtree differs", v, r)
 		}
 	}
 }
 
-// coveredBudgets returns, per node, the budgets in bs at which v's own
-// memo row holds a step.
+// coveredBudgets returns, per node, the budgets in bs at which the
+// memo row v reads, its representative's, holds a step.
 func coveredBudgets(s *Scheduler, bs []cdag.Weight) [][]cdag.Weight {
 	out := make([][]cdag.Weight, s.t.G.Len())
 	for v := range out {
 		for _, b := range bs {
-			if s.memo.Find(cdag.NodeID(v), b) != nil {
+			if s.Covers(s.Rep(cdag.NodeID(v)), b) {
 				out[v] = append(out[v], b)
 			}
 		}
@@ -138,13 +138,14 @@ func coveredBudgets(s *Scheduler, bs []cdag.Weight) [][]cdag.Weight {
 
 // TestSetWeightsInvalidatesOnlyRootChain: in an in-tree, a leaf weight
 // change empties exactly the rows on the leaf-to-root chain. Every
-// other row keeps each step it held, the invalidated and reused counts
-// add up to the steps live before the patch, every node is left with
-// a representative whose subtree is its own, and a node keeps its
-// representative unless the chain holds it or that representative. On
-// a uniform tree the class representatives are the leftmost chain, so
-// patching the first leaf empties every live row, while patching the
-// last leaf empties the root's alone and keeps the shared cells warm.
+// node off the chain still reads each step it read before, the
+// invalidated and reused counts add up to the steps live before the
+// patch, every node is left with a representative whose subtree is its
+// own, and a node keeps its representative unless the chain holds it
+// or that representative. On a uniform tree the class representatives
+// are the leftmost chain: patching the first leaf hands each shared
+// class's row to its next member, and patching the last leaf empties
+// the root's row alone, so either way the shared cells stay warm.
 func TestSetWeightsInvalidatesOnlyRootChain(t *testing.T) {
 	for _, first := range []bool{true, false} {
 		tr, err := FullTree(3, 3, func(d, i int) cdag.Weight { return 2 })
@@ -164,7 +165,10 @@ func TestSetWeightsInvalidatesOnlyRootChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reps := slices.Clone(s.rep)
+		reps := make([]cdag.NodeID, g.Len())
+		for v := range reps {
+			reps[v] = s.Rep(cdag.NodeID(v))
+		}
 		leaf := g.Sources()[0]
 		if !first {
 			leaf = g.Sources()[len(g.Sources())-1]
@@ -183,11 +187,8 @@ func TestSetWeightsInvalidatesOnlyRootChain(t *testing.T) {
 		if inv <= 0 || inv+reused != live {
 			t.Fatalf("leaf %d patch: inv=%d reused=%d, want inv > 0 and a sum of %d live steps", leaf, inv, reused, live)
 		}
-		if first && reused != 0 {
-			t.Errorf("first-leaf patch kept %d steps, want 0: every representative lies on its chain", reused)
-		}
-		if !first && reused <= inv {
-			t.Errorf("last-leaf patch invalidated %d but only %d survived; expected the shared cells to stay warm", inv, reused)
+		if reused <= inv {
+			t.Errorf("leaf %d patch invalidated %d but only %d survived; expected the shared cells to stay warm", leaf, inv, reused)
 		}
 		after := coveredBudgets(s, bs)
 		for v := range after {
@@ -196,9 +197,9 @@ func TestSetWeightsInvalidatesOnlyRootChain(t *testing.T) {
 			case chain[id] && len(after[v]) > 0:
 				t.Errorf("leaf %d patch: chain node %d still holds steps at budgets %v", leaf, v, after[v])
 			case !chain[id] && !slices.Equal(after[v], before[v]):
-				t.Errorf("leaf %d patch: off-chain node %d covers %v, had %v", leaf, v, after[v], before[v])
-			case !chain[id] && !chain[reps[v]] && s.rep[v] != reps[v]:
-				t.Errorf("leaf %d patch: node %d moved from representative %d to %d", leaf, v, reps[v], s.rep[v])
+				t.Errorf("leaf %d patch: off-chain node %d reads %v, read %v", leaf, v, after[v], before[v])
+			case !chain[id] && !chain[reps[v]] && s.Rep(id) != reps[v]:
+				t.Errorf("leaf %d patch: node %d moved from representative %d to %d", leaf, v, reps[v], s.Rep(id))
 			}
 		}
 		checkReps(t, s)

@@ -23,6 +23,13 @@ type refScheduler struct {
 	exist []cdag.Weight
 }
 
+// entry is one reference cell: its cost and its argmin (σ row, δ).
+type entry struct {
+	cost    cdag.Weight
+	permIdx int32
+	delta   uint16
+}
+
 func newRefScheduler(t *Tree) *refScheduler {
 	g := t.G
 	r := &refScheduler{t: t, memo: stepmemo.NewRows[entry](g, func(cdag.NodeID) bool { return true }), exist: make([]cdag.Weight, g.Len())}
@@ -291,8 +298,8 @@ func sharedTrees(t *testing.T, rng *rand.Rand) []*Tree {
 func sharedRoots(s *Scheduler) []cdag.NodeID {
 	var out []cdag.NodeID
 	seen := map[cdag.NodeID]bool{}
-	for v, r := range s.rep {
-		if r != cdag.NodeID(v) && !seen[r] {
+	for v := range s.t.G.Len() {
+		if r := s.Rep(cdag.NodeID(v)); r != cdag.NodeID(v) && !seen[r] {
 			seen[r] = true
 			out = append(out, r, cdag.NodeID(v))
 		}
