@@ -341,7 +341,7 @@ var counters = guard.CountersFor("anytime")
 func (s *searcher) worker(ctx context.Context, id int, wlim guard.Limits) error {
 	ck := guard.New(ctx, wlim)
 	defer ck.Release()
-	defer func() { counters.Record(ck.TakeCounts()) }()
+	defer func() { counters.Record(ctx, ck.TakeCounts()) }()
 	for {
 		if s.stop.Load() {
 			return nil

@@ -108,7 +108,7 @@ func SolveCtx(ctx context.Context, g *cdag.Graph, budget cdag.Weight, lim guard.
 	// Export the states-explored count for this solve (the exact search
 	// is the one solver whose cost is measured in states, not memo
 	// cells).
-	defer func() { counters.Record(ck.TakeCounts()) }()
+	defer func() { counters.Record(ctx, ck.TakeCounts()) }()
 	if g.Len() > MaxNodes {
 		return nil, ErrTooLarge
 	}

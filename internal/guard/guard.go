@@ -116,7 +116,6 @@ type Checker struct {
 	states int
 	err    error
 	counts Counts
-	sink   *CountsSink // tee target for TakeCounts; captured from ctx
 }
 
 // New builds a checker for one solve. When lim.Deadline is positive a
@@ -126,7 +125,7 @@ func New(ctx context.Context, lim Limits) *Checker {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c := &Checker{ctx: ctx, lim: lim, sink: SinkFrom(ctx)}
+	c := &Checker{ctx: ctx, lim: lim}
 	if lim.Deadline > 0 {
 		c.ctx, c.cancel = context.WithTimeout(ctx, lim.Deadline)
 	}
@@ -148,33 +147,25 @@ func (c *Checker) Reset(ctx context.Context, lim Limits) {
 		ctx = context.Background()
 	}
 	// Budget charges reset (Limits are per query); observation counts
-	// survive, so session owners can read cumulative progress. The tee
-	// sink follows the new context: a warm session's checker reports to
-	// whichever request is currently driving it.
-	*c = Checker{ctx: ctx, lim: lim, counts: c.counts, sink: SinkFrom(ctx)}
+	// survive, so session owners can read cumulative progress.
+	*c = Checker{ctx: ctx, lim: lim, counts: c.counts}
 	if lim.Deadline > 0 {
 		c.ctx, c.cancel = context.WithTimeout(ctx, lim.Deadline)
 	}
 }
 
-// Release frees the deadline timer, if any. Safe on nil.
+// Release ends the query: it frees the deadline timer, if any, and
+// drops the query's context, keeping the observation counts and the
+// abort reason, so an idle checker keeps no finished request
+// reachable. Reset re-arms the checker. Safe on nil.
 func (c *Checker) Release() {
-	if c != nil && c.cancel != nil {
-		c.cancel()
-	}
-}
-
-// Detach frees the deadline timer, if any, and drops the context and
-// counts sink of the last solve, keeping the observation counts, so an
-// idle checker keeps no finished request's context reachable. Call it
-// after the last TakeCounts of that solve: the flush tees into the
-// sink. Reset re-arms the checker. Safe on nil.
-func (c *Checker) Detach() {
 	if c == nil {
 		return
 	}
-	c.Release()
-	c.ctx, c.cancel, c.sink = context.Background(), nil, nil
+	if c.cancel != nil {
+		c.cancel()
+	}
+	c.ctx, c.cancel = context.Background(), nil
 }
 
 // Context returns the (possibly deadline-narrowed) context the checker
@@ -267,16 +258,13 @@ func (c *Checker) Counts() Counts {
 
 // TakeCounts returns the cumulative observation counters and zeroes
 // them, so per-query deltas need no bookkeeping on the caller's side.
-// The delta is also teed into the CountsSink carried by the context
-// the checker was last built or Reset under, feeding the serving
-// layer's per-request cost accounting.
+// Callers flush the delta with FamilyCounters.Record.
 func (c *Checker) TakeCounts() Counts {
 	if c == nil {
 		return Counts{}
 	}
 	ct := c.counts
 	c.counts = Counts{}
-	c.sink.Add(ct)
 	return ct
 }
 

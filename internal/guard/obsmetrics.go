@@ -68,9 +68,11 @@ func CountersFor(family string) *FamilyCounters {
 }
 
 // Record flushes one query's (or one sweep's) Counts delta into the
-// registry. Zero counts skip their atomic add, so an all-warm sweep
-// costs two adds total.
-func (fc *FamilyCounters) Record(c Counts) {
+// registry and into the CountsSink of ctx, the context the query ran
+// under; a nil ctx feeds the registry only. Zero counts skip their
+// atomic add, so an all-warm sweep costs two adds total.
+func (fc *FamilyCounters) Record(ctx context.Context, c Counts) {
+	SinkFrom(ctx).Add(c)
 	if fc == nil {
 		return
 	}

@@ -69,8 +69,8 @@ func TestFamilyCountersRecord(t *testing.T) {
 		t.Fatal("CountersFor did not cache the family set")
 	}
 	queries, hits, splits, entries := fc.queries.Value(), fc.hits.Value(), fc.splits.Value(), fc.entries.Value()
-	fc.Record(Counts{MemoHits: 7, IntervalSplits: 2})
-	fc.Record(Counts{}) // all-warm flush: only the query counter moves
+	fc.Record(nil, Counts{MemoHits: 7, IntervalSplits: 2})
+	fc.Record(nil, Counts{}) // all-warm flush: only the query counter moves
 	if got := fc.queries.Value() - queries; got != 2 {
 		t.Errorf("queries += %d, want 2", got)
 	}
@@ -84,7 +84,23 @@ func TestFamilyCountersRecord(t *testing.T) {
 		t.Errorf("entries += %d, want 0", got)
 	}
 	var nilFC *FamilyCounters
-	nilFC.Record(Counts{MemoHits: 1}) // must not panic
+	nilFC.Record(nil, Counts{MemoHits: 1}) // must not panic
+}
+
+// TestRecordFeedsContextSink: Record adds the delta to the sink of the
+// context the flushed query ran under, and touches no sink for a nil
+// context or one without a sink.
+func TestRecordFeedsContextSink(t *testing.T) {
+	fc := CountersFor("testfam_sink")
+	sink := &CountsSink{}
+	ctx := WithSink(context.Background(), sink)
+	fc.Record(ctx, Counts{MemoHits: 3, States: 2})
+	fc.Record(ctx, Counts{MemoEntries: 5})
+	fc.Record(nil, Counts{MemoHits: 100})
+	fc.Record(context.Background(), Counts{MemoHits: 100})
+	if got, want := sink.Snapshot(), (Counts{MemoHits: 3, States: 2, MemoEntries: 5}); got != want {
+		t.Errorf("sink holds %+v, want %+v", got, want)
+	}
 }
 
 // TestAbortReason pins the classification vocabulary shared by

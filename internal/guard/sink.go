@@ -2,11 +2,11 @@
 // cost accounting (wire.CostMeta) needs the solver-progress Counts of
 // whatever solves a request triggered — one-shot solvers, warm session
 // sweeps, anytime search workers — without threading a new parameter
-// through every solver API. A CountsSink rides the request context;
-// Checkers capture it at New/Reset and tee their TakeCounts deltas
-// into it, so every existing flush point feeds the request's meter for
-// free. Contexts without a sink (the warm zero-allocation paths) pay
-// one ctx.Value lookup and nothing else.
+// through every solver API. A CountsSink rides the request context, and
+// each flush (FamilyCounters.Record) adds its delta to the sink of the
+// context the flushed query ran under, so every existing flush point
+// feeds the request's meter. Contexts without a sink pay one ctx.Value
+// lookup per flush and nothing else.
 package guard
 
 import (
@@ -47,9 +47,8 @@ func (s *CountsSink) Snapshot() Counts {
 // sinkKey is the context key for the request's CountsSink.
 type sinkKey struct{}
 
-// WithSink returns a context carrying s: Checkers built (New) or
-// reinitialized (Reset) under the returned context tee their
-// TakeCounts deltas into s.
+// WithSink returns a context carrying s: a flush of a query run under
+// the returned context adds its Counts delta to s.
 func WithSink(ctx context.Context, s *CountsSink) context.Context {
 	return context.WithValue(ctx, sinkKey{}, s)
 }

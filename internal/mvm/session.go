@@ -2,13 +2,11 @@ package mvm
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"wrbpg/internal/cdag"
 	"wrbpg/internal/core"
 	"wrbpg/internal/guard"
-	"wrbpg/internal/par"
 )
 
 // Session is the guarded tile search: it answers budget queries
@@ -41,11 +39,6 @@ func (se *Session) Graph() *Graph { return se.g }
 // observation counters (memo hits, states, …) for metric export.
 func (se *Session) TakeCounts() guard.Counts { return se.ck.TakeCounts() }
 
-// Detach drops the last query's context and counts sink, so an idle
-// session keeps no finished request reachable. Call it after
-// TakeCounts; the next search re-arms the checker.
-func (se *Session) Detach() { se.ck.Detach() }
-
 // search returns the memoized best configuration for the budget,
 // running the guarded candidate sweep on a miss. Aborted sweeps are
 // never memoized (no-poison), so the session stays reusable after a
@@ -62,32 +55,12 @@ func (se *Session) search(ctx context.Context, lim guard.Limits, b cdag.Weight) 
 	if cerr := se.ck.Err(); cerr != nil {
 		return searchResult{}, fmt.Errorf("mvm: %w", cerr)
 	}
-	if aborted(err) {
-		// The parallel candidate sweep reports cancellation through its
-		// own error, not the session checker — an aborted sweep must not
-		// masquerade as "infeasible" in the memo.
-		return searchResult{}, err
-	}
 	r := searchResult{cost: Inf, peak: Inf}
 	if err == nil {
 		r = searchResult{tc: tc, cost: cost, peak: se.g.PredictPeak(tc)}
 	}
 	se.memo[b] = r
 	return r, nil
-}
-
-// aborted distinguishes an interrupted search (guard trip, worker
-// panic) from sharedSearch's legitimate "nothing fits" error. The nil
-// test keeps a successful search from allocating the errors.As target.
-func aborted(err error) bool {
-	if err == nil {
-		return false
-	}
-	var pe *par.PanicError
-	return errors.Is(err, guard.ErrCanceled) ||
-		errors.Is(err, guard.ErrDeadline) ||
-		errors.Is(err, guard.ErrBudgetExceeded) ||
-		errors.As(err, &pe)
 }
 
 // CostCtx returns the best tiling cost under the budget (MinCost

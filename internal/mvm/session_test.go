@@ -65,15 +65,11 @@ func TestSessionWarmCostZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSessionCanceledSweepNotMemoized forces the parallel candidate
-// sweep with a dead context: the abort must surface as an error, not be
-// memoized as "infeasible", and the session must then answer the same
-// budget correctly.
+// TestSessionCanceledSweepNotMemoized runs the candidate sweep with a
+// dead context: the abort must surface as an error, not be memoized as
+// "infeasible", and the session must then answer the same budget
+// correctly.
 func TestSessionCanceledSweepNotMemoized(t *testing.T) {
-	old := searchParallelThreshold
-	defer func() { searchParallelThreshold = old }()
-	searchParallelThreshold = 1
-
 	g := sessionGraph(t)
 	se := NewSession(g)
 	b := g.TilingMinBudget() + 64

@@ -7,7 +7,6 @@ import (
 	"wrbpg/internal/cdag"
 	"wrbpg/internal/core"
 	"wrbpg/internal/guard"
-	"wrbpg/internal/par"
 )
 
 // Inf is the sentinel cost of an infeasible configuration.
@@ -217,11 +216,6 @@ func isqrt(n int) int {
 	return r
 }
 
-// searchParallelThreshold is the candidate count above which Search
-// fans the height axis out across the par worker pool. Package tests
-// lower it to force the parallel path on small graphs.
-var searchParallelThreshold = 64
-
 // searchResult is one candidate height's best configuration.
 type searchResult struct {
 	tc   TileConfig
@@ -285,33 +279,12 @@ func (g *Graph) sharedSearch(ck *guard.Checker, budget cdag.Weight) (TileConfig,
 		heights = candidates(g.M) // hand-constructed Graph (tests)
 	}
 	best := searchResult{cost: Inf, peak: Inf}
-	if len(heights) >= searchParallelThreshold {
-		chunks := par.Chunks(len(heights), 0)
-		parts, err := par.MapCtx(ck.Context(), 0, chunks, func(c [2]int) (searchResult, error) {
-			b := searchResult{cost: Inf, peak: Inf}
-			for _, h := range heights[c[0]:c[1]] {
-				if r := g.searchHeight(h, budget); r.cost < b.cost || (r.cost == b.cost && r.peak < b.peak) {
-					b = r
-				}
-			}
-			return b, nil
-		})
-		if err != nil {
-			return TileConfig{}, 0, fmt.Errorf("mvm: search aborted: %w", err)
+	for _, h := range heights {
+		if ck != nil && ck.Tick() != nil {
+			return TileConfig{}, 0, fmt.Errorf("mvm: search aborted: %w", ck.Err())
 		}
-		for _, r := range parts {
-			if r.cost < best.cost || (r.cost == best.cost && r.peak < best.peak) {
-				best = r
-			}
-		}
-	} else {
-		for _, h := range heights {
-			if ck != nil && ck.Tick() != nil {
-				return TileConfig{}, 0, fmt.Errorf("mvm: search aborted: %w", ck.Err())
-			}
-			if r := g.searchHeight(h, budget); r.cost < best.cost || (r.cost == best.cost && r.peak < best.peak) {
-				best = r
-			}
+		if r := g.searchHeight(h, budget); r.cost < best.cost || (r.cost == best.cost && r.peak < best.peak) {
+			best = r
 		}
 	}
 	if best.cost >= Inf {

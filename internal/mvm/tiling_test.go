@@ -282,35 +282,6 @@ func BenchmarkSearchMVM96x120(b *testing.B) {
 	}
 }
 
-// TestSearchParallelPathMatchesSerial: forcing the chunked parallel
-// search (by dropping the threshold) returns exactly the serial
-// configuration at every budget, including tie cases.
-func TestSearchParallelPathMatchesSerial(t *testing.T) {
-	g, err := Build(96, 120, wcfg.Equal(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := searchParallelThreshold
-	defer func() { searchParallelThreshold = old }()
-	lo := g.TilingMinBudget()
-	hi := g.MinMemory() + 64
-	for b := lo; b <= hi; b += 16 {
-		searchParallelThreshold = 1 << 30
-		tcS, costS, errS := g.Search(b)
-		searchParallelThreshold = 1
-		tcP, costP, errP := g.Search(b)
-		if (errS == nil) != (errP == nil) {
-			t.Fatalf("b=%d: error mismatch: %v vs %v", b, errS, errP)
-		}
-		if errS != nil {
-			continue
-		}
-		if tcS != tcP || costS != costP {
-			t.Fatalf("b=%d: serial %v cost %d, parallel %v cost %d", b, tcS, costS, tcP, costP)
-		}
-	}
-}
-
 // TestCandidatesDistinctAndComplete: adjacent-dedup yields every
 // distinct ceil-division height exactly once, in decreasing order.
 func TestCandidatesDistinctAndComplete(t *testing.T) {

@@ -78,8 +78,8 @@ func TestScheduleHitAllocs(t *testing.T) {
 		body string
 		max  float64
 	}{
-		{"parametric", `{"family":"dwt","n":32,"d":4,"budget_bits":1400}`, 12},
-		{"spec20", hitSpecBody(), 50},
+		{"parametric", `{"family":"dwt","n":32,"d":4,"budget_bits":1400}`, 9},
+		{"spec20", hitSpecBody(), 47},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			data, body := []byte(c.body), &reusableBody{}

@@ -87,6 +87,7 @@ func (s *Server) handleBudgets(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, werr)
 		return
 	}
+	noteCost(w, res.Cost)
 	writeAppended(w, res.AppendJSON)
 }
 
@@ -134,8 +135,8 @@ func (s *Server) budgetList(ctx context.Context, rt budgetRoute, req *wire.Patch
 	defer tk.Release()
 
 	s.m.inflight.Add(1)
-	// The counts sink rides the context: the session's guard checker
-	// flushes into it per budget query, feeding the cost block.
+	// The counts sink rides the context: the session's sweep flush
+	// adds the request's solver counts to it, feeding the cost block.
 	cs := &guard.CountsSink{}
 	solveStart := time.Now()
 	wctx, wsp := obs.StartSpan(guard.WithSink(sctx, cs), rt.span)
@@ -197,7 +198,6 @@ func (s *Server) budgetList(ctx context.Context, rt budgetRoute, req *wire.Patch
 		ElapsedUS:        wire.Elapsed(start),
 		Cost:             cost,
 	}
-	noteCost(ctx, resp.Cost)
 	return resp, nil
 }
 
@@ -271,9 +271,6 @@ func (s *Server) PatchCosts(ctx context.Context, inst *solve.Instance, baseKey s
 	lim.Deadline = 0
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
-	// Detached before the unlock: an idle session keeps no finished
-	// request's context or sink reachable.
-	defer ent.se.Detach()
 	if po.Stats, err = ent.se.PatchTo(inst.Deltas); err != nil {
 		return out, po, wire.Errorf(http.StatusBadRequest, "%v", err)
 	}

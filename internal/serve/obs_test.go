@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 
+	"wrbpg/internal/cdag"
+	"wrbpg/internal/core"
 	"wrbpg/internal/guard"
 	"wrbpg/internal/obs"
 	"wrbpg/internal/serve/wire"
@@ -381,6 +383,112 @@ func TestColdSolveFeedsSolverCounters(t *testing.T) {
 			}
 			if d := after[entries] - before[entries]; d <= 0 || float64(res.Cost.MemoMisses) != d {
 				t.Errorf("%s rose by %v, cost.memo_misses = %d: want equal and > 0", entries, d, res.Cost.MemoMisses)
+			}
+		})
+	}
+	// A cold general DAG runs the anytime search, whose workers each
+	// flush into the one request.
+	t.Run("cdag", func(t *testing.T) {
+		g := cdag.Random(5, 18)
+		spec := &wire.GraphSpec{}
+		for v := range g.Len() {
+			n := wire.GraphNode{Name: fmt.Sprintf("n%d", v), WeightBits: int64(g.Weight(cdag.NodeID(v)))}
+			for _, p := range g.Parents(cdag.NodeID(v)) {
+				n.Deps = append(n.Deps, fmt.Sprintf("n%d", p))
+			}
+			spec.Nodes = append(spec.Nodes, n)
+		}
+		states := `wrbpg_solver_states_total{family="anytime"}`
+		before := scrapeMetrics(t, ts.URL)
+		status, res, raw := postCDAG(t, ts.URL, spec, int64(core.MinExistenceBudget(g))*3/2)
+		if status != http.StatusOK {
+			t.Fatalf("schedule: %d: %s", status, raw)
+		}
+		if res.Cache != "miss" || res.Source != "anytime" || res.Cost == nil {
+			t.Fatalf("cache=%q source=%q cost=%v, want a cold anytime solve with a cost block", res.Cache, res.Source, res.Cost)
+		}
+		after := scrapeMetrics(t, ts.URL)
+		if d := after[states] - before[states]; d <= 0 || float64(res.Cost.StatesExpanded) != d {
+			t.Errorf("%s rose by %v, cost.states_expanded = %d: want equal and > 0", states, d, res.Cost.StatesExpanded)
+		}
+	})
+	// A budget list flushes its session's counts once, into the family
+	// counters and its own cost block.
+	t.Run("budgets", func(t *testing.T) {
+		entries := `wrbpg_solver_memo_entries_total{family="ktree"}`
+		before := scrapeMetrics(t, ts.URL)
+		resp, body := postJSON(t, ts.URL+"/v1/schedule/sweep", wire.SweepRequest{
+			Spec: wire.Spec{Family: "ktree", K: 2, Height: 5}, BudgetsBits: []int64{600, 900}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sweep: %d: %s", resp.StatusCode, body)
+		}
+		var res wire.SweepResponse
+		if err := json.Unmarshal(body, &res); err != nil {
+			t.Fatal(err)
+		}
+		if res.Succeeded != 2 || res.Cost == nil {
+			t.Fatalf("succeeded=%d cost=%v, want two answers with a cost block", res.Succeeded, res.Cost)
+		}
+		after := scrapeMetrics(t, ts.URL)
+		if d := after[entries] - before[entries]; d <= 0 || float64(res.Cost.MemoMisses) != d {
+			t.Errorf("%s rose by %v, cost.memo_misses = %d: want equal and > 0", entries, d, res.Cost.MemoMisses)
+		}
+	})
+}
+
+// TestRequestLogRepeatsCost: the structured request log line repeats
+// the response's cost block, for a /v1/schedule miss, the hit that
+// follows it and a budget list. The handler is driven in process, so
+// the line is written by the time ServeHTTP returns.
+func TestRequestLogRepeatsCost(t *testing.T) {
+	var buf lockedBuffer
+	h := New(Options{Logger: slog.New(slog.NewJSONHandler(&buf, nil))}).Handler()
+	spec := wire.Spec{Family: "ktree", K: 2, Height: 4}
+	for _, c := range []struct {
+		name, path, tier string
+		body             any
+	}{
+		{"miss", "/v1/schedule", wire.TierSolve, wire.ScheduleRequest{Spec: spec, BudgetBits: 400}},
+		{"hit", "/v1/schedule", wire.TierCache, wire.ScheduleRequest{Spec: spec, BudgetBits: 400}},
+		{"budgets", "/v1/schedule/sweep", wire.TierSession, wire.SweepRequest{Spec: spec, BudgetsBits: []int64{300, 400}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			b, err := json.Marshal(c.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, bytes.NewReader(b)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, rec.Body)
+			}
+			var res struct{ Cost *wire.CostMeta }
+			if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+				t.Fatal(err)
+			}
+			if res.Cost == nil || res.Cost.SourceTier != c.tier {
+				t.Fatalf("cost = %+v, want source_tier %q", res.Cost, c.tier)
+			}
+			if cold := c.tier != wire.TierCache; cold != (res.Cost.MemoMisses > 0) {
+				t.Fatalf("cost.memo_misses = %d on a %s answer", res.Cost.MemoMisses, c.tier)
+			}
+			var line map[string]any
+			for _, l := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+				var m map[string]any
+				if err := json.Unmarshal([]byte(l), &m); err != nil {
+					t.Fatalf("log line %q: %v", l, err)
+				}
+				if m["msg"] == "request" {
+					line = m
+				}
+			}
+			if line == nil || line["path"] != c.path {
+				t.Fatalf("last request log line %v, want one for %s", line, c.path)
+			}
+			if line["source_tier"] != res.Cost.SourceTier ||
+				line["memo_misses"] != float64(res.Cost.MemoMisses) ||
+				line["states_expanded"] != float64(res.Cost.StatesExpanded) {
+				t.Errorf("log line %v does not repeat cost block %+v", line, res.Cost)
 			}
 		})
 	}

@@ -11,7 +11,6 @@
 package serve
 
 import (
-	"context"
 	"net/http"
 	"time"
 
@@ -29,26 +28,21 @@ var trackedPaths = map[string]bool{
 	"/v1/lowerbound":     true,
 }
 
-// costKey carries the per-request cost pointer: handlers stash the
-// response's CostMeta so the request log line can repeat it.
-type costKey struct{}
-
-// noteCost records c as the request's cost block. The handler's own
-// goroutine writes it and the middleware reads it once the handler has
-// returned.
-func noteCost(ctx context.Context, c *wire.CostMeta) {
-	if c == nil {
-		return
-	}
-	if p, ok := ctx.Value(costKey{}).(**wire.CostMeta); ok {
-		*p = c
-	}
-}
-
-// statusWriter captures the response status for the middleware.
+// statusWriter captures the response status and cost block for the
+// middleware.
 type statusWriter struct {
 	http.ResponseWriter
 	code int
+	cost *wire.CostMeta
+}
+
+// noteCost records c as the request's cost block, for the request log
+// line. A handler calls it with the writer it was handed; on an
+// untracked path that is not a statusWriter, and nothing is recorded.
+func noteCost(w http.ResponseWriter, c *wire.CostMeta) {
+	if sw, ok := w.(*statusWriter); ok {
+		sw.cost = c
+	}
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -84,10 +78,8 @@ func (s *Server) withRequestObs(h http.Handler) http.Handler {
 			return
 		}
 		start := time.Now()
-		var cost *wire.CostMeta
-		ctx := context.WithValue(r.Context(), costKey{}, &cost)
 		sw := &statusWriter{ResponseWriter: w}
-		h.ServeHTTP(sw, r.WithContext(ctx))
+		h.ServeHTTP(sw, r)
 
 		dur := time.Since(start)
 		status := sw.status()
@@ -97,7 +89,7 @@ func (s *Server) withRequestObs(h http.Handler) http.Handler {
 			traceID = tr.ID()
 		}
 		s.m.reqSeconds.ObserveExemplar(dur.Seconds(), traceID)
-		s.logRequest(r, status, dur, traceID, cost)
+		s.logRequest(r, status, dur, traceID, sw.cost)
 	})
 }
 

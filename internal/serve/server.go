@@ -514,6 +514,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, werr)
 		return
 	}
+	noteCost(w, st.Cost)
 	writeAppended(w, func(b []byte) []byte { return res.AppendStamped(b, &st) })
 }
 
@@ -554,10 +555,10 @@ func (s *Server) scheduleAs(ctx context.Context, req *wire.ScheduleRequest, peer
 
 	cctx, sp := obs.StartSpan(ctx, "cache")
 	fill := func() (*wire.ScheduleResult, bool, error) {
-		// The counts sink rides the solve context: every guard.Checker
-		// the request drives (one-shot solvers, anytime workers) tees its
-		// TakeCounts delta here, feeding the response's CostMeta without
-		// any solver API change.
+		// The counts sink rides the solve context: every solver flush
+		// the request drives (one-shot solvers, anytime workers) adds
+		// its counts here, feeding the response's CostMeta without any
+		// solver API change.
 		return s.solveCold(guard.WithSink(cctx, &guard.CountsSink{}), req, &inst, key, budget, peerCall)
 	}
 	cached, state, err := s.cache.Do(key, fill)
@@ -586,7 +587,6 @@ func (s *Server) scheduleAs(ctx context.Context, req *wire.ScheduleRequest, peer
 	case schedcache.Shared:
 		st.ElapsedUS, st.Cost = wire.Elapsed(start), sharedCost
 	}
-	noteCost(ctx, st.Cost)
 	if req.IncludeMoves {
 		st.Schedule = cached.Schedule
 		if !peerCall {
@@ -736,8 +736,8 @@ func (s *Server) requestDeadline(ctx context.Context, timeoutMS int64) time.Dura
 }
 
 // costMeta assembles the cost block for a fresh (uncached) answer from
-// the admission wait, the solver wall time and the request's teed
-// solver-progress counters.
+// the admission wait, the solver wall time and the solver-progress
+// counters flushed into the request's sink.
 func costMeta(tier string, wait, wall time.Duration, cs *guard.CountsSink) *wire.CostMeta {
 	c := cs.Snapshot()
 	return &wire.CostMeta{

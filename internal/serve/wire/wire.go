@@ -221,8 +221,8 @@ type MoveKinds struct {
 
 // CostMeta is the per-request cost accounting block: where a response
 // came from (SourceTier) and what serving it spent — queue wait, solve
-// wall time, and the solver-progress counters teed from
-// guard.TakeCounts. Every schedule/sweep/patch response carries one,
+// wall time, and the solver-progress counters the request's solver
+// flushes added to its guard.CountsSink. Every schedule/sweep/patch response carries one,
 // and the serve layer's structured request log line repeats it, so
 // expensive requests are attributable from either surface.
 type CostMeta struct {

@@ -27,7 +27,7 @@ import (
 	"wrbpg/internal/cdag"
 )
 
-// PatchStats reports what one PatchTo / Patch call did.
+// PatchStats reports what one PatchTo call did.
 type PatchStats struct {
 	// Changed is the number of node weights actually written: the
 	// merge-diff of the requested target against the session's current
@@ -120,36 +120,10 @@ func (s *Session) PatchTo(target []cdag.WeightDelta) (PatchStats, error) {
 		st.Invalidated, st.Reused = inv, reused
 		s.lb += dlb
 		s.minExist = s.patch.Exist()
-		s.flush()
+		// A patch serves no request: its counts feed the family
+		// counters only (serve reads cells_* from PatchStats).
+		s.flush(nil)
 	}
 	s.cur = append(s.cur[:0], target...)
 	return st, nil
-}
-
-// Patch applies deltas on top of the session's *current* state (the
-// imperative form of PatchTo): deltas are canonicalized, merged over
-// the current delta state (new values win), and the result applied via
-// PatchTo. Unlike PatchTo it never reverts nodes it does not name.
-func (s *Session) Patch(ds []cdag.WeightDelta) (PatchStats, error) {
-	cds := cdag.CanonicalDeltas(ds)
-	if len(cds) == 0 {
-		return PatchStats{}, nil
-	}
-	merged := s.merged[:0]
-	i, j := 0, 0
-	for i < len(s.cur) || j < len(cds) {
-		switch {
-		case j >= len(cds) || (i < len(s.cur) && s.cur[i].Node < cds[j].Node):
-			merged = append(merged, s.cur[i])
-			i++
-		default:
-			merged = append(merged, cds[j])
-			if i < len(s.cur) && s.cur[i].Node == cds[j].Node {
-				i++
-			}
-			j++
-		}
-	}
-	s.merged = merged
-	return s.PatchTo(merged)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"wrbpg/internal/cdag"
@@ -122,13 +123,13 @@ func TestPatchToBoundsMatchRecompute(t *testing.T) {
 				for i := range ds {
 					ds[i] = cdag.WeightDelta{Node: cdag.NodeID(rng.Intn(g.Len())), Weight: 1 + cdag.Weight(rng.Intn(40))}
 				}
-				target := cdag.CanonicalDeltas(ds)
-				patch := s.PatchTo
 				if rng.Intn(3) == 0 {
-					patch = s.Patch
+					// Overlay the current state, so earlier deltas stay.
+					ds = append(slices.Clone(s.Deltas()), ds...)
 				}
+				target := cdag.CanonicalDeltas(ds)
 				// A refused patch must leave the bounds as they were.
-				if st, err := patch(target); err == nil && st.Changed > 0 {
+				if st, err := s.PatchTo(target); err == nil && st.Changed > 0 {
 					applied++
 				}
 				check(fmt.Sprintf("round %d patch %v", round, target))
@@ -187,40 +188,6 @@ func TestSessionPatchToRevertsToBase(t *testing.T) {
 	// Re-asserting the current (base) state is a no-op.
 	if st, err := s.PatchTo(nil); err != nil || st.Changed != 0 {
 		t.Fatalf("idempotent revert: stats=%+v err=%v, want zero stats", st, err)
-	}
-}
-
-// TestSessionPatchMergesOverCurrentState: the imperative Patch form
-// overlays deltas on the current state — prior patched nodes it does
-// not name keep their patched weights, and the resulting delta state
-// is the canonical merge.
-func TestSessionPatchMergesOverCurrentState(t *testing.T) {
-	inst := Instance{Family: FamilyKTree, K: 3, Height: 3, Cfg: equalCfg()}
-	s, err := NewSession(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srcs := s.Graph().Sources()
-	a, b := srcs[0], srcs[1]
-	if _, err := s.Patch([]cdag.WeightDelta{{Node: a, Weight: 7}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Patch([]cdag.WeightDelta{{Node: b, Weight: 9}}); err != nil {
-		t.Fatal(err)
-	}
-	want := cdag.CanonicalDeltas([]cdag.WeightDelta{{Node: a, Weight: 7}, {Node: b, Weight: 9}})
-	if !reflect.DeepEqual(s.Deltas(), want) {
-		t.Fatalf("Deltas() = %v, want merged %v", s.Deltas(), want)
-	}
-	if got := s.Graph().Weight(a); got != 7 {
-		t.Fatalf("node %d weight %d after unrelated Patch, want 7 to survive", a, got)
-	}
-	// Patch with an empty list is a no-op, not a revert.
-	if st, err := s.Patch(nil); err != nil || st.Changed != 0 {
-		t.Fatalf("Patch(nil): stats=%+v err=%v, want no-op", st, err)
-	}
-	if len(s.Deltas()) != 2 {
-		t.Fatalf("Patch(nil) cleared delta state: %v", s.Deltas())
 	}
 }
 

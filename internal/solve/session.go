@@ -66,13 +66,12 @@ type Session struct {
 	// dependency-tracked weight patch; baseW snapshots the base
 	// instance's weights so PatchTo can revert nodes that fall out of
 	// the target delta list; cur is the canonical delta state the
-	// session currently sits at; scratch/merged are retained merge
-	// buffers keeping the steady-state patch path allocation-free.
+	// session currently sits at; scratch is the retained merge buffer
+	// keeping the steady-state patch path allocation-free.
 	patch   patcher
 	baseW   []cdag.Weight
 	cur     []cdag.WeightDelta
 	scratch []cdag.WeightDelta
-	merged  []cdag.WeightDelta
 }
 
 // patcher is the weight patch of the incremental families' solvers
@@ -84,14 +83,10 @@ type patcher interface {
 	Exist() cdag.Weight
 }
 
-// flush records the accumulated solver counts since the last flush.
-func (s *Session) flush() { s.fc.Record(s.sv.TakeCounts()) }
-
-// Detach drops the last query's context and counts sink from the
-// family solver, so a session idle in a pool keeps no finished request
-// reachable, and the next patch's counts flush into no finished
-// request's sink. The next query re-arms the solver.
-func (s *Session) Detach() { s.sv.Detach() }
+// flush records the solver counts accumulated since the last flush
+// into the family counters and into the sink of ctx, the context the
+// queries ran under (nil for a patch, which runs under none).
+func (s *Session) flush(ctx context.Context) { s.fc.Record(ctx, s.sv.TakeCounts()) }
 
 // NewSession builds the instance's graph once and the family's guarded
 // solver over it, the same solver a one-shot Build runs. The graph's
@@ -156,7 +151,7 @@ func (s *Session) MinExistence() cdag.Weight { return s.minExist }
 // state (the family Inf sentinel when infeasible). Resource limits in
 // lim are per query.
 func (s *Session) CostCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) (cdag.Weight, error) {
-	defer s.flush()
+	defer s.flush(ctx)
 	return s.costCtx(ctx, lim, b)
 }
 
@@ -174,7 +169,7 @@ func (s *Session) costCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) 
 // degrades to the baseline — callers wanting the hardened contract
 // wrap the instance in Run.
 func (s *Session) ScheduleCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) (core.Schedule, error) {
-	defer s.flush()
+	defer s.flush(ctx)
 	return s.sv.ScheduleCtx(ctx, lim, b)
 }
 
@@ -196,7 +191,7 @@ func (s *Session) SweepCosts(ctx context.Context, lim guard.Limits, budgets []cd
 	}
 	// One metrics flush covers the whole sweep: per-budget flushing
 	// would double the cost of an all-warm sweep.
-	defer s.flush()
+	defer s.flush(ctx)
 	for i, b := range budgets {
 		cp := s.costPoint(ctx, lim, i, b)
 		out = append(out, cp)

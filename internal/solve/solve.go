@@ -276,28 +276,32 @@ func Run(ctx context.Context, p Problem, budget cdag.Weight, lim guard.Limits) (
 			fmt.Errorf("solve: %s: %w", p.Name, optErr)
 	}
 
+	return baselineOutcome(ctx, p, budget, optErr, start)
+}
+
+// baselineOutcome is the tail Run's degradation and Degraded share:
+// the baseline schedule for the problem, Simulate-validated under a
+// solve.fallback span, answered as a SourceFallback Outcome whose Err
+// is cause, the reason the optimal tier gave way. An error wraps cause
+// and the baseline's own failure.
+func baselineOutcome(ctx context.Context, p Problem, budget cdag.Weight, cause error, start time.Time) (Outcome, error) {
 	_, fsp := obs.StartSpan(ctx, "solve.fallback")
-	fsp.SetAttr("reason", FallbackReason(optErr))
+	fsp.SetAttr("reason", FallbackReason(cause))
+	out := Outcome{Source: SourceFallback, Budget: budget, Err: cause}
 	sched, err := fallback(p, budget)
-	if err != nil {
-		fsp.End()
-		return Outcome{Source: SourceFallback, Budget: budget, Err: optErr, Elapsed: time.Since(start)},
-			fmt.Errorf("solve: %s: optimal failed (%v) and fallback failed: %w", p.Name, optErr, err)
+	var stats core.Stats
+	if err == nil {
+		if stats, err = core.Simulate(p.G, budget, sched); err != nil {
+			err = fmt.Errorf("baseline schedule failed validation: %w", err)
+		}
 	}
-	stats, err := core.Simulate(p.G, budget, sched)
 	fsp.End()
+	out.Elapsed = time.Since(start)
 	if err != nil {
-		return Outcome{Source: SourceFallback, Budget: budget, Err: optErr, Elapsed: time.Since(start)},
-			fmt.Errorf("solve: %s: fallback schedule failed validation: %w", p.Name, err)
+		return out, fmt.Errorf("solve: %s: %w, and the baseline failed: %w", p.Name, cause, err)
 	}
-	return Outcome{
-		Source:   SourceFallback,
-		Schedule: sched,
-		Stats:    stats,
-		Budget:   budget,
-		Err:      optErr,
-		Elapsed:  time.Since(start),
-	}, nil
+	out.Schedule, out.Stats = sched, stats
+	return out, nil
 }
 
 // fallback produces the baseline schedule for the problem.
@@ -324,40 +328,19 @@ func Degraded(ctx context.Context, p Problem, budget cdag.Weight) (Outcome, erro
 		return Outcome{Source: SourceFallback, Budget: budget, Err: werr, Elapsed: time.Since(start)},
 			fmt.Errorf("solve: %s: %w", p.Name, werr)
 	}
-	_, fsp := obs.StartSpan(ctx, "solve.fallback")
-	fsp.SetAttr("reason", "shed")
-	sched, err := fallback(p, budget)
-	if err != nil {
-		fsp.End()
-		return Outcome{Source: SourceFallback, Budget: budget, Err: ErrShed, Elapsed: time.Since(start)},
-			fmt.Errorf("solve: %s: %w and baseline failed: %v", p.Name, ErrShed, err)
-	}
-	stats, serr := core.Simulate(p.G, budget, sched)
-	fsp.End()
-	if serr != nil {
-		return Outcome{Source: SourceFallback, Budget: budget, Err: ErrShed, Elapsed: time.Since(start)},
-			fmt.Errorf("solve: %s: shed baseline schedule failed validation: %w", p.Name, serr)
-	}
-	return Outcome{
-		Source:   SourceFallback,
-		Schedule: sched,
-		Stats:    stats,
-		Budget:   budget,
-		Err:      ErrShed,
-		Elapsed:  time.Since(start),
-	}, nil
+	return baselineOutcome(ctx, p, budget, ErrShed, start)
 }
 
 // solver is the guarded query surface every DP family's optimal tier
-// shares: dwt.Scheduler, ktree.Scheduler and mvm.Session. Queries accumulate solver-progress counts in the
-// solver; whoever drives it flushes them with TakeCounts.
+// shares: dwt.Scheduler, ktree.Scheduler and mvm.Session. A solver
+// holds a query's context only while it answers it. Queries accumulate
+// solver-progress counts in the solver; whoever drives it flushes them
+// with TakeCounts into FamilyCounters.Record, under the context the
+// queries ran under.
 type solver interface {
 	CostCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) (cdag.Weight, error)
 	ScheduleCtx(ctx context.Context, lim guard.Limits, b cdag.Weight) (core.Schedule, error)
 	TakeCounts() guard.Counts
-	// Detach drops the last query's context and counts sink; call it
-	// after TakeCounts.
-	Detach()
 }
 
 // Each family's solver counter set, resolved once: a flush is a few
@@ -439,12 +422,9 @@ func (f family) problem() Problem {
 			returned := false
 			defer func() {
 				// Flush first: once back in the pool, the scheduler is
-				// another solve's to take. An idle scheduler keeps no
-				// context, so the finished request's context, sink and
-				// trace values are not kept reachable by the pool.
-				fc.Record(s.TakeCounts())
+				// another solve's to take.
+				fc.Record(ctx, s.TakeCounts())
 				if returned && f.pool != nil {
-					s.Detach()
 					f.pool.Put(s)
 				}
 			}()

@@ -413,11 +413,6 @@ func (t *DP[C]) ScheduleCtx(ctx context.Context, lim guard.Limits, b cdag.Weight
 // metric export.
 func (t *DP[C]) TakeCounts() guard.Counts { return t.memo.TakeCounts() }
 
-// Detach drops the last query's context and counts sink, so an engine
-// idle in a pool keeps no finished request reachable. Call it after
-// TakeCounts; the next guarded query re-arms the checker.
-func (t *DP[C]) Detach() { t.memo.Detach() }
-
 // MinMemory returns the minimum fast memory size of Definition 2.6:
 // the smallest budget (on multiples of step) whose minimum schedule
 // cost equals the algorithmic lower bound. MinCost is monotone

@@ -193,7 +193,8 @@ func (r *Rows[V]) Begin(ctx context.Context, lim guard.Limits) {
 	r.ck = &r.q
 }
 
-// End uninstalls the query guard and frees its deadline timer, if any.
+// End uninstalls the query guard and releases it (guard.Checker.Release),
+// so an idle memo keeps no finished request reachable.
 func (r *Rows[V]) End() {
 	r.ck = nil
 	r.q.Release()
@@ -204,14 +205,8 @@ func (r *Rows[V]) Err() error { return r.q.Err() }
 
 // TakeCounts returns and zeroes the observation counts (memo hits,
 // entries, interval splits, patch invalidations) of the guarded queries
-// and patches since the last call, teeing them into the sink of the
-// last query's context (guard.Checker.TakeCounts).
+// and patches since the last call.
 func (r *Rows[V]) TakeCounts() guard.Counts { return r.q.TakeCounts() }
-
-// Detach drops the last query's context and counts sink from the
-// memo's checker (guard.Checker.Detach), so an idle memo keeps no
-// finished request reachable. Call it after TakeCounts.
-func (r *Rows[V]) Detach() { r.q.Detach() }
 
 // Find returns v's step covering budget b, or nil.
 func (r *Rows[V]) Find(v cdag.NodeID, b cdag.Weight) *Step[V] {
