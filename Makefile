@@ -112,12 +112,13 @@ patch-check:
 # hash ring, peer fill, cross-replica singleflight) under round-robin
 # load, then a kill-one soak. Acceptance: near-zero duplicate cold
 # solves fleet-wide and zero 5xx while a replica dies (docs/CLUSTER.md).
-# Then the ring, health and peer-fill unit suites, the frame transport
-# among them: concurrent fills on one connection, a fill's deadline, a
+# Then the ring, health and peer-fill unit suites and the whole frame
+# transport: the frame codec, the upgrade and the peer route's
+# refusals, concurrent fills on one connection, a fill's deadline, a
 # connection reset, drain, and goroutines settling after a stop.
 cluster-check:
 	$(GO) test -race -run TestClusterFleet -v ./cmd/wrbpgload/
-	$(GO) test -race -run 'Cluster|Fill|Peer' ./internal/cluster/ ./internal/serve/
+	$(GO) test -race -run 'Cluster|Fill|Peer|Frame|Upgrade' ./internal/cluster/ ./internal/serve/
 
 # 30-second chaos soak: wrbpgload drives an in-process server with a
 # panic injected into every 5th solver work item; the run must produce

@@ -62,7 +62,7 @@ func TestPeerFrameAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(20, func() { wire.AppendPeerFrame(buf, res, st, nil) }); a != 0 {
 		t.Errorf("AppendPeerFrame into a sized buffer: %.1f allocs/op, want 0", a)
 	}
-	if a := testing.AllocsPerRun(20, func() { wire.DecodePeerResponse(wire.PeerMediaType, frame, false) }); a > 5 {
+	if a := testing.AllocsPerRun(20, func() { wire.DecodePeerResponse(frame, false) }); a > 5 {
 		t.Errorf("DecodePeerResponse of a frame without moves: %.1f allocs/op, want at most 5", a)
 	}
 	reqBuf, err := wire.AppendPeerRequest(nil, preq)

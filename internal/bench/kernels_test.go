@@ -615,7 +615,7 @@ func peerEnvelopeRoundTrip() (func() error, error) {
 		if err != nil {
 			return err
 		}
-		back, err := wire.DecodePeerResponse(wire.PeerMediaType, body, true)
+		back, err := wire.DecodePeerResponse(body, true)
 		if err != nil {
 			return err
 		}
@@ -663,7 +663,7 @@ func peerFillCodec() (func() error, error) {
 		if err != nil {
 			return err
 		}
-		env, err := wire.DecodePeerResponse(wire.PeerMediaType, frame, false)
+		env, err := wire.DecodePeerResponse(frame, false)
 		if err != nil {
 			return err
 		}

@@ -1,9 +1,9 @@
-// The peer-fill client half of the POST /v1/peer/schedule protocol.
-// The serving layer is the other half (internal/serve): on a local
-// cache miss whose key the ring assigns elsewhere, it calls Fill
-// against the owner instead of cold-solving, bounded by a slice of the
-// request deadline, and falls back to the local solver on any error.
-// Fills travel on the frame transport (frame.go, peerconn.go,
+// The forwarder's entry to the peer-fill protocol. The serving layer
+// (internal/serve) calls Fill on a local cache miss whose key the ring
+// assigns elsewhere, instead of cold-solving, bounded by a slice of
+// the request deadline, and falls back to the local solver on any
+// error; it also answers the fills other replicas send it. Fills
+// travel on the frame transport (frame.go, peerconn.go,
 // peerserver.go); Get, the stats fan-out, is plain HTTP.
 
 package cluster
@@ -27,13 +27,8 @@ const (
 	// mid-re-ring, version skew) can cost one wasted hop but never a
 	// forwarding loop.
 	HopHeader = "X-Wrbpg-Peer-Hop"
-	// TraceParentHeader propagates the forwarder's trace context
-	// ("traceid:spanid", obs.TraceParent) on a peer fill, so the owner
-	// resumes the same trace and returns its span subtree in the
-	// response envelope. A request frame carries it in its trace-parent
-	// field, and the owner serves the frame with it as this header.
-	TraceParentHeader = "X-Wrbpg-Trace-Parent"
-	// PeerPath is the internal peer-fill endpoint.
+	// PeerPath is the internal peer-fill endpoint: the handshake that
+	// upgrades a connection to the frame transport.
 	PeerPath = "/v1/peer/schedule"
 )
 
@@ -45,18 +40,18 @@ const maxPeerBody = 32 << 20
 // meaningful:
 //
 //   - result: the owner answered 200 (it solved, or hit its cache).
-//     When the forwarder propagated trace context (preq.TraceParent),
-//     trace carries the owner's span subtree alongside it. The 200 body
-//     must be a packed frame (wire.DecodePeerResponse); the result
-//     carries its moves only when preq.Req.IncludeMoves asked for them;
+//     When the forwarder propagated trace context (preq.TraceParent,
+//     sent in the request frame's trace-parent field), trace carries
+//     the owner's span subtree alongside it. The 200 body must be a
+//     packed frame (wire.DecodePeerResponse); the result carries its
+//     moves only when preq.Req.IncludeMoves asked for them;
 //   - apiErr: the owner answered a structured API error — notably a
 //     429 carrying its Retry-After shed estimate, which cluster-aware
 //     shedding may propagate to the end client;
 //   - err: the transport failed (refused, reset, deadline, an owner
 //     that refuses the frame upgrade) or the response was undecodable,
-//     a 200 that is not a packed frame (an owner from before the frame,
-//     a proxy page) included. The caller should treat the owner as
-//     suspect (ReportFillError) and solve locally.
+//     a 200 that is not a packed frame included. The caller should
+//     treat the owner as suspect (ReportFillError) and solve locally.
 //
 // The fill travels as one request frame on the connection this
 // replica keeps to owner (frame.go), dialled and upgraded on first use
@@ -79,7 +74,7 @@ func (c *Cluster) Fill(ctx context.Context, owner string, preq *wire.PeerSchedul
 	// Both decoders copy what they keep, so the body's buffer is reused.
 	defer putFrameBuf(f.buf)
 	if f.status == http.StatusOK {
-		env, err := wire.DecodePeerResponse(f.ctype, f.body, preq.Req.IncludeMoves)
+		env, err := wire.DecodePeerResponse(f.body, preq.Req.IncludeMoves)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("cluster: peer %s answered 200: %w", owner, err)
 		}
@@ -87,8 +82,8 @@ func (c *Cluster) Fill(ctx context.Context, owner string, preq *wire.PeerSchedul
 	}
 	var we wire.Error
 	if err := json.Unmarshal(f.body, &we); err != nil || we.Status == 0 {
-		// Not a structured API error (proxy page, truncation): surface as
-		// a transport-class failure so the caller solves locally.
+		// Not a structured API error: surface as a transport-class
+		// failure so the caller solves locally.
 		return nil, nil, nil, fmt.Errorf("cluster: peer %s answered %d with unstructured body", owner, f.status)
 	}
 	return nil, nil, &we, nil

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -173,8 +172,8 @@ func TestStartLoopProbes(t *testing.T) {
 
 // TestFillDecodesResultAndErrors: Fill returns a packed frame's result
 // and trace, an owner's structured error as apiErr, and every other
-// answer (a JSON 200, a frame under the wrong media type, a proxy
-// page, a dead peer) as a transport-class error.
+// answer (a JSON 200, an unstructured error body, a dead peer) as a
+// transport-class error.
 func TestFillDecodesResultAndErrors(t *testing.T) {
 	frame, err := wire.AppendPeerResponse(nil, &wire.PeerScheduleResponse{
 		Result: &wire.ScheduleResult{Workload: "w", Source: "optimal", CostBits: 7},
@@ -184,38 +183,25 @@ func TestFillDecodesResultAndErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	mux := http.NewServeMux()
-	mux.Handle(PeerPath, NewPeerServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get(HopHeader) == "" {
-			t.Error("Fill did not set the hop header")
-		}
+	mux.HandleFunc(PeerPath, NewPeerServer(func(_ context.Context, _ string, body, dst []byte) (int, []byte) {
 		var preq wire.PeerScheduleRequest
-		if err := json.NewDecoder(r.Body).Decode(&preq); err != nil {
+		if err := json.Unmarshal(body, &preq); err != nil {
 			t.Errorf("decode: %v", err)
 		}
 		switch preq.Key {
 		case "ok":
-			w.Header().Set("Content-Type", wire.PeerMediaType)
-			w.Write(frame)
-		case "wrong-type":
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(frame)
+			return http.StatusOK, append(dst, frame...)
 		case "json":
-			// An owner from before the packed frame: the compact JSON
-			// envelope, or a bare ScheduleResult from before the envelope.
-			w.Header().Set("Content-Type", "application/json")
-			fmt.Fprint(w, `{"result":{"workload":"w","source":"optimal","cost_bits":7},"trace":{"trace_id":"ab12","start_unix_us":1,"spans":[{"name":"peer.serve","start_us":0,"duration_us":5}]}}`)
+			// The compact JSON envelope, or a bare ScheduleResult.
+			return http.StatusOK, append(dst, `{"result":{"workload":"w","source":"optimal","cost_bits":7},"trace":{"trace_id":"ab12","start_unix_us":1,"spans":[{"name":"peer.serve","start_us":0,"duration_us":5}]}}`...)
 		case "bare":
-			w.Header().Set("Content-Type", "application/json")
-			fmt.Fprint(w, `{"workload":"w","source":"optimal","cost_bits":7}`)
+			return http.StatusOK, append(dst, `{"workload":"w","source":"optimal","cost_bits":7}`...)
 		case "shed":
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusTooManyRequests)
-			fmt.Fprint(w, `{"status":429,"error":"busy","retry_after_s":3}`)
+			return http.StatusTooManyRequests, append(dst, `{"status":429,"error":"busy","retry_after_s":3}`...)
 		default:
-			w.WriteHeader(http.StatusBadGateway)
-			fmt.Fprint(w, "<html>proxy error</html>")
+			return http.StatusBadGateway, append(dst, "<html>proxy error</html>"...)
 		}
-	})))
+	}).Upgrade)
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
@@ -235,7 +221,7 @@ func TestFillDecodesResultAndErrors(t *testing.T) {
 
 	// Any 200 that is not a packed frame is a transport-class failure,
 	// so the caller solves locally.
-	for _, key := range []string{"wrong-type", "json", "bare"} {
+	for _, key := range []string{"json", "bare"} {
 		res, _, apiErr, ferr = c.Fill(ctx, ts.URL, &wire.PeerScheduleRequest{Key: key})
 		if res != nil || apiErr != nil || ferr == nil {
 			t.Fatalf("%s 200 should be a transport-class error, got res=%+v apiErr=%v err=%v", key, res, apiErr, ferr)
@@ -287,11 +273,26 @@ func TestReadBodyLimit(t *testing.T) {
 	}
 
 	// Through Fill: an owner announcing more than maxPeerBody is a
-	// transport-class error naming the size, not a decode error.
-	ts := httptest.NewServer(NewPeerServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Length", strconv.Itoa(maxPeerBody+1))
-		w.WriteHeader(http.StatusOK)
-	})))
+	// transport-class error naming the size, not a decode error. The
+	// raw owner upgrades, reads the fill and answers with a response
+	// frame head announcing maxPeerBody+1 bytes.
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, brw, err := http.NewResponseController(w).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + upgradeToken + "\r\n\r\n")
+		brw.Flush()
+		f, err := readRequestFrame(brw.Reader, maxPeerBody, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		conn.Write(appendResponseHead(nil, f.id, http.StatusOK, maxPeerBody+1))
+		io.Copy(io.Discard, conn) // until the forwarder drops the connection
+	}))
 	defer ts.Close()
 	c, err := New(Config{Self: "http://self:1", Peers: []string{ts.URL}, Client: ts.Client()})
 	if err != nil {

@@ -5,12 +5,13 @@
 // come back in any order.
 //
 //	request frame:  id u32 | n u8 | trace parent (n bytes) | m u32 | body (m bytes)
-//	response frame: id u32 | status u16 | n u8 | content type (n bytes) | m u32 | body (m bytes)
+//	response frame: id u32 | status u16 | m u32 | body (m bytes)
 //
 // Integers are big-endian. A request body is the fill request's JSON
-// (wire.AppendPeerRequest); a response body is what the owner's handler
-// wrote: a packed peer frame on a 200, a wire.Error otherwise. A body
-// longer than the reader's limit is refused before it is read.
+// (wire.AppendPeerRequest); a response body is what the owner's fill
+// handler returned: a packed peer frame on a 200, a wire.Error
+// otherwise. A body longer than the reader's limit is refused before
+// it is read.
 
 package cluster
 
@@ -29,11 +30,11 @@ import (
 const (
 	// upgradeToken names the frame transport in the handshake's
 	// Upgrade header.
-	upgradeToken = "wrbpg-peer/1"
+	upgradeToken = "wrbpg-peer/2"
 	// requestHeadLen and responseHeadLen are the fixed parts of a
 	// frame ahead of its first variable-length field.
 	requestHeadLen  = 4 + 1
-	responseHeadLen = 4 + 2 + 1
+	responseHeadLen = 4 + 2
 )
 
 // framePool recycles the buffers frames are built and read in. It
@@ -76,15 +77,10 @@ func appendRequestFrame(dst []byte, id uint32, preq *wire.PeerScheduleRequest) (
 }
 
 // appendResponseHead appends a response frame's head for a body of n
-// bytes. A content type over 255 bytes is cut to 255.
-func appendResponseHead(dst []byte, id uint32, status int, ctype string, n int) []byte {
-	if len(ctype) > 0xff {
-		ctype = ctype[:0xff]
-	}
+// bytes.
+func appendResponseHead(dst []byte, id uint32, status, n int) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, id)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(status))
-	dst = append(dst, byte(len(ctype)))
-	dst = append(dst, ctype...)
 	return binary.BigEndian.AppendUint32(dst, uint32(n))
 }
 
@@ -121,7 +117,6 @@ func readRequestFrame(br *bufio.Reader, limit int, buf []byte) (requestFrame, er
 type responseFrame struct {
 	id     uint32
 	status int
-	ctype  string
 	body   []byte
 	buf    *[]byte
 }
@@ -136,30 +131,11 @@ func readResponseFrame(br *bufio.Reader, limit int, buf *[]byte) (responseFrame,
 	}
 	f.id = binary.BigEndian.Uint32(h)
 	f.status = int(binary.BigEndian.Uint16(h[4:]))
-	if n := int(h[6]); n > 0 {
-		b, err := peek(br, n)
-		if err != nil {
-			return f, err
-		}
-		f.ctype = internContentType(b)
-	}
 	f.body, err = readFrameBody(br, limit, *buf)
 	if f.body != nil {
 		*buf = f.body
 	}
 	return f, err
-}
-
-// internContentType returns b as a string, without allocating for the
-// two types an owner sends.
-func internContentType(b []byte) string {
-	switch string(b) {
-	case wire.PeerMediaType:
-		return wire.PeerMediaType
-	case "application/json":
-		return "application/json"
-	}
-	return string(b)
 }
 
 // peekHead is peek for a frame's first bytes: a stream that ends

@@ -17,7 +17,7 @@ import (
 	"wrbpg/internal/serve/wire"
 )
 
-// frameOwner is a fake owner speaking frames: handler h behind a
+// frameOwner is a fake owner speaking frames: fill handler h behind a
 // PeerServer on a test listener, and a cluster forwarding to it.
 type frameOwner struct {
 	ps   *PeerServer
@@ -26,10 +26,10 @@ type frameOwner struct {
 	stop context.CancelFunc // ends the cluster's Start context
 }
 
-func newFrameOwner(t *testing.T, h http.HandlerFunc) *frameOwner {
+func newFrameOwner(t *testing.T, h FillHandler) *frameOwner {
 	t.Helper()
 	ps := NewPeerServer(h)
-	ts := httptest.NewServer(ps)
+	ts := httptest.NewServer(http.HandlerFunc(ps.Upgrade))
 	c, err := New(Config{Self: "http://self:1", Peers: []string{ts.URL}})
 	if err != nil {
 		t.Fatal(err)
@@ -74,9 +74,8 @@ func (ps *PeerServer) serverConns() int {
 // echoAnswer answers a frame with a structured 418 naming its key.
 // Each frame it meets is announced on entered, when there is room, and
 // waits for gate to close, when gate is set.
-func echoAnswer(gate <-chan struct{}, entered chan<- struct{}) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		b, _ := io.ReadAll(r.Body)
+func echoAnswer(gate <-chan struct{}, entered chan<- struct{}) FillHandler {
+	return func(ctx context.Context, _ string, body, dst []byte) (int, []byte) {
 		select {
 		case entered <- struct{}{}:
 		default:
@@ -84,13 +83,16 @@ func echoAnswer(gate <-chan struct{}, entered chan<- struct{}) http.HandlerFunc 
 		if gate != nil {
 			select {
 			case <-gate:
-			case <-r.Context().Done():
+			case <-ctx.Done():
 			}
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusTeapot)
-		fmt.Fprintf(w, `{"status":418,"error":%q}`, keyOf(b))
+		return teapot(dst, keyOf(body))
 	}
+}
+
+// teapot answers a fill with a structured 418 naming key.
+func teapot(dst []byte, key string) (int, []byte) {
+	return http.StatusTeapot, fmt.Appendf(dst, `{"status":418,"error":%q}`, key)
 }
 
 // keyOf pulls the "key" member out of a fill request body.
@@ -111,7 +113,7 @@ func TestFrameCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	body, _ := wire.AppendPeerRequest(nil, preq)
-	resp := append(appendResponseHead(nil, 9, 429, "application/json", 5), "hello"...)
+	resp := append(appendResponseHead(nil, 9, 429, 5), "hello"...)
 
 	br := bufio.NewReader(bytes.NewReader(append(append([]byte(nil), req...), req...)))
 	for i := 0; i < 2; i++ {
@@ -124,7 +126,7 @@ func TestFrameCodec(t *testing.T) {
 		t.Fatalf("after the last frame: %v, want io.EOF", err)
 	}
 	f, err := readResponseFrame(bufio.NewReader(bytes.NewReader(resp)), 1<<20, new([]byte))
-	if err != nil || f.id != 9 || f.status != 429 || f.ctype != "application/json" || string(f.body) != "hello" {
+	if err != nil || f.id != 9 || f.status != 429 || string(f.body) != "hello" {
 		t.Fatalf("response frame read back as %+v, %v", f, err)
 	}
 
@@ -150,14 +152,11 @@ func TestFrameCodec(t *testing.T) {
 // connection and each gets the answer to its own request, whatever
 // order the owner answers in.
 func TestFillConcurrentOneConnection(t *testing.T) {
-	o := newFrameOwner(t, func(w http.ResponseWriter, r *http.Request) {
-		b, _ := io.ReadAll(r.Body)
-		k := keyOf(b)
+	o := newFrameOwner(t, func(_ context.Context, _ string, body, dst []byte) (int, []byte) {
+		k := keyOf(body)
 		// Answer out of order: later keys sleep less.
 		time.Sleep(time.Duration(len(k)%4) * time.Millisecond)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusTeapot)
-		fmt.Fprintf(w, `{"status":418,"error":%q}`, k)
+		return teapot(dst, k)
 	})
 	const n = 32
 	var wg sync.WaitGroup
@@ -297,14 +296,11 @@ func TestPeerServerDrain(t *testing.T) {
 // connection, not the process: the fill fails as a transport error and
 // the next one dials again.
 func TestPeerServerHandlerPanic(t *testing.T) {
-	o := newFrameOwner(t, func(w http.ResponseWriter, r *http.Request) {
-		b, _ := io.ReadAll(r.Body)
-		if keyOf(b) == "boom" {
-			panic(http.ErrAbortHandler) // the panic net/http recovers without logging
+	o := newFrameOwner(t, func(_ context.Context, _ string, body, dst []byte) (int, []byte) {
+		if keyOf(body) == "boom" {
+			panic("boom")
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusTeapot)
-		fmt.Fprintf(w, `{"status":418,"error":%q}`, keyOf(b))
+		return teapot(dst, keyOf(body))
 	})
 	_, _, apiErr, err := o.c.Fill(context.Background(), o.ts.URL, &wire.PeerScheduleRequest{Key: "boom"})
 	if err == nil || apiErr != nil {
@@ -367,7 +363,7 @@ func TestUpgradeRequiresHop(t *testing.T) {
 func FuzzFrameReader(f *testing.F) {
 	preq := &wire.PeerScheduleRequest{Req: wire.ScheduleRequest{Spec: wire.Spec{Family: "dwt", N: 8, D: 3}, BudgetBits: 90}, Key: "k"}
 	req, _ := appendRequestFrame(nil, 1, preq)
-	resp := append(appendResponseHead(nil, 2, 200, wire.PeerMediaType, 3), "a\n\x00"...)
+	resp := append(appendResponseHead(nil, 2, 200, 3), "a\n\x00"...)
 	f.Add(req)
 	f.Add(resp)
 	f.Add(append(append([]byte(nil), req...), req[:len(req)/2]...))
@@ -401,7 +397,7 @@ func FuzzFrameReader(f *testing.F) {
 			if len(fr.body) > limit {
 				t.Fatalf("response body of %d bytes read past the limit", len(fr.body))
 			}
-			back = append(appendResponseHead(back, fr.id, fr.status, fr.ctype, len(fr.body)), fr.body...)
+			back = append(appendResponseHead(back, fr.id, fr.status, len(fr.body)), fr.body...)
 		}
 		if !bytes.HasPrefix(b, back) {
 			t.Fatalf("response frames re-encode to %x, not a prefix of %x", back, b)

@@ -95,8 +95,8 @@ func ValidTraceID(id string) bool {
 }
 
 // TraceParent encodes the context's active trace position as a
-// "traceid:spanid" pair for cross-replica propagation (the
-// X-Wrbpg-Trace-Parent peer header). Empty when ctx carries no trace.
+// "traceid:spanid" pair for cross-replica propagation (a peer fill's
+// trace-parent field). Empty when ctx carries no trace.
 func TraceParent(ctx context.Context) string {
 	a, ok := ctx.Value(ctxKey{}).(active)
 	if !ok || a.tr == nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -10,7 +11,9 @@ import (
 	"testing"
 
 	"wrbpg/internal/cdag"
+	"wrbpg/internal/cluster"
 	"wrbpg/internal/core"
+	"wrbpg/internal/serve/wire"
 )
 
 // reusableBody is a request body that can be rewound between runs.
@@ -104,5 +107,47 @@ func TestScheduleHitAllocs(t *testing.T) {
 				t.Errorf("a cache hit allocates %.0f times, want at most %.0f", allocs, c.max)
 			}
 		})
+	}
+}
+
+// TestPeerFillHitAllocs pins the owner's allocations for one fill
+// frame that hits its cache, without moves: the fill handler's decode,
+// cache probe and frame append, with nothing built per frame for the
+// transport. The forwarder's side (the fill body, the frame buffer) is
+// reused and not counted.
+func TestPeerFillHitAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	c, err := cluster.New(cluster.Config{Self: "http://self.invalid"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{Cluster: c})
+	req := wire.ScheduleRequest{Spec: wire.Spec{Family: "dwt", N: 32, D: 4}, BudgetBits: 1400}
+	inst, err := req.Instance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := wire.AppendPeerRequest(nil, &wire.PeerScheduleRequest{Req: req, Key: inst.Key(req.BudgetBits), Origin: "http://fwd.invalid"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, 4096)
+	var status int
+	fill := func() { status, _ = s.serveFill(context.Background(), "", body, buf[:0]) }
+	fill() // the miss that fills the cache
+	if status != http.StatusOK {
+		t.Fatalf("status %d", status)
+	}
+	fill()
+	allocs := testing.AllocsPerRun(100, fill)
+	if status != http.StatusOK {
+		t.Fatalf("status %d", status)
+	}
+	t.Logf("%.0f allocs per fill hit", allocs)
+	if allocs > 7 {
+		t.Errorf("a fill hit allocates %.0f times, want at most 7", allocs)
 	}
 }

@@ -1,11 +1,12 @@
-// Cluster mode: the peer-fill read path and the internal peer
-// endpoint. With Options.Cluster set, a local cache miss whose key the
+// Cluster mode: the peer-fill read path and the owner's side of it.
+// With Options.Cluster set, a local cache miss whose key the
 // consistent-hash ring assigns to another replica is first offered to
-// that owner (POST /v1/peer/schedule, bounded by a slice of the
-// request deadline); only on peer error, timeout or shed does the
-// local solver run. The owner's own cache singleflight dedups all
-// forwarders plus its local traffic, so in the steady state each key
-// is cold-solved at most once fleet-wide. See docs/CLUSTER.md.
+// that owner (a fill frame on the connection upgraded from POST
+// /v1/peer/schedule, bounded by a slice of the request deadline); only
+// on peer error, timeout or shed does the local solver run. The
+// owner's own cache singleflight dedups all forwarders plus its local
+// traffic, so in the steady state each key is cold-solved at most once
+// fleet-wide. See docs/CLUSTER.md.
 
 package serve
 
@@ -41,58 +42,62 @@ const (
 	peerError = "error"
 )
 
-// handlePeerSchedule serves POST /v1/peer/schedule, the internal
-// replica-to-replica fill protocol, whether a fill arrives as a plain
-// POST or as a frame on a connection a forwarder upgraded here. It is
-// the regular schedule path with peer semantics: never forward again
-// (loop guard), never degrade to a baseline answer on queue saturation
-// — shed with 429 + Retry-After instead, because the forwarder still
-// holds the request's real deadline budget and can solve locally or
-// propagate the shed.
+// handlePeerSchedule serves POST /v1/peer/schedule, the handshake of
+// the internal replica-to-replica fill protocol: a hop-marked POST
+// asking to upgrade switches its connection to the frame transport,
+// and the fills then arrive on it as frames, each answered by
+// serveFill. Every refusal is a structured error.
 func (s *Server) handlePeerSchedule(w http.ResponseWriter, r *http.Request) {
-	if s.cluster == nil {
+	switch {
+	case s.cluster == nil:
 		s.writeErr(w, wire.Errorf(http.StatusNotFound, "cluster mode disabled (no -peers)"))
-		return
-	}
-	if r.Method != http.MethodPost {
+	case r.Method != http.MethodPost:
 		s.writeErr(w, wire.Errorf(http.StatusMethodNotAllowed, "POST required"))
-		return
-	}
-	if r.Header.Get(cluster.HopHeader) == "" {
+	case r.Header.Get(cluster.HopHeader) == "":
 		s.writeErr(w, wire.Errorf(http.StatusBadRequest,
 			"peer endpoint requires the %s header; external clients should use /v1/schedule", cluster.HopHeader))
-		return
-	}
-	if cluster.IsUpgrade(r) {
-		// A forwarder's handshake: its fills arrive as frames on this
-		// connection, each served through the handler chain back into
-		// this route.
+	case !cluster.IsUpgrade(r):
+		s.writeErr(w, wire.Errorf(http.StatusBadRequest,
+			"peer endpoint serves only the upgrade to the frame transport; fills travel as frames on the upgraded connection"))
+	case s.draining.Load():
+		s.writeErr(w, wire.Errorf(http.StatusServiceUnavailable, "draining: peer fills are refused"))
+	default:
 		s.peers.Upgrade(w, r)
-		return
 	}
+}
+
+// serveFill is the owner's cluster.FillHandler: it answers one fill
+// frame. It is the regular schedule path with peer semantics: never
+// forward again (loop guard), never degrade to a baseline answer on
+// queue saturation — shed with 429 + retry_after_s instead, because
+// the forwarder still holds the request's real deadline budget and can
+// solve locally or propagate the shed. A refusal is a wire.Error, and
+// a 4xx other than 429 counts as a bad request, as writeErr counts it.
+func (s *Server) serveFill(ctx context.Context, traceParent string, body, dst []byte) (int, []byte) {
 	s.m.reqPeer.Inc()
+	if int64(len(body)) > s.opts.MaxBodyBytes {
+		return s.fillErr(dst, wire.Errorf(http.StatusBadRequest,
+			"peer fill body of %d bytes exceeds the %d-byte limit", len(body), s.opts.MaxBodyBytes))
+	}
 	var preq wire.PeerScheduleRequest
-	if err := decodeStrict(w, r, s.opts.MaxBodyBytes, &preq); err != nil {
-		s.writeErr(w, asWireErr(err))
-		return
+	if err := wire.DecodeRequest(body, &preq); err != nil {
+		return s.fillErr(dst, asWireErr(err))
 	}
 	// Resume the forwarder's trace when it propagated context: the
 	// owner-side phases (cache, admission, solve) record under a
 	// "peer.serve" root carrying the same trace ID, the completed
 	// owner-side trace is retained locally for GET /v1/trace/{id}, and
-	// the span subtree rides back in the response envelope so the
-	// forwarder grafts it under its peer.fill span.
-	ctx := r.Context()
+	// the span subtree rides back in the frame's head so the forwarder
+	// grafts it under its peer.fill span.
 	var (
 		tr   *obs.Trace
 		root *obs.Span
 	)
-	if id, pspan, ok := obs.SplitTraceParent(r.Header.Get(cluster.TraceParentHeader)); ok {
+	if id, pspan, ok := obs.SplitTraceParent(traceParent); ok {
 		tr = obs.ResumeTrace(id)
 		ctx, root = obs.StartSpan(obs.WithTrace(ctx, tr), "peer.serve")
 		root.SetAttr("origin", preq.Origin)
 		root.SetAttr("parent_span", strconv.Itoa(pspan))
-		w.Header().Set(TraceIDHeader, tr.ID())
 	}
 	res, st, werr := s.scheduleAs(ctx, &preq.Req, true, preq.Key)
 	var tex *obs.TraceExport
@@ -101,34 +106,25 @@ func (s *Server) handlePeerSchedule(w http.ResponseWriter, r *http.Request) {
 		s.traces.Put(tr)
 		tex = tr.Tree()
 	}
-	if werr != nil {
-		s.logPeerServe(tr, preq.Origin, werr.Status)
-		s.writeErr(w, werr)
-		return
+	if werr == nil {
+		// The frame is written from the shared entry and this request's
+		// stamp.
+		out, err := wire.AppendPeerFrame(dst, res, &st, tex)
+		if err == nil {
+			s.logPeerServe(tr, preq.Origin, http.StatusOK)
+			return http.StatusOK, out
+		}
+		werr = asWireErr(err)
 	}
-	// The frame is written from the shared entry and this request's
-	// stamp into a pooled buffer, and goes out with its length: the
-	// forwarder reads it into a single buffer of exactly that size.
-	bp := getBody()
-	defer putBody(bp)
-	body, err := wire.AppendPeerFrame(*bp, res, &st, tex)
-	if err != nil {
-		s.logPeerServe(tr, preq.Origin, http.StatusInternalServerError)
-		s.writeErr(w, asWireErr(err))
-		return
-	}
-	*bp = body
-	s.logPeerServe(tr, preq.Origin, http.StatusOK)
-	h := w.Header()
-	h["Content-Type"] = peerContentType
-	h["Content-Length"] = []string{strconv.Itoa(len(body))}
-	w.WriteHeader(http.StatusOK)
-	w.Write(body) //nolint:errcheck // nothing useful to do mid-response
+	s.logPeerServe(tr, preq.Origin, werr.Status)
+	return s.fillErr(dst, werr)
 }
 
-// peerContentType is the Content-Type of a peer frame, shared so that
-// setting it allocates nothing.
-var peerContentType = []string{wire.PeerMediaType}
+// fillErr answers a fill with e, counted as writeErr counts it.
+func (s *Server) fillErr(dst []byte, e *wire.Error) (int, []byte) {
+	s.countErr(e)
+	return e.Status, appendJSON(dst, e)
+}
 
 // logPeerServe emits the owner-side structured line for one served
 // peer fill, correlated by trace_id when the forwarder propagated one.

@@ -412,19 +412,12 @@ func TestClusterPeerDownFallsBackLocal(t *testing.T) {
 // forwarder solve locally while it has capacity, and propagate the 429
 // (with a clamped Retry-After) once its own queue is saturated.
 func TestClusterShedPropagation(t *testing.T) {
-	// Fake owner: always sheds peer fills, looks healthy to probes.
-	fake := httptest.NewServer(cluster.NewPeerServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == cluster.PeerPath {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusTooManyRequests)
-			fmt.Fprint(w, `{"status":429,"error":"busy","retry_after_s":300}`)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-	})))
-	defer fake.Close()
+	// Fake owner: always sheds peer fills.
+	fake := newFakeOwner(t, func(_ context.Context, _ string, _, dst []byte) (int, []byte) {
+		return http.StatusTooManyRequests, append(dst, `{"status":429,"error":"busy","retry_after_s":300}`...)
+	})
 
-	c, err := cluster.New(cluster.Config{Self: "http://self.invalid", Peers: []string{fake.URL}, Seed: 1})
+	c, err := cluster.New(cluster.Config{Self: "http://self.invalid", Peers: []string{fake}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +432,7 @@ func TestClusterShedPropagation(t *testing.T) {
 			t.Fatal(err)
 		}
 		owner, local := c.Route(inst.Key(b))
-		return !local && owner == fake.URL
+		return !local && owner == fake
 	}
 	var budgets []int64
 	for b := int64(16 * 16); len(budgets) < 2 && b < 16*16+512; b++ {

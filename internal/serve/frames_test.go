@@ -70,30 +70,46 @@ func TestClusterPeerFramesConcurrent(t *testing.T) {
 	}
 }
 
-// upgradePeer opens a connection to url and upgrades it to the frame
-// transport as a forwarder does, returning the connection and the
-// handshake's status.
-func upgradePeer(t *testing.T, url string) (net.Conn, *bufio.Reader, int) {
+// upgradePeer opens a connection to url and sends the handshake
+// asking for the frame transport under token, as a forwarder does. It
+// returns the connection and the answer's status, and a refusal's body.
+func upgradePeer(t *testing.T, url, token string) (net.Conn, *bufio.Reader, int, []byte) {
 	t.Helper()
 	conn, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: x\r\nConnection: Upgrade\r\nUpgrade: wrbpg-peer/1\r\n%s: 1\r\nContent-Length: 0\r\n\r\n", cluster.PeerPath, cluster.HopHeader)
+	fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: x\r\nConnection: Upgrade\r\nUpgrade: %s\r\n%s: 1\r\nContent-Length: 0\r\n\r\n", cluster.PeerPath, token, cluster.HopHeader)
 	br := bufio.NewReader(conn)
 	resp, err := http.ReadResponse(br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return conn, br, resp.StatusCode
+	var body []byte
+	if resp.StatusCode != http.StatusSwitchingProtocols {
+		if body, err = io.ReadAll(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return conn, br, resp.StatusCode, body
+}
+
+// checkAPIError fails t unless an answer of status with body is the
+// structured error of status want.
+func checkAPIError(t *testing.T, what string, status int, body []byte, want int) {
+	t.Helper()
+	var e wire.Error
+	if status != want || json.Unmarshal(body, &e) != nil || e.Status != want || e.Message == "" {
+		t.Fatalf("%s: status %d, body %q; want a structured %d", what, status, body, want)
+	}
 }
 
 // TestClusterPeerFramesBeginDrain: BeginDrain closes the server's
 // upgraded connections, which outlive http.Server.Close, and refuses
-// new upgrades with 503.
+// new upgrades with a structured 503.
 func TestClusterPeerFramesBeginDrain(t *testing.T) {
 	f := newTestFleet(t, 2, Options{})
-	conn, br, status := upgradePeer(t, f.urls[1])
+	conn, br, status, _ := upgradePeer(t, f.urls[1], "wrbpg-peer/2")
 	defer conn.Close()
 	if status != http.StatusSwitchingProtocols {
 		t.Fatalf("handshake answered %d, want 101", status)
@@ -103,10 +119,47 @@ func TestClusterPeerFramesBeginDrain(t *testing.T) {
 	if _, err := br.ReadByte(); err != io.EOF {
 		t.Fatalf("upgraded connection after BeginDrain: read err=%v, want io.EOF", err)
 	}
-	again, _, status := upgradePeer(t, f.urls[1])
+	again, _, status, body := upgradePeer(t, f.urls[1], "wrbpg-peer/2")
 	again.Close()
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("handshake on a draining server answered %d, want 503", status)
+	checkAPIError(t, "handshake on a draining server", status, body, http.StatusServiceUnavailable)
+}
+
+// TestClusterPeerRouteRefusals: the peer route serves only the
+// upgrade. A hop-marked plain POST carrying a fill, and a handshake
+// for the first version of the frame transport, are structured 400s.
+func TestClusterPeerRouteRefusals(t *testing.T) {
+	f := newTestFleet(t, 2, Options{})
+	req := dwtRequest(16 * 16)
+	inst, err := req.Instance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(wire.PeerScheduleRequest{Req: req, Key: inst.Key(req.BudgetBits)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq, err := http.NewRequest(http.MethodPost, f.urls[1]+cluster.PeerPath, bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set(cluster.HopHeader, "1")
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAPIError(t, "hop-marked plain POST", resp.StatusCode, body, http.StatusBadRequest)
+
+	conn, _, status, body := upgradePeer(t, f.urls[1], "wrbpg-peer/1")
+	conn.Close()
+	checkAPIError(t, "wrbpg-peer/1 handshake", status, body, http.StatusBadRequest)
+	if st := f.servers[1].Stats(); st.PeerRequests != 0 || st.Solves != 0 {
+		t.Fatalf("refused requests counted %d peer requests and %d solves, want none", st.PeerRequests, st.Solves)
 	}
 }
 

@@ -5,13 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -21,34 +21,28 @@ import (
 	"wrbpg/internal/serve/wire"
 )
 
-// postPeer sends preq to the peer endpoint at url the way a forwarder
-// does, asking for the accept media type, or for nothing when it is
-// empty.
-func postPeer(t *testing.T, url string, preq wire.PeerScheduleRequest, accept string) (*http.Response, []byte) {
+// serveFillOf answers preq at s as the owner answers a fill frame,
+// untraced: the body is the request as a forwarder encodes it.
+func serveFillOf(t *testing.T, s *Server, preq wire.PeerScheduleRequest) (int, []byte) {
 	t.Helper()
-	b, err := json.Marshal(preq)
+	b, err := wire.AppendPeerRequest(nil, &preq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := http.NewRequest(http.MethodPost, url+cluster.PeerPath, bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(cluster.HopHeader, "1")
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp, body
+	return s.serveFill(context.Background(), "", b, nil)
+}
+
+// newFakeOwner serves fill frames with fill on a test listener and
+// returns its URL.
+func newFakeOwner(t *testing.T, fill cluster.FillHandler) string {
+	t.Helper()
+	ps := cluster.NewPeerServer(fill)
+	ts := httptest.NewServer(http.HandlerFunc(ps.Upgrade))
+	t.Cleanup(func() {
+		ps.Drain()
+		ts.Close()
+	})
+	return ts.URL
 }
 
 // peerVolatile matches the one peer body field that varies from run to
@@ -145,13 +139,11 @@ func checkFillFallsBack(t *testing.T, c *cluster.Cluster, peer string, n int, se
 	}
 }
 
-// TestFillNegotiatesEnvelope: the packed frame is the one 200 body of
-// the peer hop. A forwarder asks for it, and an owner sends it whether
-// or not it was asked. Any other 200 (a JSON envelope from an owner
-// that predates the frame, a frame under the wrong media type, a
-// malformed frame) is a transport-class failure the forwarder answers
-// by solving locally.
-func TestFillNegotiatesEnvelope(t *testing.T) {
+// TestFillFrame: the packed frame is the one 200 body of the peer
+// hop. Any other 200 (a JSON envelope, a bare result, a malformed
+// frame) is a transport-class failure the forwarder answers by solving
+// locally.
+func TestFillFrame(t *testing.T) {
 	f := newTestFleet(t, 2, Options{})
 	req := dwtRequest(16 * 16)
 	inst, err := req.Instance()
@@ -159,25 +151,24 @@ func TestFillNegotiatesEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	preq := wire.PeerScheduleRequest{Req: req, Key: inst.Key(req.BudgetBits), Origin: f.urls[0]}
-	// The first request solves at replica 1; the later ones are cache
+	// The first fill solves at replica 1; the later ones are cache
 	// hits, whose body is fixed but for its lookup time.
-	postPeer(t, f.urls[1], preq, "")
+	serveFillOf(t, f.servers[1], preq)
 
-	t.Run("old-forwarder", func(t *testing.T) {
-		resp, body := postPeer(t, f.urls[1], preq, "")
-		if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != wire.PeerMediaType {
-			t.Fatalf("status %d, Content-Type %q without Accept, want the packed frame: %q", resp.StatusCode, ct, body)
+	t.Run("golden", func(t *testing.T) {
+		status, body := serveFillOf(t, f.servers[1], preq)
+		if status != http.StatusOK {
+			t.Fatalf("status %d: %q", status, body)
 		}
 		checkPeerGolden(t, body)
 	})
 
 	t.Run("packed-owner", func(t *testing.T) {
-		resp, body := postPeer(t, f.urls[1], preq, wire.PeerMediaType)
-		ct := resp.Header.Get("Content-Type")
-		if resp.StatusCode != http.StatusOK || ct != wire.PeerMediaType {
-			t.Fatalf("status %d, Content-Type %q: %s", resp.StatusCode, ct, body)
+		status, body := serveFillOf(t, f.servers[1], preq)
+		if status != http.StatusOK {
+			t.Fatalf("status %d: %s", status, body)
 		}
-		want, err := wire.DecodePeerResponse(ct, body, true)
+		want, err := wire.DecodePeerResponse(body, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,41 +216,22 @@ func TestFillNegotiatesEnvelope(t *testing.T) {
 	})
 
 	t.Run("json-owner", func(t *testing.T) {
-		// An owner from before the packed frame answers JSON whatever
-		// the forwarder asks for: the compact envelope, or a bare result
-		// sent chunked without a length. A frame under a JSON
-		// Content-Type is no better.
-		frame, err := wire.AppendPeerResponse(nil, &wire.PeerScheduleResponse{
-			Result: &wire.ScheduleResult{Workload: "w", Source: "optimal", CostBits: 7}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		// An owner answering JSON: the compact envelope, or a bare
+		// result.
 		bodies := []string{
 			`{"result":{"workload":"w","source":"optimal","cost_bits":7,"move_count":0}}`,
 			`{"workload":"w","source":"optimal","cost_bits":7,"move_count":0}`,
-			string(frame),
 		}
-		var accept atomic.Value
 		var current atomic.Int32
-		fake := httptest.NewServer(cluster.NewPeerServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			accept.Store(r.Header.Get("Accept"))
-			w.Header().Set("Content-Type", "application/json")
-			body := bodies[current.Load()]
-			half := len(body) / 2
-			io.WriteString(w, body[:half])
-			w.(http.Flusher).Flush()
-			io.WriteString(w, body[half:])
-		})))
-		defer fake.Close()
+		fake := newFakeOwner(t, func(_ context.Context, _ string, _, dst []byte) (int, []byte) {
+			return http.StatusOK, append(dst, bodies[current.Load()]...)
+		})
 		// No number of fill errors ejects the fake owner.
-		c, err := cluster.New(cluster.Config{Self: "http://self.invalid", Peers: []string{fake.URL}, Seed: 1, FailThreshold: 100})
+		c, err := cluster.New(cluster.Config{Self: "http://self.invalid", Peers: []string{fake}, Seed: 1, FailThreshold: 100})
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkFillFallsBack(t, c, fake.URL, len(bodies), func(i int) { current.Store(int32(i)) })
-		if a := accept.Load(); a != wire.PeerMediaType {
-			t.Errorf("forwarder sent Accept %q, want %q", a, wire.PeerMediaType)
-		}
+		checkFillFallsBack(t, c, fake, len(bodies), func(i int) { current.Store(int32(i)) })
 	})
 
 	t.Run("malformed-packed", func(t *testing.T) {
@@ -278,15 +250,60 @@ func TestFillNegotiatesEnvelope(t *testing.T) {
 			head(3) + "\n" + "\x03\x00",           // count beyond the input
 		}
 		var current atomic.Int32
-		fake := httptest.NewServer(cluster.NewPeerServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", wire.PeerMediaType)
-			io.WriteString(w, bodies[current.Load()])
-		})))
-		defer fake.Close()
-		c, err := cluster.New(cluster.Config{Self: "http://self.invalid", Peers: []string{fake.URL}, Seed: 1, FailThreshold: 100})
+		fake := newFakeOwner(t, func(_ context.Context, _ string, _, dst []byte) (int, []byte) {
+			return http.StatusOK, append(dst, bodies[current.Load()]...)
+		})
+		c, err := cluster.New(cluster.Config{Self: "http://self.invalid", Peers: []string{fake}, Seed: 1, FailThreshold: 100})
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkFillFallsBack(t, c, fake.URL, len(bodies), func(i int) { current.Store(int32(i)) })
+		checkFillFallsBack(t, c, fake, len(bodies), func(i int) { current.Store(int32(i)) })
 	})
+}
+
+// TestPeerFillOwnerRefusals: an owner answers a fill it refuses with a
+// structured error that reaches the forwarder as apiErr: a body over
+// MaxBodyBytes and a key the owner does not compute are 400s, each
+// counted as one bad request, and a fill meeting a saturated queue is
+// a 429 with retry_after_s, not counted. Each fill counts one peer
+// request.
+func TestPeerFillOwnerRefusals(t *testing.T) {
+	f := newTestFleet(t, 2, Options{MaxBodyBytes: 256, MaxInflight: 1, MaxQueue: -1})
+	req := dwtRequest(16 * 16)
+	inst, err := req.Instance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := inst.Key(req.BudgetBits)
+	for _, c := range []struct {
+		name   string
+		preq   wire.PeerScheduleRequest
+		status int
+		bad    float64
+	}{
+		{"over MaxBodyBytes", wire.PeerScheduleRequest{Req: req, Key: key, Origin: strings.Repeat("o", 256)}, http.StatusBadRequest, 1},
+		{"key mismatch", wire.PeerScheduleRequest{Req: req, Key: "sha256:0"}, http.StatusBadRequest, 1},
+		{"saturated", wire.PeerScheduleRequest{Req: req, Key: key}, http.StatusTooManyRequests, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.status == http.StatusTooManyRequests {
+				defer pinSlots(t, f.servers[1])()
+			}
+			bad := scrapeMetrics(t, f.urls[1])["wrbpg_http_bad_requests_total"]
+			peers := f.servers[1].Stats().PeerRequests
+			_, _, apiErr, err := f.clusters[0].Fill(context.Background(), f.urls[1], &c.preq)
+			if err != nil || apiErr == nil || apiErr.Status != c.status {
+				t.Fatalf("apiErr=%+v err=%v, want a structured %d", apiErr, err, c.status)
+			}
+			if c.status == http.StatusTooManyRequests && apiErr.RetryAfterS < 1 {
+				t.Errorf("429 carries retry_after_s=%d, want at least 1", apiErr.RetryAfterS)
+			}
+			if d := scrapeMetrics(t, f.urls[1])["wrbpg_http_bad_requests_total"] - bad; d != c.bad {
+				t.Errorf("wrbpg_http_bad_requests_total rose by %v, want %v", d, c.bad)
+			}
+			if d := f.servers[1].Stats().PeerRequests - peers; d != 1 {
+				t.Errorf("the owner counted %d peer requests, want 1", d)
+			}
+		})
+	}
 }

@@ -23,8 +23,8 @@
 //	POST /v1/schedule        solve one instance (cache-backed)
 //	POST /v1/schedule/sweep  a budget list, one warm solver session
 //	POST /v1/schedule/patch  the same, named a patch (deltas expected)
-//	POST /v1/peer/schedule   a replica's cache-miss fill (cluster mode), or
-//	                         the upgrade to a connection of fill frames
+//	POST /v1/peer/schedule   the upgrade to a connection of replicas'
+//	                         cache-miss fill frames (cluster mode)
 //	GET  /v1/lowerbound      Proposition 2.3/2.4 bounds, no solve
 //	GET  /v1/trace/{id}      span tree of a traced request
 //	GET  /v1/slo             SLO burn rates per window
@@ -237,8 +237,8 @@ type Server struct {
 	// cluster is the replica fleet view (nil outside cluster mode).
 	cluster *cluster.Cluster
 	// handler is every endpoint behind the tracing and request-obs
-	// middleware; peers serves the peer fills that arrive as frames on
-	// upgraded connections through it.
+	// middleware; peers answers the fill frames on the connections
+	// upgraded at the peer path, with serveFill.
 	handler http.Handler
 	peers   *cluster.PeerServer
 	reg     *obs.Registry
@@ -285,7 +285,7 @@ func New(opts Options) *Server {
 		return &sweepWorkspace{}
 	}
 	s.handler = s.newHandler()
-	s.peers = cluster.NewPeerServer(s.handler)
+	s.peers = cluster.NewPeerServer(s.serveFill)
 	return s
 }
 
@@ -381,6 +381,12 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v) //nolint:errcheck // nothing useful to do mid-response
 }
 
+// appendJSON appends v to dst in the bytes writeJSON writes.
+func appendJSON(dst []byte, v any) []byte {
+	b, _ := json.MarshalIndent(v, "", "  ")
+	return append(append(dst, b...), '\n')
+}
+
 // jsonContentType is the Content-Type of a 200 body writeAppended
 // writes, shared so that setting it allocates nothing.
 var jsonContentType = []string{"application/json"}
@@ -425,14 +431,18 @@ func putBody(bp *[]byte) {
 // is server pushback, not a malformed request, so it carries its
 // Retry-After header instead of counting into bad_requests.
 func (s *Server) writeErr(w http.ResponseWriter, e *wire.Error) {
-	if e.Status == http.StatusTooManyRequests {
-		if e.RetryAfterS > 0 {
-			w.Header().Set("Retry-After", strconv.FormatInt(e.RetryAfterS, 10))
-		}
-	} else if e.Status >= 400 && e.Status < 500 {
+	if e.Status == http.StatusTooManyRequests && e.RetryAfterS > 0 {
+		w.Header().Set("Retry-After", strconv.FormatInt(e.RetryAfterS, 10))
+	}
+	s.countErr(e)
+	writeJSON(w, e.Status, e)
+}
+
+// countErr counts e into bad_requests when it is a 4xx other than 429.
+func (s *Server) countErr(e *wire.Error) {
+	if e.Status >= 400 && e.Status < 500 && e.Status != http.StatusTooManyRequests {
 		s.m.badRequests.Inc()
 	}
-	writeJSON(w, e.Status, e)
 }
 
 // shedErr builds the structured 429 for a shed decision: the queue

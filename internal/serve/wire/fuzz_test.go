@@ -243,7 +243,7 @@ func FuzzPeerResponse(f *testing.F) {
 			}
 		}
 		for _, withMoves := range []bool{false, true} {
-			env, err := DecodePeerResponse(PeerMediaType, data, withMoves)
+			env, err := DecodePeerResponse(data, withMoves)
 			if err != nil {
 				continue
 			}
@@ -263,7 +263,7 @@ func FuzzPeerResponse(f *testing.F) {
 			}
 			// A trace's empty lists do not survive the round trip (they
 			// are omitempty), so the trace is held to its re-encoding.
-			back, err := DecodePeerResponse(PeerMediaType, again, withMoves)
+			back, err := DecodePeerResponse(again, withMoves)
 			if err != nil || !reflect.DeepEqual(back.Result, env.Result) {
 				t.Fatalf("%q: re-encoded as %q, decodes to %+v, %v", data, again, back, err)
 			}

@@ -4,12 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"wrbpg/internal/obs"
 )
 
-// The 200 body of POST /v1/peer/schedule is the packed frame:
+// The 200 body of a peer fill's response frame is the packed frame:
 // PeerScheduleResponse as compact JSON with result.schedule left out, a
 // '\n', then the move list in core.Schedule's packed form
 // (AppendBinary), about 2 bytes a move where JSON takes 25. Compact
@@ -22,9 +21,6 @@ import (
 // read by the request scanner, and the fill request is appended in
 // json.Marshal's bytes. A trace member is marshalled and unmarshalled
 // by encoding/json, and so is any head the scanner refuses.
-
-// PeerMediaType is the Content-Type of the packed frame.
-const PeerMediaType = "application/x-wrbpg-peer"
 
 // AppendPeerFrame appends the packed frame of the shared result r as
 // one request sees it: st's fields in place of r's own, st.Schedule as
@@ -58,15 +54,11 @@ func AppendPeerResponse(dst []byte, env *PeerScheduleResponse) ([]byte, error) {
 	return AppendPeerFrame(dst, r, &st, env.Trace)
 }
 
-// DecodePeerResponse decodes a 200 peer body. Only a packed frame, sent
-// as PeerMediaType, decodes, and it must carry exactly
-// result.move_count moves when withMoves, the fill's include_moves, is
-// set and none when it is not; any other body is an error.
-func DecodePeerResponse(contentType string, body []byte, withMoves bool) (*PeerScheduleResponse, error) {
-	mt, _, _ := strings.Cut(contentType, ";")
-	if !strings.EqualFold(strings.TrimSpace(mt), PeerMediaType) {
-		return nil, fmt.Errorf("wire: peer body of Content-Type %q, want %s", contentType, PeerMediaType)
-	}
+// DecodePeerResponse decodes a 200 peer body. Only a packed frame
+// decodes, and it must carry exactly result.move_count moves when
+// withMoves, the fill's include_moves, is set and none when it is not;
+// any other body is an error.
+func DecodePeerResponse(body []byte, withMoves bool) (*PeerScheduleResponse, error) {
 	i := bytes.IndexByte(body, '\n')
 	if i < 0 {
 		return nil, fmt.Errorf("wire: packed peer frame has no move section")

@@ -33,31 +33,6 @@ func peerEnvelopeSeeds() []*PeerScheduleResponse {
 	return []*PeerScheduleResponse{{Result: res}, {Result: res, Trace: tex}, {Result: &anytime}, {Result: &empty}}
 }
 
-// TestPeerEnvelope: a body decodes only under the frame's media type,
-// matched case-insensitively and with parameters ignored.
-func TestPeerEnvelope(t *testing.T) {
-	frame, err := AppendPeerResponse(nil, peerEnvelopeSeeds()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ct, want := range map[string]bool{
-		PeerMediaType:                     true,
-		"Application/X-Wrbpg-Peer; v=1":   true,
-		" application/x-wrbpg-peer ":      true,
-		"":                                false,
-		"application/json":                false,
-		"application/json; charset=utf-8": false,
-		"*/*":                             false,
-		"text/html":                       false,
-		"application/x-wrbpg-peer2":       false,
-		"application/json, application/x-wrbpg-peer": false,
-	} {
-		if _, err := DecodePeerResponse(ct, frame, true); (err == nil) != want {
-			t.Errorf("Content-Type %q: err=%v, want decoded=%v", ct, err, want)
-		}
-	}
-}
-
 // TestPeerResponseForms: the packed frame is the envelope without
 // the move list as compact JSON, a newline, and the packed moves, and
 // it decodes to the envelope. A frame for a fill that did not ask for
@@ -79,7 +54,7 @@ func TestPeerResponseForms(t *testing.T) {
 		if wantPacked := append(append(append([]byte("x"), head...), '\n'), moves...); err != nil || !bytes.Equal(packed, wantPacked) {
 			t.Fatalf("seed %d: packed form %q, %v; want %q", i, packed, err, wantPacked)
 		}
-		back, err := DecodePeerResponse(PeerMediaType, packed[1:], true)
+		back, err := DecodePeerResponse(packed[1:], true)
 		if err != nil {
 			t.Fatalf("seed %d: %v", i, err)
 		}
@@ -92,7 +67,7 @@ func TestPeerResponseForms(t *testing.T) {
 		if wantLean := append(append([]byte(nil), head...), '\n', 0); err != nil || !bytes.Equal(lean, wantLean) {
 			t.Fatalf("seed %d: frame without moves %q, %v; want %q", i, lean, err, wantLean)
 		}
-		back, err = DecodePeerResponse(PeerMediaType, lean, false)
+		back, err = DecodePeerResponse(lean, false)
 		if err != nil {
 			t.Fatalf("seed %d without moves: %v", i, err)
 		}
@@ -106,7 +81,7 @@ func TestPeerResponseForms(t *testing.T) {
 }
 
 // TestDecodePeerResponseRejects: malformed packed frames are errors,
-// and so are the JSON bodies owners from before the frame sent.
+// and so are JSON bodies and other bodies that are not a frame.
 func TestDecodePeerResponseRejects(t *testing.T) {
 	one, err := core.Schedule{{Kind: core.M2, Node: 9}}.AppendBinary(nil)
 	if err != nil {
@@ -125,7 +100,7 @@ func TestDecodePeerResponseRejects(t *testing.T) {
 		"no moves":          head("1") + "\n\x00",
 		"empty section":     head("1") + "\n",
 	} {
-		if env, err := DecodePeerResponse(PeerMediaType, []byte(body), true); err == nil {
+		if env, err := DecodePeerResponse([]byte(body), true); err == nil {
 			t.Errorf("%s: decoded %+v", name, env.Result)
 		}
 	}
@@ -136,11 +111,11 @@ func TestDecodePeerResponseRejects(t *testing.T) {
 		"section absent": head("1") + "\n",
 		"trailing bytes": head("1") + "\n\x00\x00",
 	} {
-		if env, err := DecodePeerResponse(PeerMediaType, []byte(body), false); err == nil {
+		if env, err := DecodePeerResponse([]byte(body), false); err == nil {
 			t.Errorf("%s without moves asked: decoded %+v", name, env.Result)
 		}
 	}
-	if env, err := DecodePeerResponse(PeerMediaType, []byte(head("1")+"\n\x00"), false); err != nil || env.Result.MoveCount != 1 || env.Result.Schedule != nil {
+	if env, err := DecodePeerResponse([]byte(head("1")+"\n\x00"), false); err != nil || env.Result.MoveCount != 1 || env.Result.Schedule != nil {
 		t.Errorf("empty section without moves asked: %+v, %v", env, err)
 	}
 	envelope, err := json.Marshal(peerEnvelopeSeeds()[0])
@@ -153,8 +128,8 @@ func TestDecodePeerResponseRejects(t *testing.T) {
 		"proxy page":    "<html>proxy error</html>",
 		"empty":         "",
 	} {
-		if env, err := DecodePeerResponse("application/json", []byte(body), true); err == nil {
-			t.Errorf("%s as application/json: decoded %+v", name, env.Result)
+		if env, err := DecodePeerResponse([]byte(body), true); err == nil {
+			t.Errorf("%s: decoded %+v", name, env.Result)
 		}
 	}
 }

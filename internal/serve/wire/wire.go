@@ -417,12 +417,12 @@ type PatchResponse struct {
 	Cost *CostMeta `json:"cost,omitempty"`
 }
 
-// PeerScheduleRequest is the body of the internal replica-to-replica
-// peer-fill protocol (POST /v1/peer/schedule): a replica that missed
-// its local cache forwards the schedule request to the key's ring
-// owner instead of cold-solving. The endpoint is loop-guarded by the
-// X-Wrbpg-Peer-Hop header — an owner answering a peer request never
-// forwards again — so ring disagreement costs at most one wasted hop.
+// PeerScheduleRequest is the body of a fill frame in the internal
+// replica-to-replica peer-fill protocol (docs/CLUSTER.md): a replica
+// that missed its local cache forwards the schedule request to the
+// key's ring owner instead of cold-solving. An owner answering a fill
+// never forwards again, so ring disagreement costs at most one wasted
+// hop.
 type PeerScheduleRequest struct {
 	// Req is the schedule request exactly as the forwarder would solve
 	// it locally, include_moves as its client sent it (the owner's frame
@@ -439,14 +439,13 @@ type PeerScheduleRequest struct {
 	// and the owner's peer-traffic logs; never routing).
 	Origin string `json:"origin,omitempty"`
 	// TraceParent is the forwarder's trace position ("traceid:spanid",
-	// obs.TraceParent). It travels as the X-Wrbpg-Trace-Parent header —
-	// the peer client injects it, the owner reads the header — so it is
-	// excluded from the JSON body and old/new replicas interoperate.
+	// obs.TraceParent). It travels in the request frame's trace-parent
+	// field, ahead of the body, so it is excluded from the JSON body.
 	TraceParent string `json:"-"`
 }
 
-// PeerScheduleResponse is the 200 body of POST /v1/peer/schedule, sent
-// as a packed frame (AppendPeerFrame). When the forwarder propagated
+// PeerScheduleResponse is the 200 body of a fill's response frame,
+// sent as a packed frame (AppendPeerFrame). When the forwarder propagated
 // trace context, Trace carries the owner's span subtree for the
 // forwarder to graft under its peer.fill span, so GET /v1/trace/{id} on
 // the forwarder shows the complete cross-replica tree.
